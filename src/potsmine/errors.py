@@ -41,12 +41,17 @@ class UnsupportedTaskError(PotsError):
 
 
 class TrainingDivergedError(PotsError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or validation metric.
 
-    def __init__(self, epoch: int, batch: int, loss: float):
-        super().__init__(
-            f"non-finite training loss {loss!r} at epoch {epoch}, batch {batch}"
-        )
+    batch is None when the value is an epoch's validation metric.
+    """
+
+    def __init__(self, epoch: int, batch: int | None, loss: float):
+        if batch is None:
+            where = f"validation metric {loss!r} after epoch {epoch}"
+        else:
+            where = f"training loss {loss!r} at epoch {epoch}, batch {batch}"
+        super().__init__(f"non-finite {where}")
         self.epoch = epoch
         self.batch = batch
         self.loss = loss

@@ -210,10 +210,30 @@ def model_to_artifact(model) -> ModelArtifact:
 
 
 def model_from_artifact(art: ModelArtifact):
+    """Rebuild the model an artifact describes, or refuse it.
+
+    An artifact can pass its checksum and still not fit its kind. Every
+    hyperparameter the model reports, and every tensor it holds at the
+    shape its hyperparameters give (tensor_shapes), must be present, and
+    nothing else; otherwise this raises FormatError naming the entry.
+    """
     cls = MODEL_REGISTRY.get(art.kind)
     if cls is None:
         raise FormatError(f"unknown model kind tag {art.kind!r}")
-    return cls.from_artifact(art)
+    try:
+        model = cls.from_artifact(art)
+    except KeyError as exc:
+        raise FormatError(f"{art.kind} artifact lacks entry {exc.args[0]!r}") from None
+    odd = sorted(set(model.hyperparams()) ^ set(art.hyperparams))
+    if odd:
+        raise FormatError(f"{art.kind} artifact lacks or adds hyperparameter {odd[0]!r}")
+    want = model.tensor_shapes()
+    got = {name: arr.shape for name, arr in art.tensors.items()}
+    for name in sorted(set(want) | set(got)):
+        if want.get(name) != got.get(name):
+            raise FormatError(f"{art.kind} artifact tensor {name!r}: found shape "
+                              f"{got.get(name, 'none')}, expected {want.get(name, 'none')}")
+    return model
 
 
 def save_model(model, path: str) -> None:

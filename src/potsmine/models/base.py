@@ -9,6 +9,7 @@ backend-equivalence guarantees treat them uniformly.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -113,9 +114,14 @@ class BestTracker:
 
 def run_election(metrics: Sequence[float], maximize: bool = False,
                  patience: int = 0) -> ElectionResult:
-    """Replay checkpoint election over a recorded per-epoch metric log."""
+    """Replay checkpoint election over a recorded per-epoch metric log.
+
+    A non-finite entry is refused, as fit refuses it when training.
+    """
     if len(metrics) == 0:
         raise InvalidInputError("run_election: empty metric log")
+    if not np.all(np.isfinite(np.asarray(metrics, dtype=np.float64))):
+        raise InvalidInputError(f"run_election: non-finite metric in {list(metrics)}")
     tracker = BestTracker(maximize=maximize, patience=patience)
     stopped_after = len(metrics)
     for i, m in enumerate(metrics, start=1):
@@ -153,6 +159,15 @@ class BaseModel(ABC):
     def supported_metrics(self) -> tuple[str, ...]:
         return ("val_loss",)
 
+    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name and shape of every tensor, as the hyperparameters fix them.
+
+        The default rebuilds an untrained skeleton from hyperparams();
+        models whose shapes also depend on the training data override it.
+        """
+        skeleton = type(self)(**self.hyperparams())
+        return {name: arr.shape for name, arr in skeleton.tensors().items()}
+
 
 class Imputer(BaseModel):
     @abstractmethod
@@ -186,10 +201,24 @@ class AnalyticModel(BaseModel):
         """Fit in place; return the validation metric value."""
 
 
+def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-uniform (fan_in, fan_out) weight matrix."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, (fan_in, fan_out))
+
+
 class GradientModel(BaseModel):
     """Models trained by minibatch gradient descent on the tape engine."""
 
     parameters: dict[str, np.ndarray]
+
+    def _to_working(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Zero-filled working-space values; sentinels never touch math."""
+        hit = mask != 0
+        if self.norm_stats is None:
+            return np.where(hit, values, 0.0)
+        stats = self.norm_stats
+        return np.where(hit, (values - stats.mean) / stats.std, 0.0)
 
     @abstractmethod
     def prepare_fit(self, train_set) -> None:
@@ -281,6 +310,12 @@ def _merge_shard_grads(results: Sequence[tuple[float, dict]], scale: float) -> d
     return {name: (None if g is None else g * scale) for name, g in merged.items()}
 
 
+def _finite_metric(metric: float, epoch: int) -> float:
+    if not np.isfinite(metric):
+        raise TrainingDivergedError(epoch, None, metric)
+    return metric
+
+
 def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
     """Train and return (model, Checkpoint) from the best validation epoch.
 
@@ -290,6 +325,11 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
     shards whose gradient sums are divided by the batch size before the
     optimizer step, so workers=1 and workers=N agree up to float
     summation order.
+
+    A non-finite training loss or validation metric raises
+    TrainingDivergedError: NaN compares false against everything, so
+    letting it into the election would either never elect it or pin it
+    forever, depending on the epoch it appeared in.
     """
     if len(train_set) == 0:
         raise InvalidInputError("fit: training set is empty")
@@ -303,7 +343,7 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
             f"selection metric {config.selection_metric!r}")
 
     if isinstance(model, AnalyticModel):
-        metric = model.fit_analytic(train_set, val_set, config)
+        metric = _finite_metric(model.fit_analytic(train_set, val_set, config), 1)
         snap = {k: v.copy() for k, v in model.tensors().items()}
         return model, Checkpoint(epoch=1, metric=float(metric), parameters=snap)
     if not isinstance(model, GradientModel):
@@ -334,7 +374,7 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
                     raise TrainingDivergedError(epoch_idx + 1, batch_no, loss_total)
                 grads = _merge_shard_grads(results, 1.0 / idx.size)
                 T.adam_step(params, grads, state)
-            metric = model.validation_metric(val_set, config)
+            metric = _finite_metric(model.validation_metric(val_set, config), epoch_idx + 1)
             if tracker.update(metric):
                 best = {k: v.copy() for k, v in params.items()}
             if tracker.should_stop:

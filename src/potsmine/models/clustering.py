@@ -103,6 +103,10 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
         return {"centroids": self.centroids, "feat_mean": self.feat_mean,
                 "feat_std": self.feat_std}
 
+    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
+        width = int(self.n_steps or 0) * self.n_features
+        return {"centroids": (self.k, width), "feat_mean": (width,), "feat_std": (width,)}
+
     @classmethod
     def from_artifact(cls, art: ModelArtifact) -> "TwoStageKMeansModel":
         if art.inner is None:

@@ -178,6 +178,14 @@ class TmfModel(AnalyticModel, Forecaster):
             out[f"a{d}"] = self.a_list[d]
         return out
 
+    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
+        out: dict[str, tuple[int, ...]] = {}
+        for d in range(self.n_features):
+            out[f"w{d}"] = (self.n_series, self.rank)
+            out[f"f{d}"] = (self.n_steps, self.rank)
+            out[f"a{d}"] = (self.ar_order, self.rank)
+        return out
+
     @classmethod
     def from_artifact(cls, art: ModelArtifact) -> "TmfModel":
         hp = art.hyperparams

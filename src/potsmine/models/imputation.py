@@ -16,10 +16,8 @@ from ..errors import InvalidInputError, ShapeError
 from ..core import Batch, _iter_index_chunks, fit_norm_stats
 from .. import tensor as T
 from .artifact import ModelArtifact, register_model
-from .base import (AnalyticModel, GradientModel, Imputer, TrainConfig,
-                   imputer_validation_metric)
-
-_EVAL_CHUNK = 256
+from .base import (_EVAL_CHUNK, AnalyticModel, GradientModel, Imputer, TrainConfig,
+                   imputer_validation_metric, xavier)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +61,8 @@ def locf_impute(values: np.ndarray, mask: np.ndarray,
 class _AnalyticImputer(AnalyticModel, Imputer):
     """Shared fit for imputers whose only state is per-feature means."""
 
+    values_name = ""   # the artifact tensor holding the per-feature values
+
     def __init__(self, n_features: int, values: np.ndarray | None = None):
         if n_features < 1:
             raise InvalidInputError(f"n_features must be positive, got {n_features}")
@@ -72,7 +72,7 @@ class _AnalyticImputer(AnalyticModel, Imputer):
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (n_features,):
             raise ShapeError(
-                f"per-feature values shape {values.shape} does not match "
+                f"{self.values_name!r} shape {values.shape} does not match "
                 f"{n_features} features")
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("per-feature values must be finite")
@@ -88,7 +88,10 @@ class _AnalyticImputer(AnalyticModel, Imputer):
     @classmethod
     def from_artifact(cls, art: ModelArtifact):
         return cls(int(art.hyperparams["n_features"]),
-                   values=next(iter(art.tensors.values())))
+                   values=art.tensors[cls.values_name])
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        return {self.values_name: self.feature_values}
 
 
 @register_model
@@ -96,9 +99,7 @@ class LocfModel(_AnalyticImputer):
     """Last observation carried forward with a training-mean fallback."""
 
     kind = "locf"
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"fallback_values": self.feature_values}
+    values_name = "fallback_values"
 
     def impute_batch(self, batch: Batch) -> np.ndarray:
         return _locf_fill(batch.values, batch.mask, self.feature_values)
@@ -109,9 +110,7 @@ class MeanImputerModel(_AnalyticImputer):
     """Fill every missing cell with the feature's training mean."""
 
     kind = "mean"
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"means": self.feature_values}
+    values_name = "means"
 
     def impute_batch(self, batch: Batch) -> np.ndarray:
         fill = np.broadcast_to(self.feature_values, batch.values.shape)
@@ -179,26 +178,21 @@ class SaitsLiteModel(GradientModel, Imputer):
 
     def _init_params(self) -> dict[str, np.ndarray]:
         rng = np.random.Generator(np.random.PCG64(self.init_seed))
-
-        def xavier(fan_in, fan_out):
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, (fan_in, fan_out))
-
         d, dm, df = self.n_features, self.d_model, self.d_ff
         params: dict[str, np.ndarray] = {}
         for b in range(1, self.N_BLOCKS + 1):
             pre = f"b{b}_"
-            params[pre + "w_in"] = xavier(2 * d, dm)
+            params[pre + "w_in"] = xavier(rng, 2 * d, dm)
             params[pre + "b_in"] = np.zeros(dm)
             params[pre + "pos"] = np.zeros((self.n_steps, dm))
-            params[pre + "w_q"] = xavier(dm, dm)
-            params[pre + "w_k"] = xavier(dm, dm)
-            params[pre + "w_v"] = xavier(dm, dm)
-            params[pre + "w_f1"] = xavier(dm, df)
+            params[pre + "w_q"] = xavier(rng, dm, dm)
+            params[pre + "w_k"] = xavier(rng, dm, dm)
+            params[pre + "w_v"] = xavier(rng, dm, dm)
+            params[pre + "w_f1"] = xavier(rng, dm, df)
             params[pre + "b_f1"] = np.zeros(df)
-            params[pre + "w_f2"] = xavier(df, dm)
+            params[pre + "w_f2"] = xavier(rng, df, dm)
             params[pre + "b_f2"] = np.zeros(dm)
-            params[pre + "w_out"] = xavier(dm, d)
+            params[pre + "w_out"] = xavier(rng, dm, d)
             params[pre + "b_out"] = np.zeros(d)
         return params
 
@@ -225,14 +219,6 @@ class SaitsLiteModel(GradientModel, Imputer):
         return model
 
     # -- normalization helpers -------------------------------------------
-    def _to_working(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Zero-filled working-space values; sentinels never touch math."""
-        hit = mask != 0
-        if self.norm_stats is None:
-            return np.where(hit, values, 0.0)
-        stats = self.norm_stats
-        return np.where(hit, (values - stats.mean) / stats.std, 0.0)
-
     def _from_working(self, working: np.ndarray) -> np.ndarray:
         if self.norm_stats is None:
             return working

@@ -142,14 +142,17 @@ class Tape:
         self._grads = grads
 
 
-def _record(data: np.ndarray, parts: Sequence[tuple[Tensor, Callable]]) -> Tensor:
-    """Build the result tensor, appending a tape node if any input is recorded.
+def record_fused(data: np.ndarray, inputs: Sequence[Tensor],
+                 backward: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
+    """Build the result tensor, appending one tape node if any input is recorded.
 
-    parts pairs each differentiable input with a function mapping the output
-    gradient to that input's gradient contribution.
+    backward maps the output gradient to the gradients of every input,
+    in the order of inputs, in one call; only the recorded inputs'
+    gradients are kept. A model can record a whole plain-numpy
+    computation this way, with a hand-written backward.
     """
     tape = None
-    for t, _ in parts:
+    for t in inputs:
         if t.tape is not None:
             if tape is None:
                 tape = t.tape
@@ -157,12 +160,28 @@ def _record(data: np.ndarray, parts: Sequence[tuple[Tensor, Callable]]) -> Tenso
                 raise InvalidInputError("operands were recorded on different tapes")
     if tape is None:
         return Tensor(data, None, -1)
-    tracked = [(t.node_id, fn) for t, fn in parts if t.tape is not None]
+    # node ids, not tensors: a tensor holds its tape, so a node holding one
+    # makes a reference cycle that keeps the tape and every array its
+    # nodes saved alive until the cyclic collector runs
+    tracked = [(i, t.node_id) for i, t in enumerate(inputs) if t.tape is not None]
 
     def back(g):
-        return [(nid, fn(g)) for nid, fn in tracked]
+        grads = backward(g)
+        return [(nid, grads[i]) for i, nid in tracked]
 
     return Tensor(data, tape, tape._append(back))
+
+
+def _record(data: np.ndarray, parts: Sequence[tuple[Tensor, Callable]]) -> Tensor:
+    """record_fused with one gradient function per input.
+
+    parts pairs each differentiable input with a function mapping the output
+    gradient to that input's gradient contribution; only the recorded
+    inputs' functions run.
+    """
+    tracked = [(t, fn) for t, fn in parts if t.tape is not None]
+    fns = [fn for _, fn in tracked]   # the backward holds no tensor, as above
+    return record_fused(data, [t for t, _ in tracked], lambda g: [fn(g) for fn in fns])
 
 
 def _coerce(x) -> Tensor:
@@ -253,10 +272,15 @@ def transpose(a) -> Tensor:
     return _record(out, [(a, lambda g: g.swapaxes(-1, -2))])
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array, without overflow for any sign."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
-    t = np.exp(-np.abs(a.data))
-    out = np.where(a.data >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    out = sigmoid_array(a.data)
     return _record(out, [(a, lambda g: g * out * (1.0 - out))])
 
 
@@ -287,12 +311,16 @@ def log(a) -> Tensor:
     return _record(out, [(a, lambda g: g / safe)])
 
 
+def softmax_array(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a plain array, with max subtraction."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(a) -> Tensor:
     """Softmax over the last axis, computed with max subtraction."""
     a = _coerce(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = softmax_array(a.data)
 
     def back(g):
         inner = (g * out).sum(axis=-1, keepdims=True)

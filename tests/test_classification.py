@@ -8,6 +8,7 @@ from potsmine import (
     GrudLiteModel,
     TrainConfig,
     classify,
+    compute_delta,
     decay,
     fit as fit_model,
     generate_synthetic,
@@ -193,3 +194,92 @@ def test_val_accuracy_metric_counts_argmax():
     probs = classify(model, ds)
     labels = np.array([s.label for s in ds.samples])
     assert acc == float((probs.argmax(axis=1) == labels).mean())
+
+
+# ---------------------------------------------------------------------------
+# fused recurrence on irregular gaps with leading and interior missing runs
+
+def irregular_batch(n=3, t=7, d=2, seed=21):
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.uniform(0.1, 3.0, (n, t)), axis=1)
+    mask = (rng.random((n, t, d)) < 0.6).astype(float)
+    mask[:, :2, 0] = 0.0       # leading run
+    mask[:, 3:6, 1] = 0.0      # interior run
+    values = np.where(mask != 0, rng.normal(size=(n, t, d)), np.nan)
+    labels = np.arange(n) % 2
+    return Batch(values=values, mask=mask, timestamps=ts, labels=labels)
+
+
+def perturbed_model(t=7, d=2, h=3, seed=22):
+    # random readout and decays, so every parameter's gradient is non-zero
+    model = GrudLiteModel(n_steps=t, n_features=d, n_classes=2, hidden_size=h,
+                          normalize=False, init_seed=seed)
+    rng = np.random.default_rng(seed)
+    for value in model.parameters.values():
+        value += rng.normal(scale=0.5, size=value.shape)
+    model.parameters["w_dx"][:] = np.abs(model.parameters["w_dx"])
+    model.x_bar = rng.normal(size=d)
+    return model
+
+
+def test_batched_deltas_match_per_sample_with_irregular_gaps():
+    batch = irregular_batch()
+    _, _, delta, _ = perturbed_model()._prepare_batch(batch)
+    for i in range(batch.values.shape[0]):
+        assert np.array_equal(delta[i], compute_delta(batch.timestamps[i], batch.mask[i]))
+    assert delta[:, 1:].min() > 0
+
+
+def test_fused_forward_matches_steps_with_irregular_gaps():
+    model = perturbed_model()
+    batch = irregular_batch()
+    x_work, maskf, delta, _ = model._prepare_batch(batch)
+    h = np.zeros((3, 3))
+    x_last = np.broadcast_to(model.x_bar, (3, 2)).copy()
+    for t in range(7):
+        h, _, x_last = model.grud_step(x_work[:, t], maskf[:, t], delta[:, t], x_last, h)
+    logits = h @ model.parameters["w_out"] + model.parameters["b_out"]
+    assert np.abs(logits - model._logits_np(batch)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", list(GrudLiteModel(7, 2, 2, hidden_size=3).parameters))
+def test_fused_gradient_check_irregular_gaps(name):
+    model = perturbed_model()
+    batch = irregular_batch()
+    consts = {k: T.constant(v) for k, v in model.parameters.items()}
+    # some coordinates of u_r are ~1e-8; at h=1e-6 the rounding noise of
+    # an O(1) loss (~1e-10 in the difference quotient) is a percent of
+    # them, while at h=1e-4 the O(h^2) truncation error stays far below
+    err = T.grad_check(lambda t: model.batch_loss_sum({**consts, name: t}, batch),
+                       model.parameters[name], h=1e-4)
+    assert err < 1e-4, f"{name}: relative error {err}"
+
+
+def test_tape_size_does_not_grow_with_series_length():
+    sizes = []
+    for t in (4, 16):
+        model = perturbed_model(t=t)
+        tape = T.Tape()
+        leaves = {k: tape.leaf(v) for k, v in model.parameters.items()}
+        loss = model.batch_loss_sum(leaves, irregular_batch(t=t))
+        sizes.append(len(loss.tape))
+    assert sizes[0] == sizes[1]
+
+
+def test_minibatch_tape_is_freed_without_the_cycle_collector():
+    # the fused node saves every step's gates; a reference cycle through
+    # the tape would keep them alive until the cyclic collector runs
+    import gc
+    import weakref
+    model = perturbed_model()
+    gc.disable()
+    try:
+        tape = T.Tape()
+        leaves = {k: tape.leaf(v) for k, v in model.parameters.items()}
+        loss = model.batch_loss_sum(leaves, irregular_batch())
+        tape.backward(loss)
+        ref = weakref.ref(tape)
+        del tape, leaves, loss
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -279,3 +279,63 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
                        "--out", "x.pmdl")
     assert code == 1
     assert "nonsense" in err
+
+
+# ---------------------------------------------------------------------------
+# artifacts that pass their checksum but do not fit their model kind
+
+# per kind: the task it serves, a tensor and a hyperparameter to tamper with
+_ARTIFACT_ENTRIES = {
+    "locf": ("impute", "fallback_values", "n_features"),
+    "mean": ("impute", "means", "n_features"),
+    "saits_lite": ("impute", "b2_w_q", "d_model"),
+    "grud_lite": ("classify", "u_c", "hidden_size"),
+    "twostage_kmeans": ("cluster", "centroids", "n_features"),
+    "tmf": ("forecast", "w0", "n_series"),
+}
+
+
+@pytest.fixture(scope="module")
+def trained_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("artifacts")
+    data = str(root / "data.pots")
+    assert main(["gen-data", "--out", data, "--n-samples", "24", "--n-steps", "8",
+                 "--n-features", "2", "--missing-rate", "0.1", "--seed", "0"]) == 0
+    paths = {}
+    for kind, (task, _, _) in _ARTIFACT_ENTRIES.items():
+        paths[kind] = str(root / f"{kind}.pmdl")
+        assert main(["train", "--task", task, "--model", kind, "--data", data,
+                     "--out", paths[kind], "--epochs", "1", "--batch-size", "8"]) == 0
+    return data, paths
+
+
+def test_every_kind_has_tamper_entries():
+    from potsmine.models import MODEL_REGISTRY
+    assert set(_ARTIFACT_ENTRIES) == set(MODEL_REGISTRY)
+
+
+@pytest.mark.parametrize("kind", sorted(_ARTIFACT_ENTRIES))
+@pytest.mark.parametrize("fault", ["missing_tensor", "wrong_shape", "missing_hyperparameter"])
+def test_inconsistent_artifact_exits_two(capsys, tmp_path, trained_artifacts, kind, fault):
+    from potsmine.models import decode_artifact, encode_artifact
+    data, paths = trained_artifacts
+    task, tensor, hyper = _ARTIFACT_ENTRIES[kind]
+    with open(paths[kind], "rb") as fh:
+        art = decode_artifact(fh.read())
+    if fault == "missing_tensor":
+        del art.tensors[tensor]
+        entry = tensor
+    elif fault == "wrong_shape":
+        shape = art.tensors[tensor].shape
+        art.tensors[tensor] = np.zeros(shape[:-1] + (shape[-1] + 1,))
+        entry = tensor
+    else:
+        del art.hyperparams[hyper]
+        entry = hyper
+    tampered = str(tmp_path / "tampered.pmdl")
+    with open(tampered, "wb") as fh:
+        fh.write(encode_artifact(art))    # a fresh, valid checksum
+    code, _, err = run(capsys, "predict", "--task", task, "--model", tampered,
+                       "--data", data, "--out", str(tmp_path / "out.csv"))
+    assert code == 2, err
+    assert repr(entry) in err

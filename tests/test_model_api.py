@@ -88,6 +88,28 @@ def test_election_patience_zero_never_stops_early():
     assert result.stopped_after == 5
 
 
+@pytest.mark.parametrize("log", [[float("nan"), 1.0, 0.5], [1.0, float("inf")]])
+def test_election_refuses_non_finite_metric(log):
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        run_election(log)
+
+
+def test_non_finite_validation_metric_raises_diverged():
+    from potsmine.errors import TrainingDivergedError
+
+    class NanOnSecondEpoch(GrudLiteModel):
+        epochs_seen = 0
+
+        def validation_metric(self, val_set, config):
+            self.epochs_seen += 1
+            return float("nan") if self.epochs_seen == 2 else 0.5
+
+    ds = generate_synthetic(8, 4, 2, 2, missing_rate=0.1, seed=0)
+    model = NanOnSecondEpoch(n_steps=4, n_features=2, n_classes=2, hidden_size=3)
+    with pytest.raises(TrainingDivergedError, match="validation metric nan after epoch 2"):
+        fit_model(model, ds, ds, TrainConfig(epochs=3, batch_size=4))
+
+
 # ---------------------------------------------------------------------------
 # fit loop
 

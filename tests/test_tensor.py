@@ -347,3 +347,31 @@ def test_adam_missing_grad_treated_as_zero():
     state = T.AdamState.for_params(params, lr=0.1)
     T.adam_step(params, {"w": np.array([1.0]), "b": None}, state)
     assert params["b"][0] == 1.0 and params["w"][0] != 2.0
+
+
+# ---------------------------------------------------------------------------
+# fused nodes
+
+def test_record_fused_routes_gradients_to_recorded_inputs_only():
+    tape = T.Tape()
+    a = tape.leaf(np.array([1.0, 2.0]))
+    b = T.constant(np.array([3.0, 5.0]))
+    c = tape.leaf(np.array([7.0, 11.0]))
+    calls = []
+
+    def backward(g):
+        calls.append(1)
+        return [g * b.data * c.data, g * a.data * c.data, g * a.data * b.data]
+
+    out = T.record_fused(a.data * b.data * c.data, [a, b, c], backward)
+    tape.backward(scalar_loss(out))
+    assert len(calls) == 1
+    assert np.array_equal(a.grad, b.data * c.data)
+    assert np.array_equal(c.grad, a.data * b.data)
+    assert len(tape) == 4     # two leaves, the fused node, the sum
+
+
+def test_record_fused_on_constants_records_nothing():
+    out = T.record_fused(np.ones(2), [T.constant(np.ones(2))], lambda g: [g])
+    assert out.tape is None
+
