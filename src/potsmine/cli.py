@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -412,7 +413,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="potsmine",
         description="Data mining pipeline for partially observed time series.")
@@ -486,16 +489,13 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except UnsupportedTaskError as exc:
+    except (_UsageError, UnsupportedTaskError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, StorageError, InvalidInputError, PotsError) as exc:
+    except PotsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

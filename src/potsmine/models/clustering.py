@@ -15,6 +15,17 @@ from .base import (AnalyticModel, Clusterer, Imputer, TrainConfig, fit as fit_mo
                    impute)
 
 _STD_FLOOR = 1e-8
+_DIST_CHUNK_BYTES = 1 << 22
+
+
+def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(N, k) squared distances sum((x - c) ** 2), the same bits one broadcast
+    gives, from row chunks whose (rows, k, width) blocks fit _DIST_CHUNK_BYTES."""
+    step = max(1, _DIST_CHUNK_BYTES // max(1, centroids.nbytes))
+    out = np.empty((len(points), len(centroids)), dtype=np.float64)
+    for lo in range(0, len(points), step):
+        out[lo:lo + step] = ((points[lo:lo + step, None] - centroids) ** 2).sum(axis=2)
+    return out
 
 
 def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iters: int = 100,
@@ -48,7 +59,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iters: int = 100,
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
 
     for _ in range(max_iters):
-        dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dist = _sq_dists(points, centroids)
         labels = dist.argmin(axis=1)
         assigned = dist[np.arange(n), labels]
         if history is not None:
@@ -67,8 +78,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iters: int = 100,
         centroids = new
         if shift < tol:
             break
-    dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return centroids, dist.argmin(axis=1)
+    return centroids, _sq_dists(points, centroids).argmin(axis=1)
 
 
 @register_model
@@ -138,22 +148,17 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
         self.centroids, _ = kmeans_fit(
             self._standardize(flat), self.k, seed=config.seed,
             max_iters=self.max_iters, tol=self.tol)
-        return self._mean_nearest_dist(val_set)
+        return float(self._distances(fetch_all(val_set)).min(axis=1).mean())
 
-    def _mean_nearest_dist(self, view) -> float:
-        batch = fetch_all(view)
-        flat = self._standardize(
-            self.inner_model.impute_batch(batch).reshape(len(view), -1))
-        dist = ((flat[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return float(dist.min(axis=1).mean())
-
-    # -- inference ----------------------------------------------------------
-    def assign_batch(self, batch: Batch) -> np.ndarray:
+    def _distances(self, batch: Batch) -> np.ndarray:
+        """(B, k) squared distances of the imputed, standardized rows to the centroids."""
         flat = self.inner_model.impute_batch(batch).reshape(batch.values.shape[0], -1)
         if flat.shape[1] != self.centroids.shape[1]:
             raise ShapeError(
                 f"cluster: flattened width {flat.shape[1]} does not match "
                 f"centroids ({self.centroids.shape[1]})")
-        dist = ((self._standardize(flat)[:, None, :]
-                 - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return dist.argmin(axis=1)
+        return _sq_dists(self._standardize(flat), self.centroids)
+
+    # -- inference ----------------------------------------------------------
+    def assign_batch(self, batch: Batch) -> np.ndarray:
+        return self._distances(batch).argmin(axis=1)

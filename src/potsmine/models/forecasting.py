@@ -4,6 +4,15 @@ Each feature's (series x step) slice is factorized as W F^T with the
 temporal factors tied by diagonal AR matrices, so missing entries are
 reconstructed from low-rank structure and forecasts come from rolling
 the factors forward.
+
+One core fits all features at once on stacks: values and mask (D, N, T),
+W (D, N, R), F (D, T, R), A (D, L, R). Each step builds every feature's
+small ridge systems together (a masked Gram matrix is the 0/1 mask times
+the R*R outer products, one matmul) and makes one stacked solve. The F
+step stays Gauss-Seidel in t, as step t's AR right-hand side reads steps
+updated earlier in the sweep; its system matrices and AR weights depend
+on W and A only, so the loop over t keeps one weighted sum and one
+(D, R, R) solve per step.
 """
 
 from __future__ import annotations
@@ -30,104 +39,116 @@ def _check_matrix(mask: np.ndarray, label: str) -> None:
             f"tmf: {label}time column {int(np.flatnonzero(~cols)[0])} has no observations")
 
 
-def _ar_predict(factors: np.ndarray, coeffs: np.ndarray, t: int) -> np.ndarray:
-    """Sum of A_l * f_{t-l} with diagonal A_l stored as (L, R) rows."""
-    out = np.zeros(factors.shape[1], dtype=np.float64)
-    for lag in range(1, coeffs.shape[0] + 1):
-        out += coeffs[lag - 1] * factors[t - lag]
-    return out
+def _feature_stacks(values: np.ndarray, mask: np.ndarray):
+    """(N, T, D) values and mask as zero-filled (D, N, T) values and 0/1 weights."""
+    obs = np.ascontiguousarray((mask != 0).transpose(2, 0, 1), dtype=np.float64)
+    return np.where(obs != 0, values.transpose(2, 0, 1), 0.0), obs
 
 
-def _objective(y, mask, w, f, a, lam_w, lam_f, lam_a) -> float:
-    resid = np.where(mask, y - w @ f.T, 0.0)
-    value = float((resid * resid).sum())
-    value += lam_w * float((w * w).sum())
-    value += lam_a * float((a * a).sum())
+def _masked_grams(obs: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """(D, M, R, R) sums of f f^T over the rows of (D, K, R) factors that
+    each row of the (D, M, K) 0/1 obs selects."""
+    d, k, rank = factors.shape
+    outer = (factors[:, :, :, None] * factors[:, :, None, :]).reshape(d, k, rank * rank)
+    return (obs @ outer).reshape(d, obs.shape[1], rank, rank)
+
+
+def _estimate_w(yz: np.ndarray, obs: np.ndarray, f: np.ndarray,
+                lam_w: float) -> np.ndarray:
+    """(D, N, R) ridge fit of every row of the (D, N, T) stacks to fixed
+    (D, T, R) temporal factors; lam_w is the whole ridge weight."""
+    gram = _masked_grams(obs, f)
+    gram += lam_w * np.eye(f.shape[2])
+    return np.linalg.solve(gram, (yz @ f)[..., None])[..., 0]
+
+
+def _objective(yz, obs, w, f, a, lam_w, lam_f, lam_a) -> np.ndarray:
+    """The penalized objective of every feature, (D,)."""
+    resid = w @ f.transpose(0, 2, 1)
+    np.subtract(yz, resid, out=resid)
+    resid *= obs
+    order, t_len = a.shape[1], f.shape[1]
+    diff = f[:, order:] - sum(a[:, lag - 1, None] * f[:, order - lag:t_len - lag]
+                              for lag in range(1, order + 1))
+
+    def total(x):
+        return np.einsum("dij,dij->d", x, x)
+
     # the F updates carry the ridge floor, so the objective they descend does too
-    value += _RIDGE_FLOOR * float((f * f).sum())
-    order = a.shape[0]
-    for t in range(order, f.shape[0]):
-        diff = f[t] - _ar_predict(f, a, t)
-        value += lam_f * float(diff @ diff)
-    return value
+    return (total(resid) + lam_w * total(w) + lam_a * total(a)
+            + _RIDGE_FLOOR * total(f) + lam_f * total(diff))
 
 
-def _tmf_core(y: np.ndarray, mask: np.ndarray, rank: int, ar_order: int,
-              lam_w: float, lam_f: float, lam_a: float, iters: int, seed: int,
-              history: list | None = None):
-    """Alternating ridge updates for one (N, T) matrix; returns (W, F, A)."""
-    n, t_len = y.shape
+def _tmf_core(yz: np.ndarray, obs: np.ndarray, rank: int, ar_order: int,
+              lam_w: float, lam_f: float, lam_a: float, iters: int, seed: int):
+    """Alternating ridge updates for (D, N, T) stacks; returns (W, F, A, history).
+
+    Feature d starts from PCG64(seed + d), drawing W and then F. history
+    holds one objective list per feature, one entry per iteration.
+    """
+    n_feat, n, t_len = yz.shape
+    order = ar_order
     lam_w += _RIDGE_FLOOR
     lam_f += _RIDGE_FLOOR
     lam_a += _RIDGE_FLOOR
-    rng = np.random.Generator(np.random.PCG64(seed))
-    w = rng.normal(0.0, 0.1, (n, rank))
-    f = rng.normal(0.0, 0.1, (t_len, rank))
-    a = np.zeros((ar_order, rank), dtype=np.float64)
-    yz = np.where(mask, y, 0.0)
-    eye_r = np.eye(rank)
+    rngs = [np.random.Generator(np.random.PCG64(seed + d)) for d in range(n_feat)]
+    w = np.stack([rng.normal(0.0, 0.1, (n, rank)) for rng in rngs])
+    # F lives inside zero padding of L steps at each end, so every step's
+    # AR window f_{t-L} .. f_{t+L} is one slice
+    padded = np.zeros((n_feat, t_len + 2 * order, rank))
+    f = padded[:, order:order + t_len]
+    f[:] = np.stack([rng.normal(0.0, 0.1, (t_len, rank)) for rng in rngs])
+    a = np.zeros((n_feat, order, rank), dtype=np.float64)
+    obs_t = np.ascontiguousarray(obs.transpose(0, 2, 1))
+    yz_t = np.ascontiguousarray(yz.transpose(0, 2, 1))
+    diag = np.arange(rank)
+    history = []
 
     for _ in range(iters):
-        for i in range(n):
-            cols = mask[i]
-            fi = f[cols]
-            w[i] = np.linalg.solve(fi.T @ fi + lam_w * eye_r, fi.T @ yz[i, cols])
-        for t in range(t_len):
-            rows = mask[:, t]
-            wt = w[rows]
-            m = wt.T @ wt + _RIDGE_FLOOR * eye_r
-            rhs = wt.T @ yz[rows, t]
-            if t >= ar_order:
-                m = m + lam_f * eye_r
-                rhs = rhs + lam_f * _ar_predict(f, a, t)
-            for lag in range(1, ar_order + 1):
-                target = t + lag
-                if target >= t_len or target < ar_order:
-                    continue
-                # f_t appears inside the AR residual of step t+lag
-                m = m + lam_f * np.diag(a[lag - 1] ** 2)
-                others = f[target] - (_ar_predict(f, a, target) - a[lag - 1] * f[t])
-                rhs = rhs + lam_f * a[lag - 1] * others
-            f[t] = np.linalg.solve(m, rhs)
-        if t_len > ar_order:
-            for r in range(rank):
-                design = np.column_stack(
-                    [f[ar_order - lag:t_len - lag, r] for lag in range(1, ar_order + 1)])
-                targets = f[ar_order:, r]
-                m = lam_f * design.T @ design + lam_a * np.eye(ar_order)
-                a[:, r] = np.linalg.solve(m, lam_f * design.T @ targets)
-        if history is not None:
-            history.append(_objective(y, mask, w, f, a, lam_w, lam_f, lam_a))
-    return w, f, a
+        w = _estimate_w(yz, obs, f, lam_w)
 
-
-def _roll_factors(f: np.ndarray, a: np.ndarray, horizon: int) -> np.ndarray:
-    """Future factor rows f_{T+1} .. f_{T+horizon} from the AR recursion."""
-    order = a.shape[0]
-    buf = list(f[-order:])
-    out = np.empty((horizon, f.shape[1]), dtype=np.float64)
-    for j in range(horizon):
-        nxt = np.zeros(f.shape[1], dtype=np.float64)
+        # F step: f_t enters its own AR residual (t >= L) and that of each
+        # step t+lag with L <= t+lag < T; those give the ridge terms of its
+        # system and the weights (coef) of its AR right-hand side over the
+        # steps t-L .. t+L, of which the earlier are already updated.
+        m = _masked_grams(obs_t, w)
+        m[:, :, diag, diag] += _RIDGE_FLOOR
+        m[:, order:, diag, diag] += lam_f
+        coef = np.zeros((n_feat, t_len, 2 * order + 1, rank))
         for lag in range(1, order + 1):
-            nxt += a[lag - 1] * buf[-lag]
-        out[j] = nxt
-        buf.append(nxt)
-    return out
+            a_lag = lam_f * a[:, lag - 1, None]
+            ahead = slice(order - lag, t_len - lag)
+            m[:, ahead, diag, diag] += a_lag * a[:, lag - 1, None]
+            coef[:, order:, order - lag] += a_lag
+            coef[:, ahead, order + lag] += a_lag
+            for other in range(1, order + 1):
+                if other != lag:
+                    coef[:, ahead, order + lag - other] -= a_lag * a[:, other - 1, None]
+        data_rhs = yz_t @ w
+        for t in range(t_len):
+            ar_rhs = np.einsum("djr,djr->dr", coef[:, t], padded[:, t:t + 2 * order + 1])
+            f[:, t] = np.linalg.solve(m[:, t], (data_rhs[:, t] + ar_rhs)[..., None])[..., 0]
+
+        # A step: one (L, L) ridge system per feature and rank component
+        design = np.stack([f[:, order - lag:t_len - lag] for lag in range(1, order + 1)],
+                          axis=-1).transpose(0, 2, 1, 3)
+        scaled = lam_f * design.swapaxes(-1, -2)
+        a = np.linalg.solve(scaled @ design + lam_a * np.eye(order),
+                            scaled @ f[:, order:].transpose(0, 2, 1)[..., None]
+                            )[..., 0].transpose(0, 2, 1)
+
+        history.append(_objective(yz, obs, w, f, a, lam_w, lam_f, lam_a))
+    return w, f, a, np.array(history).T.tolist()
 
 
-def _estimate_w(values: np.ndarray, mask: np.ndarray, f: np.ndarray,
-                lam_w: float) -> np.ndarray:
-    """Ridge-fit series factors for new rows against fixed temporal factors."""
-    rank = f.shape[1]
-    eye_r = np.eye(rank)
-    yz = np.where(mask, values, 0.0)
-    out = np.empty((values.shape[0], rank), dtype=np.float64)
-    for i in range(values.shape[0]):
-        cols = mask[i]
-        fi = f[cols]
-        out[i] = np.linalg.solve(
-            fi.T @ fi + (lam_w + _RIDGE_FLOOR) * eye_r, fi.T @ yz[i, cols])
-    return out
+def _forecast(w: np.ndarray, f: np.ndarray, a: np.ndarray, horizon: int) -> np.ndarray:
+    """(N, horizon, D) forecasts from rolling the factors forward with the AR recursion."""
+    order = a.shape[1]
+    buf = np.concatenate([f[:, -order:], np.empty((f.shape[0], horizon, f.shape[2]))],
+                         axis=1)
+    for j in range(order, order + horizon):
+        buf[:, j] = (a * buf[:, j - order:j][:, ::-1]).sum(axis=1)
+    return (w @ buf[:, order:].transpose(0, 2, 1)).transpose(1, 2, 0)
 
 
 @register_model
@@ -180,7 +201,8 @@ class TmfModel(AnalyticModel, Forecaster):
 
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
         out: dict[str, tuple[int, ...]] = {}
-        for d in range(self.n_features):
+        # a fit always sees at least one series, so n_series 0 means unfitted
+        for d in range(self.n_features if self.n_series else 0):
             out[f"w{d}"] = (self.n_series, self.rank)
             out[f"f{d}"] = (self.n_steps, self.rank)
             out[f"a{d}"] = (self.ar_order, self.rank)
@@ -194,68 +216,50 @@ class TmfModel(AnalyticModel, Forecaster):
                     lam_f=float(hp["lam_f"]), lam_a=float(hp["lam_a"]),
                     iters=int(hp["iters"]))
         model.n_series = int(hp["n_series"])
-        for d in range(model.n_features):
+        for d in range(model.n_features if model.n_series else 0):
             model.w_list.append(art.tensors[f"w{d}"].copy())
             model.f_list.append(art.tensors[f"f{d}"].copy())
             model.a_list.append(art.tensors[f"a{d}"].copy())
         return model
 
     # -- fitting ----------------------------------------------------------------
+    def _fit_stacks(self, yz: np.ndarray, obs: np.ndarray, seed: int) -> None:
+        for d in range(self.n_features):
+            _check_matrix(obs[d] != 0, f"feature {d} " if self.n_features > 1 else "")
+        w, f, a, self.objective_history = _tmf_core(
+            yz, obs, self.rank, self.ar_order, self.lam_w, self.lam_f, self.lam_a,
+            self.iters, seed)
+        self.n_series = yz.shape[1]
+        self.w_list, self.f_list, self.a_list = list(w), list(f), list(a)
+
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:
         batch = fetch_all(train_set)
-        obs = batch.mask != 0
-        self.n_series = batch.values.shape[0]
-        self.w_list, self.f_list, self.a_list = [], [], []
-        self.objective_history = []
-        for d in range(self.n_features):
-            label = f"feature {d} " if self.n_features > 1 else ""
-            _check_matrix(obs[:, :, d], label)
-            history: list[float] = []
-            w, f, a = _tmf_core(
-                batch.values[:, :, d], obs[:, :, d], self.rank, self.ar_order,
-                self.lam_w, self.lam_f, self.lam_a, self.iters,
-                seed=config.seed + d, history=history)
-            self.w_list.append(w)
-            self.f_list.append(f)
-            self.a_list.append(a)
-            self.objective_history.append(history)
+        self._fit_stacks(*_feature_stacks(batch.values, batch.mask), config.seed)
         return self._val_metric(val_set)
+
+    def _refit_w(self, batch: Batch):
+        """Series factors re-fit to the batch's rows; returns (W, yz, obs)."""
+        yz, obs = _feature_stacks(batch.values, batch.mask)
+        return _estimate_w(yz, obs, np.stack(self.f_list),
+                           self.lam_w + _RIDGE_FLOOR), yz, obs
 
     def _val_metric(self, view) -> float:
         """Observed-cell MSE with series factors re-fit per validation row."""
-        batch = fetch_all(view)
-        obs = batch.mask != 0
-        err = 0.0
-        count = 0
-        for d in range(self.n_features):
-            w = _estimate_w(batch.values[:, :, d], obs[:, :, d],
-                            self.f_list[d], self.lam_w)
-            resid = np.where(obs[:, :, d],
-                             batch.values[:, :, d] - w @ self.f_list[d].T, 0.0)
-            err += float((resid * resid).sum())
-            count += int(obs[:, :, d].sum())
-        return err / count if count else 0.0
+        w, yz, obs = self._refit_w(fetch_all(view))
+        resid = obs * (yz - w @ np.stack(self.f_list).transpose(0, 2, 1))
+        count = int(obs.sum())
+        return float((resid * resid).sum()) / count if count else 0.0
 
     def reconstruct(self) -> np.ndarray:
         """(n_series, T, D) low-rank reconstruction of the training data."""
-        out = np.empty((self.n_series, self.n_steps, self.n_features))
-        for d in range(self.n_features):
-            out[:, :, d] = self.w_list[d] @ self.f_list[d].T
-        return out
+        return np.einsum("dnr,dtr->ntd", np.stack(self.w_list), np.stack(self.f_list))
 
     # -- inference -----------------------------------------------------------
     def forecast_batch(self, batch: Batch, horizon: int) -> np.ndarray:
         if not self.w_list:
             raise InvalidInputError("forecast: model has not been fit")
-        n = batch.values.shape[0]
-        obs = batch.mask != 0
-        out = np.empty((n, horizon, self.n_features), dtype=np.float64)
-        for d in range(self.n_features):
-            w = _estimate_w(batch.values[:, :, d], obs[:, :, d],
-                            self.f_list[d], self.lam_w)
-            future = _roll_factors(self.f_list[d], self.a_list[d], horizon)
-            out[:, :, d] = w @ future.T
-        return out
+        w, _, _ = self._refit_w(batch)
+        return _forecast(w, np.stack(self.f_list), np.stack(self.a_list), horizon)
 
 
 def tmf_fit(y: np.ndarray, mask: np.ndarray, rank: int, ar_order: int = 2,
@@ -272,16 +276,10 @@ def tmf_fit(y: np.ndarray, mask: np.ndarray, rank: int, ar_order: int = 2,
         raise ShapeError(
             f"tmf_fit: y {y.shape} and mask {obs.shape} must be matching "
             "rank-2 arrays")
-    _check_matrix(obs, "")
     model = TmfModel(n_steps=y.shape[1], n_features=1, rank=rank,
                      ar_order=ar_order, lam_w=lam_w, lam_f=lam_f, lam_a=lam_a,
                      iters=iters)
-    history: list[float] = []
-    w, f, a = _tmf_core(y, obs, rank, ar_order, lam_w, lam_f, lam_a, iters,
-                        seed=seed, history=history)
-    model.n_series = y.shape[0]
-    model.w_list, model.f_list, model.a_list = [w], [f], [a]
-    model.objective_history = [history]
+    model._fit_stacks(*_feature_stacks(y[:, :, None], obs[:, :, None]), seed)
     return model
 
 
@@ -291,8 +289,5 @@ def tmf_forecast(model: TmfModel, horizon: int) -> np.ndarray:
         raise InvalidInputError(f"tmf_forecast: horizon must be at least 1, got {horizon}")
     if not model.w_list:
         raise InvalidInputError("tmf_forecast: model has not been fit")
-    out = np.empty((model.n_series, horizon, model.n_features), dtype=np.float64)
-    for d in range(model.n_features):
-        future = _roll_factors(model.f_list[d], model.a_list[d], horizon)
-        out[:, :, d] = model.w_list[d] @ future.T
-    return out
+    return _forecast(np.stack(model.w_list), np.stack(model.f_list),
+                     np.stack(model.a_list), horizon)

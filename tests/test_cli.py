@@ -13,7 +13,7 @@ from potsmine import (
     load_model,
     open_readonly,
 )
-from potsmine.cli import main
+from potsmine.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -209,6 +209,25 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, "train", "--task", "impute", "--model", "saits_lite")
     assert code == 1
     assert "--data" in err
+
+
+def test_cached_parser_behaves_as_fresh_ones(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    data = str(tmp_path / "d.pots")
+    bad = ["gen-data", "--bogus-flag", "1"]
+    valid = ["gen-data", "--out", data, "--n-samples", "6", "--n-steps", "5",
+             "--n-features", "2", "--seed", "3"]
+    other = ["inspect", data]
+    code, _, err = run(capsys, *bad)
+    assert code == 1 and "--bogus-flag" in err
+    assert run(capsys, *valid)[0] == 0
+    code, out, _ = run(capsys, *other)
+    assert code == 0
+    assert "n_samples: 6" in out and "n_steps: 5" in out
+    # the reused parser yields what a new one does, with nothing left over
+    for argv in (valid, other):
+        assert vars(build_parser().parse_args(argv)) == \
+            vars(build_parser.__wrapped__().parse_args(argv))
 
 
 def test_help_exits_zero(capsys):

@@ -1,5 +1,7 @@
 """Clustering (k-means, two-stage) and forecasting (matrix factorization)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from potsmine import (
     tmf_fit,
     tmf_forecast,
 )
+from potsmine.core import Batch
 from potsmine.errors import InvalidInputError
+from potsmine.models import clustering
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +83,48 @@ def test_kmeans_deterministic_and_validates():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     with pytest.raises(InvalidInputError):
         kmeans_fit(points[:2], 3, seed=0)
+
+
+def test_chunked_distances_equal_broadcast(monkeypatch):
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(1003, 37))
+    centroids = rng.normal(size=(7, 37))
+    want = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    whole = kmeans_fit(points, 7, seed=2)
+    # ten rows per chunk: 101 chunks, the last one ragged
+    monkeypatch.setattr(clustering, "_DIST_CHUNK_BYTES", 8 * 7 * 37 * 10)
+    assert np.array_equal(clustering._sq_dists(points, centroids), want)
+    chunked = kmeans_fit(points, 7, seed=2)
+    assert np.array_equal(chunked[0], whole[0])
+    assert np.array_equal(chunked[1], whole[1])
+
+
+def test_distance_memory_does_not_grow_with_n_times_k():
+    # a broadcast (N, k, width) block would be 4000 * 10 * 384 * 8 B = 123 MB
+    n, t, d, k = 4000, 48, 8, 10
+    rng = np.random.default_rng(6)
+    values = rng.normal(size=(n, t, d))
+    batch = Batch(values=values, mask=np.ones((n, t, d)),
+                  timestamps=np.tile(np.arange(t, dtype=np.float64), (n, 1)), labels=None)
+    model = TwoStageKMeansModel(inner=LocfModel(n_features=d), k=k)
+    model.n_steps = t
+    model.centroids = rng.normal(size=(k, t * d))
+    model.feat_mean = np.zeros(t * d)
+    model.feat_std = np.ones(t * d)
+    points = values.reshape(n, -1)
+    tracemalloc.start()
+    try:
+        labels = model.assign_batch(batch)
+        assign_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kmeans_fit(points, k, seed=0, max_iters=3)
+        fit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (n,)
+    # assign_batch also holds the imputed and standardized copies (~12 MB each)
+    assert assign_peak < 64e6
+    assert fit_peak < 32e6
 
 
 # ---------------------------------------------------------------------------

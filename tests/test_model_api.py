@@ -269,6 +269,18 @@ def test_save_load_round_trip_bitwise(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_unfitted_tmf_round_trip(tmp_path):
+    model = TmfModel(n_steps=8, n_features=2)
+    path = str(tmp_path / "tmf.pmdl")
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.hyperparams() == model.hyperparams()
+    assert loaded.tensors() == {}
+    with pytest.raises(InvalidInputError, match="has not been fit"):
+        forecast(loaded, generate_synthetic(3, 8, 2, 2, missing_rate=0.0, seed=0),
+                 horizon=2)
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.pmdl"
     path.write_bytes(b"NOPE" + bytes(32))
