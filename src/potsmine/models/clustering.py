@@ -48,7 +48,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iters: int = 100,
 
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[int(rng.integers(n))]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(points, centroids[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -56,7 +56,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iters: int = 100,
         else:
             pick = int(rng.integers(n))
         centroids[j] = points[pick]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(points, centroids[j:j + 1])[:, 0])
 
     for _ in range(max_iters):
         dist = _sq_dists(points, centroids)

@@ -94,6 +94,9 @@ def test_chunked_distances_equal_broadcast(monkeypatch):
     # ten rows per chunk: 101 chunks, the last one ragged
     monkeypatch.setattr(clustering, "_DIST_CHUNK_BYTES", 8 * 7 * 37 * 10)
     assert np.array_equal(clustering._sq_dists(points, centroids), want)
+    # the k-means++ seeding form, one centroid at a time
+    assert np.array_equal(clustering._sq_dists(points, centroids[:1])[:, 0],
+                          ((points - centroids[0]) ** 2).sum(axis=1))
     chunked = kmeans_fit(points, 7, seed=2)
     assert np.array_equal(chunked[0], whole[0])
     assert np.array_equal(chunked[1], whole[1])
