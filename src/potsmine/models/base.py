@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -33,7 +32,9 @@ class TrainConfig:
 
     patience counts consecutive epochs without improvement of the
     selection metric; 0 disables early stopping. workers is the number
-    of gradient shards per minibatch.
+    of gradient shards per minibatch; the shards run one after another
+    on the calling thread, because a model instance keeps per-model
+    workspace and is not safe for concurrent calls.
     """
 
     epochs: int = 10
@@ -324,7 +325,9 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
     val_set. Each minibatch is split into config.workers near-equal
     shards whose gradient sums are divided by the batch size before the
     optimizer step, so workers=1 and workers=N agree up to float
-    summation order.
+    summation order. The shards run in order on the calling thread: a
+    model instance is not safe for concurrent calls, since it may keep
+    a per-model workspace between them.
 
     A non-finite training loss or validation metric raises
     TrainingDivergedError: NaN compares false against everything, so
@@ -356,32 +359,23 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
         maximize=(config.selection_metric == "val_accuracy"), patience=config.patience)
     best: dict[str, np.ndarray] = {}
     n = len(train_set)
-    pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    try:
-        for epoch_idx in range(config.epochs):
-            order = np.random.Generator(
-                np.random.PCG64(config.seed + epoch_idx)).permutation(n)
-            for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
-                idx = order[start:start + config.batch_size]
-                shards = [s for s in np.array_split(idx, config.workers) if s.size]
-                if pool is None:
-                    results = [model.shard_loss_and_grads(train_set, s) for s in shards]
-                else:
-                    results = list(pool.map(
-                        lambda s: model.shard_loss_and_grads(train_set, s), shards))
-                loss_total = sum(r[0] for r in results)
-                if not np.isfinite(loss_total):
-                    raise TrainingDivergedError(epoch_idx + 1, batch_no, loss_total)
-                grads = _merge_shard_grads(results, 1.0 / idx.size)
-                T.adam_step(params, grads, state)
-            metric = _finite_metric(model.validation_metric(val_set, config), epoch_idx + 1)
-            if tracker.update(metric):
-                best = {k: v.copy() for k, v in params.items()}
-            if tracker.should_stop:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    for epoch_idx in range(config.epochs):
+        order = np.random.Generator(
+            np.random.PCG64(config.seed + epoch_idx)).permutation(n)
+        for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
+            idx = order[start:start + config.batch_size]
+            shards = [s for s in np.array_split(idx, config.workers) if s.size]
+            results = [model.shard_loss_and_grads(train_set, s) for s in shards]
+            loss_total = sum(r[0] for r in results)
+            if not np.isfinite(loss_total):
+                raise TrainingDivergedError(epoch_idx + 1, batch_no, loss_total)
+            grads = _merge_shard_grads(results, 1.0 / idx.size)
+            T.adam_step(params, grads, state)
+        metric = _finite_metric(model.validation_metric(val_set, config), epoch_idx + 1)
+        if tracker.update(metric):
+            best = {k: v.copy() for k, v in params.items()}
+        if tracker.should_stop:
+            break
     for name, snap in best.items():
         params[name][...] = snap
     return model, Checkpoint(
@@ -390,11 +384,7 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
 
 
 def parallel_fit(model: BaseModel, train_set, val_set, config: TrainConfig):
-    """Sharded-gradient training; fit() with the worker count from config.
-
-    fit already shards every minibatch config.workers ways, so this is
-    the same loop under its data-parallel name; workers=1 is exactly fit.
-    """
+    """fit() under its earlier data-parallel name; kept as an alias."""
     return fit(model, train_set, val_set, config)
 
 

@@ -9,6 +9,7 @@ interpolations from the rest of the series.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +143,26 @@ def saits_loss(xhat, originals: np.ndarray, observed_mask: np.ndarray,
     return loss
 
 
+# a workspace array holds at most this many samples; a larger batch gets
+# fresh arrays that are freed after use
+_WORKSPACE_ROWS = _EVAL_CHUNK
+# the attention score a step gives itself before the softmax
+_SELF_SCORE = -1e9
+
+
+class _BlockState(NamedTuple):
+    """One block's intermediates, as _block_grads reads them back."""
+
+    inp: np.ndarray      # (B, T, 2D) input and mask
+    h0: np.ndarray       # (B, T, d_model) lifted input
+    qkv: np.ndarray      # (B, T, 3 d_model) queries, keys and values
+    w_qkv: np.ndarray    # (d_model, 3 d_model) [w_q | w_k | w_v]
+    attn: np.ndarray     # (B, T, T) attention, exactly 0 on the diagonal
+    h1: np.ndarray       # (B, T, d_model) after attention
+    f1: np.ndarray       # (B, T, d_ff) feed-forward activations
+    h2: np.ndarray       # (B, T, d_model) after the feed-forward layer
+
+
 @register_model
 class SaitsLiteModel(GradientModel, Imputer):
     """Two diagonally-masked self-attention blocks over the step axis.
@@ -150,6 +171,21 @@ class SaitsLiteModel(GradientModel, Imputer):
     by a learned projection plus a per-step bias. Block 2 consumes block
     1's output with observed cells substituted back in; block 2's raw
     reconstruction is the model output.
+
+    One plain-numpy forward, _forward, serves training, inference,
+    validation and saits_forward. Training records the forward and the
+    loss as a single tape node whose backward, _forward_grads, is
+    hand-written and runs back through both blocks, so a minibatch adds
+    one node whatever the series length. The node holds no tensor, so
+    its tape is freed as soon as the step ends.
+
+    The large (B, T, .) intermediates, the (B, T, T) attention among
+    them, are written into workspace arrays the model keeps and reuses
+    from call to call (see _scratch), so a minibatch does not allocate,
+    free and re-fault them. The workspace is bounded by the largest
+    batch of at most _WORKSPACE_ROWS samples the model has seen; nothing
+    a caller receives aliases it. Because of it, one model instance must
+    not be called from two threads at once.
     """
 
     kind = "saits_lite"
@@ -175,6 +211,10 @@ class SaitsLiteModel(GradientModel, Imputer):
         self.init_seed = int(init_seed)
         self.norm_stats = None
         self.parameters = self._init_params()
+        self._workspace: dict[str, np.ndarray] = {}
+        # counts the forwards that keep state for a backward, so a
+        # backward can tell that a later one overwrote its workspace
+        self._kept_forwards = 0
 
     def _init_params(self) -> dict[str, np.ndarray]:
         rng = np.random.Generator(np.random.PCG64(self.init_seed))
@@ -224,34 +264,166 @@ class SaitsLiteModel(GradientModel, Imputer):
             return working
         return working * self.norm_stats.std + self.norm_stats.mean
 
-    # -- forward graph ----------------------------------------------------
-    def _forward(self, params: dict, x0: np.ndarray, mask: np.ndarray):
-        """Run both blocks; returns (reconstruction, [attention per block])."""
-        m = T.constant(mask)
-        keep = T.constant(1.0 - mask)
-        diag = np.eye(self.n_steps)
-        scale = T.constant(1.0 / math.sqrt(self.d_model))
-        cur = T.constant(x0)
-        attns = []
-        xb = cur
+    # -- forward and backward ----------------------------------------------
+    def _scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialized workspace array of the given shape.
+
+        Each name keeps one flat buffer, grown to the largest batch seen,
+        and hands out its leading part, so batches of any size up to
+        _WORKSPACE_ROWS share it. A larger batch gets a fresh array.
+        """
+        if shape[0] > _WORKSPACE_ROWS:
+            return np.empty(shape)
+        size = math.prod(shape)
+        buf = self._workspace.get(name)
+        if buf is None or buf.size < size:
+            buf = self._workspace[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def _block(self, p: dict, pre: str, cur: np.ndarray, maskf: np.ndarray,
+               ws: str) -> tuple[np.ndarray, _BlockState]:
+        """One attention block over (B, T, D) input; returns (x_b, its state).
+
+        pre selects the block's parameters and ws its workspace arrays.
+        Q, K and V come from one matmul; the diagonal fill and the
+        softmax run in place on the score array.
+        """
+        n, steps, d = cur.shape
+        dm = self.d_model
+        rows = n * steps
+        inp = self._scratch(ws + "inp", (n, steps, 2 * d))
+        inp[..., :d] = cur
+        inp[..., d:] = maskf
+        h0 = self._scratch(ws + "h0", (n, steps, dm))
+        np.matmul(inp.reshape(rows, -1), p[pre + "w_in"], out=h0.reshape(rows, dm))
+        h0 += p[pre + "b_in"]
+        h0 += p[pre + "pos"]
+        w_qkv = np.concatenate([p[pre + "w_q"], p[pre + "w_k"], p[pre + "w_v"]], axis=1)
+        qkv = self._scratch(ws + "qkv", (n, steps, 3 * dm))
+        np.matmul(h0.reshape(rows, dm), w_qkv, out=qkv.reshape(rows, -1))
+        q, k, v = qkv[..., :dm], qkv[..., dm:2 * dm], qkv[..., 2 * dm:]
+        attn = self._scratch(ws + "attn", (n, steps, steps))
+        np.matmul(q, k.swapaxes(1, 2), out=attn)
+        attn *= 1.0 / math.sqrt(dm)
+        attn.reshape(n, -1)[:, ::steps + 1] = _SELF_SCORE
+        attn -= attn.max(axis=2, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=2, keepdims=True)
+        h1 = self._scratch(ws + "h1", (n, steps, dm))
+        np.matmul(attn, v, out=h1)
+        h1 += h0
+        f1 = self._scratch(ws + "f1", (n, steps, self.d_ff))
+        np.matmul(h1.reshape(rows, dm), p[pre + "w_f1"], out=f1.reshape(rows, -1))
+        f1 += p[pre + "b_f1"]
+        np.maximum(f1, 0.0, out=f1)
+        h2 = self._scratch(ws + "h2", (n, steps, dm))
+        np.matmul(f1.reshape(rows, -1), p[pre + "w_f2"], out=h2.reshape(rows, dm))
+        h2 += p[pre + "b_f2"]
+        h2 += h1
+        xb = h2.reshape(rows, dm) @ p[pre + "w_out"]
+        xb += p[pre + "b_out"]
+        return xb.reshape(n, steps, d), _BlockState(inp, h0, qkv, w_qkv, attn, h1, f1, h2)
+
+    def _forward(self, p: dict, x0: np.ndarray, maskf: np.ndarray, keep: bool = False):
+        """Reconstruction (B, T, D) in working space from both blocks.
+
+        x0 is the zero-filled working-space batch and maskf its 0/1 mask.
+        With keep, also returns what _forward_grads needs, each block's
+        intermediates in its own workspace arrays; without it, the blocks
+        share one set. The reconstruction is a fresh array.
+        """
+        keepm = 1.0 - maskf
+        cur = x0
+        states = []
         for b in range(1, self.N_BLOCKS + 1):
-            p = {k[len(f"b{b}_"):]: v for k, v in params.items()
-                 if k.startswith(f"b{b}_")}
-            h = T.concat([cur, m]) @ p["w_in"] + p["b_in"] + p["pos"]
-            q, k, v = h @ p["w_q"], h @ p["w_k"], h @ p["w_v"]
-            scores = (q @ T.transpose(k)) * scale
-            attn = T.softmax(T.masked_fill(scores, diag, -1e9))
-            h = h + (attn @ v)
-            h = h + (T.relu(h @ p["w_f1"] + p["b_f1"]) @ p["w_f2"] + p["b_f2"])
-            xb = h @ p["w_out"] + p["b_out"]
-            attns.append(attn)
+            xb, state = self._block(p, f"b{b}_", cur, maskf, f"b{b}_" if keep else "")
+            states.append(state)
             if b < self.N_BLOCKS:
                 # re-substitute observed cells before the next block
-                cur = T.constant(x0) + keep * xb
-        return xb, attns
+                cur = keepm * xb
+                cur += x0
+        if not keep:
+            return xb, None
+        self._kept_forwards += 1
+        return xb, (keepm, states, self._kept_forwards)
 
-    def _constant_params(self) -> dict:
-        return {name: T.constant(arr) for name, arr in self.parameters.items()}
+    def _block_grads(self, p: dict, pre: str, s: _BlockState, d_xb: np.ndarray,
+                     grads: dict, want_input: bool) -> np.ndarray | None:
+        """Backward of one block from the gradient of its output x_b.
+
+        Adds the block's parameter gradients to grads (fresh arrays).
+        With want_input, returns the gradient of the block's series input
+        (the first D columns of inp).
+        """
+        n, steps, dm = s.h0.shape
+        rows = n * steps
+
+        def flat(a):
+            return a.reshape(rows, -1)
+
+        d_xb = flat(d_xb)
+        grads[pre + "w_out"] = flat(s.h2).T @ d_xb
+        grads[pre + "b_out"] = d_xb.sum(axis=0)
+        d_h2 = self._scratch("d_h2", s.h2.shape)
+        np.matmul(d_xb, p[pre + "w_out"].T, out=flat(d_h2))
+        grads[pre + "w_f2"] = flat(s.f1).T @ flat(d_h2)
+        grads[pre + "b_f2"] = flat(d_h2).sum(axis=0)
+        d_f1 = self._scratch("d_f1", s.f1.shape)
+        np.matmul(flat(d_h2), p[pre + "w_f2"].T, out=flat(d_f1))
+        d_f1 *= s.f1 > 0
+        grads[pre + "w_f1"] = flat(s.h1).T @ flat(d_f1)
+        grads[pre + "b_f1"] = flat(d_f1).sum(axis=0)
+        d_h1 = self._scratch("d_h1", s.h1.shape)
+        np.matmul(flat(d_f1), p[pre + "w_f1"].T, out=flat(d_h1))
+        d_h1 += d_h2
+        # h1 = h0 + attn @ v with attn = softmax(q k^T / sqrt(d_model))
+        # off the diagonal; attn is exactly 0 on the diagonal, so the
+        # score gradient vanishes there as the fill requires
+        q, k, v = s.qkv[..., :dm], s.qkv[..., dm:2 * dm], s.qkv[..., 2 * dm:]
+        d_qkv = self._scratch("d_qkv", s.qkv.shape)
+        d_q, d_k, d_v = d_qkv[..., :dm], d_qkv[..., dm:2 * dm], d_qkv[..., 2 * dm:]
+        np.matmul(s.attn.swapaxes(1, 2), d_h1, out=d_v)
+        d_s = self._scratch("d_attn", s.attn.shape)
+        np.matmul(d_h1, v.swapaxes(1, 2), out=d_s)
+        d_s -= np.einsum("bij,bij->bi", d_s, s.attn)[..., None]
+        d_s *= s.attn
+        d_s *= 1.0 / math.sqrt(dm)
+        np.matmul(d_s, k, out=d_q)
+        np.matmul(d_s.swapaxes(1, 2), q, out=d_k)
+        d_w_qkv = flat(s.h0).T @ flat(d_qkv)
+        for j, name in enumerate(("w_q", "w_k", "w_v")):
+            grads[pre + name] = d_w_qkv[:, j * dm:(j + 1) * dm]
+        d_h0 = self._scratch("d_h0", s.h0.shape)
+        np.matmul(flat(d_qkv), s.w_qkv.T, out=flat(d_h0))
+        d_h0 += d_h1
+        grads[pre + "w_in"] = flat(s.inp).T @ flat(d_h0)
+        grads[pre + "b_in"] = flat(d_h0).sum(axis=0)
+        grads[pre + "pos"] = d_h0.sum(axis=0)
+        if not want_input:
+            return None
+        d = self.n_features
+        return (flat(d_h0) @ p[pre + "w_in"][:d].T).reshape(n, steps, d)
+
+    def _forward_grads(self, p: dict, saved, d_xhat: np.ndarray) -> list[np.ndarray]:
+        """Hand-written backward of _forward: every parameter's gradient.
+
+        Gradients come in the order of self.parameters. Block 2 runs
+        first; the gradient of its input reaches block 1's output only
+        through the cells the re-substitution left missing.
+        """
+        keepm, states, kept = saved
+        if kept != self._kept_forwards:
+            raise InvalidInputError(
+                "saits_lite: another training forward ran on this model before the "
+                "backward of an earlier one and overwrote the workspace it reads")
+        grads: dict[str, np.ndarray] = {}
+        d_x = d_xhat
+        for b in range(self.N_BLOCKS, 0, -1):
+            d_in = self._block_grads(p, f"b{b}_", states[b - 1], d_x, grads,
+                                     want_input=b > 1)
+            if b > 1:
+                d_x = keepm * d_in
+        return [grads[name] for name in self.parameters]
 
     # -- training ----------------------------------------------------------
     def prepare_fit(self, train_set) -> None:
@@ -259,33 +431,43 @@ class SaitsLiteModel(GradientModel, Imputer):
             self.norm_stats = fit_norm_stats(train_set)
 
     def batch_loss_sum(self, leaves: dict, batch: Batch) -> T.Tensor:
+        """Sum over samples of each one's mean squared error.
+
+        Per sample: the mean over observed cells plus lam_mit times the
+        mean over indicating cells; a sample without such cells adds 0 to
+        that term. The forward and this loss are one tape node.
+        """
+        names = list(self.parameters)
+        inputs = [leaves[name] for name in names]
+        p = {name: t.data for name, t in zip(names, inputs)}
+        keep = any(t.tape is not None for t in inputs)
         maskf = (batch.mask != 0).astype(np.float64)
         x0 = self._to_working(batch.values, batch.mask)
-        xhat, _ = self._forward(leaves, x0, maskf)
+        xhat, saved = self._forward(p, x0, maskf, keep=keep)
         originals = batch.values if batch.originals is None else batch.originals
-        if batch.indicating is None:
-            indf = np.zeros_like(maskf)
-        else:
-            indf = (batch.indicating != 0).astype(np.float64)
-        union = (maskf != 0) | (indf != 0)
+        terms = [(maskf, 1.0)]
+        union = maskf != 0
+        if batch.indicating is not None:
+            held = batch.indicating != 0
+            if held.any():
+                terms.append((held.astype(np.float64), self.lam_mit))
+                union |= held
         if self.norm_stats is None:
             target = np.where(union, originals, 0.0)
         else:
             target = np.where(
                 union, (originals - self.norm_stats.mean) / self.norm_stats.std, 0.0)
-
-        def per_sample_mean(weight: np.ndarray) -> T.Tensor:
-            diff = (xhat - T.constant(target)) * T.constant(weight)
-            sums = T.reduce_sum(diff * diff, axis=(1, 2))
+        resid = xhat - target
+        loss = 0.0
+        d_xhat = np.zeros_like(xhat)
+        for weight, lam in terms:
             counts = weight.sum(axis=(1, 2))
-            recip = np.divide(1.0, counts, out=np.zeros_like(counts),
-                              where=counts > 0)
-            return T.reduce_sum(sums * T.constant(recip))
-
-        loss = per_sample_mean(maskf)
-        if indf.any():
-            loss = loss + per_sample_mean(indf) * T.constant(self.lam_mit)
-        return loss
+            recip = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+            diff = resid * weight
+            loss += ((diff * diff).sum(axis=(1, 2)) * recip).sum() * lam
+            d_xhat += diff * ((2.0 * lam) * recip)[:, None, None]
+        return T.record_fused(np.asarray(loss, dtype=np.float64), inputs,
+                              lambda g: self._forward_grads(p, saved, g * d_xhat))
 
     def validation_metric(self, val_set, config: TrainConfig) -> float:
         """Masked MSE of the reconstruction on held-out cells.
@@ -317,8 +499,7 @@ class SaitsLiteModel(GradientModel, Imputer):
     def _reconstruct(self, batch: Batch) -> np.ndarray:
         maskf = (batch.mask != 0).astype(np.float64)
         x0 = self._to_working(batch.values, batch.mask)
-        xhat, _ = self._forward(self._constant_params(), x0, maskf)
-        return self._from_working(xhat.data)
+        return self._from_working(self._forward(self.parameters, x0, maskf)[0])
 
     def impute_batch(self, batch: Batch) -> np.ndarray:
         return np.where(batch.mask != 0, batch.values, self._reconstruct(batch))
@@ -328,7 +509,8 @@ def saits_forward(model: SaitsLiteModel, values: np.ndarray, mask: np.ndarray):
     """Reconstruction and per-block attention maps for a (B, T, D) batch.
 
     Returned values live in the data space (denormalized); the final
-    imputation is mask*values + (1-mask)*reconstruction.
+    imputation is mask*values + (1-mask)*reconstruction. The attention
+    maps are copies the caller owns.
     """
     values = np.asarray(values, dtype=np.float64)
     mask_arr = np.asarray(mask)
@@ -342,5 +524,5 @@ def saits_forward(model: SaitsLiteModel, values: np.ndarray, mask: np.ndarray):
             f"model ({model.n_steps}, {model.n_features})")
     maskf = (mask_arr != 0).astype(np.float64)
     x0 = model._to_working(values, mask_arr)
-    xhat, attns = model._forward(model._constant_params(), x0, maskf)
-    return model._from_working(xhat.data), [a.data for a in attns]
+    xhat, (_, states, _) = model._forward(model.parameters, x0, maskf, keep=True)
+    return model._from_working(xhat), [s.attn.copy() for s in states]

@@ -140,6 +140,9 @@ def test_c01_gradient_correctness():
                          init_seed=4)
     cls_ds = generate_synthetic(2, 4, 2, 2, 0.25, seed=5)
     grud.prepare_fit(cls_ds)
+    # the untrained readout is zero, which zeroes every recurrent gradient
+    w_out = grud.parameters["w_out"]
+    w_out[:] = np.random.default_rng(4).normal(size=w_out.shape)
     cls_batch = stack_samples(cls_ds.samples)
     gconsts = {k: T.constant(v) for k, v in grud.parameters.items()}
     for name, value in grud.parameters.items():

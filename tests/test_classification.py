@@ -176,6 +176,9 @@ def test_training_requires_labels():
 
 def test_cross_entropy_gradient_through_recurrence():
     model = tiny_model(t=4, d=2, h=3, classes=2, seed=6)
+    # the untrained readout is zero, which zeroes every recurrent gradient
+    w_out = model.parameters["w_out"]
+    w_out[:] = np.random.default_rng(6).normal(size=w_out.shape)
     ds = generate_synthetic(2, 4, 2, 2, missing_rate=0.25, seed=7)
     batch = stack_samples(ds.samples)
     const_params = {k: T.constant(v) for k, v in model.parameters.items()}

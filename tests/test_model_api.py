@@ -28,6 +28,7 @@ from potsmine import (
     split,
     write_container,
 )
+from potsmine import tensor as T
 from potsmine.errors import (
     CorruptionError,
     FormatError,
@@ -167,6 +168,39 @@ def test_parallel_fit_workers_one_equals_fit():
     parallel_fit(b, view, view, cfg1)
     for name, arr in a.tensors().items():
         assert np.array_equal(arr, b.tensors()[name]), name
+
+
+def test_fit_workers_two_equals_a_sequential_shard_loop():
+    # the shards of a minibatch run in order on the calling thread and
+    # their gradient sums are added in that order
+    view = small_view(n=12, seed=5)
+    cfg = TrainConfig(epochs=3, batch_size=5, seed=3, workers=2)
+
+    def build():
+        return SaitsLiteModel(n_steps=6, n_features=2, d_model=8, d_ff=12, init_seed=4)
+
+    fitted, ckpt = fit_model(build(), view, view, cfg)
+
+    model = build()
+    model.prepare_fit(view)
+    state = T.AdamState.for_params(model.parameters, lr=cfg.learning_rate)
+    snapshots, metrics = [], []
+    for epoch in range(cfg.epochs):
+        order = np.random.Generator(np.random.PCG64(cfg.seed + epoch)).permutation(12)
+        for start in range(0, 12, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            summed = None
+            for shard in np.array_split(idx, 2):
+                _, grads = model.shard_loss_and_grads(view, shard)
+                summed = grads if summed is None else {
+                    k: summed[k] + g for k, g in grads.items()}
+            T.adam_step(model.parameters,
+                        {k: g * (1.0 / idx.size) for k, g in summed.items()}, state)
+        snapshots.append({k: v.copy() for k, v in model.parameters.items()})
+        metrics.append(model.validation_metric(view, cfg))
+    assert ckpt.metric == metrics[ckpt.epoch - 1]
+    for name, arr in fitted.parameters.items():
+        assert np.array_equal(arr, snapshots[ckpt.epoch - 1][name]), name
 
 
 def test_shard_gradients_sum_to_batch_gradient():
