@@ -33,8 +33,8 @@ class TrainConfig:
     patience counts consecutive epochs without improvement of the
     selection metric; 0 disables early stopping. workers is the number
     of gradient shards per minibatch; the shards run one after another
-    on the calling thread, because a model instance keeps per-model
-    workspace and is not safe for concurrent calls.
+    on the calling thread, because a model instance may keep a
+    per-model workspace and is not safe for concurrent calls.
     """
 
     epochs: int = 10

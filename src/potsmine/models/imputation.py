@@ -295,17 +295,17 @@ class SaitsLiteModel(GradientModel, Imputer):
         inp[..., :d] = cur
         inp[..., d:] = maskf
         h0 = self._scratch(ws + "h0", (n, steps, dm))
-        np.matmul(inp.reshape(rows, -1), p[pre + "w_in"], out=h0.reshape(rows, dm))
+        np.matmul(inp.reshape(rows, 2 * d), p[pre + "w_in"], out=h0.reshape(rows, dm))
         h0 += p[pre + "b_in"]
         h0 += p[pre + "pos"]
         w_qkv = np.concatenate([p[pre + "w_q"], p[pre + "w_k"], p[pre + "w_v"]], axis=1)
         qkv = self._scratch(ws + "qkv", (n, steps, 3 * dm))
-        np.matmul(h0.reshape(rows, dm), w_qkv, out=qkv.reshape(rows, -1))
+        np.matmul(h0.reshape(rows, dm), w_qkv, out=qkv.reshape(rows, 3 * dm))
         q, k, v = qkv[..., :dm], qkv[..., dm:2 * dm], qkv[..., 2 * dm:]
         attn = self._scratch(ws + "attn", (n, steps, steps))
         np.matmul(q, k.swapaxes(1, 2), out=attn)
         attn *= 1.0 / math.sqrt(dm)
-        attn.reshape(n, -1)[:, ::steps + 1] = _SELF_SCORE
+        attn.reshape(n, steps * steps)[:, ::steps + 1] = _SELF_SCORE
         attn -= attn.max(axis=2, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=2, keepdims=True)
@@ -313,11 +313,11 @@ class SaitsLiteModel(GradientModel, Imputer):
         np.matmul(attn, v, out=h1)
         h1 += h0
         f1 = self._scratch(ws + "f1", (n, steps, self.d_ff))
-        np.matmul(h1.reshape(rows, dm), p[pre + "w_f1"], out=f1.reshape(rows, -1))
+        np.matmul(h1.reshape(rows, dm), p[pre + "w_f1"], out=f1.reshape(rows, self.d_ff))
         f1 += p[pre + "b_f1"]
         np.maximum(f1, 0.0, out=f1)
         h2 = self._scratch(ws + "h2", (n, steps, dm))
-        np.matmul(f1.reshape(rows, -1), p[pre + "w_f2"], out=h2.reshape(rows, dm))
+        np.matmul(f1.reshape(rows, self.d_ff), p[pre + "w_f2"], out=h2.reshape(rows, dm))
         h2 += p[pre + "b_f2"]
         h2 += h1
         xb = h2.reshape(rows, dm) @ p[pre + "w_out"]
@@ -359,7 +359,7 @@ class SaitsLiteModel(GradientModel, Imputer):
         rows = n * steps
 
         def flat(a):
-            return a.reshape(rows, -1)
+            return a.reshape(rows, a.shape[-1])
 
         d_xb = flat(d_xb)
         grads[pre + "w_out"] = flat(s.h2).T @ d_xb
