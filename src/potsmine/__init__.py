@@ -9,11 +9,10 @@ training loop, and reference models for each task.
 from .errors import (CorruptionError, FormatError, InvalidInputError, PotsError,
                      ShapeError, StorageError, TrainingDivergedError,
                      UnsupportedTaskError)
-from .core import (Batch, ColumnSchema, CorruptedPairView, CorruptedView,
-                   NormStats, PotsDataset, TimeSeriesSample, apply_norm,
-                   compute_delta, export_csv, fetch_all, fit_norm_stats,
-                   generate_synthetic, ingest_csv, inject_mcar, invert_norm,
-                   split, stack_samples)
+from .core import (Batch, ColumnSchema, CorruptedPairView, NormStats,
+                   PotsDataset, TimeSeriesSample, apply_norm, compute_delta,
+                   export_csv, fetch_all, fit_norm_stats, generate_synthetic,
+                   ingest_csv, inject_mcar, invert_norm, split, stack_samples)
 from .store import (LazyDataset, ReadHandle, fetch_batch, lazy_dataset,
                     open_readonly, write_container)
 from .metrics import (BinaryMetricsReport, binary_classification_metrics,
@@ -23,7 +22,7 @@ from .models import (Checkpoint, GrudLiteModel, LocfModel, MeanImputerModel,
                      ModelArtifact, SaitsLiteModel, TmfModel, TrainConfig,
                      TwoStageKMeansModel, classify, cluster, decay, fit,
                      forecast, impute, kmeans_fit, load_model, locf_impute,
-                     parallel_fit, run_election, saits_forward, saits_loss,
-                     save_model, tmf_fit, tmf_forecast)
+                     run_election, saits_forward, saits_loss, save_model,
+                     tmf_fit, tmf_forecast)
 
 __version__ = "0.1.0"

@@ -160,7 +160,8 @@ def _cmd_corrupt(args) -> int:
     originals_path = os.path.splitext(out)[0] + ".originals.pots"
     store.write_container(view.corrupted, out)
     store.write_container(dataset, originals_path)
-    removed = int(sum(m.sum() for m in view.indicating_masks))
+    removed = int(sum(o.mask.sum() - c.mask.sum()
+                      for o, c in zip(dataset.samples, view.corrupted.samples)))
     _emit(f"wrote corrupted data to {out} ({removed} cells removed)")
     _emit(f"wrote pre-corruption data to {originals_path}")
     return 0

@@ -170,61 +170,16 @@ class NormStats:
     STD_FLOOR = 1e-8
 
 
-@dataclass
-class CorruptedView:
+class CorruptedPairView:
     """A dataset after artificial masking, paired with its ground truth.
 
-    indicating_masks flag the cells that were observed before corruption
-    and hidden by it: per sample, indicating = original_mask AND NOT
-    corrupted_mask.
-    """
-
-    corrupted: PotsDataset
-    originals: list[np.ndarray]
-    indicating_masks: list[np.ndarray]
-
-    def __post_init__(self):
-        n = len(self.corrupted)
-        if len(self.originals) != n or len(self.indicating_masks) != n:
-            raise InvalidInputError("corrupted view: per-sample lists must match dataset size")
-        for i, s in enumerate(self.corrupted.samples):
-            ind = self.indicating_masks[i]
-            if ind.shape != s.mask.shape or self.originals[i].shape != s.values.shape:
-                raise InvalidInputError(f"corrupted view: shape mismatch at sample {i}")
-            if np.any((ind != 0) & (s.mask != 0)):
-                raise InvalidInputError(
-                    f"corrupted view: indicating cells overlap observed cells at sample {i}")
-            if not np.all(np.isfinite(self.originals[i][ind != 0])):
-                raise InvalidInputError(
-                    f"corrupted view: indicating cells lack ground truth at sample {i}")
-
-    def __len__(self) -> int:
-        return len(self.corrupted)
-
-    @property
-    def n_steps(self) -> int:
-        return self.corrupted.n_steps
-
-    @property
-    def n_features(self) -> int:
-        return self.corrupted.n_features
-
-    def fetch_batch(self, indices: Sequence[int]) -> list[TimeSeriesSample]:
-        return self.corrupted.fetch_batch(indices)
-
-    def training_batch(self, indices: Sequence[int]) -> Batch:
-        batch = self.corrupted.training_batch(indices)
-        batch.originals = np.stack([self.originals[i] for i in indices])
-        batch.indicating = np.stack([self.indicating_masks[i] for i in indices])
-        return batch
-
-
-class CorruptedPairView:
-    """CorruptedView semantics over two dataset backends (original, corrupted).
-
-    Works with any pair of views exposing fetch_batch, including lazy
-    container handles; ground truth and indicating masks are derived batch
-    by batch, so nothing is materialized up front.
+    Pairs two views of the same samples: the original and a corrupted copy
+    in which some observed cells were hidden. Batches carry the corrupted
+    values and mask plus originals (the pre-corruption values) and
+    indicating, which flags the hidden cells: original mask AND NOT
+    corrupted mask. Works with any pair of views exposing fetch_batch,
+    including lazy container handles; both arrays are derived batch by
+    batch, so nothing is materialized up front.
     """
 
     def __init__(self, original, corrupted):
@@ -252,6 +207,9 @@ class CorruptedPairView:
     def training_batch(self, indices: Sequence[int]) -> Batch:
         batch = stack_samples(self.corrupted.fetch_batch(indices))
         orig = stack_samples(self.original.fetch_batch(indices))
+        if np.any(batch.mask > orig.mask):
+            raise InvalidInputError(
+                "paired views: the corrupted view observes cells its original lacks")
         batch.originals = orig.values
         batch.indicating = orig.mask * (1.0 - batch.mask)
         return batch
@@ -285,39 +243,32 @@ def _mcar_cell_count(rate: float, n_observed: int) -> int:
     return int(np.floor(rate * n_observed + 0.5))
 
 
-def inject_mcar(dataset: PotsDataset, rate: float, seed: int) -> CorruptedView:
+def inject_mcar(dataset: PotsDataset, rate: float, seed: int) -> CorruptedPairView:
     """Hide an exact fraction of the observed cells, uniformly at random.
 
     Per sample, exactly round(rate * n_observed) observed cells are chosen
-    without replacement, set to NaN in the corrupted copy, and flagged in
-    the indicating mask. Deterministic for a fixed seed.
+    without replacement and set to NaN in the corrupted copy; the returned
+    view pairs that copy with the dataset. Deterministic for a fixed seed.
     """
     if not 0.0 <= rate <= 1.0:
         raise InvalidInputError(f"inject_mcar: rate must be in [0, 1], got {rate}")
     rng = np.random.Generator(np.random.PCG64(seed))
     corrupted_samples = []
-    originals = []
-    indicating = []
     for s in dataset.samples:
         obs_rows, obs_cols = np.nonzero(s.mask)
         k = _mcar_cell_count(rate, obs_rows.size)
         values = s.values.copy()
         mask = s.mask.copy()
-        ind = np.zeros_like(mask)
         if k > 0:
             pick = rng.choice(obs_rows.size, size=k, replace=False)
             rr, cc = obs_rows[pick], obs_cols[pick]
             values[rr, cc] = np.nan
             mask[rr, cc] = 0.0
-            ind[rr, cc] = 1.0
         corrupted_samples.append(TimeSeriesSample(
             sample_id=s.sample_id, timestamps=s.timestamps,
             values=values, mask=mask, label=s.label))
-        originals.append(s.values)
-        indicating.append(_frozen_array(ind))
     corrupted = PotsDataset(corrupted_samples, n_classes=dataset.n_classes)
-    return CorruptedView(corrupted=corrupted, originals=originals,
-                         indicating_masks=indicating)
+    return CorruptedPairView(dataset, corrupted)
 
 
 def _iter_index_chunks(n: int, chunk: int) -> Iterable[np.ndarray]:

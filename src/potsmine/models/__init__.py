@@ -3,7 +3,7 @@
 from .base import (AnalyticModel, BaseModel, BestTracker, Checkpoint, Classifier,
                    Clusterer, ElectionResult, Forecaster, GradientModel, Imputer,
                    TrainConfig, classify, cluster, fit, forecast, impute,
-                   imputer_validation_metric, parallel_fit, run_election)
+                   imputer_validation_metric, run_election)
 from .artifact import (MODEL_REGISTRY, ModelArtifact, decode_artifact,
                        encode_artifact, load_model, model_from_artifact,
                        model_to_artifact, register_model, save_model)
@@ -17,7 +17,7 @@ __all__ = [
     "AnalyticModel", "BaseModel", "BestTracker", "Checkpoint", "Classifier",
     "Clusterer", "ElectionResult", "Forecaster", "GradientModel", "Imputer",
     "TrainConfig", "classify", "cluster", "fit", "forecast", "impute",
-    "imputer_validation_metric", "parallel_fit", "run_election",
+    "imputer_validation_metric", "run_election",
     "MODEL_REGISTRY", "ModelArtifact", "decode_artifact", "encode_artifact",
     "load_model", "model_from_artifact", "model_to_artifact", "register_model",
     "save_model",

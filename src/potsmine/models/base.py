@@ -383,11 +383,6 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
         parameters={k: v.copy() for k, v in best.items()})
 
 
-def parallel_fit(model: BaseModel, train_set, val_set, config: TrainConfig):
-    """fit() under its earlier data-parallel name; kept as an alias."""
-    return fit(model, train_set, val_set, config)
-
-
 def imputer_validation_metric(model: Imputer, val_set, batch_size: int = _EVAL_CHUNK) -> float:
     """Masked MSE of the imputation against pre-corruption values.
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -66,14 +67,16 @@ def test_gen_data_csv_and_pack_round_trip(capsys, tmp_path):
 def test_corrupt_writes_pair(capsys, tmp_path):
     data = gen(capsys, tmp_path, rate=0.0)
     out = str(tmp_path / "broken.pots")
-    code, _, err = run(capsys, "corrupt", "--data", data, "--missing-rate", "0.3",
-                       "--out", out, "--seed", "5")
+    code, printed, err = run(capsys, "corrupt", "--data", data, "--missing-rate", "0.3",
+                             "--out", out, "--seed", "5")
     assert code == 0, err
     originals = str(tmp_path / "broken.originals.pots")
     assert os.path.exists(originals)
     with open_readonly(out) as hc, open_readonly(originals) as ho:
         corr = fetch_batch(hc, list(range(hc.n_samples)))
         orig = fetch_batch(ho, list(range(ho.n_samples)))
+        removed = int(re.search(r"\((\d+) cells removed\)", printed).group(1))
+        assert removed == sum(o.mask.sum() - c.mask.sum() for c, o in zip(corr, orig))
         for c, o in zip(corr, orig):
             assert o.mask.sum() > c.mask.sum()
             assert np.all(o.mask >= c.mask)
@@ -250,6 +253,23 @@ def test_data_errors_exit_two(capsys, tmp_path):
     bad.write_bytes(b"JUNKJUNKJUNKJUNK" * 8)
     code, _, err = run(capsys, "inspect", str(bad))
     assert code == 2
+
+
+def test_evaluate_rejects_unrelated_originals(capsys, tmp_path):
+    data = gen(capsys, tmp_path, n=30)
+    model_path = train_impute(capsys, tmp_path, data)
+    corrupted = str(tmp_path / "holdout.pots")
+    code, _, err = run(capsys, "corrupt", "--data", data, "--missing-rate", "0.2",
+                       "--out", corrupted, "--seed", "1")
+    assert code == 0, err
+    # same shape, other seed: it lacks cells the corrupted data observes
+    unrelated = gen(capsys, tmp_path, name="other.pots", n=30, seed=7)
+    code, out, err = run(capsys, "evaluate", "--task", "impute",
+                         "--model", model_path, "--data", corrupted,
+                         "--originals", unrelated)
+    assert code == 2, out
+    assert "original lacks" in err
+    assert "masked_mae" not in out
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

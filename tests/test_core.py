@@ -1,12 +1,13 @@
 """Data model: samples, corruption, deltas, normalization, CSV, splits."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from potsmine import (
     ColumnSchema,
     CorruptedPairView,
-    CorruptedView,
     NormStats,
     PotsDataset,
     TimeSeriesSample,
@@ -136,38 +137,40 @@ def full_dataset(n=4, t=10, d=5, seed=1):
 def test_mcar_rate_zero_is_identity():
     ds = full_dataset()
     view = inject_mcar(ds, 0.0, seed=3)
+    indicating = fetch_all(view).indicating
     for i, s in enumerate(view.corrupted.samples):
         assert np.array_equal(s.values, ds.samples[i].values)
-        assert not view.indicating_masks[i].any()
+        assert not indicating[i].any()
 
 
 def test_mcar_rate_one_hides_everything():
     ds = full_dataset(n=2)
     view = inject_mcar(ds, 1.0, seed=3)
+    indicating = fetch_all(view).indicating
     for i, s in enumerate(view.corrupted.samples):
         assert not s.mask.any()
-        assert np.array_equal(view.indicating_masks[i], ds.samples[i].mask)
+        assert np.array_equal(indicating[i], ds.samples[i].mask)
 
 
 def test_mcar_exact_counts():
     ds = full_dataset(n=6, t=10, d=5)
     for seed in range(5):
         view = inject_mcar(ds, 0.2, seed=seed)
-        for ind in view.indicating_masks:
+        for ind in fetch_all(view).indicating:
             assert int(ind.sum()) == 10
 
 
 def test_mcar_mask_composition_and_determinism():
     ds = generate_synthetic(8, 12, 3, 2, missing_rate=0.3, seed=5)
-    a = inject_mcar(ds, 0.25, seed=9)
-    b = inject_mcar(ds, 0.25, seed=9)
+    a = fetch_all(inject_mcar(ds, 0.25, seed=9))
+    b = fetch_all(inject_mcar(ds, 0.25, seed=9))
     for i in range(len(ds)):
         orig = ds.samples[i].mask
-        corr = a.corrupted.samples[i].mask
-        ind = a.indicating_masks[i]
+        corr = a.mask[i]
+        ind = a.indicating[i]
         assert np.array_equal(np.maximum(corr, ind), orig)
         assert not np.any((ind != 0) & (corr != 0))
-        assert np.array_equal(ind, b.indicating_masks[i])
+        assert np.array_equal(ind, b.indicating[i])
 
 
 def test_mcar_rejects_bad_rate():
@@ -175,21 +178,24 @@ def test_mcar_rejects_bad_rate():
         inject_mcar(full_dataset(), 1.5, seed=0)
 
 
-def test_corrupted_view_rejects_overlap():
-    ds = full_dataset(n=1)
-    bad = np.ones_like(ds.samples[0].mask)
-    with pytest.raises(InvalidInputError, match="overlap"):
-        CorruptedView(corrupted=ds, originals=[ds.samples[0].values], indicating_masks=[bad])
-
-
 def test_pair_view_matches_direct_injection():
-    ds = full_dataset(n=5, t=8, d=3)
-    view = inject_mcar(ds, 0.3, seed=21)
-    pair = CorruptedPairView(ds, view.corrupted)
-    direct = view.training_batch(list(range(5)))
-    derived = pair.training_batch(list(range(5)))
-    assert np.array_equal(direct.indicating, derived.indicating)
-    assert np.array_equal(direct.originals, derived.originals)
+    # CRC-32 of the stacked indicating mask as inject_mcar built it when it
+    # still returned per-sample lists; it pins which cells the seed hides
+    ds = generate_synthetic(8, 12, 3, 2, 0.3, seed=5)
+    batch = inject_mcar(ds, 0.25, seed=9).training_batch(list(range(8)))
+    assert np.array_equal(batch.originals, np.stack([s.values for s in ds.samples]),
+                          equal_nan=True)
+    assert batch.indicating.dtype == np.float64 and batch.indicating.shape == (8, 12, 3)
+    assert zlib.crc32(batch.indicating.tobytes()) == 2598851383
+    assert int(batch.indicating.sum()) == 48
+
+
+def test_pair_view_rejects_cells_missing_from_original():
+    ds = full_dataset(n=3, t=6, d=2)
+    sparse = inject_mcar(ds, 0.5, seed=4).corrupted
+    view = inject_mcar(ds, 0.2, seed=5)
+    with pytest.raises(InvalidInputError, match="original lacks"):
+        CorruptedPairView(sparse, view.corrupted).training_batch([0, 1, 2])
 
 
 # ---------------------------------------------------------------------------

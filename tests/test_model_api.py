@@ -22,7 +22,6 @@ from potsmine import (
     lazy_dataset,
     load_model,
     open_readonly,
-    parallel_fit,
     run_election,
     save_model,
     split,
@@ -159,17 +158,6 @@ def test_analytic_fit_reports_epoch_one():
     assert ckpt.epoch == 1
 
 
-def test_parallel_fit_workers_one_equals_fit():
-    cfg1 = TrainConfig(epochs=2, batch_size=5, seed=9, workers=1)
-    view = small_view(seed=2)
-    a = SaitsLiteModel(n_steps=6, n_features=2, d_model=8, d_ff=12, init_seed=1)
-    b = SaitsLiteModel(n_steps=6, n_features=2, d_model=8, d_ff=12, init_seed=1)
-    fit_model(a, view, view, cfg1)
-    parallel_fit(b, view, view, cfg1)
-    for name, arr in a.tensors().items():
-        assert np.array_equal(arr, b.tensors()[name]), name
-
-
 def test_fit_workers_two_equals_a_sequential_shard_loop():
     # the shards of a minibatch run in order on the calling thread and
     # their gradient sums are added in that order
@@ -232,8 +220,8 @@ def test_non_finite_loss_raises_diverged_with_location():
 def test_workers_above_batch_size_still_valid():
     view = small_view(n=3)
     model = SaitsLiteModel(n_steps=6, n_features=2, d_model=8, d_ff=12)
-    _, ckpt = parallel_fit(model, view, view,
-                           TrainConfig(epochs=1, batch_size=3, workers=8))
+    _, ckpt = fit_model(model, view, view,
+                        TrainConfig(epochs=1, batch_size=3, workers=8))
     assert np.isfinite(ckpt.metric)
 
 
