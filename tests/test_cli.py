@@ -8,11 +8,20 @@ import numpy as np
 import pytest
 
 from potsmine import (
+    PotsDataset,
+    TimeSeriesSample,
+    classify,
+    cluster,
     fetch_batch,
+    forecast,
+    generate_synthetic,
     impute,
     ingest_csv,
     load_model,
+    masked_mae,
+    masked_rmse,
     open_readonly,
+    write_container,
 )
 from potsmine.cli import build_parser, main
 
@@ -184,6 +193,74 @@ def test_cluster_and_forecast_pipelines(capsys, tmp_path):
     lines = open(fc_csv).read().strip().splitlines()
     assert lines[0] == "sample_id,step,f0,f1"
     assert len(lines) == 1 + 18 * 2
+
+
+def load_pots(path):
+    with open_readonly(path) as h:
+        return PotsDataset(fetch_batch(h, list(range(h.n_samples))))
+
+
+def report_values(out):
+    return dict(line.split(": ", 1) for line in out.strip().splitlines())
+
+
+def test_evaluate_forecast_matches_library_metrics(capsys, tmp_path):
+    data = gen(capsys, tmp_path, n=18, classes=3, rate=0.1)
+    truth = gen(capsys, tmp_path, name="truth.pots", n=18, t=3, rate=0.3, seed=9)
+    fc_path = str(tmp_path / "fc.pmdl")
+    code, _, err = run(capsys, "train", "--task", "forecast", "--model", "tmf",
+                       "--data", data, "--out", fc_path, "--seed", "4")
+    assert code == 0, err
+    code, out, err = run(capsys, "evaluate", "--task", "forecast", "--model", fc_path,
+                         "--data", data, "--truth", truth, "--horizon", "2")
+    assert code == 0, err
+    pred = forecast(load_model(fc_path), load_pots(data), 2)
+    t = load_pots(truth)
+    vals = np.stack([s.values for s in t.samples])[:, :2]
+    mask = np.stack([s.mask for s in t.samples])[:, :2]
+    assert report_values(out) == {
+        "masked_mae": f"{masked_mae(pred, vals, mask):.10g}",
+        "masked_rmse": f"{masked_rmse(pred, vals, mask):.10g}",
+    }
+
+
+def test_evaluate_classify_multiclass_prints_accuracy(capsys, tmp_path):
+    data = gen(capsys, tmp_path, n=24, classes=3, rate=0.1)
+    model_path = str(tmp_path / "clf.pmdl")
+    code, _, err = run(capsys, "train", "--task", "classify", "--model", "grud_lite",
+                       "--data", data, "--out", model_path, "--seed", "2",
+                       "--epochs", "1", "--batch-size", "8")
+    assert code == 0, err
+    code, out, err = run(capsys, "evaluate", "--task", "classify",
+                         "--model", model_path, "--data", data)
+    assert code == 0, err
+    ds = load_pots(data)
+    probs = classify(load_model(model_path), ds)
+    assert probs.shape[1] == 3
+    acc = float((probs.argmax(axis=1) == ds.labels_array()).mean())
+    assert report_values(out) == {"accuracy": f"{acc:.10g}"}
+
+
+def test_predict_cluster_rows_carry_sample_ids(capsys, tmp_path):
+    # ids that differ from row positions, so a position cannot pass for an id
+    base = generate_synthetic(12, 8, 2, 3, missing_rate=0.1, seed=3)
+    samples = [TimeSeriesSample(sample_id=100 + 7 * (11 - i), timestamps=s.timestamps,
+                                values=s.values, mask=s.mask, label=s.label)
+               for i, s in enumerate(base.samples)]
+    data = str(tmp_path / "ids.pots")
+    write_container(PotsDataset(samples), data)
+    cl_path = str(tmp_path / "cl.pmdl")
+    code, _, err = run(capsys, "train", "--task", "cluster", "--model", "twostage_kmeans",
+                       "--data", data, "--out", cl_path, "--seed", "4")
+    assert code == 0, err
+    out_csv = str(tmp_path / "cl.csv")
+    code, _, err = run(capsys, "predict", "--task", "cluster", "--model", cl_path,
+                       "--data", data, "--out", out_csv)
+    assert code == 0, err
+    labels = cluster(load_model(cl_path), load_pots(data))
+    lines = open(out_csv).read().strip().splitlines()
+    assert lines[0] == "sample_id,cluster"
+    assert lines[1:] == [f"{s.sample_id},{int(lab)}" for s, lab in zip(samples, labels)]
 
 
 def test_inspect_model_and_container(capsys, tmp_path):
