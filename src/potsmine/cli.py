@@ -340,33 +340,29 @@ def _cmd_predict(args) -> int:
     out = _require(cfg, "out", "--out")
     model = load_model(_require_file(model_path, "--model"))
     dataset = _load_dataset(data)
+    ids = [s.sample_id for s in dataset.samples]
 
     if task == "impute":
         filled = impute(model, dataset)
-        completed = []
-        for i, sample in enumerate(dataset.fetch_batch(list(range(len(dataset))))):
-            completed.append(core.TimeSeriesSample(
-                sample_id=sample.sample_id, timestamps=sample.timestamps,
-                values=filled[i], mask=np.ones_like(sample.mask),
-                label=sample.label))
+        completed = [core.TimeSeriesSample(
+            sample_id=s.sample_id, timestamps=s.timestamps, values=filled[i],
+            mask=np.ones_like(s.mask), label=s.label)
+            for i, s in enumerate(dataset.samples)]
         _write_dataset(core.PotsDataset(completed, n_classes=dataset.n_classes), out)
     elif task == "classify":
         probs = classify(model, dataset)
-        ids = [s.sample_id for s in dataset.fetch_batch(list(range(len(dataset))))]
         header = ["sample_id"] + [f"p{c}" for c in range(probs.shape[1])]
         _write_rows(out, header,
                     ([sid] + [repr(float(p)) for p in row]
                      for sid, row in zip(ids, probs)))
     elif task == "cluster":
         labels = cluster(model, dataset)
-        ids = [s.sample_id for s in dataset.fetch_batch(list(range(len(dataset))))]
         _write_rows(out, ["sample_id", "cluster"],
                     ([sid, int(lab)] for sid, lab in zip(ids, labels)))
     elif task == "forecast":
         horizon = int(cfg["horizon"])
         _positive(cfg, "horizon", "--horizon")
         pred = forecast(model, dataset, horizon)
-        ids = [s.sample_id for s in dataset.fetch_batch(list(range(len(dataset))))]
         header = ["sample_id", "step"] + [f"f{d}" for d in range(pred.shape[2])]
         rows = ([sid, dataset.n_steps + j] + [repr(float(v)) for v in pred[i, j]]
                 for i, sid in enumerate(ids) for j in range(horizon))

@@ -10,12 +10,15 @@ threads and backends.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
+
+# samples per batch when a whole view is streamed for evaluation or stats
+_EVAL_CHUNK = 256
 
 
 def _frozen_array(data, dtype=np.float64) -> np.ndarray:
@@ -143,16 +146,13 @@ class PotsDataset:
     def has_labels(self) -> bool:
         return all(s.label is not None for s in self.samples)
 
-    def fetch_batch(self, indices: Sequence[int]) -> list[TimeSeriesSample]:
+    def training_batch(self, indices: Sequence[int]) -> Batch:
         out = []
         for i in indices:
             if not 0 <= i < len(self.samples):
                 raise InvalidInputError(f"sample index {i} out of range [0, {len(self)})")
             out.append(self.samples[i])
-        return out
-
-    def training_batch(self, indices: Sequence[int]) -> Batch:
-        return stack_samples(self.fetch_batch(indices))
+        return stack_samples(out)
 
     def labels_array(self) -> np.ndarray:
         if not self.has_labels:
@@ -177,7 +177,7 @@ class CorruptedPairView:
     in which some observed cells were hidden. Batches carry the corrupted
     values and mask plus originals (the pre-corruption values) and
     indicating, which flags the hidden cells: original mask AND NOT
-    corrupted mask. Works with any pair of views exposing fetch_batch,
+    corrupted mask. Works with any pair of views exposing training_batch,
     including lazy container handles; both arrays are derived batch by
     batch, so nothing is materialized up front.
     """
@@ -201,12 +201,9 @@ class CorruptedPairView:
     def n_features(self) -> int:
         return self.corrupted.n_features
 
-    def fetch_batch(self, indices: Sequence[int]) -> list[TimeSeriesSample]:
-        return self.corrupted.fetch_batch(indices)
-
     def training_batch(self, indices: Sequence[int]) -> Batch:
-        batch = stack_samples(self.corrupted.fetch_batch(indices))
-        orig = stack_samples(self.original.fetch_batch(indices))
+        batch = self.corrupted.training_batch(indices)
+        orig = self.original.training_batch(indices)
         if np.any(batch.mask > orig.mask):
             raise InvalidInputError(
                 "paired views: the corrupted view observes cells its original lacks")
@@ -271,44 +268,31 @@ def inject_mcar(dataset: PotsDataset, rate: float, seed: int) -> CorruptedPairVi
     return CorruptedPairView(dataset, corrupted)
 
 
-def _iter_index_chunks(n: int, chunk: int) -> Iterable[np.ndarray]:
-    for lo in range(0, n, chunk):
-        yield np.arange(lo, min(lo + chunk, n))
+def _iter_batches(view, batch_size: int = _EVAL_CHUNK) -> Iterator[Batch]:
+    """A view's batches of at most batch_size samples, in index order."""
+    n = len(view)
+    for lo in range(0, n, batch_size):
+        yield view.training_batch(range(lo, min(lo + batch_size, n)))
 
 
-def fetch_all(view, batch_size: int = 256) -> Batch:
+def fetch_all(view, batch_size: int = _EVAL_CHUNK) -> Batch:
     """Stream a whole view into one stacked Batch, in index order."""
-    parts = [view.training_batch(idx) for idx in _iter_index_chunks(len(view), batch_size)]
-    return Batch(
-        values=np.concatenate([p.values for p in parts]),
-        mask=np.concatenate([p.mask for p in parts]),
-        timestamps=np.concatenate([p.timestamps for p in parts]),
-        labels=(np.concatenate([p.labels for p in parts])
-                if parts[0].labels is not None else None),
-        originals=(np.concatenate([p.originals for p in parts])
-                   if parts[0].originals is not None else None),
-        indicating=(np.concatenate([p.indicating for p in parts])
-                    if parts[0].indicating is not None else None),
-    )
+    parts = list(_iter_batches(view, batch_size))
+    return Batch(**{f.name: None if getattr(parts[0], f.name) is None
+                    else np.concatenate([getattr(p, f.name) for p in parts])
+                    for f in fields(Batch)})
 
 
-def fit_norm_stats(view, batch_size: int = 256) -> NormStats:
+def fit_norm_stats(view, batch_size: int = _EVAL_CHUNK) -> NormStats:
     """Per-feature mean/std over observed cells, streamed in index order.
 
     Features with no observations get mean 0 and std 1; the std is floored
     at NormStats.STD_FLOOR so normalization never divides by zero.
     """
-    total = None
-    total_sq = None
-    count = None
-    for idx in _iter_index_chunks(len(view), batch_size):
-        batch = view.training_batch(idx)
+    d = view.n_features
+    total, total_sq, count = np.zeros(d), np.zeros(d), np.zeros(d)
+    for batch in _iter_batches(view, batch_size):
         filled = np.where(batch.mask != 0, batch.values, 0.0)
-        if total is None:
-            d = filled.shape[-1]
-            total = np.zeros(d)
-            total_sq = np.zeros(d)
-            count = np.zeros(d)
         total += filled.sum(axis=(0, 1))
         total_sq += (filled * filled).sum(axis=(0, 1))
         count += (batch.mask != 0).sum(axis=(0, 1))

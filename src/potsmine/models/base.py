@@ -17,10 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import InvalidInputError, TrainingDivergedError, UnsupportedTaskError
-from ..core import Batch, NormStats, _iter_index_chunks
+from ..core import Batch, NormStats, _iter_batches
 from .. import tensor as T
-
-_EVAL_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +255,7 @@ def _check_view_shape(model: BaseModel, dataset, task: str) -> None:
 
 
 def _run_batched(dataset, fn) -> np.ndarray:
-    out = []
-    for idx in _iter_index_chunks(len(dataset), _EVAL_CHUNK):
-        out.append(fn(dataset.training_batch([int(i) for i in idx])))
-    return np.concatenate(out, axis=0)
+    return np.concatenate([fn(batch) for batch in _iter_batches(dataset)], axis=0)
 
 
 def impute(model: BaseModel, dataset) -> np.ndarray:
@@ -383,26 +378,31 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
         parameters={k: v.copy() for k, v in best.items()})
 
 
-def imputer_validation_metric(model: Imputer, val_set, batch_size: int = _EVAL_CHUNK) -> float:
-    """Masked MSE of the imputation against pre-corruption values.
+def imputer_validation_metric(reconstruct, val_set) -> float:
+    """Masked MSE of a (B, T, D) reconstruction against the truth.
 
-    Scored on artificially removed (indicating) cells when the view
-    carries them. Plain datasets have no held-out cells, so the metric
-    degenerates to 0.0; election is then decided by epoch order alone.
+    reconstruct maps a batch to values for every cell. Scored on the
+    artificially removed (indicating) cells against their pre-corruption
+    values when the view carries any; otherwise on the observed cells,
+    so election still tracks the fit. An imputer that passes observed
+    cells through bitwise therefore scores 0.0 on a plain view, and
+    election is decided by epoch order alone.
     """
-    err = 0.0
-    count = 0
-    for idx in _iter_index_chunks(len(val_set), batch_size):
-        batch = val_set.training_batch([int(i) for i in idx])
-        if batch.indicating is None or batch.originals is None:
-            continue
-        hit = batch.indicating != 0
-        if not hit.any():
-            continue
-        filled = model.impute_batch(batch)
-        diff = filled[hit] - batch.originals[hit]
-        err += float(diff @ diff)
-        count += int(hit.sum())
-    if count == 0:
-        return 0.0
-    return err / count
+    ind_err = ind_n = obs_err = obs_n = 0.0
+    for batch in _iter_batches(val_set):
+        xhat = reconstruct(batch)
+        hit = batch.mask != 0
+        diff = xhat[hit] - batch.values[hit]
+        obs_err += float(diff @ diff)
+        obs_n += diff.size
+        if batch.indicating is not None and batch.originals is not None:
+            held = batch.indicating != 0
+            if held.any():
+                diff = xhat[held] - batch.originals[held]
+                ind_err += float(diff @ diff)
+                ind_n += diff.size
+    if ind_n > 0:
+        return ind_err / ind_n
+    if obs_n > 0:
+        return obs_err / obs_n
+    return 0.0

@@ -20,10 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import Batch, fit_norm_stats, _iter_index_chunks
+from ..core import Batch, _iter_batches, fit_norm_stats
 from .. import tensor as T
 from .artifact import ModelArtifact, register_model
-from .base import _EVAL_CHUNK, Classifier, GradientModel, TrainConfig, xavier
+from .base import Classifier, GradientModel, TrainConfig, xavier
 
 # the parameters in the order the fused node takes them and
 # _forward_grads returns their gradients
@@ -269,8 +269,7 @@ class GrudLiteModel(GradientModel, Classifier):
         want_acc = config.selection_metric == "val_accuracy"
         total = 0.0
         n = 0
-        for idx in _iter_index_chunks(len(val_set), _EVAL_CHUNK):
-            batch = val_set.training_batch([int(i) for i in idx])
+        for batch in _iter_batches(val_set):
             if batch.labels is None:
                 raise InvalidInputError("grud_lite validation requires labels")
             logits = self._logits_np(batch)

@@ -14,10 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import Batch, _iter_index_chunks, fit_norm_stats
+from ..core import _EVAL_CHUNK, Batch, fit_norm_stats
 from .. import tensor as T
 from .artifact import ModelArtifact, register_model
-from .base import (_EVAL_CHUNK, AnalyticModel, GradientModel, Imputer, TrainConfig,
+from .base import (AnalyticModel, GradientModel, Imputer, TrainConfig,
                    imputer_validation_metric, xavier)
 
 
@@ -84,7 +84,7 @@ class _AnalyticImputer(AnalyticModel, Imputer):
 
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:
         self.feature_values = fit_norm_stats(train_set).mean
-        return imputer_validation_metric(self, val_set)
+        return imputer_validation_metric(self.impute_batch, val_set)
 
     @classmethod
     def from_artifact(cls, art: ModelArtifact):
@@ -121,12 +121,14 @@ class MeanImputerModel(_AnalyticImputer):
 # ---------------------------------------------------------------------------
 # SAITS-lite
 
-def saits_loss(xhat, originals: np.ndarray, observed_mask: np.ndarray,
-               indicating_mask: np.ndarray, lam_mit: float = 1.0) -> T.Tensor:
+def saits_loss(xhat: np.ndarray, originals: np.ndarray, observed_mask: np.ndarray,
+               indicating_mask: np.ndarray, lam_mit: float = 1.0):
     """Joint reconstruction loss over observed and held-out cells.
 
-    masked_mse on observed cells plus lam_mit times masked_mse on
-    indicating cells; an all-zero indicating mask contributes 0.
+    Returns (loss, d_loss/d_xhat) for (B, T, D) arrays. The loss sums
+    over samples each one's mean squared error on its observed cells
+    plus lam_mit times that on its indicating cells; a sample without
+    such cells adds 0 to that term. xhat and originals share one space.
     """
     obs = np.asarray(observed_mask) != 0
     ind = np.asarray(indicating_mask) != 0
@@ -135,12 +137,19 @@ def saits_loss(xhat, originals: np.ndarray, observed_mask: np.ndarray,
             f"saits_loss: mask shapes differ {obs.shape}, {ind.shape}")
     if np.any(obs & ind):
         raise InvalidInputError("saits_loss: observed and indicating masks overlap")
-    target = np.where(obs | ind, np.asarray(originals, dtype=np.float64), 0.0)
-    loss = T.masked_mse(xhat, T.constant(target), obs.astype(np.float64))
+    terms = [(obs.astype(np.float64), 1.0)]
     if ind.any():
-        mit = T.masked_mse(xhat, T.constant(target), ind.astype(np.float64))
-        loss = T.add(loss, T.mul(mit, T.constant(float(lam_mit))))
-    return loss
+        terms.append((ind.astype(np.float64), float(lam_mit)))
+    resid = xhat - np.where(obs | ind, originals, 0.0)
+    loss = 0.0
+    d_xhat = np.zeros_like(resid)
+    for weight, lam in terms:
+        counts = weight.sum(axis=(1, 2))
+        recip = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+        diff = resid * weight
+        loss += ((diff * diff).sum(axis=(1, 2)) * recip).sum() * lam
+        d_xhat += diff * ((2.0 * lam) * recip)[:, None, None]
+    return loss, d_xhat
 
 
 # a workspace array holds at most this many samples; a larger batch gets
@@ -431,11 +440,10 @@ class SaitsLiteModel(GradientModel, Imputer):
             self.norm_stats = fit_norm_stats(train_set)
 
     def batch_loss_sum(self, leaves: dict, batch: Batch) -> T.Tensor:
-        """Sum over samples of each one's mean squared error.
+        """saits_loss of the reconstruction in working space.
 
-        Per sample: the mean over observed cells plus lam_mit times the
-        mean over indicating cells; a sample without such cells adds 0 to
-        that term. The forward and this loss are one tape node.
+        Plain batches score the observed cells against their own
+        values. The forward and this loss are one tape node.
         """
         names = list(self.parameters)
         inputs = [leaves[name] for name in names]
@@ -445,55 +453,16 @@ class SaitsLiteModel(GradientModel, Imputer):
         x0 = self._to_working(batch.values, batch.mask)
         xhat, saved = self._forward(p, x0, maskf, keep=keep)
         originals = batch.values if batch.originals is None else batch.originals
-        terms = [(maskf, 1.0)]
-        union = maskf != 0
-        if batch.indicating is not None:
-            held = batch.indicating != 0
-            if held.any():
-                terms.append((held.astype(np.float64), self.lam_mit))
-                union |= held
-        if self.norm_stats is None:
-            target = np.where(union, originals, 0.0)
-        else:
-            target = np.where(
-                union, (originals - self.norm_stats.mean) / self.norm_stats.std, 0.0)
-        resid = xhat - target
-        loss = 0.0
-        d_xhat = np.zeros_like(xhat)
-        for weight, lam in terms:
-            counts = weight.sum(axis=(1, 2))
-            recip = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
-            diff = resid * weight
-            loss += ((diff * diff).sum(axis=(1, 2)) * recip).sum() * lam
-            d_xhat += diff * ((2.0 * lam) * recip)[:, None, None]
+        if self.norm_stats is not None:
+            originals = (originals - self.norm_stats.mean) / self.norm_stats.std
+        held = np.zeros_like(maskf) if batch.indicating is None else batch.indicating
+        loss, d_xhat = saits_loss(xhat, originals, maskf, held, self.lam_mit)
         return T.record_fused(np.asarray(loss, dtype=np.float64), inputs,
                               lambda g: self._forward_grads(p, saved, g * d_xhat))
 
     def validation_metric(self, val_set, config: TrainConfig) -> float:
-        """Masked MSE of the reconstruction on held-out cells.
-
-        Views without indicating cells fall back to the observed-cell
-        reconstruction error so election still tracks training.
-        """
-        ind_err = ind_n = obs_err = obs_n = 0.0
-        for idx in _iter_index_chunks(len(val_set), _EVAL_CHUNK):
-            batch = val_set.training_batch([int(i) for i in idx])
-            xhat = self._reconstruct(batch)
-            hit = batch.mask != 0
-            diff = xhat[hit] - batch.values[hit]
-            obs_err += float(diff @ diff)
-            obs_n += diff.size
-            if batch.indicating is not None and batch.originals is not None:
-                held = batch.indicating != 0
-                if held.any():
-                    diff = xhat[held] - batch.originals[held]
-                    ind_err += float(diff @ diff)
-                    ind_n += diff.size
-        if ind_n > 0:
-            return ind_err / ind_n
-        if obs_n > 0:
-            return obs_err / obs_n
-        return 0.0
+        """imputer_validation_metric of the raw reconstruction."""
+        return imputer_validation_metric(self._reconstruct, val_set)
 
     # -- inference ----------------------------------------------------------
     def _reconstruct(self, batch: Batch) -> np.ndarray:

@@ -187,9 +187,10 @@ def fetch_batch(handle: ReadHandle, indices: Sequence[int]) -> list[TimeSeriesSa
 class LazyDataset:
     """Dataset-access view backed by a container handle.
 
-    Implements the same access surface as PotsDataset (len, shape,
-    fetch_batch, training_batch) without loading records up front, so
-    models train identically against either backend.
+    Implements the view protocol of PotsDataset (len, n_steps,
+    n_features, training_batch) without loading records up front, so
+    models train identically against either backend. fetch_batch also
+    hands out the records themselves.
     """
 
     def __init__(self, handle: ReadHandle):

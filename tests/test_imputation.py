@@ -118,10 +118,17 @@ def test_saits_loss_reduces_to_observed_term():
     xhat = rng.normal(size=(2, 3, 2))
     originals = rng.normal(size=(2, 3, 2))
     obs = np.ones((2, 3, 2))
-    plain = T.masked_mse(T.constant(xhat),
-                         T.constant(np.where(obs != 0, originals, 0.0)), obs)
-    joint = saits_loss(T.constant(xhat), originals, obs, np.zeros_like(obs))
-    assert joint.data == plain.data
+    obs[1, 0, 1] = 0.0
+    # per sample, the tape's masked mean; summed over the batch
+    plain = sum(T.masked_mse(T.constant(xhat[b]),
+                             T.constant(np.where(obs[b] != 0, originals[b], 0.0)),
+                             obs[b]).data
+                for b in range(2))
+    loss, grad = saits_loss(xhat, originals, obs, np.zeros_like(obs))
+    assert loss == pytest.approx(float(plain), rel=1e-14)
+    counts = obs.sum(axis=(1, 2))[:, None, None]
+    assert np.allclose(grad, 2.0 * (xhat - originals) * obs / counts, rtol=1e-14)
+    assert grad[1, 0, 1] == 0.0
 
 
 def test_saits_loss_zero_on_perfect_reconstruction():
@@ -132,14 +139,15 @@ def test_saits_loss_zero_on_perfect_reconstruction():
     obs[0, 1, 0] = 0.0
     ind = ((rng.random((2, 4, 3)) < 0.5) & (obs == 0)).astype(float)
     ind[0, 1, 0] = 1.0
-    loss = saits_loss(T.constant(originals), originals, obs, ind)
-    assert loss.data == 0.0
+    loss, grad = saits_loss(originals, originals, obs, ind)
+    assert loss == 0.0
+    assert not grad.any()
 
 
 def test_saits_loss_rejects_overlapping_masks():
     ones = np.ones((1, 2, 2))
     with pytest.raises(InvalidInputError, match="overlap"):
-        saits_loss(T.constant(ones), ones, ones, ones)
+        saits_loss(ones, ones, ones, ones)
 
 
 def test_saits_loss_gradient_small_batch():
@@ -149,9 +157,12 @@ def test_saits_loss_gradient_small_batch():
                     [[0, 1], [1, 0], [1, 1]]], dtype=np.float64)
     ind = np.array([[[0, 1], [0, 0], [1, 0]],
                     [[1, 0], [0, 0], [0, 0]]], dtype=np.float64)
-    err = T.grad_check(
-        lambda x: saits_loss(x, originals, obs, ind, lam_mit=0.7),
-        rng.normal(size=(2, 3, 2)))
+
+    def recorded(x):
+        loss, grad = saits_loss(x.data, originals, obs, ind, lam_mit=0.7)
+        return T.record_fused(np.asarray(loss), [x], lambda g: [g * grad])
+
+    err = T.grad_check(recorded, rng.normal(size=(2, 3, 2)))
     assert err < 1e-4
 
 
