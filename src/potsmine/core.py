@@ -179,7 +179,9 @@ class CorruptedPairView:
     indicating, which flags the hidden cells: original mask AND NOT
     corrupted mask. Works with any pair of views exposing training_batch,
     including lazy container handles; both arrays are derived batch by
-    batch, so nothing is materialized up front.
+    batch, so nothing is materialized up front. A batch is refused if the
+    corrupted view observes a cell the original lacks, or a value that
+    differs from the original's.
     """
 
     def __init__(self, original, corrupted):
@@ -207,6 +209,9 @@ class CorruptedPairView:
         if np.any(batch.mask > orig.mask):
             raise InvalidInputError(
                 "paired views: the corrupted view observes cells its original lacks")
+        if np.any((batch.values != orig.values) & (batch.mask != 0)):
+            raise InvalidInputError(
+                "paired views: the views disagree on a value both observe")
         batch.originals = orig.values
         batch.indicating = orig.mask * (1.0 - batch.mask)
         return batch

@@ -349,6 +349,23 @@ def test_evaluate_rejects_unrelated_originals(capsys, tmp_path):
     assert "masked_mae" not in out
 
 
+def test_evaluate_rejects_originals_with_other_values(capsys, tmp_path):
+    data = gen(capsys, tmp_path, n=30, rate=0.0)
+    model_path = train_impute(capsys, tmp_path, data, model="mean")
+    corrupted = str(tmp_path / "holdout.pots")
+    code, _, err = run(capsys, "corrupt", "--data", data, "--missing-rate", "0.2",
+                       "--out", corrupted, "--seed", "1")
+    assert code == 0, err
+    # observes every cell, so only the values tell it apart
+    unrelated = gen(capsys, tmp_path, name="other.pots", n=30, rate=0.0, seed=7)
+    code, out, err = run(capsys, "evaluate", "--task", "impute",
+                         "--model", model_path, "--data", corrupted,
+                         "--originals", unrelated)
+    assert code == 2, out
+    assert "disagree on a value" in err
+    assert "masked_mae" not in out
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_three(capsys, tmp_path):
     data = gen(capsys, tmp_path, n=12, rate=0.0)

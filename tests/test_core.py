@@ -198,6 +198,15 @@ def test_pair_view_rejects_cells_missing_from_original():
         CorruptedPairView(sparse, view.corrupted).training_batch([0, 1, 2])
 
 
+def test_pair_view_rejects_values_that_differ_from_original():
+    # an unrelated original that observes every cell passes the mask check
+    unrelated = generate_synthetic(6, 8, 2, 2, 0.0, seed=7)
+    corrupted = inject_mcar(generate_synthetic(6, 8, 2, 2, 0.0, seed=0), 0.2, seed=1).corrupted
+    view = CorruptedPairView(unrelated, corrupted)
+    with pytest.raises(InvalidInputError, match="disagree on a value"):
+        view.training_batch(list(range(6)))
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
