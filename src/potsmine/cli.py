@@ -8,6 +8,7 @@ can be re-run independently and still reproduce:
     +2 train/val/test split shuffle
     +3 model parameter initialization
     +4 training (per-epoch shuffles, k-means seeding, factor init)
+    +5 corruption of the validation split inside train
 
 Exit codes: 0 success, 1 usage error, 2 data or format error,
 3 training divergence.
@@ -227,9 +228,8 @@ def _cmd_train(args) -> int:
     train_ds, val_ds, _ = _split_dataset(dataset, cfg)
     rate = float(cfg["missing_rate"])
     if task == "impute" and rate > 0:
-        corrupt_seed = int(cfg["seed"]) + 1
-        train_view = core.inject_mcar(train_ds, rate, seed=corrupt_seed)
-        val_view = core.inject_mcar(val_ds, rate, seed=corrupt_seed)
+        train_view = core.inject_mcar(train_ds, rate, seed=int(cfg["seed"]) + 1)
+        val_view = core.inject_mcar(val_ds, rate, seed=int(cfg["seed"]) + 5)
     else:
         train_view, val_view = train_ds, val_ds
 

@@ -140,6 +140,21 @@ def test_train_evaluate_predict_impute(capsys, tmp_path):
     assert all(s.mask.all() for s in got)
 
 
+def test_train_corrupts_train_and_val_with_distinct_seeds(capsys, tmp_path, monkeypatch):
+    from potsmine import core
+    seeds = []
+    real = core.inject_mcar
+
+    def recording(dataset, rate, seed):
+        seeds.append(seed)
+        return real(dataset, rate, seed)
+
+    monkeypatch.setattr(core, "inject_mcar", recording)
+    data = gen(capsys, tmp_path, n=20)
+    train_impute(capsys, tmp_path, data, seed=7, model="mean")
+    assert seeds == [7 + 1, 7 + 5]
+
+
 def test_train_is_byte_deterministic(capsys, tmp_path):
     data = gen(capsys, tmp_path, n=20, classes=2)
     a = train_impute(capsys, tmp_path, data, seed=7, name="a.pmdl")
