@@ -85,6 +85,19 @@ def test_kmeans_deterministic_and_validates():
         kmeans_fit(points[:2], 3, seed=0)
 
 
+def test_kmeans_reseeds_empty_cluster_on_degenerate_data():
+    # two distinct points and k = 3: seeding must put two centroids on one
+    # value, and the one that loses every tie is re-seeded to a data point
+    points = np.array([[0.0], [0.0], [0.0], [0.0], [5.0], [5.0]])
+    for seed in range(4):
+        history = []
+        centroids, labels = kmeans_fit(points, 3, seed=seed, history=history)
+        assert sorted(centroids[:, 0].tolist()) == [0.0, 5.0, 5.0]
+        assert len(history) == 2 and history[-1] == 0.0
+        dists = ((points[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+        assert np.array_equal(labels, dists.argmin(axis=1))
+
+
 def test_chunked_distances_equal_broadcast(monkeypatch):
     rng = np.random.default_rng(4)
     points = rng.normal(size=(1003, 37))

@@ -312,6 +312,40 @@ def test_csv_unparsable_cell_names_row(tmp_path):
         ingest_csv(str(path))
 
 
+# one malformed file per FormatError branch of ingest_csv: (text, message)
+_MALFORMED_CSV = {
+    "empty_file": ("", "empty file"),
+    "missing_column": ("sample_id,f0\n0,1.0\n", "missing required column 'step'"),
+    "no_features": ("sample_id,step\n0,0\n", "no feature columns"),
+    "short_row": ("sample_id,step,f0\n0,0\n", "row 2: expected 3 columns, got 2"),
+    "bad_sample_id": ("sample_id,step,f0\nx,0,1.0\n", "row 2"),
+    "bad_label": ("sample_id,step,f0,label\n0,0,1.0,a\n", "row 2"),
+    "label_varies": ("sample_id,step,f0,label\n0,0,1.0,0\n0,1,2.0,1\n",
+                     "label is not constant"),
+    "no_rows": ("sample_id,step,f0\n", "no data rows"),
+    "repeated_step": ("sample_id,step,f0\n0,0,1.0\n0,0,2.0\n",
+                      "steps must be strictly increasing"),
+    "ragged": ("sample_id,step,f0\n0,0,1.0\n0,1,2.0\n1,0,3.0\n",
+               "has 1 steps, expected 2"),
+    "invalid_sample": ("sample_id,step,f0,label\n0,0,1.0,-1\n",
+                       "sample 0: .*label must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CSV))
+def test_csv_malformed_file_raises_format_error(tmp_path, case):
+    text, message = _MALFORMED_CSV[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        ingest_csv(str(path))
+
+
+def test_csv_unreadable_path_raises_format_error(tmp_path):
+    with pytest.raises(FormatError, match="cannot open"):
+        ingest_csv(str(tmp_path / "absent.csv"))
+
+
 def test_csv_round_trip_exact(tmp_path):
     ds = generate_synthetic(6, 7, 3, 2, missing_rate=0.25, seed=13)
     path = tmp_path / "round.csv"
