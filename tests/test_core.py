@@ -77,6 +77,12 @@ def test_dataset_infers_n_classes_from_labels():
     assert unlabeled.n_classes is None
 
 
+def test_training_batch_rejects_out_of_range_index():
+    ds = PotsDataset([make_sample(0), make_sample(1)])
+    with pytest.raises(InvalidInputError, match="out of range"):
+        ds.training_batch([0, 2])
+
+
 def test_stack_samples_shapes_and_labels():
     batch = stack_samples([make_sample(0, label=1), make_sample(1, label=0)])
     assert batch.values.shape == (2, 3, 2)
