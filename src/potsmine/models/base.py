@@ -255,7 +255,8 @@ def _check_view_shape(model: BaseModel, dataset, task: str) -> None:
 
 
 def _run_batched(dataset, fn) -> np.ndarray:
-    return np.concatenate([fn(batch) for batch in _iter_batches(dataset)], axis=0)
+    # map drops each batch once fn returns, before the next one is read
+    return np.concatenate(list(map(fn, _iter_batches(dataset))), axis=0)
 
 
 def impute(model: BaseModel, dataset) -> np.ndarray:

@@ -304,27 +304,13 @@ def test_csv_single_empty_cell_maps_to_mask(tmp_path):
     assert np.isnan(ds.samples[0].values[1, 0])
 
 
-def test_csv_ragged_samples_rejected(tmp_path):
-    path = tmp_path / "ragged.csv"
-    path.write_text("sample_id,step,f0\n0,0,1.0\n0,1,2.0\n1,0,3.0\n")
-    with pytest.raises(FormatError, match="1"):
-        ingest_csv(str(path))
-
-
-def test_csv_unparsable_cell_names_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("sample_id,step,f0\n0,0,1.0\n0,1,oops\n")
-    with pytest.raises(FormatError, match="row 3"):
-        ingest_csv(str(path))
-
-
 # one malformed file per FormatError branch of ingest_csv: (text, message)
 _MALFORMED_CSV = {
     "empty_file": ("", "empty file"),
     "missing_column": ("sample_id,f0\n0,1.0\n", "missing required column 'step'"),
     "no_features": ("sample_id,step\n0,0\n", "no feature columns"),
     "short_row": ("sample_id,step,f0\n0,0\n", "row 2: expected 3 columns, got 2"),
-    "bad_sample_id": ("sample_id,step,f0\nx,0,1.0\n", "row 2"),
+    "unparsable_cell": ("sample_id,step,f0\n0,0,1.0\n0,1,oops\n", "row 3"),
     "bad_label": ("sample_id,step,f0,label\n0,0,1.0,a\n", "row 2"),
     "label_varies": ("sample_id,step,f0,label\n0,0,1.0,0\n0,1,2.0,1\n",
                      "label is not constant"),
