@@ -137,16 +137,18 @@ def saits_loss(xhat: np.ndarray, originals: np.ndarray, observed_mask: np.ndarra
             f"saits_loss: mask shapes differ {obs.shape}, {ind.shape}")
     if np.any(obs & ind):
         raise InvalidInputError("saits_loss: observed and indicating masks overlap")
-    terms = [(obs.astype(np.float64), 1.0)]
+    terms = [(obs, 1.0)]
     if ind.any():
-        terms.append((ind.astype(np.float64), float(lam_mit)))
+        terms.append((ind, float(lam_mit)))
     resid = xhat - np.where(obs | ind, originals, 0.0)
     loss = 0.0
     d_xhat = np.zeros_like(resid)
-    for weight, lam in terms:
-        counts = weight.sum(axis=(1, 2))
+    # boolean masks and np.where, not 0/1 float weights: every SAITS-lite
+    # minibatch runs this, and the fewer (B, T, D) temporaries, the faster
+    for cells, lam in terms:
+        counts = cells.sum(axis=(1, 2), dtype=np.float64)
         recip = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
-        diff = resid * weight
+        diff = np.where(cells, resid, 0.0)
         loss += ((diff * diff).sum(axis=(1, 2)) * recip).sum() * lam
         d_xhat += diff * ((2.0 * lam) * recip)[:, None, None]
     return loss, d_xhat
@@ -454,7 +456,8 @@ class SaitsLiteModel(GradientModel, Imputer):
         xhat, saved = self._forward(p, x0, maskf, keep=keep)
         originals = batch.values if batch.originals is None else batch.originals
         if self.norm_stats is not None:
-            originals = (originals - self.norm_stats.mean) / self.norm_stats.std
+            originals = originals - self.norm_stats.mean
+            originals /= self.norm_stats.std
         held = np.zeros_like(maskf) if batch.indicating is None else batch.indicating
         loss, d_xhat = saits_loss(xhat, originals, maskf, held, self.lam_mit)
         return T.record_fused(np.asarray(loss, dtype=np.float64), inputs,
