@@ -122,7 +122,8 @@ class MeanImputerModel(_AnalyticImputer):
 # SAITS-lite
 
 def saits_loss(xhat: np.ndarray, originals: np.ndarray, observed_mask: np.ndarray,
-               indicating_mask: np.ndarray, lam_mit: float = 1.0):
+               indicating_mask: np.ndarray,
+               lam_mit: float = 1.0) -> tuple[float, np.ndarray]:
     """Joint reconstruction loss over observed and held-out cells.
 
     Returns (loss, d_loss/d_xhat) for (B, T, D) arrays. The loss sums
