@@ -20,6 +20,7 @@ from potsmine import (
     stack_samples,
 )
 from potsmine import tensor as T
+from potsmine.models import imputer_validation_metric
 from potsmine.errors import InvalidInputError, ShapeError
 
 
@@ -164,6 +165,20 @@ def test_saits_loss_gradient_small_batch():
 
     err = T.grad_check(recorded, rng.normal(size=(2, 3, 2)))
     assert err < 1e-4
+
+
+def test_imputer_validation_metric_scores_held_out_else_observed_cells():
+    ds = generate_synthetic(6, 8, 2, 2, missing_rate=0.2, seed=4)
+    view = inject_mcar(ds, 0.3, seed=5)
+    _, ckpt = fit_model(LocfModel(2), ds, ds, TrainConfig())
+    assert ckpt.metric == 0.0     # observed cells pass through bitwise
+    model = SaitsLiteModel(n_steps=8, n_features=2, d_model=4, d_ff=4, init_seed=1)
+    for v, cells, truth in ((view, "indicating", "originals"), (ds, "mask", "values")):
+        batch = v.training_batch(range(6))
+        hit = getattr(batch, cells) != 0
+        err = model._reconstruct(batch)[hit] - getattr(batch, truth)[hit]
+        assert imputer_validation_metric(model._reconstruct, v) == \
+            pytest.approx(float(np.mean(err * err)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
