@@ -31,7 +31,7 @@ FLOORS = {
     "potsmine.models.clustering": 93,
     "potsmine.models.forecasting": 95,
     "potsmine.models.imputation": 97,
-    "potsmine.store": 97,
+    "potsmine.store": 100,
     "potsmine.tensor": 90,
 }
 

@@ -90,6 +90,7 @@ class Batch:
     labels: np.ndarray | None     # (B,) int64, None if any label absent
     originals: np.ndarray | None = None   # (B, T, D) pre-corruption values
     indicating: np.ndarray | None = None  # (B, T, D) artificially removed cells
+    sample_ids: np.ndarray | None = None  # (B,) int64
 
 
 def stack_samples(samples: Sequence[TimeSeriesSample]) -> Batch:
@@ -100,7 +101,28 @@ def stack_samples(samples: Sequence[TimeSeriesSample]) -> Batch:
         labels = np.array([s.label for s in samples], dtype=np.int64)
     else:
         labels = None
-    return Batch(values=values, mask=mask, timestamps=timestamps, labels=labels)
+    sample_ids = np.array([s.sample_id for s in samples], dtype=np.int64)
+    return Batch(values=values, mask=mask, timestamps=timestamps, labels=labels,
+                 sample_ids=sample_ids)
+
+
+def _check_indices(indices: Sequence[int], n: int) -> np.ndarray:
+    """A batch's sample indices as a (B,) int64 array.
+
+    Refuses an empty or non-flat list, any non-integer entry (floats and
+    bools included) and any index outside [0, n). Duplicates and any order
+    are allowed.
+    """
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.size == 0:
+        raise InvalidInputError("sample indices must be a nonempty flat sequence")
+    if idx.dtype.kind not in "iu":
+        raise InvalidInputError(f"sample indices must be integers, got {idx.dtype}")
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise InvalidInputError(
+            f"sample index {idx[outside][0]} out of range [0, {n})")
+    return idx.astype(np.int64, copy=False)
 
 
 class PotsDataset:
@@ -147,12 +169,8 @@ class PotsDataset:
         return all(s.label is not None for s in self.samples)
 
     def training_batch(self, indices: Sequence[int]) -> Batch:
-        out = []
-        for i in indices:
-            if not 0 <= i < len(self.samples):
-                raise InvalidInputError(f"sample index {i} out of range [0, {len(self)})")
-            out.append(self.samples[i])
-        return stack_samples(out)
+        idx = _check_indices(indices, len(self.samples))
+        return stack_samples([self.samples[i] for i in idx.tolist()])
 
     def labels_array(self) -> np.ndarray:
         if not self.has_labels:

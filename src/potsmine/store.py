@@ -14,7 +14,11 @@ File layout (all little-endian):
 Missing cells are stored as the canonical quiet NaN so writing the same
 dataset always produces identical bytes. Reads go through os.pread, so a
 handle is safe to share across threads and every fetch touches exactly the
-requested records.
+requested records. ReadHandle.read_batch is the one record decoder: it
+reads each run of records that lie back to back in the file, in request
+order, with one pread, checks every record's CRC-32, decodes the whole
+batch with numpy at once, and checks the batch once for strictly
+increasing timestamps and a mask that agrees with the NaN sentinel.
 """
 
 from __future__ import annotations
@@ -27,13 +31,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Batch, PotsDataset, TimeSeriesSample, stack_samples
-from .errors import CorruptionError, FormatError, InvalidInputError, StorageError
+from .core import Batch, PotsDataset, TimeSeriesSample, _check_indices
+from .errors import CorruptionError, FormatError, StorageError
 
 MAGIC = b"POTS"
 VERSION = 1
 _HEADER = struct.Struct("<4sHBQQQQQ")
 _CANONICAL_NAN = np.frombuffer(struct.pack("<Q", 0x7FF8000000000000), dtype="<f8")[0]
+
+
+def _record_dtype(n_steps: int, n_features: int) -> np.dtype:
+    """One record's layout; a sample id of 2**63 or more reads as negative."""
+    return np.dtype([
+        ("sample_id", "<i8"), ("timestamps", "<f8", (n_steps,)),
+        ("values", "<f8", (n_steps, n_features)),
+        ("mask", "u1", ((n_steps * n_features + 7) // 8,)),
+        ("label", "<i8"), ("crc", "<u4")])
 
 
 def _record_size(n_steps: int, n_features: int) -> int:
@@ -113,6 +126,8 @@ class ReadHandle:
             lo, hi = int(self._offsets.min()), int(self._offsets.max())
             if lo < _HEADER.size or hi + self.record_size > index_offset:
                 raise FormatError(f"{path}: index points outside the record region")
+            # built only once a record is known to fit in the file
+            self._dtype = _record_dtype(self.n_steps, self.n_features)
         except Exception:
             os.close(self._fd)
             self._fd = -1
@@ -136,42 +151,72 @@ class ReadHandle:
         with self._lock:
             self.payload_bytes_read = 0
 
-    def _read_record(self, position: int) -> TimeSeriesSample:
-        raw = os.pread(self._fd, self.record_size, int(self._offsets[position]))
-        if len(raw) != self.record_size:
-            raise CorruptionError(f"{self.path}: record {position}: truncated")
-        with self._lock:
-            self.payload_bytes_read += len(raw)
-        (stored_crc,) = struct.unpack_from("<I", raw, self.record_size - 4)
-        if zlib.crc32(raw[:-4]) != stored_crc:
-            raise CorruptionError(f"{self.path}: record {position}: checksum mismatch")
-        t, d = self.n_steps, self.n_features
-        (sample_id,) = struct.unpack_from("<Q", raw, 0)
-        off = 8
-        timestamps = np.frombuffer(raw, dtype="<f8", count=t, offset=off)
-        off += 8 * t
-        values = np.frombuffer(raw, dtype="<f8", count=t * d, offset=off).reshape(t, d)
-        off += 8 * t * d
-        n_mask_bytes = (t * d + 7) // 8
-        bits = np.frombuffer(raw, dtype=np.uint8, count=n_mask_bytes, offset=off)
-        mask = np.unpackbits(bits, count=t * d, bitorder="little").reshape(t, d)
-        off += n_mask_bytes
-        (label,) = struct.unpack_from("<q", raw, off)
-        return TimeSeriesSample(
-            sample_id=int(sample_id), timestamps=timestamps, values=values,
-            mask=mask.astype(np.float64), label=None if label < 0 else int(label))
+    def read_batch(self, indices: Sequence[int]) -> Batch:
+        """Read and decode the requested records, in order, duplicates allowed.
 
-    def fetch(self, indices: Sequence[int]) -> list[TimeSeriesSample]:
+        Each run of records that lie back to back in the file, in request
+        order, is read with one pread. Every record's CRC-32 is checked, and
+        the batch is checked once for strictly increasing timestamps and a
+        mask that agrees with the NaN sentinel. A record that fails those
+        checks is a FormatError naming its position, whatever its CRC says.
+        """
+        return self._read(indices)[0]
+
+    def _read(self, indices: Sequence[int]) -> tuple[Batch, np.ndarray]:
+        """read_batch's Batch, and each record's stored label (-1 when absent)."""
         if self._fd < 0:
             raise StorageError(f"{self.path}: handle is closed")
-        out = []
-        for i in indices:
-            i = int(i)
-            if not 0 <= i < self.n_samples:
-                raise InvalidInputError(
-                    f"sample index {i} out of range [0, {self.n_samples})")
-            out.append(self._read_record(i))
-        return out
+        idx = _check_indices(indices, self.n_samples)
+        size, b = self.record_size, idx.size
+        offsets = self._offsets[idx].astype(np.int64)
+        bounds = [0, *(np.flatnonzero(np.diff(offsets) != size) + 1).tolist(), b]
+        chunks = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            chunk = os.pread(self._fd, (hi - lo) * size, int(offsets[lo]))
+            if len(chunk) != (hi - lo) * size:
+                short = idx[lo + len(chunk) // size]
+                raise CorruptionError(f"{self.path}: record {short}: truncated")
+            chunks.append(chunk)
+        raw = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+        with self._lock:
+            self.payload_bytes_read += b * size
+        view = memoryview(raw)
+        crcs = [zlib.crc32(view[j * size:(j + 1) * size - 4]) for j in range(b)]
+        records = np.frombuffer(raw, dtype=self._dtype)
+        bad = np.flatnonzero(np.array(crcs, dtype=np.uint32) != records["crc"])
+        if bad.size:
+            raise CorruptionError(f"{self.path}: record {idx[bad[0]]}: checksum mismatch")
+        t, d = self.n_steps, self.n_features
+        sample_ids = records["sample_id"].astype(np.int64)
+        timestamps = records["timestamps"].astype(np.float64)
+        values = records["values"].astype(np.float64)
+        observed = np.unpackbits(
+            records["mask"], axis=1, count=t * d, bitorder="little").reshape(b, t, d)
+        faults = {
+            "negative sample id": sample_ids < 0,
+            "timestamps are not strictly increasing":
+                ~(timestamps[:, 1:] > timestamps[:, :-1]).all(axis=1),
+            "mask and NaN sentinel disagree":
+                (np.isfinite(values) != observed.view(bool)).any(axis=(1, 2)),
+        }
+        bad = np.logical_or.reduce(list(faults.values()))
+        if bad.any():
+            j = int(bad.argmax())
+            what = next(w for w, rows in faults.items() if rows[j])
+            raise FormatError(f"{self.path}: record {idx[j]}: {what}")
+        labels = records["label"].astype(np.int64)
+        batch = Batch(values=values, mask=observed.astype(np.float64),
+                      timestamps=timestamps,
+                      labels=labels if (labels >= 0).all() else None,
+                      sample_ids=sample_ids)
+        return batch, labels
+
+    def fetch(self, indices: Sequence[int]) -> list[TimeSeriesSample]:
+        batch, labels = self._read(indices)
+        return [TimeSeriesSample(
+            sample_id=sid, timestamps=batch.timestamps[j], values=batch.values[j],
+            mask=batch.mask[j], label=None if label < 0 else label)
+            for j, (sid, label) in enumerate(zip(batch.sample_ids.tolist(), labels.tolist()))]
 
 
 def open_readonly(path: str) -> ReadHandle:
@@ -215,7 +260,7 @@ class LazyDataset:
         return self.handle.fetch(indices)
 
     def training_batch(self, indices: Sequence[int]) -> Batch:
-        return stack_samples(self.handle.fetch(indices))
+        return self.handle.read_batch(indices)
 
 
 def lazy_dataset(handle: ReadHandle) -> LazyDataset:

@@ -1,6 +1,8 @@
 """Binary container: round trips, header validation, checksums, lazy reads."""
 
+import dataclasses
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from potsmine import (
     stack_samples,
     write_container,
 )
+from potsmine.cli import main
 from potsmine.errors import CorruptionError, FormatError, InvalidInputError, StorageError
-from potsmine.store import _HEADER, _record_size
+from potsmine.store import _HEADER, MAGIC, _record_dtype, _record_size
 
 
 def write_demo(tmp_path, n=5, t=6, d=3, seed=0, name="demo.pots"):
@@ -78,6 +81,22 @@ def test_open_rejects_truncated_index(tmp_path):
         f.truncate(size - 12)
     with pytest.raises(FormatError, match="truncat"):
         open_readonly(path)
+
+
+def test_open_rejects_degenerate_dimensions(tmp_path):
+    _, path = write_demo(tmp_path)
+    raw = bytearray(open(path, "rb").read())
+    fields = list(_HEADER.unpack_from(raw))
+    fields[5] = 0  # n_features
+    raw[:_HEADER.size] = _HEADER.pack(*fields)
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(FormatError, match="degenerate"):
+        open_readonly(path)
+
+
+def test_record_dtype_matches_record_size():
+    for t, d in [(1, 1), (6, 3), (48, 8), (5, 7)]:
+        assert _record_dtype(t, d).itemsize == _record_size(t, d)
 
 
 def test_open_missing_file_raises_storage_error(tmp_path):
@@ -144,6 +163,131 @@ def test_flipped_payload_byte_detected(tmp_path):
             fetch_batch(h, [3])
 
 
+def test_file_truncated_under_open_handle_detected(tmp_path):
+    _, path = write_demo(tmp_path)
+    rec = _record_size(6, 3)
+    with open_readonly(path) as h:
+        with open(path, "rb+") as f:
+            f.truncate(_HEADER.size + 2 * rec + 10)
+        assert [s.sample_id for s in fetch_batch(h, [1, 0])] == [1, 0]
+        with pytest.raises(CorruptionError, match="record 2: truncated"):
+            h.read_batch([0, 1, 2, 3])
+
+
+def rewrite_record(path, position, edit):
+    """Apply edit to one decoded record and store it back with a fresh CRC."""
+    with open_readonly(path) as h:
+        dtype, offset = _record_dtype(h.n_steps, h.n_features), int(h._offsets[position])
+    with open(path, "rb+") as f:
+        f.seek(offset)
+        rec = np.frombuffer(f.read(dtype.itemsize), dtype=dtype).copy()
+        edit(rec[0])
+        raw = bytearray(rec.tobytes())
+        raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "little")
+        f.seek(offset)
+        f.write(bytes(raw))
+
+
+def _repeat_a_timestamp(rec):
+    rec["timestamps"][2] = rec["timestamps"][1]
+
+
+def _value_where_mask_is_zero(rec):
+    flat = np.unpackbits(rec["mask"], count=rec["values"].size, bitorder="little")
+    rec["values"].reshape(-1)[np.flatnonzero(flat == 0)[0]] = 1.0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_repeat_a_timestamp, "record 3: timestamps are not strictly increasing"),
+    (_value_where_mask_is_zero, "record 3: mask and NaN sentinel disagree"),
+])
+def test_inconsistent_record_with_valid_crc_is_format_error(capsys, tmp_path, edit, message):
+    _, path = write_demo(tmp_path)
+    rewrite_record(path, 3, edit)
+    with open_readonly(path) as h:
+        h.read_batch([0, 1, 2, 4])  # intact records still readable
+        for read in (h.read_batch, h.fetch):
+            with pytest.raises(FormatError, match=message) as info:
+                read([4, 3, 0])
+            assert not isinstance(info.value, CorruptionError)
+    code = main(["corrupt", "--data", path, "--missing-rate", "0.2",
+                 "--out", str(tmp_path / "out.pots"), "--seed", "1"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["memory", "lazy"])
+def test_both_backends_refuse_bad_indices_alike(tmp_path, backend):
+    ds, path = write_demo(tmp_path)
+    with open_readonly(path) as h:
+        view = ds if backend == "memory" else lazy_dataset(h)
+        for bad in ([1.5], [True, False], [], [[0, 1]], [0, 5], [-1]):
+            with pytest.raises(InvalidInputError):
+                view.training_batch(bad)
+        got = view.training_batch(np.array([4, 1], dtype=np.uint16))
+        want = view.training_batch([np.int64(4), 1])
+        assert got.sample_ids.tolist() == want.sample_ids.tolist() == [4, 1]
+
+
+# ---------------------------------------------------------------------------
+# batched reads
+
+
+def container_kinds(tmp_path, kind):
+    """A written dataset that is labeled, unlabeled or partly labeled."""
+    ds = generate_synthetic(9, 6, 3, 2, missing_rate=0.25, seed=11)
+    if kind != "labeled":
+        ds = PotsDataset([dataclasses.replace(s, label=None)
+                          if kind == "unlabeled" or s.sample_id % 2 else s
+                          for s in ds.samples])
+    path = str(tmp_path / f"{kind}.pots")
+    write_container(ds, path)
+    return ds, path
+
+
+@pytest.mark.parametrize("kind", ["labeled", "unlabeled", "partly_labeled"])
+@pytest.mark.parametrize("indices", [
+    [7, 2, 8, 0, 5, 1, 6, 3, 4],   # shuffled
+    list(range(8, -1, -1)),        # reversed
+    [3, 3, 0, 3, 8, 0],            # duplicated
+    [2, 3, 4, 5],                  # contiguous
+    [6],                           # single
+])
+def test_read_batch_equals_stacked_samples_bitwise(tmp_path, kind, indices):
+    ds, path = container_kinds(tmp_path, kind)
+    want = stack_samples([ds.samples[i] for i in indices])
+    with open_readonly(path) as h:
+        got = h.read_batch(indices)
+        assert h.payload_bytes_read == len(indices) * h.record_size
+        labels = [s.label for s in h.fetch(indices)]
+    assert labels == [ds.samples[i].label for i in indices]
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if b is None:
+            assert a is None, f.name
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+@pytest.mark.parametrize("indices, preads", [
+    (range(7), 1), ([2, 0, 2], 3), ([0, 1, 2, 5, 6], 2), ([4, 5, 5, 6], 2)])
+def test_one_pread_per_run_of_adjacent_records(tmp_path, monkeypatch, indices, preads):
+    _, path = write_demo(tmp_path, n=8)
+    calls = []
+    real = os.pread
+
+    def counting(fd, n, offset):
+        calls.append((n, offset))
+        return real(fd, n, offset)
+
+    with open_readonly(path) as h:
+        monkeypatch.setattr(os, "pread", counting)
+        batch = h.read_batch(indices)
+    assert len(calls) == preads
+    assert sum(n for n, _ in calls) == len(batch.sample_ids) * h.record_size
+    assert batch.sample_ids.tolist() == list(indices)
+
+
 # ---------------------------------------------------------------------------
 # lazy view
 
@@ -153,6 +297,8 @@ def test_lazy_view_equals_in_memory(tmp_path):
         lazy = lazy_dataset(h)
         assert len(lazy) == len(ds)
         assert (lazy.n_steps, lazy.n_features) == (ds.n_steps, ds.n_features)
+        assert lazy.has_labels
+        assert [s.sample_id for s in lazy.fetch_batch([3, 1])] == [3, 1]
         batch = lazy.training_batch(list(range(len(ds))))
     direct = stack_samples(ds.samples)
     assert np.array_equal(batch.values, direct.values, equal_nan=True)
