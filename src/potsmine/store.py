@@ -167,47 +167,47 @@ class ReadHandle:
         if self._fd < 0:
             raise StorageError(f"{self.path}: handle is closed")
         idx = _check_indices(indices, self.n_samples)
-        size, b = self.record_size, idx.size
-        offsets = self._offsets[idx].astype(np.int64)
-        bounds = [0, *(np.flatnonzero(np.diff(offsets) != size) + 1).tolist(), b]
-        chunks = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            chunk = os.pread(self._fd, (hi - lo) * size, int(offsets[lo]))
-            if len(chunk) != (hi - lo) * size:
-                short = idx[lo + len(chunk) // size]
+        size, positions = self.record_size, idx.tolist()
+        offsets = self._offsets[idx].tolist()
+        chunks, start = [], 0  # one pread per run of records back to back in the file
+        for j in range(1, len(offsets) + 1):
+            if j < len(offsets) and offsets[j] == offsets[j - 1] + size:
+                continue
+            chunk = os.pread(self._fd, (j - start) * size, offsets[start])
+            if len(chunk) != (j - start) * size:
+                short = positions[start + len(chunk) // size]
                 raise CorruptionError(f"{self.path}: record {short}: truncated")
             chunks.append(chunk)
+            start = j
         raw = chunks[0] if len(chunks) == 1 else b"".join(chunks)
         with self._lock:
-            self.payload_bytes_read += b * size
+            self.payload_bytes_read += len(raw)
         view = memoryview(raw)
-        crcs = [zlib.crc32(view[j * size:(j + 1) * size - 4]) for j in range(b)]
+        for j, position in enumerate(positions):
+            record = view[j * size:(j + 1) * size]
+            if zlib.crc32(record[:-4]) != int.from_bytes(record[-4:], "little"):
+                raise CorruptionError(f"{self.path}: record {position}: checksum mismatch")
         records = np.frombuffer(raw, dtype=self._dtype)
-        bad = np.flatnonzero(np.array(crcs, dtype=np.uint32) != records["crc"])
-        if bad.size:
-            raise CorruptionError(f"{self.path}: record {idx[bad[0]]}: checksum mismatch")
-        t, d = self.n_steps, self.n_features
+        b, t, d = len(positions), self.n_steps, self.n_features
         sample_ids = records["sample_id"].astype(np.int64)
         timestamps = records["timestamps"].astype(np.float64)
         values = records["values"].astype(np.float64)
         observed = np.unpackbits(
             records["mask"], axis=1, count=t * d, bitorder="little").reshape(b, t, d)
-        faults = {
-            "negative sample id": sample_ids < 0,
-            "timestamps are not strictly increasing":
-                ~(timestamps[:, 1:] > timestamps[:, :-1]).all(axis=1),
-            "mask and NaN sentinel disagree":
-                (np.isfinite(values) != observed.view(bool)).any(axis=(1, 2)),
-        }
-        bad = np.logical_or.reduce(list(faults.values()))
-        if bad.any():
-            j = int(bad.argmax())
+        increasing = timestamps[:, 1:] > timestamps[:, :-1]
+        agrees = np.isfinite(values) == observed.view(bool)  # unpackbits gives 0 or 1
+        if sample_ids.min() < 0 or not increasing.all() or not agrees.all():
+            faults = {
+                "negative sample id": sample_ids < 0,
+                "timestamps are not strictly increasing": ~increasing.all(axis=1),
+                "mask and NaN sentinel disagree": ~agrees.all(axis=(1, 2)),
+            }
+            j = int(np.logical_or.reduce(list(faults.values())).argmax())
             what = next(w for w, rows in faults.items() if rows[j])
-            raise FormatError(f"{self.path}: record {idx[j]}: {what}")
+            raise FormatError(f"{self.path}: record {positions[j]}: {what}")
         labels = records["label"].astype(np.int64)
         batch = Batch(values=values, mask=observed.astype(np.float64),
-                      timestamps=timestamps,
-                      labels=labels if (labels >= 0).all() else None,
+                      timestamps=timestamps, labels=labels if labels.min() >= 0 else None,
                       sample_ids=sample_ids)
         return batch, labels
 

@@ -197,9 +197,14 @@ def _value_where_mask_is_zero(rec):
     rec["values"].reshape(-1)[np.flatnonzero(flat == 0)[0]] = 1.0
 
 
+def _sample_id_beyond_int64(rec):
+    rec["sample_id"] = -1  # stored as 2**64 - 1
+
+
 @pytest.mark.parametrize("edit, message", [
     (_repeat_a_timestamp, "record 3: timestamps are not strictly increasing"),
     (_value_where_mask_is_zero, "record 3: mask and NaN sentinel disagree"),
+    (_sample_id_beyond_int64, "record 3: negative sample id"),
 ])
 def test_inconsistent_record_with_valid_crc_is_format_error(capsys, tmp_path, edit, message):
     _, path = write_demo(tmp_path)
