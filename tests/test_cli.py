@@ -73,6 +73,17 @@ def test_gen_data_csv_and_pack_round_trip(capsys, tmp_path):
             assert np.array_equal(a.mask, b.mask)
 
 
+def test_corrupt_rewrites_a_container_of_several_read_chunks_unchanged(capsys, tmp_path):
+    # 300 samples take two read chunks when the CLI loads the container
+    data = gen(capsys, tmp_path, n=300, t=3)
+    out = str(tmp_path / "broken.pots")
+    code, _, err = run(capsys, "corrupt", "--data", data, "--missing-rate", "0.3",
+                       "--out", out, "--seed", "5")
+    assert code == 0, err
+    with open(data, "rb") as fa, open(str(tmp_path / "broken.originals.pots"), "rb") as fb:
+        assert fa.read() == fb.read()
+
+
 def test_corrupt_writes_pair(capsys, tmp_path):
     data = gen(capsys, tmp_path, rate=0.0)
     out = str(tmp_path / "broken.pots")
