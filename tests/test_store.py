@@ -19,7 +19,7 @@ from potsmine import (
 )
 from potsmine.cli import main
 from potsmine.errors import CorruptionError, FormatError, InvalidInputError, StorageError
-from potsmine.store import _HEADER, MAGIC, _record_dtype, _record_size
+from potsmine.store import _HEADER, _record_dtype, _record_size
 
 
 def write_demo(tmp_path, n=5, t=6, d=3, seed=0, name="demo.pots"):
