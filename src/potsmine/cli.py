@@ -112,10 +112,7 @@ def _load_dataset(path: str, flag: str = "--data") -> core.PotsDataset:
     if path.endswith(".csv"):
         return core.ingest_csv(path)
     with store.open_readonly(path) as handle:
-        # in chunks, so the decoded batch never holds the whole file twice
-        n, chunk = handle.n_samples, core._EVAL_CHUNK
-        samples = [s for lo in range(0, n, chunk)
-                   for s in handle.fetch(range(lo, min(lo + chunk, n)))]
+        samples = handle.fetch(list(range(handle.n_samples)))
     return core.PotsDataset(samples)
 
 

@@ -45,8 +45,8 @@ class TimeSeriesSample:
         ts = _frozen_array(self.timestamps)
         values = _frozen_array(self.values)
         mask = _frozen_array(self.mask)
-        if self.sample_id < 0:
-            raise InvalidInputError(f"sample_id must be non-negative, got {self.sample_id}")
+        if not 0 <= self.sample_id < 2**64:
+            raise InvalidInputError(f"sample_id must be in [0, 2**64), got {self.sample_id}")
         if ts.ndim != 1 or values.ndim != 2 or mask.ndim != 2:
             raise InvalidInputError(
                 f"sample {self.sample_id}: expected shapes (T,), (T,D), (T,D); got "
@@ -90,7 +90,7 @@ class Batch:
     labels: np.ndarray | None     # (B,) int64, None if any label absent
     originals: np.ndarray | None = None   # (B, T, D) pre-corruption values
     indicating: np.ndarray | None = None  # (B, T, D) artificially removed cells
-    sample_ids: np.ndarray | None = None  # (B,) int64
+    sample_ids: np.ndarray | None = None  # (B,) uint64
 
 
 def stack_samples(samples: Sequence[TimeSeriesSample]) -> Batch:
@@ -101,7 +101,7 @@ def stack_samples(samples: Sequence[TimeSeriesSample]) -> Batch:
         labels = np.array([s.label for s in samples], dtype=np.int64)
     else:
         labels = None
-    sample_ids = np.array([s.sample_id for s in samples], dtype=np.int64)
+    sample_ids = np.array([s.sample_id for s in samples], dtype=np.uint64)
     return Batch(values=values, mask=mask, timestamps=timestamps, labels=labels,
                  sample_ids=sample_ids)
 
@@ -291,11 +291,17 @@ def inject_mcar(dataset: PotsDataset, rate: float, seed: int) -> CorruptedPairVi
     return CorruptedPairView(dataset, corrupted)
 
 
+def _chunks(n: int, size: int = _EVAL_CHUNK) -> Iterator[slice]:
+    """Slices that cover range(n) in order, each at most size long."""
+    for lo in range(0, n, size):
+        yield slice(lo, min(lo + size, n))
+
+
 def _iter_batches(view, batch_size: int = _EVAL_CHUNK) -> Iterator[Batch]:
     """A view's batches of at most batch_size samples, in index order."""
     n = len(view)
-    for lo in range(0, n, batch_size):
-        yield view.training_batch(range(lo, min(lo + batch_size, n)))
+    for part in _chunks(n, batch_size):
+        yield view.training_batch(range(n)[part])
 
 
 def fetch_all(view, batch_size: int = _EVAL_CHUNK) -> Batch:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Batch, PotsDataset, TimeSeriesSample, _check_indices
+from .core import Batch, PotsDataset, TimeSeriesSample, _check_indices, _chunks
 from .errors import CorruptionError, FormatError, StorageError
 
 MAGIC = b"POTS"
@@ -41,48 +41,44 @@ _CANONICAL_NAN = np.frombuffer(struct.pack("<Q", 0x7FF8000000000000), dtype="<f8
 
 
 def _record_dtype(n_steps: int, n_features: int) -> np.dtype:
-    """One record's layout; a sample id of 2**63 or more reads as negative."""
+    """One record's layout, shared by the writer and the reader."""
     return np.dtype([
-        ("sample_id", "<i8"), ("timestamps", "<f8", (n_steps,)),
+        ("sample_id", "<u8"), ("timestamps", "<f8", (n_steps,)),
         ("values", "<f8", (n_steps, n_features)),
         ("mask", "u1", ((n_steps * n_features + 7) // 8,)),
         ("label", "<i8"), ("crc", "<u4")])
 
 
-def _record_size(n_steps: int, n_features: int) -> int:
-    cells = n_steps * n_features
-    return 8 + 8 * n_steps + 8 * cells + (cells + 7) // 8 + 8 + 4
+def _encode(samples: Sequence[TimeSeriesSample], dtype: np.dtype) -> bytes:
+    """The records of samples, back to back, each with its CRC-32."""
+    b, size = len(samples), dtype.itemsize
+    observed = np.stack([s.mask for s in samples]) != 0
+    records = np.zeros(b, dtype=dtype)
+    records["sample_id"] = np.array([s.sample_id for s in samples], dtype=np.uint64)
+    records["timestamps"] = np.stack([s.timestamps for s in samples])
+    records["values"] = np.where(observed, np.stack([s.values for s in samples]),
+                                 _CANONICAL_NAN)
+    records["mask"] = np.packbits(observed.reshape(b, -1), axis=1, bitorder="little")
+    records["label"] = [-1 if s.label is None else s.label for s in samples]
+    payload = memoryview(records.tobytes())
+    records["crc"] = [zlib.crc32(payload[j * size:(j + 1) * size - 4]) for j in range(b)]
+    return records.tobytes()
 
 
 def write_container(dataset: PotsDataset, path: str) -> None:
     """Serialize a dataset. Writing the same dataset twice is byte-identical."""
-    t, d = dataset.n_steps, dataset.n_features
-    n = len(dataset)
-    rec_size = _record_size(t, d)
+    n, dtype = len(dataset), _record_dtype(dataset.n_steps, dataset.n_features)
     flags = 1 if any(s.label is not None for s in dataset.samples) else 0
-    index_offset = _HEADER.size + n * rec_size
-    header = _HEADER.pack(MAGIC, VERSION, 0, n, t, d, flags, index_offset)
-    offsets = []
+    index_offset = _HEADER.size + n * dtype.itemsize
+    header = _HEADER.pack(MAGIC, VERSION, 0, n, dataset.n_steps, dataset.n_features,
+                          flags, index_offset)
+    offsets = _HEADER.size + dtype.itemsize * np.arange(n, dtype="<u8")
     try:
         with open(path, "wb") as out:
             out.write(header)
-            for i, s in enumerate(dataset.samples):
-                offsets.append(_HEADER.size + i * rec_size)
-                values = s.values.astype("<f8")
-                values[s.mask == 0] = _CANONICAL_NAN
-                bits = np.packbits(
-                    (s.mask.reshape(-1) != 0).astype(np.uint8), bitorder="little")
-                label = s.label if s.label is not None else -1
-                payload = b"".join([
-                    struct.pack("<Q", s.sample_id),
-                    s.timestamps.astype("<f8").tobytes(),
-                    values.tobytes(),
-                    bits.tobytes(),
-                    struct.pack("<q", label),
-                ])
-                out.write(payload)
-                out.write(struct.pack("<I", zlib.crc32(payload)))
-            out.write(struct.pack(f"<{n}Q", *offsets))
+            for part in _chunks(n):
+                out.write(_encode(dataset.samples[part], dtype))
+            out.write(offsets.tobytes())
     except OSError as e:
         raise StorageError(f"{path}: cannot write container ({e})") from e
 
@@ -120,14 +116,16 @@ class ReadHandle:
             self.n_steps = int(t)
             self.n_features = int(d)
             self.has_labels = bool(flags & 1)
-            self.record_size = _record_size(self.n_steps, self.n_features)
+            try:
+                self._dtype = _record_dtype(self.n_steps, self.n_features)
+            except ValueError as e:  # numpy refuses a record of 2**31 bytes or more
+                raise FormatError(f"{path}: records too large ({e})") from None
+            self.record_size = self._dtype.itemsize
             index_raw = os.pread(self._fd, 8 * self.n_samples, index_offset)
             self._offsets = np.frombuffer(index_raw, dtype="<u8")
             lo, hi = int(self._offsets.min()), int(self._offsets.max())
             if lo < _HEADER.size or hi + self.record_size > index_offset:
                 raise FormatError(f"{path}: index points outside the record region")
-            # built only once a record is known to fit in the file
-            self._dtype = _record_dtype(self.n_steps, self.n_features)
         except Exception:
             os.close(self._fd)
             self._fd = -1
@@ -160,13 +158,13 @@ class ReadHandle:
         mask that agrees with the NaN sentinel. A record that fails those
         checks is a FormatError naming its position, whatever its CRC says.
         """
-        return self._read(indices)[0]
+        return self._read(_check_indices(indices, self.n_samples))[0]
 
-    def _read(self, indices: Sequence[int]) -> tuple[Batch, np.ndarray]:
-        """read_batch's Batch, and each record's stored label (-1 when absent)."""
+    def _read(self, idx: np.ndarray) -> tuple[Batch, np.ndarray]:
+        """read_batch's Batch for checked indices, and each record's stored
+        label (-1 when absent)."""
         if self._fd < 0:
             raise StorageError(f"{self.path}: handle is closed")
-        idx = _check_indices(indices, self.n_samples)
         size, positions = self.record_size, idx.tolist()
         offsets = self._offsets[idx].tolist()
         chunks, start = [], 0  # one pread per run of records back to back in the file
@@ -189,16 +187,14 @@ class ReadHandle:
                 raise CorruptionError(f"{self.path}: record {position}: checksum mismatch")
         records = np.frombuffer(raw, dtype=self._dtype)
         b, t, d = len(positions), self.n_steps, self.n_features
-        sample_ids = records["sample_id"].astype(np.int64)
         timestamps = records["timestamps"].astype(np.float64)
         values = records["values"].astype(np.float64)
         observed = np.unpackbits(
             records["mask"], axis=1, count=t * d, bitorder="little").reshape(b, t, d)
         increasing = timestamps[:, 1:] > timestamps[:, :-1]
         agrees = np.isfinite(values) == observed.view(bool)  # unpackbits gives 0 or 1
-        if sample_ids.min() < 0 or not increasing.all() or not agrees.all():
+        if not increasing.all() or not agrees.all():
             faults = {
-                "negative sample id": sample_ids < 0,
                 "timestamps are not strictly increasing": ~increasing.all(axis=1),
                 "mask and NaN sentinel disagree": ~agrees.all(axis=(1, 2)),
             }
@@ -208,15 +204,19 @@ class ReadHandle:
         labels = records["label"].astype(np.int64)
         batch = Batch(values=values, mask=observed.astype(np.float64),
                       timestamps=timestamps, labels=labels if labels.min() >= 0 else None,
-                      sample_ids=sample_ids)
+                      sample_ids=records["sample_id"].astype(np.uint64))
         return batch, labels
 
     def fetch(self, indices: Sequence[int]) -> list[TimeSeriesSample]:
-        batch, labels = self._read(indices)
-        return [TimeSeriesSample(
-            sample_id=sid, timestamps=batch.timestamps[j], values=batch.values[j],
-            mask=batch.mask[j], label=None if label < 0 else label)
-            for j, (sid, label) in enumerate(zip(batch.sample_ids.tolist(), labels.tolist()))]
+        idx, out = _check_indices(indices, self.n_samples), []
+        for part in _chunks(len(idx)):  # bounds the decoded working set of a big fetch
+            batch, labels = self._read(idx[part])
+            out += [TimeSeriesSample(
+                sample_id=sid, timestamps=batch.timestamps[j], values=batch.values[j],
+                mask=batch.mask[j], label=None if label < 0 else label)
+                for j, (sid, label) in enumerate(zip(batch.sample_ids.tolist(),
+                                                     labels.tolist()))]
+        return out
 
 
 def open_readonly(path: str) -> ReadHandle:

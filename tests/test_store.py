@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import struct
 import zlib
 
 import numpy as np
@@ -19,7 +20,7 @@ from potsmine import (
 )
 from potsmine.cli import main
 from potsmine.errors import CorruptionError, FormatError, InvalidInputError, StorageError
-from potsmine.store import _HEADER, _record_dtype, _record_size
+from potsmine.store import _HEADER, _record_dtype
 
 
 def write_demo(tmp_path, n=5, t=6, d=3, seed=0, name="demo.pots"):
@@ -45,6 +46,38 @@ def test_write_is_byte_deterministic(tmp_path):
     write_container(ds, path_b)
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def test_record_bytes_follow_the_documented_layout(tmp_path):
+    values = np.array([[1.5, np.nan], [-np.nan, -np.nan], [-2.0, 0.25]])
+    path = str(tmp_path / "one.pots")
+    write_container(PotsDataset([TimeSeriesSample(
+        sample_id=2**63 + 5, timestamps=[0.0, 1.0, 3.0], values=values,
+        mask=np.isfinite(values))]), path)
+    raw = open(path, "rb").read()
+    rec = raw[_HEADER.size:_HEADER.size + 8 + 3 * 8 + 6 * 8 + 1 + 8 + 4]
+    assert _HEADER.unpack_from(raw) == (b"POTS", 1, 0, 1, 3, 2, 0, _HEADER.size + len(rec))
+    sample_id, *floats, bits, label, crc = struct.unpack("<Q3d6dBqI", rec)
+    assert (sample_id, floats[:3], bits, label, crc) == (
+        2**63 + 5, [0.0, 1.0, 3.0], 0b110001, -1, zlib.crc32(rec[:-4]))
+    assert np.array_equal(floats[3:], values.reshape(-1), equal_nan=True)
+    # every missing cell holds the canonical quiet NaN, whatever NaN it had
+    assert rec[40:64] == struct.pack("<Q", 0x7FF8000000000000) * 3
+    assert raw[_HEADER.size + len(rec):] == struct.pack("<Q", _HEADER.size)
+
+
+def test_sample_ids_keep_the_full_u64_range(tmp_path):
+    ids = [2**63, 2**64 - 1, 7]
+    ds = PotsDataset([dataclasses.replace(s, sample_id=i) for s, i in zip(
+        generate_synthetic(3, 4, 2, 2, missing_rate=0.2, seed=3).samples, ids)])
+    assert ds.training_batch([1, 0, 2]).sample_ids.tolist() == [2**64 - 1, 2**63, 7]
+    path = str(tmp_path / "ids.pots")
+    write_container(ds, path)
+    with open_readonly(path) as h:
+        assert h.read_batch([1, 0, 2]).sample_ids.tolist() == [2**64 - 1, 2**63, 7]
+        assert [s.sample_id for s in h.fetch([0, 1])] == ids[:2]
+    with pytest.raises(InvalidInputError, match="sample_id"):
+        dataclasses.replace(ds.samples[0], sample_id=2**64)
 
 
 def test_write_unwritable_path_raises_storage_error(tmp_path):
@@ -94,9 +127,15 @@ def test_open_rejects_degenerate_dimensions(tmp_path):
         open_readonly(path)
 
 
-def test_record_dtype_matches_record_size():
-    for t, d in [(1, 1), (6, 3), (48, 8), (5, 7)]:
-        assert _record_dtype(t, d).itemsize == _record_size(t, d)
+def test_open_rejects_records_too_large_to_decode(tmp_path):
+    _, path = write_demo(tmp_path)
+    raw = bytearray(open(path, "rb").read())
+    fields = list(_HEADER.unpack_from(raw))
+    fields[4] = 2**40  # n_steps
+    raw[:_HEADER.size] = _HEADER.pack(*fields)
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(FormatError, match="records too large"):
+        open_readonly(path)
 
 
 def test_open_missing_file_raises_storage_error(tmp_path):
@@ -151,7 +190,7 @@ def test_unlabeled_round_trip(tmp_path):
 
 def test_flipped_payload_byte_detected(tmp_path):
     _, path = write_demo(tmp_path)
-    rec = _record_size(6, 3)
+    rec = _record_dtype(6, 3).itemsize
     # flip one byte inside record 3's values region
     target = _HEADER.size + 3 * rec + 8 + 8 * 6 + 5
     raw = bytearray(open(path, "rb").read())
@@ -165,7 +204,7 @@ def test_flipped_payload_byte_detected(tmp_path):
 
 def test_file_truncated_under_open_handle_detected(tmp_path):
     _, path = write_demo(tmp_path)
-    rec = _record_size(6, 3)
+    rec = _record_dtype(6, 3).itemsize
     with open_readonly(path) as h:
         with open(path, "rb+") as f:
             f.truncate(_HEADER.size + 2 * rec + 10)
@@ -197,14 +236,9 @@ def _value_where_mask_is_zero(rec):
     rec["values"].reshape(-1)[np.flatnonzero(flat == 0)[0]] = 1.0
 
 
-def _sample_id_beyond_int64(rec):
-    rec["sample_id"] = -1  # stored as 2**64 - 1
-
-
 @pytest.mark.parametrize("edit, message", [
     (_repeat_a_timestamp, "record 3: timestamps are not strictly increasing"),
     (_value_where_mask_is_zero, "record 3: mask and NaN sentinel disagree"),
-    (_sample_id_beyond_int64, "record 3: negative sample id"),
 ])
 def test_inconsistent_record_with_valid_crc_is_format_error(capsys, tmp_path, edit, message):
     _, path = write_demo(tmp_path)
@@ -314,7 +348,7 @@ def test_lazy_view_equals_in_memory(tmp_path):
 def test_payload_reads_scale_with_batch_not_file(tmp_path):
     small, small_path = write_demo(tmp_path, n=10, name="small.pots")
     big, big_path = write_demo(tmp_path, n=200, name="big.pots")
-    rec = _record_size(6, 3)
+    rec = _record_dtype(6, 3).itemsize
     with open_readonly(small_path) as hs, open_readonly(big_path) as hb:
         fetch_batch(hs, [1, 2, 3])
         fetch_batch(hb, [1, 2, 3])
