@@ -20,8 +20,8 @@ import sys
 
 FLOORS = {
     "potsmine.__init__": 100,
-    "potsmine.cli": 93,
-    "potsmine.core": 93,
+    "potsmine.cli": 94,
+    "potsmine.core": 97,
     "potsmine.errors": 100,
     "potsmine.metrics": 96,
     "potsmine.models.__init__": 100,

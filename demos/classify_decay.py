@@ -6,8 +6,6 @@ Usage: python3 demos/classify_decay.py [--seed 7] [--epochs 8]
 
 import argparse
 
-import numpy as np
-
 from potsmine import (
     GrudLiteModel,
     TrainConfig,
@@ -39,7 +37,7 @@ def main() -> None:
     print(f"elected epoch {ckpt.epoch} with validation accuracy {ckpt.metric:.3f}")
 
     probs = classify(model, test)
-    labels = np.array([s.label for s in test.samples])
+    labels = test.labels_array()
     report = binary_classification_metrics(probs[:, 1], labels)
     print(report.to_text())
 

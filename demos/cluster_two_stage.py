@@ -36,7 +36,7 @@ def main() -> None:
     fit(model, ds, ds, TrainConfig(seed=args.seed))
 
     labels = cluster(model, ds)
-    truth = np.array([s.label for s in ds.samples])
+    truth = ds.labels_array()
     sizes = np.bincount(labels, minlength=args.k)
     print(f"cluster sizes: {sizes.tolist()}")
     print(f"rand index vs true classes: {rand_index(labels, truth):.3f}")

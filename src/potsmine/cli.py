@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -112,8 +113,7 @@ def _load_dataset(path: str, flag: str = "--data") -> core.PotsDataset:
     if path.endswith(".csv"):
         return core.ingest_csv(path)
     with store.open_readonly(path) as handle:
-        samples = handle.fetch(list(range(handle.n_samples)))
-    return core.PotsDataset(samples)
+        return core.PotsDataset(handle._read_block(np.arange(handle.n_samples)))
 
 
 def _write_dataset(dataset: core.PotsDataset, path: str) -> None:
@@ -161,8 +161,7 @@ def _cmd_corrupt(args) -> int:
     originals_path = os.path.splitext(out)[0] + ".originals.pots"
     store.write_container(view.corrupted, out)
     store.write_container(dataset, originals_path)
-    removed = int(sum(o.mask.sum() - c.mask.sum()
-                      for o, c in zip(dataset.samples, view.corrupted.samples)))
+    removed = int(dataset._block.mask.sum() - view.corrupted._block.mask.sum())
     _emit(f"wrote corrupted data to {out} ({removed} cells removed)")
     _emit(f"wrote pre-corruption data to {originals_path}")
     return 0
@@ -340,14 +339,12 @@ def _cmd_predict(args) -> int:
     out = _require(cfg, "out", "--out")
     model = load_model(_require_file(model_path, "--model"))
     dataset = _load_dataset(data)
-    ids = [s.sample_id for s in dataset.samples]
+    block = dataset._block
+    ids = block.sample_ids.tolist()
 
     if task == "impute":
-        filled = impute(model, dataset)
-        completed = [core.TimeSeriesSample(
-            sample_id=s.sample_id, timestamps=s.timestamps, values=filled[i],
-            mask=np.ones_like(s.mask), label=s.label)
-            for i, s in enumerate(dataset.samples)]
+        completed = dataclasses.replace(block, values=impute(model, dataset),
+                                        mask=np.ones_like(block.mask))
         _write_dataset(core.PotsDataset(completed, n_classes=dataset.n_classes), out)
     elif task == "classify":
         probs = classify(model, dataset)

@@ -2,14 +2,16 @@
 
 A sample is a (T, D) value matrix with a binary observation mask; missing
 cells hold NaN in the value matrix and 0 in the mask, and the mask is the
-authority. Datasets are homogeneous in T and D. All arrays are float64 and
-frozen after construction so samples can be shared freely across views,
-threads and backends.
+authority. Datasets are homogeneous in T and D. An in-memory dataset is one
+read-only block of arrays; _first_fault checks such a block once, and also
+checks single samples, container reads and CSV ingestion.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
@@ -20,19 +22,70 @@ from .errors import FormatError, InvalidInputError
 # samples per batch when a whole view is streamed for evaluation or stats
 _EVAL_CHUNK = 256
 
+_NOT_INCREASING = "timestamps are not strictly increasing"
 
-def _frozen_array(data, dtype=np.float64) -> np.ndarray:
-    arr = np.array(data, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+
+@dataclass
+class Batch:
+    """Stacked arrays for a block of samples, as consumed by models."""
+
+    values: np.ndarray            # (B, T, D), NaN at missing cells
+    mask: np.ndarray              # (B, T, D), 0/1
+    timestamps: np.ndarray        # (B, T)
+    labels: np.ndarray | None     # (B,) int64, None if any label absent
+                                  # (a dataset's own block keeps -1 there)
+    originals: np.ndarray | None = None   # (B, T, D) pre-corruption values
+    indicating: np.ndarray | None = None  # (B, T, D) artificially removed cells
+    sample_ids: np.ndarray | None = None  # (B,) uint64
+
+
+# the fields of a dataset's block
+_BLOCK = ("values", "mask", "timestamps", "labels", "sample_ids")
+
+
+def _first_fault(block: Batch) -> tuple[int, str] | None:
+    """The first row of a block that breaks a sample invariant, and which one.
+
+    Each row needs strictly increasing timestamps, a mask of 0s and 1s that
+    is 1 exactly where its value is finite, a sample id in [0, 2**64) and a
+    label that is -1 (absent) or non-negative. None when every row holds.
+    """
+    ts, mask, ids = block.timestamps, block.mask, block.sample_ids
+    holds = {
+        _NOT_INCREASING: ts[:, 1:] > ts[:, :-1],
+        "mask entries must be 0 or 1": (mask == 0) | (mask == 1),
+        "mask and NaN sentinel disagree": np.isfinite(block.values) == (mask == 1),
+        "sample_id must be in [0, 2**64)": ((ids >= 0) & (ids < 2**64)
+                                            if isinstance(ids, np.ndarray) else
+                                            np.array([0 <= i < 2**64 for i in ids])),
+        "label must be non-negative": block.labels >= -1,
+    }
+    if all(ok.all() for ok in holds.values()):
+        return None
+    broken = [~ok.all(axis=tuple(range(1, ok.ndim))) for ok in holds.values()]
+    row = int(np.logical_or.reduce(broken).argmax())
+    return row, next(what for what, rows in zip(holds, broken) if rows[row])
+
+
+def _label_code(label) -> int:
+    """A label as a block stores it: -1 when absent. An explicit negative
+    label stays below -1, where _first_fault refuses it."""
+    return -1 if label is None else label if label >= 0 else min(label, -2)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
 class TimeSeriesSample:
     """One series: timestamps (T,), values (T, D), mask (T, D), optional label.
 
-    Invariants enforced at construction: timestamps strictly increasing,
-    mask entries in {0, 1}, and mask == 1 exactly where values are finite.
+    Checked at construction as a block of one. Its arrays are read-only:
+    a writable input is copied, a read-only one (such as a row of a
+    dataset's block) is kept.
     """
 
     sample_id: int
@@ -42,68 +95,57 @@ class TimeSeriesSample:
     label: int | None = None
 
     def __post_init__(self):
-        ts = _frozen_array(self.timestamps)
-        values = _frozen_array(self.values)
-        mask = _frozen_array(self.mask)
-        if not 0 <= self.sample_id < 2**64:
-            raise InvalidInputError(f"sample_id must be in [0, 2**64), got {self.sample_id}")
-        if ts.ndim != 1 or values.ndim != 2 or mask.ndim != 2:
+        for name in ("timestamps", "values", "mask"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, _read_only(arr.copy()) if arr.flags.writeable
+                               else arr)
+        ts, values, mask = self.timestamps, self.values, self.mask
+        if (ts.ndim != 1 or values.ndim != 2 or values.size == 0
+                or mask.shape != values.shape or ts.shape != values.shape[:1]):
             raise InvalidInputError(
-                f"sample {self.sample_id}: expected shapes (T,), (T,D), (T,D); got "
-                f"{ts.shape}, {values.shape}, {mask.shape}")
-        if values.shape != mask.shape or values.shape[0] != ts.shape[0]:
-            raise InvalidInputError(
-                f"sample {self.sample_id}: inconsistent shapes {ts.shape}, "
-                f"{values.shape}, {mask.shape}")
-        if ts.shape[0] == 0 or values.shape[1] == 0:
-            raise InvalidInputError(f"sample {self.sample_id}: empty time or feature axis")
-        if ts.shape[0] > 1 and not np.all(np.diff(ts) > 0):
-            raise InvalidInputError(
-                f"sample {self.sample_id}: timestamps must be strictly increasing")
-        if not np.all((mask == 0) | (mask == 1)):
-            raise InvalidInputError(f"sample {self.sample_id}: mask entries must be 0 or 1")
-        if not np.array_equal(np.isfinite(values), mask == 1):
-            raise InvalidInputError(
-                f"sample {self.sample_id}: mask and NaN sentinel disagree")
-        if self.label is not None and self.label < 0:
-            raise InvalidInputError(f"sample {self.sample_id}: label must be non-negative")
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
+                f"sample {self.sample_id}: expected nonempty (T,) timestamps and (T, D) "
+                f"values and mask; got {ts.shape}, {values.shape}, {mask.shape}")
+        fault = _first_fault(Batch(values=values[None], mask=mask[None], timestamps=ts[None],
+                                   labels=np.array([_label_code(self.label)]),
+                                   sample_ids=[self.sample_id]))
+        if fault is not None:
+            raise InvalidInputError(f"sample {self.sample_id}: {fault[1]}")
 
 
-@dataclass
-class Batch:
-    """Stacked arrays for a list of samples, as consumed by models."""
+def _rows(block: Batch, idx) -> Batch:
+    """Rows idx (a slice or an index array) of a block, labels as stored."""
+    return Batch(**{name: getattr(block, name)[idx] for name in _BLOCK})
 
-    values: np.ndarray            # (B, T, D), NaN at missing cells
-    mask: np.ndarray              # (B, T, D), 0/1
-    timestamps: np.ndarray        # (B, T)
-    labels: np.ndarray | None     # (B,) int64, None if any label absent
-    originals: np.ndarray | None = None   # (B, T, D) pre-corruption values
-    indicating: np.ndarray | None = None  # (B, T, D) artificially removed cells
-    sample_ids: np.ndarray | None = None  # (B,) uint64
+
+def _for_models(batch: Batch) -> Batch:
+    """batch with labels as models take them: None unless every one is present."""
+    if batch.labels.min() < 0:
+        batch.labels = None
+    return batch
 
 
 def stack_samples(samples: Sequence[TimeSeriesSample]) -> Batch:
-    values = np.stack([s.values for s in samples])
-    mask = np.stack([s.mask for s in samples])
-    timestamps = np.stack([s.timestamps for s in samples])
-    if all(s.label is not None for s in samples):
-        labels = np.array([s.label for s in samples], dtype=np.int64)
-    else:
-        labels = None
-    sample_ids = np.array([s.sample_id for s in samples], dtype=np.uint64)
-    return Batch(values=values, mask=mask, timestamps=timestamps, labels=labels,
-                 sample_ids=sample_ids)
+    return _for_models(Batch(
+        values=np.stack([s.values for s in samples]), mask=np.stack([s.mask for s in samples]),
+        timestamps=np.stack([s.timestamps for s in samples]),
+        labels=np.array([_label_code(s.label) for s in samples], dtype=np.int64),
+        sample_ids=np.array([s.sample_id for s in samples], dtype=np.uint64)))
+
+
+class _Rows(list):
+    """A block's rows as samples, the list a dataset hands out. A dataset
+    built from this list, while unchanged, shares the block."""
+
+    def __init__(self, block: Batch):
+        super().__init__(TimeSeriesSample(
+            sample_id=sid, timestamps=block.timestamps[j], values=block.values[j],
+            mask=block.mask[j], label=None if label < 0 else label)
+            for j, (sid, label) in enumerate(zip(block.sample_ids.tolist(),
+                                                 block.labels.tolist())))
+        self.block, self._built = block, tuple(self)
+
+    def unchanged(self) -> bool:
+        return len(self) == len(self._built) and all(map(operator.is_, self, self._built))
 
 
 def _check_indices(indices: Sequence[int], n: int) -> np.ndarray:
@@ -126,56 +168,89 @@ def _check_indices(indices: Sequence[int], n: int) -> np.ndarray:
 
 
 class PotsDataset:
-    """An in-memory collection of samples sharing one (T, D) shape."""
+    """An in-memory dataset: one checked, read-only block of arrays.
 
-    def __init__(self, samples: Sequence[TimeSeriesSample], n_classes: int | None = None):
-        samples = list(samples)
-        if not samples:
-            raise InvalidInputError("dataset must contain at least one sample")
-        t, d = samples[0].n_steps, samples[0].n_features
-        for s in samples:
-            if s.n_steps != t or s.n_features != d:
-                raise InvalidInputError(
-                    f"sample {s.sample_id}: shape ({s.n_steps}, {s.n_features}) "
-                    f"differs from dataset shape ({t}, {d})")
-        if n_classes is None and all(s.label is not None for s in samples):
-            n_classes = max(s.label for s in samples) + 1
+    Built from a Batch, whose arrays it keeps as read-only views, without a
+    copy: (N, T, D) values and mask, (N, T) timestamps, (N,) sample ids
+    (0..N-1 when None) and (N,) labels (-1 where absent; None for none). Or
+    built from TimeSeriesSample objects, which are stacked, unless they are
+    another dataset's unchanged .samples, whose block is then shared. Every
+    row is checked (see _first_fault); n_classes defaults to max label + 1
+    when every sample is labeled.
+    """
+
+    def __init__(self, data: Batch | Sequence[TimeSeriesSample],
+                 n_classes: int | None = None):
+        self._samples = None
+        if isinstance(data, _Rows) and data.unchanged():
+            self._samples, data = list(data), data.block
+        elif not isinstance(data, Batch):
+            self._samples = list(data)
+            try:
+                data = stack_samples(self._samples)
+            except ValueError as e:  # no samples, or samples of unequal shapes
+                raise InvalidInputError(f"cannot stack the samples ({e})") from None
+            data.labels = [_label_code(s.label) for s in self._samples]
+        values, mask, ts = (np.asarray(a, dtype=np.float64)
+                            for a in (data.values, data.mask, data.timestamps))
+        n = len(values) if values.ndim else 0
+        ids = np.arange(n, dtype=np.uint64) if data.sample_ids is None else data.sample_ids
+        labels = np.asarray(-1 if data.labels is None else data.labels, dtype=np.int64)
+        labels = np.full(n, labels) if labels.ndim == 0 else labels
+        if (values.ndim != 3 or values.size == 0 or mask.shape != values.shape
+                or ts.shape != values.shape[:2] or np.shape(ids) != (n,)
+                or labels.shape != (n,)):
+            raise InvalidInputError(
+                "expected nonempty (N, T, D) values and mask, (N, T) timestamps and (N,) "
+                f"ids and labels; got {values.shape}, {mask.shape}, {ts.shape}, "
+                f"{np.shape(ids)}, {labels.shape}")
+        block = Batch(values=values, mask=mask, timestamps=ts, labels=labels, sample_ids=ids)
+        fault = _first_fault(block)
+        if fault is not None:
+            raise InvalidInputError(f"sample {ids[fault[0]]}: {fault[1]}")
+        block.sample_ids = np.asarray(ids, dtype=np.uint64)
+        self._block = Batch(**{name: _read_only(getattr(block, name)) for name in _BLOCK})
+        if n_classes is None and labels.min() >= 0:
+            n_classes = int(labels.max()) + 1
         if n_classes is not None:
             if n_classes < 1:
                 raise InvalidInputError(f"n_classes must be positive, got {n_classes}")
-            for s in samples:
-                if s.label is None:
-                    raise InvalidInputError(
-                        f"sample {s.sample_id}: label required when n_classes is set")
-                if s.label >= n_classes:
-                    raise InvalidInputError(
-                        f"sample {s.sample_id}: label {s.label} outside [0, {n_classes})")
-        self.samples = samples
+            bad = (labels < 0) | (labels >= n_classes)
+            if bad.any():
+                raise InvalidInputError(f"sample {block.sample_ids[bad.argmax()]}: "
+                                        f"needs a label in [0, {n_classes})")
         self.n_classes = n_classes
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._block.values)
 
     @property
     def n_steps(self) -> int:
-        return self.samples[0].n_steps
+        return self._block.values.shape[1]
 
     @property
     def n_features(self) -> int:
-        return self.samples[0].n_features
+        return self._block.values.shape[2]
 
     @property
     def has_labels(self) -> bool:
-        return all(s.label is not None for s in self.samples)
+        """Whether every sample has a label."""
+        return bool(self._block.labels.min() >= 0)
+
+    @property
+    def samples(self) -> list[TimeSeriesSample]:
+        """The rows as TimeSeriesSample objects, built at most once."""
+        if self._samples is None:
+            self._samples = _Rows(self._block)
+        return self._samples
 
     def training_batch(self, indices: Sequence[int]) -> Batch:
-        idx = _check_indices(indices, len(self.samples))
-        return stack_samples([self.samples[i] for i in idx.tolist()])
+        return _for_models(_rows(self._block, _check_indices(indices, len(self))))
 
     def labels_array(self) -> np.ndarray:
         if not self.has_labels:
             raise InvalidInputError("dataset has samples without labels")
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        return self._block.labels.copy()
 
 
 @dataclass
@@ -273,21 +348,23 @@ def inject_mcar(dataset: PotsDataset, rate: float, seed: int) -> CorruptedPairVi
     if not 0.0 <= rate <= 1.0:
         raise InvalidInputError(f"inject_mcar: rate must be in [0, 1], got {rate}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    corrupted_samples = []
-    for s in dataset.samples:
-        obs_rows, obs_cols = np.nonzero(s.mask)
-        k = _mcar_cell_count(rate, obs_rows.size)
-        values = s.values.copy()
-        mask = s.mask.copy()
+    block, n = dataset._block, len(dataset)
+    observed = block.mask.reshape(n, -1) != 0
+    counts = observed.sum(axis=1).tolist()
+    cells = np.flatnonzero(observed)  # row by row, in each row's np.nonzero order
+    starts = np.cumsum([0] + counts).tolist()
+    hidden = []
+    for start, count in zip(starts, counts):
+        k = _mcar_cell_count(rate, count)
         if k > 0:
-            pick = rng.choice(obs_rows.size, size=k, replace=False)
-            rr, cc = obs_rows[pick], obs_cols[pick]
-            values[rr, cc] = np.nan
-            mask[rr, cc] = 0.0
-        corrupted_samples.append(TimeSeriesSample(
-            sample_id=s.sample_id, timestamps=s.timestamps,
-            values=values, mask=mask, label=s.label))
-    corrupted = PotsDataset(corrupted_samples, n_classes=dataset.n_classes)
+            hidden.append(cells[start + rng.choice(count, size=k, replace=False)])
+    values, mask = block.values.copy(), block.mask.copy()
+    if hidden:
+        flat = np.concatenate(hidden)
+        values.reshape(-1)[flat] = np.nan
+        mask.reshape(-1)[flat] = 0.0
+    corrupted = PotsDataset(dataclasses.replace(block, values=values, mask=mask),
+                            n_classes=dataset.n_classes)
     return CorruptedPairView(dataset, corrupted)
 
 
@@ -335,13 +412,9 @@ def fit_norm_stats(view, batch_size: int = _EVAL_CHUNK) -> NormStats:
 
 def apply_norm(dataset: PotsDataset, stats: NormStats) -> PotsDataset:
     """Return a dataset with observed values standardized per feature."""
-    samples = []
-    for s in dataset.samples:
-        values = (s.values - stats.mean) / stats.std
-        samples.append(TimeSeriesSample(
-            sample_id=s.sample_id, timestamps=s.timestamps,
-            values=values, mask=s.mask, label=s.label))
-    return PotsDataset(samples, n_classes=dataset.n_classes)
+    block = dataset._block
+    values = (block.values - stats.mean) / stats.std
+    return PotsDataset(dataclasses.replace(block, values=values), n_classes=dataset.n_classes)
 
 
 def invert_norm(values: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -368,23 +441,21 @@ def generate_synthetic(n_samples: int, n_steps: int, n_features: int,
     t_grid = np.arange(n_steps, dtype=np.float64)
     t_norm = t_grid / n_steps
     d_grid = np.arange(n_features, dtype=np.float64)
-    samples = []
-    for i in range(n_samples):
-        c = int(labels[i])
+    values = np.empty((n_samples, n_steps, n_features))
+    mask = np.ones((n_samples, n_steps, n_features))
+    k = _mcar_cell_count(missing_rate, n_steps * n_features)
+    for i, c in enumerate(labels.tolist()):
         freq = 1.0 + 0.35 * d_grid + 0.55 * c
         phase = 2.0 * np.pi * d_grid / n_features + 0.9 * c + rng.normal(0.0, 0.25)
         clean = np.sin(2.0 * np.pi * freq * t_norm[:, None] + phase)
-        values = clean + rng.normal(0.0, 0.08, size=(n_steps, n_features))
-        mask = np.ones((n_steps, n_features))
-        k = _mcar_cell_count(missing_rate, n_steps * n_features)
+        values[i] = clean + rng.normal(0.0, 0.08, size=(n_steps, n_features))
         if k > 0:
             flat = rng.choice(n_steps * n_features, size=k, replace=False)
-            rr, cc = np.unravel_index(flat, (n_steps, n_features))
-            values[rr, cc] = np.nan
-            mask[rr, cc] = 0.0
-        samples.append(TimeSeriesSample(
-            sample_id=i, timestamps=t_grid, values=values, mask=mask, label=c))
-    return PotsDataset(samples, n_classes=n_classes)
+            values[i].reshape(-1)[flat] = np.nan
+            mask[i].reshape(-1)[flat] = 0.0
+    return PotsDataset(Batch(values=values, mask=mask,
+                             timestamps=np.tile(t_grid, (n_samples, 1)), labels=labels),
+                       n_classes=n_classes)
 
 
 @dataclass(frozen=True)
@@ -411,11 +482,9 @@ def ingest_csv(path: str, schema: ColumnSchema | None = None) -> PotsDataset:
         raise FormatError(f"{path}: cannot open ({e})") from e
     with handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in next(reader, [])]
+        if not header:
+            raise FormatError(f"{path}: empty file")
         for required in (schema.sample_id, schema.step):
             if required not in header:
                 raise FormatError(f"{path}: missing required column {required!r}")
@@ -426,8 +495,7 @@ def ingest_csv(path: str, schema: ColumnSchema | None = None) -> PotsDataset:
                         if i not in (id_col, step_col, label_col)]
         if not feature_cols:
             raise FormatError(f"{path}: no feature columns found")
-        rows_by_sample: dict[int, list] = {}
-        labels_by_sample: dict[int, int | None] = {}
+        samples: dict[int, tuple[int | None, list]] = {}  # id -> (label, (step, values) rows)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -435,73 +503,58 @@ def ingest_csv(path: str, schema: ColumnSchema | None = None) -> PotsDataset:
                 raise FormatError(
                     f"{path}: row {line_no}: expected {len(header)} columns, got {len(row)}")
             try:
-                sid = int(row[id_col])
-                step = float(row[step_col])
-                feats = [float(row[i]) if row[i].strip() != "" else np.nan
-                         for i in feature_cols]
+                sid, step = int(row[id_col]), float(row[step_col])
+                feats = [float(row[i]) if row[i].strip() else np.nan for i in feature_cols]
+                label = (int(row[label_col])
+                         if label_col is not None and row[label_col].strip() else None)
             except ValueError as e:
                 raise FormatError(f"{path}: row {line_no}: {e}") from None
-            label = None
-            if label_col is not None and row[label_col].strip() != "":
-                try:
-                    label = int(row[label_col])
-                except ValueError as e:
-                    raise FormatError(f"{path}: row {line_no}: {e}") from None
-            if sid in labels_by_sample and labels_by_sample[sid] != label:
+            if samples.setdefault(sid, (label, []))[0] != label:
                 raise FormatError(
                     f"{path}: sample {sid}: label is not constant within the sample")
-            labels_by_sample[sid] = label
-            rows_by_sample.setdefault(sid, []).append((step, feats))
-        if not rows_by_sample:
-            raise FormatError(f"{path}: no data rows")
-        samples = []
-        expected_steps = None
-        for sid, rows in rows_by_sample.items():
-            rows.sort(key=lambda r: r[0])
-            steps = np.array([r[0] for r in rows])
-            if steps.size > 1 and not np.all(np.diff(steps) > 0):
-                raise FormatError(
-                    f"{path}: sample {sid}: steps must be strictly increasing")
-            if expected_steps is None:
-                expected_steps = steps.size
-            elif steps.size != expected_steps:
-                raise FormatError(
-                    f"{path}: sample {sid}: has {steps.size} steps, expected {expected_steps}")
-            values = np.array([r[1] for r in rows], dtype=np.float64)
-            mask = np.isfinite(values).astype(np.float64)
-            try:
-                samples.append(TimeSeriesSample(
-                    sample_id=sid, timestamps=steps, values=values, mask=mask,
-                    label=labels_by_sample[sid]))
-            except InvalidInputError as e:
-                raise FormatError(f"{path}: sample {sid}: {e}") from None
-        n_classes = None
-        if all(s.label is not None for s in samples):
-            n_classes = int(max(s.label for s in samples)) + 1
-        return PotsDataset(samples, n_classes=n_classes)
+            samples[sid][1].append((step, feats))
+    if not samples:
+        raise FormatError(f"{path}: no data rows")
+    n_steps = len(next(iter(samples.values()))[1])
+    for sid, (_, rows) in samples.items():
+        if len(rows) != n_steps:
+            raise FormatError(
+                f"{path}: sample {sid}: has {len(rows)} steps, expected {n_steps}")
+        rows.sort(key=lambda r: r[0])
+    ids = list(samples)
+    values = np.array([[r[1] for r in rows] for _, rows in samples.values()], dtype=np.float64)
+    block = Batch(values=values, mask=np.isfinite(values).astype(np.float64),
+                  timestamps=np.array([[r[0] for r in rows] for _, rows in samples.values()]),
+                  labels=np.array([_label_code(label) for label, _ in samples.values()]),
+                  sample_ids=ids)
+    fault = _first_fault(block)
+    if fault is not None:
+        row, what = fault
+        what = "steps must be strictly increasing" if what == _NOT_INCREASING else what
+        raise FormatError(f"{path}: sample {ids[row]}: {what}")
+    return PotsDataset(block)
 
 
 def export_csv(dataset: PotsDataset, path: str) -> None:
     """Write a dataset in the long CSV layout read by ingest_csv.
 
     Floats are written with repr so a round trip reproduces every bit;
-    missing cells become empty fields.
+    missing cells become empty fields. The label column is written when any
+    sample has a label, with an empty field where one is absent.
     """
-    with_labels = dataset.has_labels
+    block = dataset._block
+    with_labels = bool((block.labels >= 0).any())
     header = ["sample_id", "step"] + [f"f{d}" for d in range(dataset.n_features)]
-    if with_labels:
-        header.append("label")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
-        for s in dataset.samples:
-            for t in range(s.n_steps):
-                row = [str(s.sample_id), repr(float(s.timestamps[t]))]
-                for d in range(s.n_features):
-                    row.append(repr(float(s.values[t, d])) if s.mask[t, d] != 0 else "")
-                if with_labels:
-                    row.append(str(s.label))
-                writer.writerow(row)
+        writer.writerow(header + ["label"] * with_labels)
+        for j, (sid, label) in enumerate(zip(block.sample_ids.tolist(),
+                                             block.labels.tolist())):
+            tail = [str(label) if label >= 0 else ""] * with_labels
+            for t, values, mask in zip(block.timestamps[j].tolist(), block.values[j].tolist(),
+                                       block.mask[j].tolist()):
+                cells = [repr(v) if m else "" for v, m in zip(values, mask)]
+                writer.writerow([sid, repr(t)] + cells + tail)
 
 
 def split(dataset: PotsDataset, fractions: Sequence[float], seed: int):
@@ -527,8 +580,7 @@ def split(dataset: PotsDataset, fractions: Sequence[float], seed: int):
             f"split: dataset of {n} samples leaves an empty split for {fractions}")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
-    pick = lambda idx: PotsDataset([dataset.samples[i] for i in idx],
-                                   n_classes=dataset.n_classes)
+    pick = lambda idx: PotsDataset(_rows(dataset._block, idx), n_classes=dataset.n_classes)
     return (pick(perm[:n_train]),
             pick(perm[n_train:n_train + n_val]),
             pick(perm[n_train + n_val:]))

@@ -4,7 +4,7 @@ File layout (all little-endian):
 
     header   magic b"POTS" | u16 version=1 | u8 endianness=0 |
              u64 n_samples | u64 n_steps | u64 n_features |
-             u64 flags (bit0: labels present) | u64 index_offset
+             u64 flags (bit0: every sample has a label) | u64 index_offset
     records  one fixed-size record per sample:
              u64 sample_id | T f64 timestamps | T*D f64 values |
              packed mask bitset (LSB-first, byte padded) |
@@ -17,8 +17,9 @@ handle is safe to share across threads and every fetch touches exactly the
 requested records. ReadHandle.read_batch is the one record decoder: it
 reads each run of records that lie back to back in the file, in request
 order, with one pread, checks every record's CRC-32, decodes the whole
-batch with numpy at once, and checks the batch once for strictly
-increasing timestamps and a mask that agrees with the NaN sentinel.
+batch with numpy at once, and checks the batch once with the same
+sample check as an in-memory dataset (strictly increasing timestamps, a
+mask that agrees with the NaN sentinel, labels absent or non-negative).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Batch, PotsDataset, TimeSeriesSample, _check_indices, _chunks
+from .core import (_BLOCK, Batch, PotsDataset, TimeSeriesSample, _check_indices, _chunks,
+                   _first_fault, _for_models, _read_only, _rows, _Rows)
 from .errors import CorruptionError, FormatError, StorageError
 
 MAGIC = b"POTS"
@@ -49,17 +51,16 @@ def _record_dtype(n_steps: int, n_features: int) -> np.dtype:
         ("label", "<i8"), ("crc", "<u4")])
 
 
-def _encode(samples: Sequence[TimeSeriesSample], dtype: np.dtype) -> bytes:
-    """The records of samples, back to back, each with its CRC-32."""
-    b, size = len(samples), dtype.itemsize
-    observed = np.stack([s.mask for s in samples]) != 0
+def _encode(block: Batch, dtype: np.dtype) -> bytes:
+    """The records of a block's rows, back to back, each with its CRC-32."""
+    b, size = len(block.values), dtype.itemsize
+    observed = block.mask != 0
     records = np.zeros(b, dtype=dtype)
-    records["sample_id"] = np.array([s.sample_id for s in samples], dtype=np.uint64)
-    records["timestamps"] = np.stack([s.timestamps for s in samples])
-    records["values"] = np.where(observed, np.stack([s.values for s in samples]),
-                                 _CANONICAL_NAN)
+    records["sample_id"] = block.sample_ids
+    records["timestamps"] = block.timestamps
+    records["values"] = np.where(observed, block.values, _CANONICAL_NAN)
     records["mask"] = np.packbits(observed.reshape(b, -1), axis=1, bitorder="little")
-    records["label"] = [-1 if s.label is None else s.label for s in samples]
+    records["label"] = block.labels
     payload = memoryview(records.tobytes())
     records["crc"] = [zlib.crc32(payload[j * size:(j + 1) * size - 4]) for j in range(b)]
     return records.tobytes()
@@ -68,7 +69,7 @@ def _encode(samples: Sequence[TimeSeriesSample], dtype: np.dtype) -> bytes:
 def write_container(dataset: PotsDataset, path: str) -> None:
     """Serialize a dataset. Writing the same dataset twice is byte-identical."""
     n, dtype = len(dataset), _record_dtype(dataset.n_steps, dataset.n_features)
-    flags = 1 if any(s.label is not None for s in dataset.samples) else 0
+    flags = 1 if dataset.has_labels else 0
     index_offset = _HEADER.size + n * dtype.itemsize
     header = _HEADER.pack(MAGIC, VERSION, 0, n, dataset.n_steps, dataset.n_features,
                           flags, index_offset)
@@ -77,7 +78,7 @@ def write_container(dataset: PotsDataset, path: str) -> None:
         with open(path, "wb") as out:
             out.write(header)
             for part in _chunks(n):
-                out.write(_encode(dataset.samples[part], dtype))
+                out.write(_encode(_rows(dataset._block, part), dtype))
             out.write(offsets.tobytes())
     except OSError as e:
         raise StorageError(f"{path}: cannot write container ({e})") from e
@@ -154,15 +155,17 @@ class ReadHandle:
 
         Each run of records that lie back to back in the file, in request
         order, is read with one pread. Every record's CRC-32 is checked, and
-        the batch is checked once for strictly increasing timestamps and a
-        mask that agrees with the NaN sentinel. A record that fails those
-        checks is a FormatError naming its position, whatever its CRC says.
+        the batch is checked once for strictly increasing timestamps, a mask
+        that agrees with the NaN sentinel and labels that are absent (-1) or
+        non-negative. A record that fails those checks is a FormatError
+        naming its position, whatever its CRC says. labels is None unless
+        every requested record has one.
         """
-        return self._read(_check_indices(indices, self.n_samples))[0]
+        return _for_models(self._read(_check_indices(indices, self.n_samples)))
 
-    def _read(self, idx: np.ndarray) -> tuple[Batch, np.ndarray]:
-        """read_batch's Batch for checked indices, and each record's stored
-        label (-1 when absent)."""
+    def _read(self, idx: np.ndarray) -> Batch:
+        """read_batch's Batch for checked indices, with each record's label as
+        stored (-1 when absent)."""
         if self._fd < 0:
             raise StorageError(f"{self.path}: handle is closed")
         size, positions = self.record_size, idx.tolist()
@@ -187,36 +190,33 @@ class ReadHandle:
                 raise CorruptionError(f"{self.path}: record {position}: checksum mismatch")
         records = np.frombuffer(raw, dtype=self._dtype)
         b, t, d = len(positions), self.n_steps, self.n_features
-        timestamps = records["timestamps"].astype(np.float64)
-        values = records["values"].astype(np.float64)
-        observed = np.unpackbits(
-            records["mask"], axis=1, count=t * d, bitorder="little").reshape(b, t, d)
-        increasing = timestamps[:, 1:] > timestamps[:, :-1]
-        agrees = np.isfinite(values) == observed.view(bool)  # unpackbits gives 0 or 1
-        if not increasing.all() or not agrees.all():
-            faults = {
-                "timestamps are not strictly increasing": ~increasing.all(axis=1),
-                "mask and NaN sentinel disagree": ~agrees.all(axis=(1, 2)),
-            }
-            j = int(np.logical_or.reduce(list(faults.values())).argmax())
-            what = next(w for w, rows in faults.items() if rows[j])
-            raise FormatError(f"{self.path}: record {positions[j]}: {what}")
-        labels = records["label"].astype(np.int64)
-        batch = Batch(values=values, mask=observed.astype(np.float64),
-                      timestamps=timestamps, labels=labels if labels.min() >= 0 else None,
+        observed = np.unpackbits(records["mask"], axis=1, count=t * d, bitorder="little")
+        batch = Batch(values=records["values"].astype(np.float64),
+                      mask=observed.reshape(b, t, d).astype(np.float64),
+                      timestamps=records["timestamps"].astype(np.float64),
+                      labels=records["label"].astype(np.int64),
                       sample_ids=records["sample_id"].astype(np.uint64))
-        return batch, labels
+        fault = _first_fault(batch)
+        if fault is not None:
+            raise FormatError(f"{self.path}: record {positions[fault[0]]}: {fault[1]}")
+        return batch
+
+    def _read_block(self, idx: np.ndarray) -> Batch:
+        """_read for any number of records: they are decoded one chunk at a
+        time into preallocated arrays, so a big read is decoded only once."""
+        n, t, d = len(idx), self.n_steps, self.n_features
+        block = Batch(values=np.empty((n, t, d)), mask=np.empty((n, t, d)),
+                      timestamps=np.empty((n, t)), labels=np.empty(n, dtype=np.int64),
+                      sample_ids=np.empty(n, dtype=np.uint64))
+        for part in _chunks(n):
+            chunk = self._read(idx[part])
+            for name in _BLOCK:
+                getattr(block, name)[part] = getattr(chunk, name)
+        return block
 
     def fetch(self, indices: Sequence[int]) -> list[TimeSeriesSample]:
-        idx, out = _check_indices(indices, self.n_samples), []
-        for part in _chunks(len(idx)):  # bounds the decoded working set of a big fetch
-            batch, labels = self._read(idx[part])
-            out += [TimeSeriesSample(
-                sample_id=sid, timestamps=batch.timestamps[j], values=batch.values[j],
-                mask=batch.mask[j], label=None if label < 0 else label)
-                for j, (sid, label) in enumerate(zip(batch.sample_ids.tolist(),
-                                                     labels.tolist()))]
-        return out
+        block = self._read_block(_check_indices(indices, self.n_samples))
+        return _Rows(Batch(**{name: _read_only(getattr(block, name)) for name in _BLOCK}))
 
 
 def open_readonly(path: str) -> ReadHandle:

@@ -104,6 +104,78 @@ def test_corrupt_writes_pair(capsys, tmp_path):
             assert np.array_equal(c.values[obs], o.values[obs])
 
 
+def write_partly_labeled(tmp_path, n=10, t=6):
+    """A container in which every third sample has no label."""
+    base = generate_synthetic(n, t, 2, 3, missing_rate=0.1, seed=2)
+    samples = [TimeSeriesSample(sample_id=s.sample_id, timestamps=s.timestamps,
+                                values=s.values, mask=s.mask,
+                                label=None if s.sample_id % 3 == 0 else s.label)
+               for s in base.samples]
+    data = str(tmp_path / "partial.pots")
+    write_container(PotsDataset(samples), data)
+    return data, samples
+
+
+def test_corrupt_keeps_partial_labels(capsys, tmp_path):
+    data, samples = write_partly_labeled(tmp_path)
+    out = str(tmp_path / "broken.pots")
+    code, _, err = run(capsys, "corrupt", "--data", data, "--missing-rate", "0.3",
+                       "--out", out, "--seed", "5")
+    assert code == 0, err
+    with open(data, "rb") as fa, open(str(tmp_path / "broken.originals.pots"), "rb") as fb:
+        assert fa.read() == fb.read()
+    with open_readonly(out) as h:
+        assert not h.has_labels
+        assert [s.label for s in fetch_batch(h, range(10))] == [s.label for s in samples]
+
+
+def test_partly_labeled_data_is_refused_where_labels_are_needed(capsys, tmp_path):
+    labeled = gen(capsys, tmp_path, n=12, t=6, classes=3)
+    partial, _ = write_partly_labeled(tmp_path, n=12)
+    code, _, err = run(capsys, "train", "--task", "classify", "--model", "grud_lite",
+                       "--data", partial, "--out", str(tmp_path / "never.pmdl"))
+    assert code == 2 and "needs a labeled dataset" in err
+    for task, kind, message in (("classify", "grud_lite", "classification scoring needs"),
+                                ("cluster", "twostage_kmeans", "cluster scoring needs")):
+        model = str(tmp_path / f"{kind}.pmdl")
+        code, _, err = run(capsys, "train", "--task", task, "--model", kind,
+                           "--data", labeled, "--out", model, "--epochs", "1")
+        assert code == 0, err
+        code, _, err = run(capsys, "evaluate", "--task", task, "--model", model,
+                           "--data", partial)
+        assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("task, model, outputs", [
+    ("impute", "mean", ["completed.pots", "completed.csv"]),
+    ("classify", "grud_lite", ["probs.csv"]),
+    ("forecast", "tmf", ["forecast.csv"]),
+])
+def test_csv_data_gives_the_outputs_of_its_packed_container(capsys, tmp_path, task, model,
+                                                            outputs):
+    csv_path = str(tmp_path / "data.csv")
+    code, _, err = run(capsys, "gen-data", "--out", csv_path, "--n-samples", "20",
+                       "--n-steps", "6", "--n-features", "2", "--n-classes", "3",
+                       "--missing-rate", "0.2", "--seed", "3")
+    assert code == 0, err
+    packed = str(tmp_path / "data.pots")
+    assert run(capsys, "pack", "--data", csv_path, "--out", packed)[0] == 0
+    for source, data in (("csv", csv_path), ("pots", packed)):
+        code, printed, err = run(capsys, "train", "--task", task, "--model", model,
+                                 "--data", data, "--out", str(tmp_path / f"{source}.pmdl"),
+                                 "--epochs", "2", "--batch-size", "8", "--seed", "6",
+                                 "--missing-rate", "0.2")
+        assert code == 0, err
+        for name in outputs:
+            code, _, err = run(capsys, "predict", "--task", task,
+                               "--model", str(tmp_path / f"{source}.pmdl"), "--data", data,
+                               "--out", str(tmp_path / f"{source}-{name}"), "--horizon", "2")
+            assert code == 0, err
+    for a, b in [("csv.pmdl", "pots.pmdl")] + [(f"csv-{n}", f"pots-{n}") for n in outputs]:
+        with open(tmp_path / a, "rb") as fa, open(tmp_path / b, "rb") as fb:
+            assert fa.read() == fb.read(), a
+
+
 def train_impute(capsys, tmp_path, data, seed=1, name="model.pmdl", model="saits_lite"):
     out = str(tmp_path / name)
     code, _, err = run(capsys, "train", "--task", "impute", "--model", model,

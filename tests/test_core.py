@@ -1,11 +1,13 @@
 """Data model: samples, corruption, deltas, normalization, CSV, splits."""
 
+import dataclasses
 import zlib
 
 import numpy as np
 import pytest
 
 from potsmine import (
+    Batch,
     ColumnSchema,
     CorruptedPairView,
     NormStats,
@@ -70,6 +72,53 @@ def test_dataset_requires_homogeneous_shape():
         PotsDataset([make_sample(), other])
 
 
+def block(n=2, t=3, d=2, **fields):
+    """A valid dataset block, with fields replaced."""
+    base = dict(values=np.ones((n, t, d)), mask=np.ones((n, t, d)),
+                timestamps=np.tile(np.arange(float(t)), (n, 1)), labels=np.arange(n),
+                sample_ids=np.array([5, 7][:n], dtype=np.uint64))
+    return Batch(**{**base, **fields})
+
+
+_BAD_DATASETS = {
+    "no_samples": (lambda: PotsDataset([]), "at least one array"),
+    "sample_shapes": (lambda: TimeSeriesSample(0, np.arange(2.0), np.ones((3, 1)),
+                                               np.ones((3, 1))), "expected nonempty"),
+    "sample_empty": (lambda: TimeSeriesSample(0, np.arange(2.0), np.ones((2, 0)),
+                                              np.ones((2, 0))), "expected nonempty"),
+    "sample_negative_id": (lambda: TimeSeriesSample(-1, np.arange(2.0), np.ones((2, 1)),
+                                                    np.ones((2, 1))), "sample_id must be"),
+    "block_shapes": (lambda: PotsDataset(block(mask=np.ones((2, 3, 1)))),
+                     "expected nonempty"),
+    "block_empty": (lambda: PotsDataset(block(t=0)), "expected nonempty"),
+    "block_timestamps": (lambda: PotsDataset(block(timestamps=np.array(
+        [[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))), "sample 7: timestamps are not strictly"),
+    "block_label": (lambda: PotsDataset(block(labels=np.array([0, -3]))),
+                    "sample 7: label must be non-negative"),
+    "n_classes_zero": (lambda: PotsDataset(block(), n_classes=0), "must be positive"),
+    "n_classes_unlabeled": (lambda: PotsDataset(block(labels=np.array([-1, 0])), n_classes=2),
+                            r"sample 5: needs a label in \[0, 2\)"),
+    "n_classes_too_few": (lambda: PotsDataset(block(), n_classes=1),
+                          r"sample 7: needs a label in \[0, 1\)"),
+    "labels_array": (lambda: PotsDataset(block(labels=None)).labels_array(),
+                     "samples without labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DATASETS))
+def test_dataset_and_sample_refuse_bad_input(case):
+    make, message = _BAD_DATASETS[case]
+    with pytest.raises(InvalidInputError, match=message):
+        make()
+
+
+def test_dataset_from_a_batch_defaults_ids_and_labels():
+    ds = PotsDataset(block(sample_ids=None, labels=None))
+    assert ds.training_batch([1, 0]).sample_ids.tolist() == [1, 0]
+    assert not ds.has_labels and ds.n_classes is None
+    assert [s.label for s in ds.samples] == [None, None]
+
+
 def test_dataset_infers_n_classes_from_labels():
     ds = PotsDataset([make_sample(0, label=0), make_sample(1, label=2)])
     assert ds.n_classes == 3
@@ -89,6 +138,59 @@ def test_stack_samples_shapes_and_labels():
     assert batch.mask.shape == (2, 3, 2)
     assert np.array_equal(batch.labels, [1, 0])
     assert stack_samples([make_sample(0), make_sample(1, label=1)]).labels is None
+
+
+def partly_labeled(n=6, t=5, d=2, seed=4):
+    """A dataset in which every odd sample has no label."""
+    return PotsDataset([dataclasses.replace(s, label=None) if s.sample_id % 2 else s
+                        for s in generate_synthetic(n, t, d, 3, missing_rate=0.3,
+                                                    seed=seed).samples])
+
+
+@pytest.mark.parametrize("kind", ["labeled", "partly_labeled", "split", "corrupted"])
+def test_samples_equal_the_arrays_row_for_row(kind):
+    ds = generate_synthetic(9, 5, 2, 3, missing_rate=0.3, seed=2)
+    ds = {"labeled": ds, "partly_labeled": partly_labeled(),
+          "split": split(ds, (0.6, 0.2, 0.2), seed=1)[0],
+          "corrupted": inject_mcar(ds, 0.4, seed=3).corrupted}[kind]
+    n = len(ds)
+    batch = fetch_all(ds)
+    samples = ds.samples
+    assert samples is ds.samples  # built once, then kept
+    assert len(samples) == n
+    assert [s.sample_id for s in samples] == batch.sample_ids.tolist()
+    labels = [s.label for s in samples]
+    if batch.labels is None:
+        assert None in labels and not ds.has_labels
+    else:
+        assert labels == batch.labels.tolist() == ds.labels_array().tolist()
+    for f in ("values", "mask", "timestamps"):
+        rows = np.stack([getattr(s, f) for s in samples])
+        assert rows.tobytes() == getattr(batch, f).tobytes(), f
+    rebuilt = PotsDataset(samples, n_classes=ds.n_classes)
+    assert rebuilt.samples is not samples
+    assert all(a is b for a, b in zip(rebuilt.samples, samples))
+    assert fetch_all(rebuilt).values.tobytes() == batch.values.tobytes()
+
+
+def test_dataset_from_its_own_samples_shares_the_block_until_they_change():
+    ds = generate_synthetic(4, 3, 2, 2, missing_rate=0.2, seed=0)
+    same = PotsDataset(ds.samples)
+    assert np.shares_memory(same._block.values, ds._block.values)
+    rows = ds.samples
+    rows[0], rows[1] = rows[1], rows[0]
+    swapped = PotsDataset(rows)
+    assert not np.shares_memory(swapped._block.values, ds._block.values)
+    assert swapped.training_batch([0, 1, 2, 3]).sample_ids.tolist() == [1, 0, 2, 3]
+
+
+def test_dataset_arrays_are_read_only():
+    ds = generate_synthetic(3, 4, 2, 2, missing_rate=0.2, seed=0)
+    with pytest.raises(ValueError):
+        ds.samples[0].values[0, 0] = 9.0
+    batch = ds.training_batch([0, 1])
+    batch.values[0, 0, 0] = 9.0  # a batch is the caller's own copy
+    assert ds.training_batch([0]).values[0, 0, 0] != 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +440,23 @@ def test_csv_unreadable_path_raises_format_error(tmp_path):
         ingest_csv(str(tmp_path / "absent.csv"))
 
 
-def test_csv_round_trip_exact(tmp_path):
+@pytest.mark.parametrize("labels", ["all", "some"])
+def test_csv_round_trip_exact(tmp_path, labels):
     ds = generate_synthetic(6, 7, 3, 2, missing_rate=0.25, seed=13)
+    if labels == "some":
+        ds = partly_labeled()
+        assert ds.samples[0].label is not None and ds.samples[1].label is None
     path = tmp_path / "round.csv"
     export_csv(ds, str(path))
     back = ingest_csv(str(path), ColumnSchema(label="label"))
     assert len(back) == len(ds)
+    assert (back.n_classes, back.has_labels) == (ds.n_classes, ds.has_labels)
     for a, b in zip(ds.samples, back.samples):
         assert np.array_equal(a.values, b.values, equal_nan=True)
         assert np.array_equal(a.mask, b.mask)
         assert a.label == b.label
+    export_csv(back, str(tmp_path / "again.csv"))
+    assert path.read_text() == (tmp_path / "again.csv").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,14 @@ def _value_where_mask_is_zero(rec):
     rec["values"].reshape(-1)[np.flatnonzero(flat == 0)[0]] = 1.0
 
 
+def _label_below_absent(rec):
+    rec["label"] = -5  # -1 is the only negative label a record may store
+
+
 @pytest.mark.parametrize("edit, message", [
     (_repeat_a_timestamp, "record 3: timestamps are not strictly increasing"),
     (_value_where_mask_is_zero, "record 3: mask and NaN sentinel disagree"),
+    (_label_below_absent, "record 3: label must be non-negative"),
 ])
 def test_inconsistent_record_with_valid_crc_is_format_error(capsys, tmp_path, edit, message):
     _, path = write_demo(tmp_path)
@@ -282,6 +287,16 @@ def container_kinds(tmp_path, kind):
     path = str(tmp_path / f"{kind}.pots")
     write_container(ds, path)
     return ds, path
+
+
+@pytest.mark.parametrize("kind", ["labeled", "unlabeled", "partly_labeled"])
+def test_has_labels_means_every_sample_on_both_backends(capsys, tmp_path, kind):
+    ds, path = container_kinds(tmp_path, kind)
+    with open_readonly(path) as h:
+        assert h.has_labels == lazy_dataset(h).has_labels == ds.has_labels
+        assert ds.has_labels == (kind == "labeled")
+    assert main(["inspect", path]) == 0
+    assert f"has_labels: {ds.has_labels}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kind", ["labeled", "unlabeled", "partly_labeled"])
