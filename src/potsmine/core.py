@@ -112,6 +112,29 @@ class TimeSeriesSample:
             raise InvalidInputError(f"sample {self.sample_id}: {fault[1]}")
 
 
+def _checked(data: Batch) -> Batch:
+    """A dataset's block from a Batch: float64 arrays, uint64 ids (0..N-1 when
+    None) and int64 labels (all absent when None), after checking its shapes
+    and rows. Raises InvalidInputError naming the first bad sample."""
+    values, mask, ts = (np.asarray(a, dtype=np.float64)
+                        for a in (data.values, data.mask, data.timestamps))
+    n = len(values) if values.ndim else 0
+    ids = np.arange(n, dtype=np.uint64) if data.sample_ids is None else data.sample_ids
+    labels = np.full(n, -1) if data.labels is None else np.asarray(data.labels, dtype=np.int64)
+    if (values.ndim != 3 or values.size == 0 or mask.shape != values.shape
+            or ts.shape != values.shape[:2] or np.shape(ids) != (n,) or labels.shape != (n,)):
+        raise InvalidInputError(
+            "expected nonempty (N, T, D) values and mask, (N, T) timestamps and (N,) "
+            f"ids and labels; got {values.shape}, {mask.shape}, {ts.shape}, "
+            f"{np.shape(ids)}, {labels.shape}")
+    block = Batch(values=values, mask=mask, timestamps=ts, labels=labels, sample_ids=ids)
+    fault = _first_fault(block)
+    if fault is not None:
+        raise InvalidInputError(f"sample {ids[fault[0]]}: {fault[1]}")
+    block.sample_ids = np.asarray(ids, dtype=np.uint64)
+    return block
+
+
 def _rows(block: Batch, idx) -> Batch:
     """Rows idx (a slice or an index array) of a block, labels as stored."""
     return Batch(**{name: getattr(block, name)[idx] for name in _BLOCK})
@@ -133,15 +156,19 @@ def stack_samples(samples: Sequence[TimeSeriesSample]) -> Batch:
 
 
 class _Rows(list):
-    """A block's rows as samples, the list a dataset hands out. A dataset
-    built from this list, while unchanged, shares the block."""
+    """The rows of a checked, read-only block as samples, the list a dataset
+    hands out. A dataset built from this list, while unchanged, shares the
+    block."""
 
     def __init__(self, block: Batch):
-        super().__init__(TimeSeriesSample(
-            sample_id=sid, timestamps=block.timestamps[j], values=block.values[j],
-            mask=block.mask[j], label=None if label < 0 else label)
-            for j, (sid, label) in enumerate(zip(block.sample_ids.tolist(),
-                                                 block.labels.tolist())))
+        super().__init__()
+        for j, (sid, label) in enumerate(zip(block.sample_ids.tolist(),
+                                             block.labels.tolist())):
+            row = object.__new__(TimeSeriesSample)  # the block's check covers its rows
+            row.__dict__.update(sample_id=sid, timestamps=block.timestamps[j],
+                                values=block.values[j], mask=block.mask[j],
+                                label=None if label < 0 else label)
+            self.append(row)
         self.block, self._built = block, tuple(self)
 
     def unchanged(self) -> bool:
@@ -175,41 +202,26 @@ class PotsDataset:
     (0..N-1 when None) and (N,) labels (-1 where absent; None for none). Or
     built from TimeSeriesSample objects, which are stacked, unless they are
     another dataset's unchanged .samples, whose block is then shared. Every
-    row is checked (see _first_fault); n_classes defaults to max label + 1
-    when every sample is labeled.
+    row is checked once, as a sample or in the block (see _first_fault);
+    n_classes defaults to max label + 1 when every sample is labeled.
     """
 
     def __init__(self, data: Batch | Sequence[TimeSeriesSample],
                  n_classes: int | None = None):
         self._samples = None
         if isinstance(data, _Rows) and data.unchanged():
-            self._samples, data = list(data), data.block
-        elif not isinstance(data, Batch):
+            self._samples, block = list(data), data.block
+        elif isinstance(data, Batch):
+            block = _checked(data)
+        else:  # each sample was checked when it was made
             self._samples = list(data)
             try:
-                data = stack_samples(self._samples)
+                block = stack_samples(self._samples)
             except ValueError as e:  # no samples, or samples of unequal shapes
                 raise InvalidInputError(f"cannot stack the samples ({e})") from None
-            data.labels = [_label_code(s.label) for s in self._samples]
-        values, mask, ts = (np.asarray(a, dtype=np.float64)
-                            for a in (data.values, data.mask, data.timestamps))
-        n = len(values) if values.ndim else 0
-        ids = np.arange(n, dtype=np.uint64) if data.sample_ids is None else data.sample_ids
-        labels = np.asarray(-1 if data.labels is None else data.labels, dtype=np.int64)
-        labels = np.full(n, labels) if labels.ndim == 0 else labels
-        if (values.ndim != 3 or values.size == 0 or mask.shape != values.shape
-                or ts.shape != values.shape[:2] or np.shape(ids) != (n,)
-                or labels.shape != (n,)):
-            raise InvalidInputError(
-                "expected nonempty (N, T, D) values and mask, (N, T) timestamps and (N,) "
-                f"ids and labels; got {values.shape}, {mask.shape}, {ts.shape}, "
-                f"{np.shape(ids)}, {labels.shape}")
-        block = Batch(values=values, mask=mask, timestamps=ts, labels=labels, sample_ids=ids)
-        fault = _first_fault(block)
-        if fault is not None:
-            raise InvalidInputError(f"sample {ids[fault[0]]}: {fault[1]}")
-        block.sample_ids = np.asarray(ids, dtype=np.uint64)
+            block.labels = np.array([_label_code(s.label) for s in self._samples])
         self._block = Batch(**{name: _read_only(getattr(block, name)) for name in _BLOCK})
+        labels = self._block.labels
         if n_classes is None and labels.min() >= 0:
             n_classes = int(labels.max()) + 1
         if n_classes is not None:
@@ -217,7 +229,7 @@ class PotsDataset:
                 raise InvalidInputError(f"n_classes must be positive, got {n_classes}")
             bad = (labels < 0) | (labels >= n_classes)
             if bad.any():
-                raise InvalidInputError(f"sample {block.sample_ids[bad.argmax()]}: "
+                raise InvalidInputError(f"sample {self._block.sample_ids[bad.argmax()]}: "
                                         f"needs a label in [0, {n_classes})")
         self.n_classes = n_classes
 
