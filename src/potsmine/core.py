@@ -51,16 +51,17 @@ def _first_fault(block: Batch) -> tuple[int, str] | None:
     label that is -1 (absent) or non-negative. None when every row holds.
     """
     ts, mask, ids = block.timestamps, block.mask, block.sample_ids
+    one = mask == 1
     holds = {
         _NOT_INCREASING: ts[:, 1:] > ts[:, :-1],
-        "mask entries must be 0 or 1": (mask == 0) | (mask == 1),
-        "mask and NaN sentinel disagree": np.isfinite(block.values) == (mask == 1),
+        "mask entries must be 0 or 1": one | (mask == 0),
+        "mask and NaN sentinel disagree": np.isfinite(block.values) == one,
         "sample_id must be in [0, 2**64)": ((ids >= 0) & (ids < 2**64)
                                             if isinstance(ids, np.ndarray) else
                                             np.array([0 <= i < 2**64 for i in ids])),
         "label must be non-negative": block.labels >= -1,
     }
-    if all(ok.all() for ok in holds.values()):
+    if all(np.logical_and.reduce(ok, axis=None) for ok in holds.values()):
         return None
     broken = [~ok.all(axis=tuple(range(1, ok.ndim))) for ok in holds.values()]
     row = int(np.logical_or.reduce(broken).argmax())
@@ -99,17 +100,9 @@ class TimeSeriesSample:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, _read_only(arr.copy()) if arr.flags.writeable
                                else arr)
-        ts, values, mask = self.timestamps, self.values, self.mask
-        if (ts.ndim != 1 or values.ndim != 2 or values.size == 0
-                or mask.shape != values.shape or ts.shape != values.shape[:1]):
-            raise InvalidInputError(
-                f"sample {self.sample_id}: expected nonempty (T,) timestamps and (T, D) "
-                f"values and mask; got {ts.shape}, {values.shape}, {mask.shape}")
-        fault = _first_fault(Batch(values=values[None], mask=mask[None], timestamps=ts[None],
-                                   labels=np.array([_label_code(self.label)]),
-                                   sample_ids=[self.sample_id]))
-        if fault is not None:
-            raise InvalidInputError(f"sample {self.sample_id}: {fault[1]}")
+        _checked(Batch(values=self.values[None], mask=self.mask[None],
+                       timestamps=self.timestamps[None], labels=[_label_code(self.label)],
+                       sample_ids=[self.sample_id]))
 
 
 def _checked(data: Batch) -> Batch:
