@@ -21,7 +21,7 @@ import sys
 FLOORS = {
     "potsmine.__init__": 100,
     "potsmine.cli": 94,
-    "potsmine.core": 98,
+    "potsmine.core": 100,
     "potsmine.errors": 100,
     "potsmine.metrics": 96,
     "potsmine.models.__init__": 100,

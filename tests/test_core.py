@@ -184,10 +184,11 @@ def test_dataset_from_its_own_samples_shares_the_block_until_they_change():
     assert swapped.training_batch([0, 1, 2, 3]).sample_ids.tolist() == [1, 0, 2, 3]
 
 
-def test_dataset_arrays_are_read_only():
+def test_dataset_block_and_its_rows_are_read_only():
     ds = generate_synthetic(3, 4, 2, 2, missing_rate=0.2, seed=0)
-    with pytest.raises(ValueError):
-        ds.samples[0].values[0, 0] = 9.0
+    for arr in (ds._block.values, ds._block.labels, ds.samples[0].values):
+        with pytest.raises(ValueError):
+            arr[0] = 9
     batch = ds.training_batch([0, 1])
     batch.values[0, 0, 0] = 9.0  # a batch is the caller's own copy
     assert ds.training_batch([0]).values[0, 0, 0] != 9.0
@@ -228,6 +229,8 @@ def test_delta_nonnegative_and_zero_first_row():
 def test_delta_rejects_non_increasing():
     with pytest.raises(InvalidInputError):
         compute_delta(np.array([1.0, 1.0]), np.ones((2, 1)))
+    with pytest.raises(InvalidInputError, match="incompatible shapes"):
+        compute_delta(np.arange(3.0), np.ones((2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +307,10 @@ def test_pair_view_rejects_cells_missing_from_original():
     view = inject_mcar(ds, 0.2, seed=5)
     with pytest.raises(InvalidInputError, match="original lacks"):
         CorruptedPairView(sparse, view.corrupted).training_batch([0, 1, 2])
+    with pytest.raises(InvalidInputError, match="equal length"):
+        CorruptedPairView(full_dataset(n=2, t=6, d=2), view.corrupted)
+    with pytest.raises(InvalidInputError, match="share"):
+        CorruptedPairView(full_dataset(n=3, t=5, d=2), view.corrupted)
 
 
 def test_pair_view_rejects_values_that_differ_from_original():
@@ -399,7 +406,7 @@ def test_synthetic_rejects_bad_args():
 
 def test_csv_single_empty_cell_maps_to_mask(tmp_path):
     path = tmp_path / "tiny.csv"
-    path.write_text("sample_id,step,f0\n0,0,1.5\n0,1,\n")
+    path.write_text("sample_id,step,f0\n0,0,1.5\n\n0,1,\n")  # blank lines are skipped
     ds = ingest_csv(str(path))
     assert np.array_equal(ds.samples[0].mask, [[1.0], [0.0]])
     assert ds.samples[0].values[0, 0] == 1.5
@@ -440,23 +447,29 @@ def test_csv_unreadable_path_raises_format_error(tmp_path):
         ingest_csv(str(tmp_path / "absent.csv"))
 
 
-@pytest.mark.parametrize("labels", ["all", "some"])
-def test_csv_round_trip_exact(tmp_path, labels):
+def test_csv_round_trip_exact(tmp_path):
     ds = generate_synthetic(6, 7, 3, 2, missing_rate=0.25, seed=13)
-    if labels == "some":
-        ds = partly_labeled()
-        assert ds.samples[0].label is not None and ds.samples[1].label is None
     path = tmp_path / "round.csv"
     export_csv(ds, str(path))
     back = ingest_csv(str(path), ColumnSchema(label="label"))
     assert len(back) == len(ds)
-    assert (back.n_classes, back.has_labels) == (ds.n_classes, ds.has_labels)
     for a, b in zip(ds.samples, back.samples):
         assert np.array_equal(a.values, b.values, equal_nan=True)
         assert np.array_equal(a.mask, b.mask)
         assert a.label == b.label
-    export_csv(back, str(tmp_path / "again.csv"))
-    assert path.read_text() == (tmp_path / "again.csv").read_text()
+
+
+def test_csv_round_trip_keeps_partial_labels(tmp_path):
+    ds = partly_labeled()
+    labels = [s.label for s in ds.samples]
+    assert labels[0] is not None and labels[1] is None
+    first, again = tmp_path / "round.csv", tmp_path / "again.csv"
+    export_csv(ds, str(first))
+    back = ingest_csv(str(first))
+    assert [s.label for s in back.samples] == labels
+    assert (back.n_classes, back.has_labels) == (None, False)
+    export_csv(back, str(again))
+    assert first.read_text() == again.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +491,10 @@ def test_split_rejects_degenerate_fractions():
         split(ds, (1.0, 0.0, 0.0), seed=0)
     with pytest.raises(InvalidInputError):
         split(ds, (0.5, 0.2, 0.2), seed=0)
+    with pytest.raises(InvalidInputError, match="exactly three"):
+        split(ds, (0.5, 0.5), seed=0)
+    with pytest.raises(InvalidInputError, match="empty split"):
+        split(generate_synthetic(3, 4, 2, 2, missing_rate=0.0, seed=0), (0.8, 0.1, 0.1), seed=0)
 
 
 def test_fetch_all_orders_by_index():
