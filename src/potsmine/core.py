@@ -106,9 +106,10 @@ class TimeSeriesSample:
 
 
 def _checked(data: Batch) -> Batch:
-    """A dataset's block from a Batch: float64 arrays, uint64 ids (0..N-1 when
-    None) and int64 labels (all absent when None), after checking its shapes
-    and rows. Raises InvalidInputError naming the first bad sample."""
+    """data as a checked block (a dataset's, or a sample's block of one):
+    float64 arrays, uint64 ids (0..N-1 when None) and int64 labels (all
+    absent when None). Raises InvalidInputError for a shape out of place or
+    naming the first sample that breaks an invariant of _first_fault."""
     values, mask, ts = (np.asarray(a, dtype=np.float64)
                         for a in (data.values, data.mask, data.timestamps))
     n = len(values) if values.ndim else 0
