@@ -26,8 +26,8 @@ FLOORS = {
     "potsmine.metrics": 96,
     "potsmine.models.__init__": 100,
     "potsmine.models.artifact": 92,
-    "potsmine.models.base": 94,
-    "potsmine.models.classification": 97,
+    "potsmine.models.base": 99,
+    "potsmine.models.classification": 100,
     "potsmine.models.clustering": 93,
     "potsmine.models.forecasting": 95,
     "potsmine.models.imputation": 97,

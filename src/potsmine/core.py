@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError
+from .errors import FormatError, InvalidInputError, StorageError
 
 # samples per batch when a whole view is streamed for evaluation or stats
 _EVAL_CHUNK = 256
@@ -473,6 +473,20 @@ class ColumnSchema:
     label: str = "label"
 
 
+def _csv_rows(handle, path: str):
+    """The rows of an open CSV file.
+
+    Bytes that are not UTF-8, and text the csv module refuses (a field
+    over its size limit, say), are a FormatError.
+    """
+    try:
+        yield from csv.reader(handle)
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except csv.Error as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
 def ingest_csv(path: str, schema: ColumnSchema | None = None) -> PotsDataset:
     """Read a long-format CSV into a dataset.
 
@@ -483,11 +497,11 @@ def ingest_csv(path: str, schema: ColumnSchema | None = None) -> PotsDataset:
     """
     schema = schema or ColumnSchema()
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise FormatError(f"{path}: cannot open ({e})") from e
     with handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle, path)
         header = [h.strip() for h in next(reader, [])]
         if not header:
             raise FormatError(f"{path}: empty file")
@@ -551,16 +565,19 @@ def export_csv(dataset: PotsDataset, path: str) -> None:
     block = dataset._block
     with_labels = bool((block.labels >= 0).any())
     header = ["sample_id", "step"] + [f"f{d}" for d in range(dataset.n_features)]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header + ["label"] * with_labels)
-        for j, (sid, label) in enumerate(zip(block.sample_ids.tolist(),
-                                             block.labels.tolist())):
-            tail = [str(label) if label >= 0 else ""] * with_labels
-            for t, values, mask in zip(block.timestamps[j].tolist(), block.values[j].tolist(),
-                                       block.mask[j].tolist()):
-                cells = [repr(v) if m else "" for v, m in zip(values, mask)]
-                writer.writerow([sid, repr(t)] + cells + tail)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header + ["label"] * with_labels)
+            for j, (sid, label) in enumerate(zip(block.sample_ids.tolist(),
+                                                 block.labels.tolist())):
+                tail = [str(label) if label >= 0 else ""] * with_labels
+                for t, values, mask in zip(block.timestamps[j].tolist(),
+                                           block.values[j].tolist(), block.mask[j].tolist()):
+                    cells = [repr(v) if m else "" for v, m in zip(values, mask)]
+                    writer.writerow([sid, repr(t)] + cells + tail)
+    except OSError as e:
+        raise StorageError(f"{path}: cannot write ({e})") from e
 
 
 def split(dataset: PotsDataset, fractions: Sequence[float], seed: int):

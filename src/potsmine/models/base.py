@@ -17,8 +17,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import InvalidInputError, TrainingDivergedError, UnsupportedTaskError
-from ..core import Batch, NormStats, _iter_batches
+from ..core import _EVAL_CHUNK, Batch, NormStats, _iter_batches
 from .. import tensor as T
+
+# a workspace array holds at most this many samples; a larger batch gets
+# fresh arrays that are freed after use
+_WORKSPACE_ROWS = _EVAL_CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +211,55 @@ def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class GradientModel(BaseModel):
-    """Models trained by minibatch gradient descent on the tape engine."""
+    """Models trained by minibatch gradient descent on the tape engine.
+
+    A model may write its forward's large intermediates into workspace
+    arrays it keeps from call to call (_scratch), so a minibatch does not
+    allocate, free and re-fault them. A backward reads the state its
+    forward left there; _claim_workspace and _check_workspace refuse a
+    backward whose state a later forward has overwritten. Because of the
+    workspace, one model instance must not be called from two threads at
+    once.
+    """
 
     parameters: dict[str, np.ndarray]
+
+    def __init__(self):
+        self._workspace: dict[str, np.ndarray] = {}
+        # counts the forwards that overwrote state a backward reads
+        self._workspace_writes = 0
+
+    def _scratch(self, name: str, shape: tuple[int, ...], dtype=np.float64,
+                 batch_axis: int = 0) -> np.ndarray:
+        """An uninitialized workspace array of the given shape.
+
+        Each name keeps one flat buffer of one dtype, grown to the largest
+        request, and hands out its leading part, so batches of any size up
+        to _WORKSPACE_ROWS share it. A batch (shape[batch_axis]) larger
+        than that gets a fresh array.
+        """
+        if shape[batch_axis] > _WORKSPACE_ROWS:
+            return np.empty(shape, dtype)
+        size = math.prod(shape)
+        buf = self._workspace.get(name)
+        if buf is None or buf.size < size:
+            buf = self._workspace[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def _claim_workspace(self) -> int:
+        """Record that the workspace now holds a new forward's state.
+
+        Returns the token a backward passes to _check_workspace.
+        """
+        self._workspace_writes += 1
+        return self._workspace_writes
+
+    def _check_workspace(self, token: int) -> None:
+        """Refuse a backward whose forward state was overwritten since."""
+        if token != self._workspace_writes:
+            raise InvalidInputError(
+                f"{self.kind}: a later forward ran on this model before the backward "
+                "of an earlier one and overwrote the workspace it reads")
 
     def _to_working(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Zero-filled working-space values; sentinels never touch math."""

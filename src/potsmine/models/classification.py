@@ -13,9 +13,16 @@ over the gates the forward saved, so a minibatch adds the same few tape
 nodes whatever the series length. grud_step computes one step
 independently, with the unfused per-gate formulas, and is kept as the
 oracle the tests compare the fused forward against.
+
+The forward writes its (T, B, .) blocks, and with a backward to come
+each step's gates, into workspace arrays the model keeps from call to
+call, and the backward writes its gradients over them, so no step
+allocates. The inference forward keeps no per-step history.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +36,31 @@ from .base import Classifier, GradientModel, TrainConfig, xavier
 # _forward_grads returns their gradients
 _PARAMS = ("w_dx", "b_dx", "w_dh", "b_dh", "w_z", "u_z", "b_z",
            "w_r", "u_r", "b_r", "w_c", "u_c", "b_c", "w_out", "b_out")
+
+
+class _Recurrence(NamedTuple):
+    """A training forward's state, as _forward_grads reads it back.
+
+    The step axis comes first, except in pre, whose gate axis does. All
+    but the (T, B, D) arrays are workspace arrays, which the backward
+    overwrites.
+    """
+
+    delta: np.ndarray    # (T, B, D) time since each feature's last observation
+    maskf: np.ndarray    # (T, B, D) 0/1 mask
+    x_last: np.ndarray   # (T, B, D) last observation carried forward
+    s_x: np.ndarray      # (T, B, D) input decay pre-activation
+    gx: np.ndarray       # (T, B, D) input decay
+    gh: np.ndarray       # (T, B, H) hidden decay
+    gh_on: np.ndarray    # (T, B, H) bool, where the hidden decay's relu is active
+    inp: np.ndarray      # (T, B, 2D) repaired values and mask
+    pre: np.ndarray      # (3, T, B, H) input side of the z, r and c gates
+    h: np.ndarray        # (T + 1, B, H) hidden state before each step, then the last
+    hd: np.ndarray       # (T, B, H) decayed hidden state
+    zr: np.ndarray       # (T, 2, B, H) update and reset gates
+    rhd: np.ndarray      # (T, B, H) reset gate times hd
+    c: np.ndarray        # (T, B, H) candidate state
+    token: int           # the workspace claim of the forward
 
 
 def decay(delta_t: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -48,12 +80,25 @@ def decay(delta_t: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @register_model
 class GrudLiteModel(GradientModel, Classifier):
-    """GRU over [repaired value, mask] with input and hidden decays."""
+    """GRU over [repaired value, mask] with input and hidden decays.
+
+    The fused forward and backward write their intermediates into
+    workspace arrays the model keeps and reuses from call to call
+    (GradientModel._scratch): the hidden decays and the gates' input
+    side for every step at once, and, for training, each step's hidden
+    state, decayed state, gates and candidate. The inference forward
+    keeps one (B, .) row block per quantity instead of that history. The
+    workspace is bounded by the largest batch of at most _WORKSPACE_ROWS
+    samples the model has seen; nothing a caller receives aliases it.
+    Because of it, one model instance must not be called from two
+    threads at once.
+    """
 
     kind = "grud_lite"
 
     def __init__(self, n_steps: int, n_features: int, n_classes: int,
                  hidden_size: int = 256, normalize: bool = True, init_seed: int = 0):
+        super().__init__()
         if n_steps < 1 or n_features < 1:
             raise InvalidInputError("grud_lite series dimensions must be positive")
         if n_classes < 2:
@@ -138,91 +183,147 @@ class GrudLiteModel(GradientModel, Classifier):
         return x_work, maskf, delta, x_last
 
     # -- forward and backward -------------------------------------------------
+    def _ws(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
+        """A workspace array whose batch axis is the second to last."""
+        return self._scratch(name, shape, dtype, batch_axis=-2)
+
     def _forward(self, p: dict, x_work, maskf, delta, x_last, keep: bool = False):
         """Logits (B, n_classes) of the recurrence over a (B, T, D) block.
 
         Nothing before the gates depends on h, so the decays, the repaired
         inputs and the input side of all three gates are computed for
         every step at once; only the h-dependent terms loop over T.
-        Arrays are time-major, (T, B, .), so each step reads contiguous
-        rows. With keep, also returns what _forward_grads needs.
+        Arrays are time-major, (T, B, .), and the gates are a leading
+        axis, so each step reads and writes contiguous (B, H) rows of
+        workspace arrays. With keep, each step writes its own rows of the
+        history _forward_grads reads, and the call also returns that
+        state; without it, every step reuses one row block per quantity.
         """
-        hid = self.hidden_size
-        x_work, maskf, delta, x_last = (
-            a.swapaxes(0, 1) for a in (x_work, maskf, delta, x_last))
+        token = self._claim_workspace()
+        hid, d = self.hidden_size, self.n_features
+        x_work, maskf, delta, x_last = (np.ascontiguousarray(a.swapaxes(0, 1))
+                                        for a in (x_work, maskf, delta, x_last))
+        n_steps, n = delta.shape[:2]
+        rows = n_steps * n
         s_x = delta * p["w_dx"] + p["b_dx"]
-        s_h = delta @ p["w_dh"] + p["b_dh"]
         gx = np.exp(-np.maximum(0.0, s_x))
-        gh = np.exp(-np.maximum(0.0, s_h))
-        x_hat = maskf * x_work + (1.0 - maskf) * (gx * x_last + (1.0 - gx) * self.x_bar)
-        inp = np.concatenate([x_hat, maskf], axis=-1)
-        w_in = np.concatenate([p["w_z"], p["w_r"], p["w_c"]], axis=1)
-        pre = inp @ w_in + np.concatenate([p["b_z"], p["b_r"], p["b_c"]])
-        u_zr = np.concatenate([p["u_z"], p["u_r"]], axis=1)
+        inp = self._ws("inp", n_steps, n, 2 * d)
+        inp[..., :d] = maskf * x_work + (1.0 - maskf) * (gx * x_last + (1.0 - gx) * self.x_bar)
+        inp[..., d:] = maskf
+        # gh = exp(-max(0, s_h)), decayed in place over s_h
+        gh = self._ws("gh", n_steps, n, hid)
+        np.matmul(delta.reshape(rows, d), p["w_dh"], out=gh.reshape(rows, hid))
+        gh += p["b_dh"]
+        gh_on = np.greater(gh, 0.0, out=self._ws("gh_on", *gh.shape, dtype=bool)) if keep else None
+        np.maximum(gh, 0.0, out=gh)
+        np.negative(gh, out=gh)
+        np.exp(gh, out=gh)
+        # the input side of the z, r and c gates: (3, T, B, H)
+        pre = self._ws("pre", 3, n_steps, n, hid)
+        w_in = np.stack([p["w_z"], p["w_r"], p["w_c"]])
+        np.matmul(inp.reshape(rows, 2 * d), w_in, out=pre.reshape(3, rows, hid))
+        pre += np.stack([p["b_z"], p["b_r"], p["b_c"]])[:, None, None, :]
+
+        u_zr = np.stack([p["u_z"], p["u_r"]])
         u_c = p["u_c"]
-        steps = []
-        h = np.zeros((x_work.shape[1], hid))
-        for pre_t, gh_t in zip(pre, gh):
-            hd = gh_t * h
-            zr = T.sigmoid_array(pre_t[:, :2 * hid] + hd @ u_zr)
-            z, r = zr[:, :hid], zr[:, hid:]
-            c = np.tanh(pre_t[:, 2 * hid:] + (r * hd) @ u_c)
-            if keep:
-                steps.append((h, hd, zr, c))
-            h = (1.0 - z) * hd + z * c
-        logits = h @ p["w_out"] + p["b_out"]
+        hist = n_steps if keep else 1
+        # with keep, h holds the state before each step, then the last one
+        h = self._ws("h", n_steps + 1 if keep else 1, n, hid)
+        hd, rhd, c = (self._ws(name, hist, n, hid) for name in ("hd", "rhd", "c"))
+        zr = self._ws("zr", hist, 2, n, hid)
+        tmp = self._ws("tmp", n, hid)
+        h[0] = 0.0
+        for t in range(n_steps):
+            i = t if keep else 0
+            hd_t, zr_t, c_t = hd[i], zr[i], c[i]
+            np.multiply(gh[t], h[i], out=hd_t)
+            np.matmul(hd_t, u_zr, out=zr_t)
+            zr_t += pre[:2, t]
+            T.sigmoid_array(zr_t, out=zr_t)
+            np.multiply(zr_t[1], hd_t, out=rhd[i])
+            np.matmul(rhd[i], u_c, out=c_t)
+            c_t += pre[2, t]
+            np.tanh(c_t, out=c_t)
+            # h = (1 - z) hd + z c, as hd + z (c - hd)
+            np.subtract(c_t, hd_t, out=tmp)
+            tmp *= zr_t[0]
+            np.add(hd_t, tmp, out=h[i + 1 if keep else 0])
+        logits = h[-1] @ p["w_out"] + p["b_out"]
         if not keep:
             return logits, None
-        per_step = tuple(np.stack(a) for a in zip(*steps))
-        return logits, (delta, maskf, x_last, s_x, s_h, gx, gh, inp, w_in, u_zr, h) + per_step
+        return logits, _Recurrence(delta, maskf, x_last, s_x, gx, gh, gh_on, inp, pre,
+                                   h, hd, zr, rhd, c, token)
 
-    def _forward_grads(self, p: dict, saved, d_logits: np.ndarray) -> list[np.ndarray]:
+    def _forward_grads(self, p: dict, s: _Recurrence, d_logits: np.ndarray) -> list[np.ndarray]:
         """Hand-written BPTT: gradients of every _PARAMS entry, in order.
 
         One reverse sweep over T carries the hidden-state gradient back
-        through the gates and collects each step's gate pre-activation
-        gradients; the input and recurrent weight gradients are then a
-        few large matmuls.
+        through the gates and writes each step's gate pre-activation
+        gradients over that step's rows of pre; the input and recurrent
+        weight gradients are then a few large matmuls. The sweep
+        overwrites the forward's state, so it runs once per forward.
         """
-        (delta, maskf, x_last, s_x, s_h, gx, gh, inp, w_in, u_zr, h,
-         h_prev, hd_all, zr_all, c_all) = saved
-        dh = d_logits @ p["w_out"].T
-        hid = self.hidden_size
-        n_steps = inp.shape[0]
-        d_pre = np.empty((n_steps, dh.shape[0], 3 * hid))
-        d_gh = np.empty_like(gh)
-        u_zr_t, u_c_t = u_zr.T, p["u_c"].T
+        self._check_workspace(s.token)
+        self._claim_workspace()
+        hid, d = self.hidden_size, self.n_features
+        n_steps, n = s.gh.shape[:2]
+        rows = n_steps * n
+        z, r = s.zr[:, 0], s.zr[:, 1]
+        # the gate derivatives that do not depend on the incoming gradient,
+        # for every step at once, over pre: the pre-activation gradients
+        # at step t are then these rows times dh, d_rhd and dh
+        f_z, f_r, f_c = s.pre
+        np.multiply(s.c, s.c, out=f_c)
+        np.subtract(1.0, f_c, out=f_c)
+        f_c *= z                              # z (1 - c^2)
+        np.subtract(1.0, r, out=f_r)
+        f_r *= r
+        f_r *= s.hd                           # hd r (1 - r)
+        np.subtract(s.c, s.hd, out=f_z)
+        f_z *= z
+        omz = np.subtract(1.0, z, out=z)      # z is not read again
+        f_z *= omz                            # (c - hd) z (1 - z)
+
+        dh, d_hd, d_rhd, tmp = (self._ws(name, n, hid)
+                                for name in ("dh", "d_hd", "d_rhd", "tmp"))
+        tmp2 = self._ws("tmp2", 2, n, hid)
+        np.matmul(d_logits, p["w_out"].T, out=dh)
+        u_zr_t = np.stack([p["u_z"].T, p["u_r"].T])
+        u_c_t = p["u_c"].T
         for t in range(n_steps - 1, -1, -1):
-            hd, zr, c = hd_all[t], zr_all[t], c_all[t]
-            z, r = zr[:, :hid], zr[:, hid:]
-            d_c = dh * z * (1.0 - c * c)
-            d_rhd = d_c @ u_c_t
-            d_zr = d_pre[t, :, :2 * hid]
-            d_zr[:, :hid] = dh * (c - hd)
-            d_zr[:, hid:] = d_rhd * hd
-            d_zr *= zr * (1.0 - zr)
-            d_pre[t, :, 2 * hid:] = d_c
-            d_hd = dh * (1.0 - z) + d_rhd * r + d_zr @ u_zr_t
-            d_gh[t] = d_hd * h_prev[t]
-            dh = d_hd * gh[t]
+            d_z, d_r, d_c = s.pre[:, t]
+            d_c *= dh
+            np.matmul(d_c, u_c_t, out=d_rhd)
+            d_z *= dh
+            d_r *= d_rhd
+            np.multiply(dh, omz[t], out=d_hd)
+            np.multiply(d_rhd, r[t], out=tmp)
+            d_hd += tmp
+            np.matmul(s.pre[:2, t], u_zr_t, out=tmp2)
+            d_hd += tmp2[0]
+            d_hd += tmp2[1]
+            s.h[t] *= d_hd                    # the gradient of gh[t]
+            np.multiply(d_hd, s.gh[t], out=dh)
 
-        def flat(a):
-            return a.reshape(-1, a.shape[-1])
-
-        d_w_in = flat(inp).T @ flat(d_pre)
-        d_b_in = d_pre.sum(axis=(0, 1))
-        d_u_zr = flat(hd_all).T @ flat(d_pre[:, :, :2 * hid])
-        d_u_c = flat(zr_all[:, :, hid:] * hd_all).T @ flat(d_pre[:, :, 2 * hid:])
-        d_x_hat = (d_pre @ w_in.T)[:, :, :self.n_features]
-        d_s_x = d_x_hat * (1.0 - maskf) * (x_last - self.x_bar) * -gx * (s_x > 0)
-        d_s_h = d_gh * -gh * (s_h > 0)
-        grads = [(d_s_x * delta).sum(axis=(0, 1)), d_s_x.sum(axis=(0, 1)),
-                 flat(delta).T @ flat(d_s_h), d_s_h.sum(axis=(0, 1))]
+        d_pre = s.pre.reshape(3, rows, hid)
+        d_w_in = np.matmul(s.inp.reshape(rows, 2 * d).T, d_pre)
+        d_b_in = d_pre.sum(axis=1)
+        d_u_zr = np.matmul(s.hd.reshape(rows, hid).T, d_pre[:2])
+        d_u_c = s.rhd.reshape(rows, hid).T @ d_pre[2]
+        # only the repaired values' rows of w_in reach a parameter
+        w_x = np.stack([p["w_z"][:d].T, p["w_r"][:d].T, p["w_c"][:d].T])
+        d_x_hat = np.matmul(d_pre, w_x).sum(axis=0).reshape(n_steps, n, d)
+        d_s_x = d_x_hat * (1.0 - s.maskf) * (s.x_last - self.x_bar) * -s.gx * (s.s_x > 0)
+        # -d_s_h: the gradient of gh times gh where the relu is active
+        d_gh = s.h[:n_steps]
+        d_gh *= s.gh
+        d_gh *= s.gh_on
+        grads = [(d_s_x * s.delta).sum(axis=(0, 1)), d_s_x.sum(axis=(0, 1)),
+                 -(s.delta.reshape(rows, d).T @ d_gh.reshape(rows, hid)),
+                 -d_gh.sum(axis=(0, 1))]
         for k in range(3):
-            cols = slice(k * hid, (k + 1) * hid)
-            d_u = d_u_zr[:, cols] if k < 2 else d_u_c
-            grads += [d_w_in[:, cols], d_u, d_b_in[cols]]
-        return grads + [h.T @ d_logits, d_logits.sum(axis=0)]
+            grads += [d_w_in[k], d_u_zr[k] if k < 2 else d_u_c, d_b_in[k]]
+        return grads + [s.h[n_steps].T @ d_logits, d_logits.sum(axis=0)]
 
     def grud_step(self, x_t, m_t, delta_t, x_last, h_prev):
         """One recurrence step on plain arrays; the fused forward's oracle.

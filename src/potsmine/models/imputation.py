@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import _EVAL_CHUNK, Batch, fit_norm_stats
+from ..core import Batch, fit_norm_stats
 from .. import tensor as T
 from .artifact import ModelArtifact, register_model
 from .base import (AnalyticModel, GradientModel, Imputer, TrainConfig,
@@ -155,9 +155,6 @@ def saits_loss(xhat: np.ndarray, originals: np.ndarray, observed_mask: np.ndarra
     return loss, d_xhat
 
 
-# a workspace array holds at most this many samples; a larger batch gets
-# fresh arrays that are freed after use
-_WORKSPACE_ROWS = _EVAL_CHUNK
 # the attention score a step gives itself before the softmax
 _SELF_SCORE = -1e9
 
@@ -193,11 +190,11 @@ class SaitsLiteModel(GradientModel, Imputer):
 
     The large (B, T, .) intermediates, the (B, T, T) attention among
     them, are written into workspace arrays the model keeps and reuses
-    from call to call (see _scratch), so a minibatch does not allocate,
-    free and re-fault them. The workspace is bounded by the largest
-    batch of at most _WORKSPACE_ROWS samples the model has seen; nothing
-    a caller receives aliases it. Because of it, one model instance must
-    not be called from two threads at once.
+    from call to call (GradientModel._scratch), so a minibatch does not
+    allocate, free and re-fault them. The workspace is bounded by the
+    largest batch of at most _WORKSPACE_ROWS samples the model has seen;
+    nothing a caller receives aliases it. Because of it, one model
+    instance must not be called from two threads at once.
     """
 
     kind = "saits_lite"
@@ -206,6 +203,7 @@ class SaitsLiteModel(GradientModel, Imputer):
     def __init__(self, n_steps: int, n_features: int, d_model: int = 32,
                  d_ff: int = 64, lam_mit: float = 1.0, normalize: bool = True,
                  init_seed: int = 0):
+        super().__init__()
         if n_steps < 2:
             raise InvalidInputError(
                 f"saits_lite needs at least 2 steps for off-diagonal attention, "
@@ -223,10 +221,6 @@ class SaitsLiteModel(GradientModel, Imputer):
         self.init_seed = int(init_seed)
         self.norm_stats = None
         self.parameters = self._init_params()
-        self._workspace: dict[str, np.ndarray] = {}
-        # counts the forwards that keep state for a backward, so a
-        # backward can tell that a later one overwrote its workspace
-        self._kept_forwards = 0
 
     def _init_params(self) -> dict[str, np.ndarray]:
         rng = np.random.Generator(np.random.PCG64(self.init_seed))
@@ -277,21 +271,6 @@ class SaitsLiteModel(GradientModel, Imputer):
         return working * self.norm_stats.std + self.norm_stats.mean
 
     # -- forward and backward ----------------------------------------------
-    def _scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialized workspace array of the given shape.
-
-        Each name keeps one flat buffer, grown to the largest batch seen,
-        and hands out its leading part, so batches of any size up to
-        _WORKSPACE_ROWS share it. A larger batch gets a fresh array.
-        """
-        if shape[0] > _WORKSPACE_ROWS:
-            return np.empty(shape)
-        size = math.prod(shape)
-        buf = self._workspace.get(name)
-        if buf is None or buf.size < size:
-            buf = self._workspace[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
     def _block(self, p: dict, pre: str, cur: np.ndarray, maskf: np.ndarray,
                ws: str) -> tuple[np.ndarray, _BlockState]:
         """One attention block over (B, T, D) input; returns (x_b, its state).
@@ -356,8 +335,7 @@ class SaitsLiteModel(GradientModel, Imputer):
                 cur += x0
         if not keep:
             return xb, None
-        self._kept_forwards += 1
-        return xb, (keepm, states, self._kept_forwards)
+        return xb, (keepm, states, self._claim_workspace())
 
     def _block_grads(self, p: dict, pre: str, s: _BlockState, d_xb: np.ndarray,
                      grads: dict, want_input: bool) -> np.ndarray | None:
@@ -423,11 +401,8 @@ class SaitsLiteModel(GradientModel, Imputer):
         first; the gradient of its input reaches block 1's output only
         through the cells the re-substitution left missing.
         """
-        keepm, states, kept = saved
-        if kept != self._kept_forwards:
-            raise InvalidInputError(
-                "saits_lite: another training forward ran on this model before the "
-                "backward of an earlier one and overwrote the workspace it reads")
+        keepm, states, token = saved
+        self._check_workspace(token)
         grads: dict[str, np.ndarray] = {}
         d_x = d_xhat
         for b in range(self.N_BLOCKS, 0, -1):

@@ -272,10 +272,19 @@ def transpose(a) -> Tensor:
     return _record(out, [(a, lambda g: g.swapaxes(-1, -2))])
 
 
-def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Logistic function on a plain array, without overflow for any sign."""
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+def sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function on a plain array, as 0.5 * tanh(x / 2) + 0.5.
+
+    tanh saturates instead of overflowing, so any finite input gives a
+    finite result, with no branch on the sign. out may be x itself.
+    """
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def sigmoid(a) -> Tensor:

@@ -6,6 +6,7 @@ import pytest
 from potsmine import (
     Batch,
     GrudLiteModel,
+    PotsDataset,
     TrainConfig,
     classify,
     compute_delta,
@@ -17,6 +18,7 @@ from potsmine import (
 )
 from potsmine import tensor as T
 from potsmine.errors import InvalidInputError, ShapeError
+from potsmine.models.base import _WORKSPACE_ROWS
 
 
 def tiny_model(t=4, d=2, h=3, classes=2, seed=0):
@@ -96,6 +98,46 @@ def test_step_regression_to_mean_when_decay_zero():
                                   np.ones((1, 2)), np.full((1, 2), 99.0),
                                   np.zeros((1, 3)))
     assert np.array_equal(x_hat, model.x_bar[None, :])
+
+
+# ---------------------------------------------------------------------------
+# construction and input checks
+
+@pytest.mark.parametrize("args, match", [
+    ((0, 2, 2), "dimensions must be positive"),
+    ((4, 0, 2), "dimensions must be positive"),
+    ((4, 2, 1), "n_classes must be at least 2"),
+    ((4, 2, 2, 0), "hidden_size must be positive"),
+])
+def test_constructor_refuses_bad_sizes(args, match):
+    with pytest.raises(InvalidInputError, match=match):
+        GrudLiteModel(*args)
+
+
+def test_hand_built_batch_with_repeated_timestamps_is_refused():
+    batch = irregular_batch()
+    batch.timestamps[1, 3] = batch.timestamps[1, 2]
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        perturbed_model().predict_proba_batch(batch)
+
+
+def test_unnormalized_model_repairs_toward_the_raw_feature_mean():
+    ds = generate_synthetic(10, 4, 2, 2, missing_rate=0.2, seed=5)
+    model = GrudLiteModel(4, 2, 2, hidden_size=3, normalize=False)
+    model.prepare_fit(ds)
+    assert model.norm_stats is None
+    obs = ds.training_batch(list(range(10)))
+    hit = obs.mask != 0
+    want = np.array([obs.values[..., k][hit[..., k]].mean() for k in range(2)])
+    assert np.allclose(model.x_bar, want, rtol=1e-12, atol=0)
+
+
+def test_validation_requires_labels():
+    ds = generate_synthetic(4, 4, 2, 2, missing_rate=0.0, seed=1)
+    unlabeled = Batch(values=ds._block.values, mask=ds._block.mask,
+                      timestamps=ds._block.timestamps, labels=None)
+    with pytest.raises(InvalidInputError, match="requires labels"):
+        tiny_model().validation_metric(PotsDataset(unlabeled), TrainConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +328,109 @@ def test_minibatch_tape_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the workspace
+
+def fused_loss_and_grads(model, batch):
+    tape = T.Tape()
+    leaves = {k: tape.leaf(v) for k, v in model.parameters.items()}
+    loss = model.batch_loss_sum(leaves, batch)
+    tape.backward(loss)
+    return float(loss.data), {k: lf.grad for k, lf in leaves.items()}
+
+
+def test_inference_forward_without_history_gives_the_training_logits_bitwise():
+    model = perturbed_model(t=9, d=3, h=5)
+    batch = irregular_batch(n=6, t=9, d=3)
+    prepared = model._prepare_batch(batch)
+    kept, state = model._forward(model.parameters, *prepared, keep=True)
+    assert state.h.shape == (10, 6, 5)
+    plain, none = model._forward(model.parameters, *prepared)
+    assert none is None
+    assert np.array_equal(plain, kept)
+
+
+def test_history_free_forward_uses_one_row_block_per_quantity():
+    model = perturbed_model(t=9, d=3, h=5)
+    model._logits_np(irregular_batch(n=6, t=9, d=3))
+    for name in ("h", "hd", "rhd", "c"):
+        assert model._workspace[name].size == 6 * 5, name
+    assert model._workspace["zr"].size == 2 * 6 * 5
+
+
+def test_grud_workspace_is_bounded_by_the_largest_batch_up_to_the_cap():
+    def workspace_bytes(model):
+        return sum(a.nbytes for a in model._workspace.values())
+
+    ds = generate_synthetic(_WORKSPACE_ROWS + 44, 6, 2, 2, missing_rate=0.2, seed=8)
+    model = perturbed_model(t=6, d=2, h=3)
+    for size in (_WORKSPACE_ROWS, _WORKSPACE_ROWS + 44, 8, _WORKSPACE_ROWS + 44,
+                 _WORKSPACE_ROWS):
+        part = ds.training_batch(list(range(size)))
+        model.predict_proba_batch(part)
+        fused_loss_and_grads(model, part)
+    once = perturbed_model(t=6, d=2, h=3)
+    part = ds.training_batch(list(range(_WORKSPACE_ROWS)))
+    once.predict_proba_batch(part)
+    fused_loss_and_grads(once, part)
+    assert workspace_bytes(model) == workspace_bytes(once)
+    # a batch above the cap is served by fresh arrays with the same bits
+    whole = ds.training_batch(list(range(len(ds))))
+    head = ds.training_batch(list(range(8)))
+    assert np.array_equal(model.predict_proba_batch(whole)[:8],
+                          once.predict_proba_batch(head))
+    loss, grads = fused_loss_and_grads(model, whole)
+    fresh = perturbed_model(t=6, d=2, h=3)
+    want_loss, want = fused_loss_and_grads(fresh, whole)
+    assert loss == want_loss
+    for name, g in want.items():
+        assert np.array_equal(grads[name], g), name
+
+
+def test_warm_workspace_gives_the_bits_of_a_fresh_model():
+    ds = generate_synthetic(40, 7, 2, 2, missing_rate=0.3, seed=9)
+    warm = perturbed_model()
+    for size in (32, 12, 40, 5):
+        batch = ds.training_batch(list(range(size)))
+        loss, grads = fused_loss_and_grads(warm, batch)
+        want_loss, want = fused_loss_and_grads(perturbed_model(), batch)
+        assert loss == want_loss, size
+        for name, g in want.items():
+            assert np.array_equal(grads[name], g), (size, name)
+        assert np.array_equal(warm.predict_proba_batch(batch),
+                              perturbed_model().predict_proba_batch(batch)), size
+
+
+def test_gradients_held_across_steps_do_not_alias_the_workspace():
+    ds = generate_synthetic(16, 7, 2, 2, missing_rate=0.3, seed=10)
+    model = perturbed_model()
+    _, first = fused_loss_and_grads(model, ds.training_batch(list(range(8))))
+    kept = {k: g.copy() for k, g in first.items()}
+    fused_loss_and_grads(model, ds.training_batch(list(range(8, 16))))
+    model.predict_proba_batch(ds.training_batch(list(range(16))))
+    for name, g in first.items():
+        assert np.array_equal(g, kept[name]), name
+
+
+def test_inference_between_forward_and_backward_is_refused():
+    model = perturbed_model()
+    batch = irregular_batch()
+    tape = T.Tape()
+    leaves = {k: tape.leaf(v) for k, v in model.parameters.items()}
+    loss = model.batch_loss_sum(leaves, batch)
+    model.predict_proba_batch(batch)
+    with pytest.raises(InvalidInputError, match="overwrote the workspace"):
+        tape.backward(loss)
+
+
+def test_a_second_backward_of_one_forward_is_refused():
+    # the sweep writes its gradients over the state it reads
+    model = perturbed_model()
+    tape = T.Tape()
+    leaves = {k: tape.leaf(v) for k, v in model.parameters.items()}
+    loss = model.batch_loss_sum(leaves, irregular_batch())
+    tape.backward(loss)
+    with pytest.raises(InvalidInputError, match="overwrote the workspace"):
+        tape.backward(loss)

@@ -430,6 +430,42 @@ def test_data_errors_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_csv_data_that_is_not_utf8_text_exits_two(capsys, tmp_path):
+    # a .pots container under a .csv name
+    not_text = tmp_path / "x.csv"
+    not_text.write_bytes(open(gen(capsys, tmp_path), "rb").read())
+    code, _, err = run(capsys, "train", "--task", "classify", "--model", "grud_lite",
+                       "--data", str(not_text), "--out", str(tmp_path / "m.pmdl"))
+    assert code == 2
+    assert "not UTF-8 text" in err
+
+
+def test_csv_field_over_the_csv_size_limit_exits_two(capsys, tmp_path):
+    huge = tmp_path / "huge.csv"
+    huge.write_text("sample_id,step,f0\n0,0," + "1" * 200_000 + "\n")
+    code, _, err = run(capsys, "pack", "--data", str(huge), "--out", str(tmp_path / "p.pots"))
+    assert code == 2
+    assert "field larger than field limit" in err
+
+
+def test_gen_data_csv_into_a_missing_directory_exits_two(capsys, tmp_path):
+    missing = tmp_path / "nodir" / "x.csv"
+    code, _, err = run(capsys, "gen-data", "--out", str(missing), "--n-samples", "4")
+    assert code == 2
+    assert "cannot write" in err
+
+
+def test_predict_impute_csv_into_a_missing_directory_exits_two(capsys, tmp_path):
+    missing = tmp_path / "nodir" / "x.csv"
+    data = gen(capsys, tmp_path, n=30)
+    model_path = train_impute(capsys, tmp_path, data, model="mean")
+    code, _, err = run(capsys, "predict", "--task", "impute", "--model", model_path,
+                       "--data", data, "--out", str(missing))
+    assert code == 2
+    assert "cannot write" in err
+    assert not missing.parent.exists()
+
+
 def test_evaluate_rejects_unrelated_originals(capsys, tmp_path):
     data = gen(capsys, tmp_path, n=30)
     model_path = train_impute(capsys, tmp_path, data)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from potsmine import (
+    Batch,
     Checkpoint,
     LocfModel,
     MeanImputerModel,
     GrudLiteModel,
+    PotsDataset,
     SaitsLiteModel,
     TmfModel,
     TrainConfig,
@@ -28,6 +30,7 @@ from potsmine import (
     write_container,
 )
 from potsmine import tensor as T
+from potsmine.models.base import imputer_validation_metric
 from potsmine.errors import (
     CorruptionError,
     FormatError,
@@ -151,6 +154,42 @@ def test_fit_rejects_shape_mismatch_and_empty_val():
         fit_model(model, view, other, TrainConfig(epochs=1))
 
 
+def test_fit_refusals_name_their_cause():
+    view = small_view()
+    model = SaitsLiteModel(n_steps=6, n_features=2, d_model=8, d_ff=12)
+    config = TrainConfig(epochs=1)
+    with pytest.raises(InvalidInputError, match="training set is empty"):
+        fit_model(model, [], view, config)
+    with pytest.raises(InvalidInputError, match="validation set is empty"):
+        fit_model(model, view, [], config)
+    with pytest.raises(InvalidInputError, match="features, model expects 2"):
+        fit_model(model, small_view(d=3), view, config)
+    with pytest.raises(InvalidInputError, match="does not support selection metric"):
+        fit_model(model, view, view, TrainConfig(epochs=1, selection_metric="val_accuracy"))
+    with pytest.raises(InvalidInputError, match="empty metric log"):
+        run_election([])
+
+
+def test_fit_stops_once_patience_runs_out():
+    class Counted(GrudLiteModel):
+        calls = 0
+
+        def validation_metric(self, val_set, config):
+            Counted.calls += 1
+            return 0.5   # never strictly better than the first epoch
+
+    view = small_view()
+    model = Counted(6, 2, 2, hidden_size=3)
+    _, ckpt = fit_model(model, view, view, TrainConfig(epochs=6, batch_size=4, patience=2))
+    assert (ckpt.epoch, Counted.calls) == (1, 3)
+
+
+def test_imputer_metric_of_a_view_without_observed_cells_is_zero():
+    empty = PotsDataset(Batch(values=np.full((2, 3, 2), np.nan), mask=np.zeros((2, 3, 2)),
+                              timestamps=np.tile(np.arange(3.0), (2, 1)), labels=None))
+    assert imputer_validation_metric(lambda b: np.zeros_like(b.values), empty) == 0.0
+
+
 def test_analytic_fit_reports_epoch_one():
     view = small_view()
     model = MeanImputerModel(n_features=2)
@@ -228,6 +267,24 @@ def test_workers_above_batch_size_still_valid():
 # ---------------------------------------------------------------------------
 # task dispatch
 
+@pytest.mark.parametrize("make", [lambda: SaitsLiteModel(6, 2, d_model=4, d_ff=4),
+                                  lambda: GrudLiteModel(6, 2, 2, hidden_size=3)],
+                         ids=["saits_lite", "grud_lite"])
+def test_backward_after_a_later_training_forward_is_refused(make):
+    model = make()
+    view = small_view()
+    first, second = view.training_batch([0, 1, 2]), view.training_batch([3, 4])
+    tapes = [T.Tape(), T.Tape()]
+    losses = []
+    for tape, batch in zip(tapes, (first, second)):
+        leaves = {k: tape.leaf(v) for k, v in model.parameters.items()}
+        losses.append(model.batch_loss_sum(leaves, batch))
+    with pytest.raises(InvalidInputError, match="overwrote the workspace"):
+        tapes[0].backward(losses[0])
+    # the later forward's own backward still runs
+    tapes[1].backward(losses[1])
+
+
 def test_impute_fully_observed_is_identity():
     ds = generate_synthetic(5, 6, 2, 2, missing_rate=0.0, seed=1)
     view = inject_mcar(ds, 0.0, seed=0)
@@ -273,6 +330,11 @@ def test_unsupported_task_names_kind_and_task():
         forecast(model, ds, horizon=1)
     with pytest.raises(UnsupportedTaskError, match="classify"):
         classify(model, ds)
+    grud = GrudLiteModel(4, 2, 2, hidden_size=3)
+    with pytest.raises(UnsupportedTaskError, match="impute"):
+        impute(grud, ds)
+    with pytest.raises(UnsupportedTaskError, match="cluster"):
+        cluster(grud, ds)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from potsmine import (Batch, SaitsLiteModel, generate_synthetic, inject_mcar,
                       saits_forward, stack_samples)
 from potsmine import tensor as T
 from potsmine.errors import InvalidInputError
-from potsmine.models.imputation import _WORKSPACE_ROWS
+from potsmine.models.base import _WORKSPACE_ROWS
 
 
 # ---------------------------------------------------------------------------

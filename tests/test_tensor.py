@@ -51,6 +51,30 @@ def test_sigmoid_tanh_extremes_and_values():
     assert abs(T.tanh(T.constant(0.5)).data - np.tanh(0.5)) < 1e-15
 
 
+def test_sigmoid_array_matches_the_logistic_formula_on_a_grid():
+    x = np.linspace(-30.0, 30.0, 6001)
+    assert np.abs(T.sigmoid_array(x) - 1.0 / (1.0 + np.exp(-x))).max() < 1e-15
+
+
+def test_sigmoid_array_is_finite_and_silent_at_extremes():
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = T.sigmoid_array(np.array([-800.0, -40.0, 0.0, 40.0, 800.0]))
+    assert np.isfinite(s).all()
+    assert s[2] == 0.5
+    assert s[0] == 0.0 and s[-1] == 1.0
+    assert T.sigmoid_array(np.array(0.0)) == 0.5
+
+
+def test_sigmoid_array_out_may_alias_the_input():
+    x = np.random.default_rng(5).normal(0.0, 4.0, size=(3, 7))
+    want = T.sigmoid_array(x)
+    got = T.sigmoid_array(x, out=x)
+    assert got is x
+    assert np.array_equal(x, want)
+
+
 def test_softmax_rows_sum_to_one_and_positive():
     rng = np.random.default_rng(7)
     z = rng.normal(0, 50, size=(5, 4))
