@@ -20,7 +20,7 @@ import sys
 
 FLOORS = {
     "potsmine.__init__": 100,
-    "potsmine.cli": 94,
+    "potsmine.cli": 99,
     "potsmine.core": 100,
     "potsmine.errors": 100,
     "potsmine.metrics": 96,
@@ -30,7 +30,7 @@ FLOORS = {
     "potsmine.models.classification": 100,
     "potsmine.models.clustering": 93,
     "potsmine.models.forecasting": 95,
-    "potsmine.models.imputation": 97,
+    "potsmine.models.imputation": 100,
     "potsmine.store": 100,
     "potsmine.tensor": 90,
 }

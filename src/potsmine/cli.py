@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 usage error, 2 data or format error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -26,8 +25,8 @@ import sys
 
 import numpy as np
 
-from .errors import (FormatError, InvalidInputError, PotsError, StorageError,
-                     TrainingDivergedError, UnsupportedTaskError)
+from .errors import (FormatError, InvalidInputError, PotsError, TrainingDivergedError,
+                     UnsupportedTaskError)
 from . import core, metrics, store
 from .models import (GrudLiteModel, LocfModel, MeanImputerModel, SaitsLiteModel,
                      TmfModel, TrainConfig, TwoStageKMeansModel, classify, cluster,
@@ -61,6 +60,18 @@ def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _json_types(default) -> tuple[tuple[type, ...], str]:
+    """The JSON value types a config key takes, by the type of its default
+    (a JSON true is not an integer, though Python's bool is an int)."""
+    if isinstance(default, bool):
+        return (bool,), "a boolean"
+    if isinstance(default, int):
+        return (int,), "an integer"
+    if isinstance(default, float):
+        return (int, float), "a number"
+    return (str,), "a string"
+
+
 def _load_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise _UsageError(f"config file not found: {path} (--config)")
@@ -71,9 +82,12 @@ def _load_config_file(path: str) -> dict:
         raise FormatError(f"cannot parse config file {path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise FormatError(f"config file {path} must hold a flat JSON object")
-    for key in loaded:
+    for key, value in loaded.items():
         if key not in _DEFAULTS:
             raise _UsageError(f"unknown config key {key!r} in {path}")
+        types, name = _json_types(_DEFAULTS[key])
+        if type(value) not in types:
+            raise _UsageError(f"config key {key!r} in {path} must be {name}, got {value!r}")
     return loaded
 
 
@@ -321,16 +335,6 @@ def _cmd_evaluate(args) -> int:
     raise _UsageError(f"unknown task {task!r} (--task)")
 
 
-def _write_rows(path: str, header: list[str], rows) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise StorageError(f"cannot write {path}: {exc}") from exc
-
-
 def _cmd_predict(args) -> int:
     cfg = _resolve(args)
     task = _require(cfg, "task", "--task")
@@ -346,26 +350,28 @@ def _cmd_predict(args) -> int:
         completed = dataclasses.replace(block, values=impute(model, dataset),
                                         mask=np.ones_like(block.mask))
         _write_dataset(core.PotsDataset(completed, n_classes=dataset.n_classes), out)
-    elif task == "classify":
-        probs = classify(model, dataset)
-        header = ["sample_id"] + [f"p{c}" for c in range(probs.shape[1])]
-        _write_rows(out, header,
-                    ([sid] + [repr(float(p)) for p in row]
-                     for sid, row in zip(ids, probs)))
+        _emit(f"wrote predictions to {out}")
+        return 0
+    # every field below is an int id, a step number or a float repr, none of
+    # which holds a comma, a quote or a line break: csv.writer would quote
+    # nothing, so the comma-joined lines are its bytes
+    if task == "classify":
+        probs = classify(model, dataset).tolist()
+        header = ["sample_id"] + [f"p{c}" for c in range(len(probs[0]))]
+        lines = [f"{sid}," + ",".join(map(repr, row)) for sid, row in zip(ids, probs)]
     elif task == "cluster":
-        labels = cluster(model, dataset)
-        _write_rows(out, ["sample_id", "cluster"],
-                    ([sid, int(lab)] for sid, lab in zip(ids, labels)))
+        header = ["sample_id", "cluster"]
+        lines = [f"{sid},{lab}" for sid, lab in zip(ids, cluster(model, dataset).tolist())]
     elif task == "forecast":
         horizon = int(cfg["horizon"])
         _positive(cfg, "horizon", "--horizon")
         pred = forecast(model, dataset, horizon)
         header = ["sample_id", "step"] + [f"f{d}" for d in range(pred.shape[2])]
-        rows = ([sid, dataset.n_steps + j] + [repr(float(v)) for v in pred[i, j]]
-                for i, sid in enumerate(ids) for j in range(horizon))
-        _write_rows(out, header, rows)
+        lines = [f"{sid},{dataset.n_steps + j}," + ",".join(map(repr, row))
+                 for sid, series in zip(ids, pred.tolist()) for j, row in enumerate(series)]
     else:
         raise _UsageError(f"unknown task {task!r} (--task)")
+    core.write_csv(out, [[",".join(header), *lines]])
     _emit(f"wrote predictions to {out}")
     return 0
 

@@ -13,7 +13,7 @@ import csv
 import dataclasses
 import operator
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -388,8 +388,14 @@ def _iter_batches(view, batch_size: int = _EVAL_CHUNK) -> Iterator[Batch]:
 
 
 def fetch_all(view, batch_size: int = _EVAL_CHUNK) -> Batch:
-    """Stream a whole view into one stacked Batch, in index order."""
+    """Stream a whole view into one stacked Batch, in index order.
+
+    Every view's training_batch returns fresh arrays, so a view that fits
+    one chunk comes back as that chunk's batch, without a copy.
+    """
     parts = list(_iter_batches(view, batch_size))
+    if len(parts) == 1:
+        return parts[0]
     return Batch(**{f.name: None if getattr(parts[0], f.name) is None
                     else np.concatenate([getattr(p, f.name) for p in parts])
                     for f in fields(Batch)})
@@ -555,6 +561,22 @@ def ingest_csv(path: str, schema: ColumnSchema | None = None) -> PotsDataset:
     return PotsDataset(block)
 
 
+def write_csv(path: str, blocks: Iterable[Iterable[str]]) -> None:
+    """Write CSV lines, each block of them in one write, ended by \r\n as
+    csv.writer ends them; an OSError is a StorageError.
+
+    Each line is its fields joined by commas, unquoted. The bytes equal
+    csv.writer's as long as no field holds a comma, a quote or a line
+    break, and no line is one empty field.
+    """
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            for lines in blocks:
+                handle.write("\r\n".join([*lines, ""]))
+    except OSError as e:
+        raise StorageError(f"{path}: cannot write ({e})") from e
+
+
 def export_csv(dataset: PotsDataset, path: str) -> None:
     """Write a dataset in the long CSV layout read by ingest_csv.
 
@@ -565,19 +587,19 @@ def export_csv(dataset: PotsDataset, path: str) -> None:
     block = dataset._block
     with_labels = bool((block.labels >= 0).any())
     header = ["sample_id", "step"] + [f"f{d}" for d in range(dataset.n_features)]
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header + ["label"] * with_labels)
-            for j, (sid, label) in enumerate(zip(block.sample_ids.tolist(),
-                                                 block.labels.tolist())):
-                tail = [str(label) if label >= 0 else ""] * with_labels
-                for t, values, mask in zip(block.timestamps[j].tolist(),
-                                           block.values[j].tolist(), block.mask[j].tolist()):
-                    cells = [repr(v) if m else "" for v, m in zip(values, mask)]
-                    writer.writerow([sid, repr(t)] + cells + tail)
-    except OSError as e:
-        raise StorageError(f"{path}: cannot write ({e})") from e
+
+    def blocks():
+        yield [",".join(header + ["label"] * with_labels)]
+        for j, (sid, label) in enumerate(zip(block.sample_ids.tolist(),
+                                             block.labels.tolist())):
+            tail = ("," + (str(label) if label >= 0 else "")) * with_labels
+            yield [f"{sid},{t!r}," + ",".join([repr(v) if m else ""
+                                                for v, m in zip(values, mask)]) + tail
+                   for t, values, mask in zip(block.timestamps[j].tolist(),
+                                              block.values[j].tolist(),
+                                              block.mask[j].tolist())]
+
+    write_csv(path, blocks())
 
 
 def split(dataset: PotsDataset, fractions: Sequence[float], seed: int):

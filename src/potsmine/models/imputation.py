@@ -29,17 +29,26 @@ def _locf_fill(values: np.ndarray, mask: np.ndarray, fallback: np.ndarray) -> np
 
     Leading missing cells take the first later observation; features
     with no observation at all take the fallback value.
+
+    Runs time-major, on contiguous (T, B, D) copies of the values and the
+    observed mask, so each step is one contiguous (B, D) row. Of the backward
+    pass (each cell seeded with the next observation at or after it, else
+    the fallback) only the step-0 row outlives the forward pass, so it is
+    taken at once: each feature's first observation (argmax over time), or
+    the fallback. The forward pass then carries that row and each
+    observation over the missing cells that follow. Every cell is selected,
+    never computed, so the output is bitwise that of the index-based fill
+    this replaced (kept in tests/ as the oracle). Returns a (B, T, D) view
+    of the time-major result.
     """
-    n_steps = values.shape[1]
-    obs = mask != 0
-    t_idx = np.broadcast_to(np.arange(n_steps)[None, :, None], values.shape)
-    last = np.maximum.accumulate(np.where(obs, t_idx, -1), axis=1)
-    first = obs.argmax(axis=1)
-    has_any = obs.any(axis=1)
-    src = np.where(last >= 0, last, first[:, None, :])
-    filled = np.take_along_axis(values, src, axis=1)
-    filled = np.where(has_any[:, None, :], filled, fallback[None, None, :])
-    return np.where(obs, values, filled)
+    obs = np.ascontiguousarray((mask != 0).transpose(1, 0, 2))
+    vals = np.ascontiguousarray(values.transpose(1, 0, 2))
+    seed = np.take_along_axis(vals, obs.argmax(axis=0)[None], axis=0)[0]
+    carry = np.where(obs.any(axis=0), seed, fallback)
+    out = np.empty(vals.shape, carry.dtype)
+    for t in range(len(vals)):
+        carry = out[t] = np.where(obs[t], vals[t], carry)
+    return out.transpose(1, 0, 2)
 
 
 def locf_impute(values: np.ndarray, mask: np.ndarray,

@@ -1,5 +1,8 @@
 """CLI pipeline: subcommand round trips, exit codes, config precedence."""
 
+import csv
+import dataclasses
+import io
 import json
 import os
 import re
@@ -23,6 +26,7 @@ from potsmine import (
     open_readonly,
     write_container,
 )
+from potsmine import cli
 from potsmine.cli import build_parser, main
 
 
@@ -361,6 +365,95 @@ def test_predict_cluster_rows_carry_sample_ids(capsys, tmp_path):
     assert lines[1:] == [f"{s.sample_id},{int(lab)}" for s, lab in zip(samples, labels)]
 
 
+# ---------------------------------------------------------------------------
+# prediction CSV bytes
+
+_PREDICT_KINDS = {"forecast": "tmf", "classify": "grud_lite", "cluster": "twostage_kmeans"}
+# floats whose reprs take the signed-zero, subnormal, large and small forms
+_SPECIALS = [-0.0, 5e-324, 1e16, 1e-05]
+
+
+@pytest.fixture(scope="module")
+def predict_setup(tmp_path_factory):
+    """A container whose ids reach 2**64 - 1, and one model per CSV task."""
+    root = tmp_path_factory.mktemp("predict")
+    ids = [2**64 - 1, 0, 2**63, 7] + list(range(100, 108))
+    base = generate_synthetic(12, 8, 2, 3, missing_rate=0.1, seed=3)
+    dataset = PotsDataset([dataclasses.replace(s, sample_id=i)
+                           for s, i in zip(base.samples, ids)])
+    data = str(root / "ids.pots")
+    write_container(dataset, data)
+    models = {}
+    for task, kind in _PREDICT_KINDS.items():
+        models[task] = str(root / f"{kind}.pmdl")
+        assert main(["train", "--task", task, "--model", kind, "--data", data,
+                     "--out", models[task], "--seed", "4", "--epochs", "1",
+                     "--batch-size", "8"]) == 0
+    return data, dataset, ids, models
+
+
+def csv_writer_bytes(task, ids, pred, n_steps):
+    """A prediction CSV as csv.writer wrote it, with repr(float(v)) fields."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    if task == "forecast":
+        writer.writerow(["sample_id", "step"] + [f"f{d}" for d in range(pred.shape[2])])
+        writer.writerows([sid, n_steps + j] + [repr(float(v)) for v in pred[i, j]]
+                         for i, sid in enumerate(ids) for j in range(pred.shape[1]))
+    elif task == "classify":
+        writer.writerow(["sample_id"] + [f"p{c}" for c in range(pred.shape[1])])
+        writer.writerows([sid] + [repr(float(p)) for p in row] for sid, row in zip(ids, pred))
+    else:
+        writer.writerow(["sample_id", "cluster"])
+        writer.writerows([sid, int(lab)] for sid, lab in zip(ids, pred))
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("task", list(_PREDICT_KINDS))
+def test_predict_csv_bytes_equal_csv_writer_output(capsys, tmp_path, monkeypatch,
+                                                   predict_setup, task):
+    data, dataset, ids, models = predict_setup
+    model = load_model(models[task])
+    pred = {"forecast": lambda: forecast(model, dataset, 3),
+            "classify": lambda: classify(model, dataset),
+            "cluster": lambda: cluster(model, dataset)}[task]()
+    out = tmp_path / "pred.csv"
+    argv = ["predict", "--task", task, "--model", models[task], "--data", data,
+            "--out", str(out), "--horizon", "3"]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.read_bytes() == csv_writer_bytes(task, ids, pred, dataset.n_steps)
+    assert b"\r\n18446744073709551615," in out.read_bytes()
+    if task == "cluster":
+        return
+    special = pred.copy()
+    special.reshape(-1)[:len(_SPECIALS)] = _SPECIALS
+    monkeypatch.setattr(cli, task, lambda *args: special)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.read_bytes() == csv_writer_bytes(task, ids, special, dataset.n_steps)
+    for text in (b",-0.0", b",5e-324", b",1e+16", b",1e-05"):
+        assert text in out.read_bytes()
+
+
+@pytest.mark.parametrize("task", list(_PREDICT_KINDS))
+def test_predict_csv_into_a_missing_directory_exits_two(capsys, tmp_path, predict_setup, task):
+    data, _, _, models = predict_setup
+    missing = tmp_path / "nodir" / "x.csv"
+    code, _, err = run(capsys, "predict", "--task", task, "--model", models[task],
+                       "--data", data, "--out", str(missing), "--horizon", "2")
+    assert code == 2
+    assert "cannot write" in err
+    assert not missing.parent.exists()
+
+
+def test_inspect_names_the_inner_model_of_a_two_stage_artifact(capsys, predict_setup):
+    models = predict_setup[-1]
+    code, out, err = run(capsys, "inspect", models["cluster"])
+    assert code == 0, err
+    assert "kind: twostage_kmeans" in out and "inner model kind: locf" in out
+
+
 def test_inspect_model_and_container(capsys, tmp_path):
     data = gen(capsys, tmp_path, n=12)
     code, out, err = run(capsys, "inspect", data)
@@ -466,6 +559,25 @@ def test_predict_impute_csv_into_a_missing_directory_exits_two(capsys, tmp_path)
     assert not missing.parent.exists()
 
 
+def test_evaluate_impute_with_no_removed_cell_exits_two(capsys, tmp_path):
+    data = gen(capsys, tmp_path, n=20)
+    model_path = train_impute(capsys, tmp_path, data, model="mean")
+    code, _, err = run(capsys, "evaluate", "--task", "impute", "--model", model_path,
+                       "--data", data, "--originals", data)
+    assert code == 2
+    assert "no artificially removed cells" in err
+
+
+def test_evaluate_forecast_with_truth_shorter_than_horizon_exits_two(capsys, tmp_path,
+                                                                     predict_setup):
+    data, _, _, models = predict_setup
+    truth = gen(capsys, tmp_path, name="truth.pots", n=12, t=2, rate=0.3, seed=9)
+    code, _, err = run(capsys, "evaluate", "--task", "forecast", "--model", models["forecast"],
+                       "--data", data, "--truth", truth, "--horizon", "3")
+    assert code == 2
+    assert "holds 2 steps, fewer than --horizon 3" in err
+
+
 def test_evaluate_rejects_unrelated_originals(capsys, tmp_path):
     data = gen(capsys, tmp_path, n=30)
     model_path = train_impute(capsys, tmp_path, data)
@@ -546,6 +658,87 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
                        "--out", "x.pmdl")
     assert code == 1
     assert "nonsense" in err
+
+
+# a command and a config holding one mistyped value; "models" stands for
+# the fixture's forecast model
+_TRAIN_TMF = ["train", "--task", "forecast", "--model", "tmf"]
+_PREDICT_TMF = ["predict", "--task", "forecast", "--model", "models"]
+_MISTYPED_CONFIGS = {
+    "horizon_text": (_PREDICT_TMF, {"horizon": "abc"}, "an integer"),
+    "horizon_fraction": (_PREDICT_TMF, {"horizon": 0.5}, "an integer"),
+    "rank_list": (_TRAIN_TMF, {"rank": [2]}, "an integer"),
+    "epochs_text": (_TRAIN_TMF, {"epochs": "3"}, "an integer"),
+    "seed_boolean": (_TRAIN_TMF, {"seed": True}, "an integer"),
+    "lr_text": (_TRAIN_TMF, {"lr": "0.1"}, "a number"),
+    "normalize_integer": (_TRAIN_TMF, {"normalize": 1}, "a boolean"),
+    "model_list": (_TRAIN_TMF[:3], {"model": ["tmf"]}, "a string"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISTYPED_CONFIGS))
+def test_config_value_of_the_wrong_type_exits_one(capsys, tmp_path, predict_setup, case):
+    data, _, _, models = predict_setup
+    argv, cfg, kind = _MISTYPED_CONFIGS[case]
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [models["forecast"] if a == "models" else a for a in argv]
+    code, _, err = run(capsys, *argv, "--data", data, "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out.csv"))
+    assert code == 1, err
+    (key,) = cfg
+    assert f"config key {key!r}" in err and f"must be {kind}" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+# config file text, the command's exit code and a phrase of its message
+_BAD_CONFIG_FILES = {
+    "missing": (None, ["train"], 1, "config file not found"),
+    "not_json": ("{horizon: 2", ["train"], 2, "cannot parse config file"),
+    "not_an_object": ("[1, 2]", ["train"], 2, "must hold a flat JSON object"),
+    "train_task": ('{"task": "bogus"}', ["train", "--model", "tmf"], 1, "unknown task"),
+    "train_model": ('{"model": "bogus"}', ["train", "--task", "forecast"], 1,
+                    "unknown model kind"),
+    "patience": ('{"patience": -1}', ["train", "--task", "forecast", "--model", "tmf"], 1,
+                 "--patience must be non-negative"),
+    "evaluate_task": ('{"task": "bogus"}', ["evaluate", "--model", "models"], 1,
+                      "unknown task"),
+    "predict_task": ('{"task": "bogus"}', ["predict", "--model", "models"], 1,
+                     "unknown task"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CONFIG_FILES))
+def test_bad_config_files_and_values_exit_with_their_codes(capsys, tmp_path, predict_setup,
+                                                           case):
+    data, _, _, models = predict_setup
+    text, argv, want, message = _BAD_CONFIG_FILES[case]
+    cfg_path = tmp_path / "run.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    argv = [models["forecast"] if a == "models" else a for a in argv]
+    code, _, err = run(capsys, *argv, "--data", data, "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out.csv"))
+    assert code == want, err
+    assert message in err
+
+
+def test_non_positive_size_flag_exits_one(capsys, tmp_path):
+    code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d.pots"),
+                       "--n-samples", "0")
+    assert code == 1
+    assert "--n-samples must be positive, got 0" in err
+
+
+def test_config_takes_integers_for_floats_and_booleans_for_normalize(capsys, tmp_path):
+    data = gen(capsys, tmp_path, n=20)
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps({"task": "impute", "model": "mean", "data": data,
+                                    "lr": 1, "missing_rate": 0, "normalize": False,
+                                    "epochs": 1, "batch_size": 8}))
+    code, _, err = run(capsys, "train", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "m.pmdl"))
+    assert code == 0, err
 
 
 # ---------------------------------------------------------------------------

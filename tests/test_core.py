@@ -22,8 +22,11 @@ from potsmine import (
     ingest_csv,
     inject_mcar,
     invert_norm,
+    lazy_dataset,
+    open_readonly,
     split,
     stack_samples,
+    write_container,
 )
 from potsmine.errors import FormatError, InvalidInputError
 
@@ -472,6 +475,41 @@ def test_csv_round_trip_keeps_partial_labels(tmp_path):
     assert first.read_text() == again.read_text()
 
 
+def _export_by_csv_writer(ds, path):
+    """export_csv as csv.writer wrote it, row by row."""
+    import csv
+    samples = ds.samples
+    with_labels = any(s.label is not None for s in samples)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["sample_id", "step"] + [f"f{d}" for d in range(ds.n_features)]
+                        + ["label"] * with_labels)
+        for s in samples:
+            tail = ["" if s.label is None else str(s.label)] * with_labels
+            for t, values, mask in zip(s.timestamps, s.values, s.mask):
+                writer.writerow([s.sample_id, repr(float(t))]
+                                + [repr(float(v)) if m else "" for v, m in zip(values, mask)]
+                                + tail)
+
+
+@pytest.mark.parametrize("labels", ["all", "some", "none"])
+def test_export_csv_bytes_equal_csv_writer_output(tmp_path, labels):
+    base = partly_labeled(n=5, t=4, d=3)
+    specials = np.array([-0.0, 5e-324, 1e16, 1e-05, 0.1, -2.5])
+    samples = []
+    for i, s in enumerate(base.samples):
+        values = np.where(s.mask != 0, np.resize(specials, s.values.shape), np.nan)
+        label = {"all": i % 3, "some": s.label, "none": None}[labels]
+        samples.append(dataclasses.replace(s, sample_id=2**64 - 1 - i, values=values,
+                                           label=label))
+    ds = PotsDataset(samples)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    export_csv(ds, str(got))
+    _export_by_csv_writer(ds, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert b"\r\n18446744073709551615,0.0,-0.0,5e-324,1e+16" in got.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # split
 
@@ -504,3 +542,23 @@ def test_fetch_all_orders_by_index():
     direct = stack_samples(ds.samples)
     assert np.array_equal(batch.values, direct.values, equal_nan=True)
     assert np.array_equal(batch.labels, direct.labels)
+
+
+@pytest.mark.parametrize("backend", ["in_memory", "pair", "lazy"])
+@pytest.mark.parametrize("batch_size", [256, 3])
+def test_fetch_all_result_is_the_callers_own(tmp_path, backend, batch_size):
+    ds = generate_synthetic(7, 5, 2, 2, missing_rate=0.2, seed=3)
+    path = str(tmp_path / "d.pots")
+    write_container(ds, path)
+    with open_readonly(path) as handle:
+        view = {"in_memory": ds, "pair": inject_mcar(ds, 0.3, seed=1),
+                "lazy": lazy_dataset(handle)}[backend]
+        got = fetch_all(view, batch_size)
+        kept = {f.name: getattr(got, f.name).copy() for f in dataclasses.fields(Batch)
+                if getattr(got, f.name) is not None}
+        for name in kept:
+            getattr(got, name)[...] = 0
+        again = fetch_all(view, batch_size)
+    assert ("originals" in kept) == (backend == "pair")
+    for name, arr in kept.items():
+        assert getattr(again, name).tobytes() == arr.tobytes(), name

@@ -21,6 +21,7 @@ from potsmine import (
 )
 from potsmine import tensor as T
 from potsmine.models import imputer_validation_metric
+from potsmine.models.imputation import _locf_fill
 from potsmine.errors import InvalidInputError, ShapeError
 
 
@@ -91,6 +92,48 @@ def test_locf_mixed_features_random():
                 assert out[t, d] == want
 
 
+def _locf_fill_by_index(values, mask, fallback):
+    """The index-based (B, T, D) fill the time-major one replaced: each cell
+    takes values at its last observed step, else at its first, else the
+    fallback."""
+    n_steps = values.shape[1]
+    obs = mask != 0
+    t_idx = np.broadcast_to(np.arange(n_steps)[None, :, None], values.shape)
+    last = np.maximum.accumulate(np.where(obs, t_idx, -1), axis=1)
+    first = obs.argmax(axis=1)
+    has_any = obs.any(axis=1)
+    src = np.where(last >= 0, last, first[:, None, :])
+    filled = np.take_along_axis(values, src, axis=1)
+    filled = np.where(has_any[:, None, :], filled, fallback[None, None, :])
+    return np.where(obs, values, filled)
+
+
+def _gappy_block(rng, b, t, d):
+    mask = (rng.random((b, t, d)) < 0.4).astype(np.float64)
+    mask[0, :, 0] = 0.0                     # a feature with no observation
+    if t > 2:
+        mask[:, : t // 3, d - 1] = 0.0      # leading gaps
+        mask[:, -(t // 3):, d - 1] = 0.0    # trailing gaps
+    # signed zeros and subnormals must come through bit for bit
+    values = rng.normal(size=(b, t, d)) * rng.choice([1e-310, -0.0, 1.0, 1e300], (b, t, d))
+    return np.where(mask != 0, values, np.nan), mask
+
+
+@pytest.mark.parametrize("shape", [(7, 11, 3), (1, 9, 4), (5, 1, 3), (1, 1, 2), (300, 48, 8)])
+def test_locf_fill_is_bitwise_the_index_based_fill(shape):
+    rng = np.random.default_rng(sum(shape))
+    fallback = rng.normal(size=shape[2])
+    for _ in range(5):
+        values, mask = _gappy_block(rng, *shape)
+        want = _locf_fill_by_index(values, mask, fallback)
+        got = _locf_fill(values, mask, fallback)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for j in range(shape[0]):
+            one = locf_impute(values[j], mask[j], fallback)
+            assert np.array_equal(one.view(np.uint64), want[j].view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # mean imputer
 
@@ -149,6 +192,20 @@ def test_saits_loss_rejects_overlapping_masks():
     ones = np.ones((1, 2, 2))
     with pytest.raises(InvalidInputError, match="overlap"):
         saits_loss(ones, ones, ones, ones)
+    with pytest.raises(ShapeError, match="mask shapes differ"):
+        saits_loss(ones, ones, ones, np.zeros((1, 2, 3)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LocfModel(0), "n_features must be positive"),
+    (lambda: MeanImputerModel(2, values=[np.nan, 0.0]), "must be finite"),
+    (lambda: SaitsLiteModel(1, 2), "at least 2 steps"),
+    (lambda: SaitsLiteModel(4, 2, d_ff=0), "sizes must be positive"),
+    (lambda: SaitsLiteModel(4, 2, lam_mit=-0.5), "lam_mit must be non-negative"),
+])
+def test_imputer_constructors_refuse_bad_settings(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()
 
 
 def test_saits_loss_gradient_small_batch():
