@@ -1,5 +1,6 @@
 """Data model: samples, corruption, deltas, normalization, CSV, splits."""
 
+import csv
 import dataclasses
 import zlib
 
@@ -477,7 +478,6 @@ def test_csv_round_trip_keeps_partial_labels(tmp_path):
 
 def _export_by_csv_writer(ds, path):
     """export_csv as csv.writer wrote it, row by row."""
-    import csv
     samples = ds.samples
     with_labels = any(s.label is not None for s in samples)
     with open(path, "w", newline="", encoding="utf-8") as handle:
