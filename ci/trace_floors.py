@@ -25,10 +25,10 @@ FLOORS = {
     "potsmine.errors": 100,
     "potsmine.metrics": 96,
     "potsmine.models.__init__": 100,
-    "potsmine.models.artifact": 92,
+    "potsmine.models.artifact": 100,
     "potsmine.models.base": 99,
     "potsmine.models.classification": 100,
-    "potsmine.models.clustering": 93,
+    "potsmine.models.clustering": 100,
     "potsmine.models.forecasting": 95,
     "potsmine.models.imputation": 100,
     "potsmine.store": 100,

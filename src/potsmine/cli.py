@@ -210,12 +210,11 @@ def _build_model(kind: str, task: str, dataset: core.PotsDataset, cfg: dict):
         return TwoStageKMeansModel(
             LocfModel(n_features), int(cfg["k"]),
             max_iters=int(cfg["kmeans_max_iters"]), tol=float(cfg["kmeans_tol"]))
-    if kind == "tmf":
-        return TmfModel(
-            n_steps, n_features, rank=int(cfg["rank"]), ar_order=int(cfg["ar_order"]),
-            lam_w=float(cfg["lam_w"]), lam_f=float(cfg["lam_f"]),
-            lam_a=float(cfg["lam_a"]), iters=int(cfg["iters"]))
-    raise _UsageError(f"unknown model kind {kind!r} (--model)")
+    # "tmf": _cmd_train admits only the kinds in _MODEL_TASKS
+    return TmfModel(
+        n_steps, n_features, rank=int(cfg["rank"]), ar_order=int(cfg["ar_order"]),
+        lam_w=float(cfg["lam_w"]), lam_f=float(cfg["lam_f"]),
+        lam_a=float(cfg["lam_a"]), iters=int(cfg["iters"]))
 
 
 def _cmd_train(args) -> int:
@@ -262,10 +261,7 @@ def _cmd_train(args) -> int:
 
 def _print_report(pairs) -> None:
     for key, value in pairs:
-        if isinstance(value, float):
-            _emit(f"{key}: {value:.10g}")
-        else:
-            _emit(f"{key}: {value}")
+        _emit(f"{key}: {value:.10g}")
 
 
 def _cmd_evaluate(args) -> int:

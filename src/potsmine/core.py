@@ -316,27 +316,51 @@ class CorruptedPairView:
         return batch
 
 
+def _carry_forward(values: np.ndarray, observed: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Last observation carried forward over a time-major (T, B, D) block.
+
+    Returns a (T + 1, B, D) block: row 0 is seed (broadcast to (B, D)),
+    and row t + 1 holds each cell's last value observed at or before
+    step t, else the seed. Every cell is selected, never computed.
+    """
+    out = np.empty((len(values) + 1,) + values.shape[1:])
+    carry = out[0] = seed
+    for t in range(len(values)):
+        carry = out[t + 1] = np.where(observed[t], values[t], carry)
+    return out
+
+
+def _time_since_observed(gaps: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Time since each cell's last observation, over a time-major block.
+
+    gaps (T - 1, B) holds the steps between timestamps and observed is
+    (T, B, D). Row 0 is 0, and row t is gaps[t - 1] plus, where step
+    t - 1 is missing, row t - 1: missing runs accumulate elapsed time
+    while observations reset it.
+    """
+    delta = np.zeros(observed.shape)
+    for t in range(1, len(delta)):
+        delta[t] = gaps[t - 1, :, None] + np.where(observed[t - 1], 0.0, delta[t - 1])
+    return delta
+
+
 def compute_delta(timestamps: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Time since the last observation, per feature.
+    """Time since the last observation, per feature, of one (T, D) sample.
 
     delta[0, d] = 0, and for t >= 1:
     delta[t, d] = timestamps[t] - timestamps[t-1] + (delta[t-1, d] if
-    mask[t-1, d] == 0 else 0). Missing runs therefore accumulate elapsed
-    time while observations reset it.
+    mask[t-1, d] == 0 else 0), summed in that order. It is
+    _time_since_observed on a block of one sample.
     """
     ts = np.asarray(timestamps, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64)
     if ts.ndim != 1 or m.ndim != 2 or m.shape[0] != ts.shape[0]:
         raise InvalidInputError(
             f"compute_delta: incompatible shapes {ts.shape} and {m.shape}")
-    if ts.shape[0] > 1 and not np.all(np.diff(ts) > 0):
+    gaps = np.diff(ts)
+    if not np.all(gaps > 0):
         raise InvalidInputError("compute_delta: timestamps must be strictly increasing")
-    t_len, d = m.shape
-    delta = np.zeros((t_len, d), dtype=np.float64)
-    for t in range(1, t_len):
-        gap = ts[t] - ts[t - 1]
-        delta[t] = gap + np.where(m[t - 1] != 0, 0.0, delta[t - 1])
-    return delta
+    return _time_since_observed(gaps[:, None], (m != 0)[:, None])[:, 0]
 
 
 def _mcar_cell_count(rate: float, n_observed: int) -> int:

@@ -8,7 +8,8 @@ Layout, all little-endian:
         kind          u16 length + utf-8 bytes
         hyperparams   u32 count, then per entry (sorted by key):
                       key (u16 length + utf-8), type tag u8, value
-                      (tag 0 float f8, 1 int i64, 2 str u32+utf-8, 3 bool u8)
+                      (tag 0 float f8, 1 int i64, 3 bool u8; tag 2, once
+                      a string, is refused like any unknown tag)
         norm stats    u8 flag; if 1: u32 D, D f8 means, D f8 stds
         tensors       u32 count, then per tensor (sorted by name):
                       name (u16 length + utf-8), rank u8, dims (u64 each),
@@ -37,7 +38,6 @@ VERSION = 1
 
 _TAG_FLOAT = 0
 _TAG_INT = 1
-_TAG_STR = 2
 _TAG_BOOL = 3
 
 MODEL_REGISTRY: dict[str, type] = {}
@@ -60,12 +60,11 @@ class ModelArtifact:
     inner: "ModelArtifact | None" = None
 
 
-def _pack_str(out: list[bytes], text: str, width: str = "<H") -> None:
+def _pack_str(out: list[bytes], text: str) -> None:
     raw = text.encode("utf-8")
-    limit = 0xFFFF if width == "<H" else 0xFFFFFFFF
-    if len(raw) > limit:
+    if len(raw) > 0xFFFF:
         raise FormatError(f"string field too long ({len(raw)} bytes)")
-    out.append(struct.pack(width, len(raw)))
+    out.append(struct.pack("<H", len(raw)))
     out.append(raw)
 
 
@@ -83,9 +82,6 @@ def _encode_payload(art: ModelArtifact) -> bytes:
             out.append(struct.pack("<Bq", _TAG_INT, int(value)))
         elif isinstance(value, (float, np.floating)):
             out.append(struct.pack("<Bd", _TAG_FLOAT, float(value)))
-        elif isinstance(value, str):
-            out.append(struct.pack("<B", _TAG_STR))
-            _pack_str(out, value, "<I")
         else:
             raise FormatError(
                 f"hyperparameter {key!r} has unsupported type {type(value).__name__}")
@@ -138,8 +134,8 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def text(self, width: str = "<H") -> str:
-        (n,) = self.unpack(width)
+    def text(self) -> str:
+        (n,) = self.unpack("<H")
         return self.take(n).decode("utf-8")
 
 
@@ -166,8 +162,6 @@ def decode_artifact(data: bytes, source: str = "artifact") -> ModelArtifact:
             (hyperparams[key],) = cur.unpack("<d")
         elif tag == _TAG_INT:
             (hyperparams[key],) = cur.unpack("<q")
-        elif tag == _TAG_STR:
-            hyperparams[key] = cur.text("<I")
         elif tag == _TAG_BOOL:
             hyperparams[key] = bool(cur.unpack("<B")[0])
         else:
@@ -237,8 +231,15 @@ def model_from_artifact(art: ModelArtifact):
 
 
 def save_model(model, path: str) -> None:
-    """Write the model's `.pmdl` artifact to path."""
-    data = encode_artifact(model_to_artifact(model))
+    """Write the model's `.pmdl` artifact to path.
+
+    The artifact first passes model_from_artifact, the check load_model
+    makes, so a model load_model would refuse is refused here with the
+    same error, and no file is written.
+    """
+    art = model_to_artifact(model)
+    model_from_artifact(art)
+    data = encode_artifact(art)
     try:
         with open(path, "wb") as fh:
             fh.write(data)

@@ -347,14 +347,12 @@ def forecast(model: BaseModel, dataset, horizon: int) -> np.ndarray:
 # training loop
 
 def _merge_shard_grads(results: Sequence[tuple[float, dict]], scale: float) -> dict:
-    merged: dict[str, np.ndarray | None] = {}
+    merged: dict[str, np.ndarray] = {}
     for _, grads in results:
         for name, g in grads.items():
-            if g is None:
-                continue
             cur = merged.get(name)
             merged[name] = g if cur is None else cur + g
-    return {name: (None if g is None else g * scale) for name, g in merged.items()}
+    return {name: g * scale for name, g in merged.items()}
 
 
 def _finite_metric(metric: float, epoch: int) -> float:

@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import Batch, _iter_batches, fit_norm_stats
+from ..core import (Batch, _carry_forward, _iter_batches, _time_since_observed,
+                    fit_norm_stats)
 from .. import tensor as T
 from .artifact import ModelArtifact, register_model
 from .base import Classifier, GradientModel, TrainConfig, xavier
@@ -163,24 +164,18 @@ class GrudLiteModel(GradientModel, Classifier):
 
     # -- data preparation ---------------------------------------------------
     def _prepare_batch(self, batch: Batch):
-        """Working values, float mask, deltas, and carried last values.
-
-        The deltas follow compute_delta for every sample at once: the
-        loop runs over steps only.
+        """Time-major (T, B, D) working values, float mask, deltas, and
+        carried last values: compute_delta's deltas and grud_step's carry
+        for every sample at once, from the helpers in core. x_last is a
+        view of rows 0..T-1 of _carry_forward's block, seeded with x_bar.
         """
-        maskf = (batch.mask != 0).astype(np.float64)
-        x_work = self._to_working(batch.values, batch.mask)
         gaps = np.diff(np.asarray(batch.timestamps, dtype=np.float64), axis=1)
         if not np.all(gaps > 0):
             raise InvalidInputError("grud_lite: timestamps must be strictly increasing")
-        delta = np.zeros_like(x_work)
-        x_last = np.empty_like(x_work)
-        x_last[:, 0, :] = self.x_bar
-        for t in range(1, x_work.shape[1]):
-            prev = maskf[:, t - 1, :] != 0
-            delta[:, t, :] = gaps[:, t - 1, None] + np.where(prev, 0.0, delta[:, t - 1, :])
-            x_last[:, t, :] = np.where(prev, x_work[:, t - 1, :], x_last[:, t - 1, :])
-        return x_work, maskf, delta, x_last
+        obs = np.ascontiguousarray((batch.mask != 0).transpose(1, 0, 2))
+        x_work = self._to_working(batch.values.transpose(1, 0, 2), obs)
+        return (x_work, obs.astype(np.float64), _time_since_observed(gaps.T, obs),
+                _carry_forward(x_work, obs, self.x_bar)[:-1])
 
     # -- forward and backward -------------------------------------------------
     def _ws(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
@@ -188,7 +183,8 @@ class GrudLiteModel(GradientModel, Classifier):
         return self._scratch(name, shape, dtype, batch_axis=-2)
 
     def _forward(self, p: dict, x_work, maskf, delta, x_last, keep: bool = False):
-        """Logits (B, n_classes) of the recurrence over a (B, T, D) block.
+        """Logits (B, n_classes) of the recurrence over _prepare_batch's
+        time-major (T, B, D) blocks.
 
         Nothing before the gates depends on h, so the decays, the repaired
         inputs and the input side of all three gates are computed for
@@ -201,8 +197,6 @@ class GrudLiteModel(GradientModel, Classifier):
         """
         token = self._claim_workspace()
         hid, d = self.hidden_size, self.n_features
-        x_work, maskf, delta, x_last = (np.ascontiguousarray(a.swapaxes(0, 1))
-                                        for a in (x_work, maskf, delta, x_last))
         n_steps, n = delta.shape[:2]
         rows = n_steps * n
         s_x = delta * p["w_dx"] + p["b_dx"]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidInputError, ShapeError
+from ..errors import CorruptionError, InvalidInputError, ShapeError
 from ..core import Batch, fetch_all
 from .artifact import ModelArtifact, model_from_artifact, register_model
 from .base import (AnalyticModel, Clusterer, Imputer, TrainConfig, fit as fit_model,
@@ -120,7 +120,6 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
     @classmethod
     def from_artifact(cls, art: ModelArtifact) -> "TwoStageKMeansModel":
         if art.inner is None:
-            from ..errors import CorruptionError
             raise CorruptionError("twostage_kmeans artifact is missing its inner model")
         hp = art.hyperparams
         model = cls(model_from_artifact(art.inner), int(hp["k"]),

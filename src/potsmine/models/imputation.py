@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import Batch, fit_norm_stats
+from ..core import Batch, _carry_forward, fit_norm_stats
 from .. import tensor as T
 from .artifact import ModelArtifact, register_model
 from .base import (AnalyticModel, GradientModel, Imputer, TrainConfig,
@@ -30,25 +30,18 @@ def _locf_fill(values: np.ndarray, mask: np.ndarray, fallback: np.ndarray) -> np
     Leading missing cells take the first later observation; features
     with no observation at all take the fallback value.
 
-    Runs time-major, on contiguous (T, B, D) copies of the values and the
-    observed mask, so each step is one contiguous (B, D) row. Of the backward
-    pass (each cell seeded with the next observation at or after it, else
-    the fallback) only the step-0 row outlives the forward pass, so it is
-    taken at once: each feature's first observation (argmax over time), or
-    the fallback. The forward pass then carries that row and each
-    observation over the missing cells that follow. Every cell is selected,
-    never computed, so the output is bitwise that of the index-based fill
-    this replaced (kept in tests/ as the oracle). Returns a (B, T, D) view
-    of the time-major result.
+    Runs core._carry_forward on contiguous (T, B, D) copies of the values
+    and the observed mask. Its seed row is what leading missing cells
+    take: each feature's first observation (argmax over time), or the
+    fallback. Every cell is selected, never computed, so the output is
+    bitwise that of the index-based fill in tests/, the oracle. Returns a
+    (B, T, D) view of rows 1.. of the time-major result.
     """
     obs = np.ascontiguousarray((mask != 0).transpose(1, 0, 2))
     vals = np.ascontiguousarray(values.transpose(1, 0, 2))
-    seed = np.take_along_axis(vals, obs.argmax(axis=0)[None], axis=0)[0]
-    carry = np.where(obs.any(axis=0), seed, fallback)
-    out = np.empty(vals.shape, carry.dtype)
-    for t in range(len(vals)):
-        carry = out[t] = np.where(obs[t], vals[t], carry)
-    return out.transpose(1, 0, 2)
+    first = np.take_along_axis(vals, obs.argmax(axis=0)[None], axis=0)[0]
+    seed = np.where(obs.any(axis=0), first, fallback)
+    return _carry_forward(vals, obs, seed)[1:].transpose(1, 0, 2)
 
 
 def locf_impute(values: np.ndarray, mask: np.ndarray,

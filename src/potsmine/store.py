@@ -214,10 +214,6 @@ class ReadHandle:
                 getattr(block, name)[part] = getattr(chunk, name)
         return block
 
-    def fetch(self, indices: Sequence[int]) -> list[TimeSeriesSample]:
-        block = self._read_block(_check_indices(indices, self.n_samples))
-        return _Rows(Batch(**{name: _read_only(getattr(block, name)) for name in _BLOCK}))
-
 
 def open_readonly(path: str) -> ReadHandle:
     """Open a container for reading, validating its header and index."""
@@ -226,7 +222,8 @@ def open_readonly(path: str) -> ReadHandle:
 
 def fetch_batch(handle: ReadHandle, indices: Sequence[int]) -> list[TimeSeriesSample]:
     """Read the requested records, in order, duplicates allowed."""
-    return handle.fetch(indices)
+    block = handle._read_block(_check_indices(indices, handle.n_samples))
+    return _Rows(Batch(**{name: _read_only(getattr(block, name)) for name in _BLOCK}))
 
 
 class LazyDataset:
@@ -257,7 +254,7 @@ class LazyDataset:
         return self.handle.has_labels
 
     def fetch_batch(self, indices: Sequence[int]) -> list[TimeSeriesSample]:
-        return self.handle.fetch(indices)
+        return fetch_batch(self.handle, indices)
 
     def training_batch(self, indices: Sequence[int]) -> Batch:
         return self.handle.read_batch(indices)

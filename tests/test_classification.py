@@ -198,7 +198,7 @@ def test_unrolled_steps_match_graph_logits():
     h = np.zeros((4, 5))
     x_last = np.broadcast_to(model.x_bar, (4, 3)).copy()
     for t in range(6):
-        h, _, x_last = model.grud_step(x_work[:, t], maskf[:, t], delta[:, t],
+        h, _, x_last = model.grud_step(x_work[t], maskf[t], delta[t],
                                        x_last, h)
     logits = h @ model.parameters["w_out"] + model.parameters["b_out"]
 
@@ -271,8 +271,27 @@ def test_batched_deltas_match_per_sample_with_irregular_gaps():
     batch = irregular_batch()
     _, _, delta, _ = perturbed_model()._prepare_batch(batch)
     for i in range(batch.values.shape[0]):
-        assert np.array_equal(delta[i], compute_delta(batch.timestamps[i], batch.mask[i]))
-    assert delta[:, 1:].min() > 0
+        assert np.array_equal(delta[:, i], compute_delta(batch.timestamps[i], batch.mask[i]))
+    assert delta[1:].min() > 0
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_prepared_x_last_is_bitwise_the_carry_of_grud_step(normalize):
+    model = perturbed_model()
+    batch = irregular_batch()
+    if normalize:
+        model.normalize = True
+        model.prepare_fit(PotsDataset(batch))
+    x_work, maskf, delta, x_last = model._prepare_batch(batch)
+    assert x_last.shape == x_work.shape == (7, 3, 2)
+    carry = np.broadcast_to(model.x_bar, (3, 2)).copy()
+    h = np.zeros((3, 3))
+    for t in range(7):
+        assert np.array_equal(x_last[t].view(np.uint64), carry.view(np.uint64)), t
+        h, _, carry = model.grud_step(x_work[t], maskf[t], delta[t], carry, h)
+    # the leading run keeps x_bar; the interior run keeps one value throughout
+    assert np.array_equal(x_last[:3, :, 0], np.broadcast_to(model.x_bar[0], (3, 3)))
+    assert np.array_equal(x_last[4:7, :, 1], np.broadcast_to(x_last[4, :, 1], (3, 3)))
 
 
 def test_fused_forward_matches_steps_with_irregular_gaps():
@@ -282,7 +301,7 @@ def test_fused_forward_matches_steps_with_irregular_gaps():
     h = np.zeros((3, 3))
     x_last = np.broadcast_to(model.x_bar, (3, 2)).copy()
     for t in range(7):
-        h, _, x_last = model.grud_step(x_work[:, t], maskf[:, t], delta[:, t], x_last, h)
+        h, _, x_last = model.grud_step(x_work[t], maskf[t], delta[t], x_last, h)
     logits = h @ model.parameters["w_out"] + model.parameters["b_out"]
     assert np.abs(logits - model._logits_np(batch)).max() < 1e-12
 

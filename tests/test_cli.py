@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from potsmine import (
 )
 from potsmine import cli
 from potsmine.cli import build_parser, main
+from potsmine.errors import FormatError
 
 
 def run(capsys, *argv):
@@ -799,3 +802,83 @@ def test_inconsistent_artifact_exits_two(capsys, tmp_path, trained_artifacts, ki
                        "--data", data, "--out", str(tmp_path / "out.csv"))
     assert code == 2, err
     assert repr(entry) in err
+
+
+def _write_payload(path, payload):
+    """A .pmdl file around payload, with its magic, version and a fresh CRC."""
+    with open(path, "wb") as fh:
+        fh.write(b"PMDL" + struct.pack("<H", 1) + payload
+                 + struct.pack("<I", zlib.crc32(payload)))
+
+
+def _locf_payload(paths):
+    with open(paths["locf"], "rb") as fh:
+        return fh.read()[6:-4]
+
+
+def _with_tag(payload, tag):
+    """The payload with the n_features hyperparameter's type tag replaced."""
+    at = payload.index(b"n_features") + len(b"n_features")
+    assert payload[at] == 1    # an int
+    return payload[:at] + bytes([tag]) + payload[at + 1:]
+
+
+_BAD_PAYLOADS = {
+    "trailing_bytes": (lambda p: p + b"\x00\x00\x00", "3 trailing payload bytes"),
+    "ends_early": (lambda p: p[:-5], "artifact payload ended early"),
+    "retired_string_tag": (lambda p: _with_tag(p, 2), "unknown hyperparameter tag 2"),
+    "unknown_tag": (lambda p: _with_tag(p, 9), "unknown hyperparameter tag 9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PAYLOADS))
+def test_artifact_payload_faults_under_a_valid_checksum_exit_two(
+        capsys, tmp_path, trained_artifacts, case):
+    data, paths = trained_artifacts
+    edit, message = _BAD_PAYLOADS[case]
+    tampered = str(tmp_path / "tampered.pmdl")
+    _write_payload(tampered, edit(_locf_payload(paths)))
+    code, _, err = run(capsys, "predict", "--task", "impute", "--model", tampered,
+                       "--data", data, "--out", str(tmp_path / "out.csv"))
+    assert code == 2, err
+    assert message in err
+
+
+def test_two_stage_artifact_without_its_inner_model_exits_two(
+        capsys, tmp_path, trained_artifacts):
+    from potsmine.models import decode_artifact, encode_artifact
+    data, paths = trained_artifacts
+    with open(paths["twostage_kmeans"], "rb") as fh:
+        art = decode_artifact(fh.read())
+    art.inner = None
+    tampered = str(tmp_path / "no_inner.pmdl")
+    with open(tampered, "wb") as fh:
+        fh.write(encode_artifact(art))
+    code, _, err = run(capsys, "predict", "--task", "cluster", "--model", tampered,
+                       "--data", data, "--out", str(tmp_path / "out.csv"))
+    assert code == 2, err
+    assert "missing its inner model" in err
+
+
+def test_string_hyperparameters_are_not_encoded():
+    from potsmine.models import ModelArtifact, encode_artifact
+    with pytest.raises(FormatError, match="unsupported type str"):
+        encode_artifact(ModelArtifact(kind="locf", hyperparams={"name": "x"}))
+
+
+# the overflow itself still warns (the statistics are not made stable here)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_refuses_a_model_that_load_would_refuse(capsys, tmp_path):
+    # feature 0 near 1e307: its mean overflows, and a mean imputer with an
+    # infinite value cannot be loaded, so train must not write it either
+    ds = generate_synthetic(20, 6, 2, 2, missing_rate=0.0, seed=1)
+    block = ds.training_batch(range(len(ds)))
+    block.values[:, :, 0] = 1e307 * (1.0 + np.abs(block.values[:, :, 0]))
+    data = str(tmp_path / "huge.pots")
+    write_container(PotsDataset(block), data)
+    out = tmp_path / "mean.pmdl"
+    code, _, err = run(capsys, "train", "--task", "impute", "--model", "mean",
+                       "--data", data, "--out", str(out))
+    assert code == 2, err
+    assert "per-feature values must be finite" in err
+    assert not out.exists()

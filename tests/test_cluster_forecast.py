@@ -22,7 +22,7 @@ from potsmine import (
     tmf_forecast,
 )
 from potsmine.core import Batch
-from potsmine.errors import InvalidInputError
+from potsmine.errors import InvalidInputError, ShapeError
 from potsmine.models import clustering
 
 
@@ -183,6 +183,21 @@ def test_cluster_requires_enough_samples():
 def test_two_stage_rejects_non_imputer_inner():
     with pytest.raises(InvalidInputError):
         TwoStageKMeansModel(inner="locf", k=2)
+
+
+def test_kmeans_and_two_stage_refusals():
+    with pytest.raises(ShapeError, match="rank 2"):
+        kmeans_fit(np.zeros(4), 2, seed=0)
+    with pytest.raises(InvalidInputError, match="k must be positive"):
+        kmeans_fit(np.zeros((4, 2)), 0, seed=0)
+    with pytest.raises(InvalidInputError, match="k must be positive"):
+        TwoStageKMeansModel(inner=LocfModel(n_features=2), k=0)
+    _, view = clustered_view()
+    model = TwoStageKMeansModel(inner=LocfModel(n_features=2), k=3)
+    fit_model(model, view, view, TrainConfig(seed=7))
+    shorter = generate_synthetic(4, 6, 2, 3, missing_rate=0.0, seed=0)
+    with pytest.raises(ShapeError, match="flattened width 12"):
+        model.assign_batch(shorter.training_batch(range(4)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from potsmine import (
     stack_samples,
     write_container,
 )
+from potsmine.core import _time_since_observed
 from potsmine.errors import FormatError, InvalidInputError
 
 
@@ -235,6 +236,38 @@ def test_delta_rejects_non_increasing():
         compute_delta(np.array([1.0, 1.0]), np.ones((2, 1)))
     with pytest.raises(InvalidInputError, match="incompatible shapes"):
         compute_delta(np.arange(3.0), np.ones((2, 1)))
+
+
+def _delta_by_step(timestamps, mask):
+    """The per-sample recurrence compute_delta ran before it was batched:
+    one (D,) row per step, the gap first, then the carried delta."""
+    delta = np.zeros(mask.shape)
+    for t in range(1, len(mask)):
+        gap = timestamps[t] - timestamps[t - 1]
+        delta[t] = gap + np.where(mask[t - 1] != 0, 0.0, delta[t - 1])
+    return delta
+
+
+@pytest.mark.parametrize("n, t_len, d", [(6, 13, 3), (1, 1, 2), (1, 7, 1), (40, 48, 8)])
+def test_batched_delta_and_compute_delta_are_bitwise_the_step_recurrence(n, t_len, d):
+    rng = np.random.default_rng(n + t_len + d)
+    # gaps across magnitudes, so a different summation order would show
+    ts = np.cumsum(rng.uniform(0.1, 3.0, (n, t_len)) * rng.choice([1e-3, 1.0, 1e3], (n, t_len)),
+                   axis=1)
+    mask = (rng.random((n, t_len, d)) < 0.5).astype(np.float64)
+    mask[:, : t_len // 3, 0] = 0.0          # leading gaps
+    mask[:, t_len // 3: 2 * t_len // 3, d - 1] = 0.0   # interior gaps
+    want = np.stack([_delta_by_step(ts[i], mask[i]) for i in range(n)])
+    batched = _time_since_observed(np.diff(ts, axis=1).T, (mask != 0).transpose(1, 0, 2))
+    assert np.array_equal(batched.transpose(1, 0, 2).view(np.uint64), want.view(np.uint64))
+    for i in range(n):
+        got = compute_delta(ts[i], mask[i])
+        assert got.shape == (t_len, d)
+        assert np.array_equal(got.view(np.uint64), want[i].view(np.uint64))
+
+
+def test_compute_delta_of_an_empty_series_is_empty():
+    assert compute_delta(np.zeros(0), np.ones((0, 2))).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------

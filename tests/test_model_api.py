@@ -35,6 +35,7 @@ from potsmine.errors import (
     CorruptionError,
     FormatError,
     InvalidInputError,
+    StorageError,
     UnsupportedTaskError,
 )
 
@@ -405,6 +406,17 @@ def test_load_rejects_truncation_and_bitflips(tmp_path):
     path.write_bytes(bytes(flipped))
     with pytest.raises(CorruptionError, match="checksum"):
         load_model(str(path))
+
+
+
+def test_artifact_io_faults_and_over_long_strings(tmp_path):
+    from potsmine.models import ModelArtifact, encode_artifact
+    with pytest.raises(StorageError, match="cannot write model artifact"):
+        save_model(LocfModel(n_features=2), str(tmp_path / "missing" / "m.pmdl"))
+    with pytest.raises(StorageError, match="cannot read model artifact"):
+        load_model(str(tmp_path))    # a directory
+    with pytest.raises(FormatError, match="string field too long"):
+        encode_artifact(ModelArtifact(kind="k" * 0x10000))
 
 
 # ---------------------------------------------------------------------------

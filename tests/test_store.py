@@ -75,7 +75,7 @@ def test_sample_ids_keep_the_full_u64_range(tmp_path):
     write_container(ds, path)
     with open_readonly(path) as h:
         assert h.read_batch([1, 0, 2]).sample_ids.tolist() == [2**64 - 1, 2**63, 7]
-        assert [s.sample_id for s in h.fetch([0, 1])] == ids[:2]
+        assert [s.sample_id for s in fetch_batch(h, [0, 1])] == ids[:2]
     with pytest.raises(InvalidInputError, match="sample_id"):
         dataclasses.replace(ds.samples[0], sample_id=2**64)
 
@@ -250,7 +250,7 @@ def test_inconsistent_record_with_valid_crc_is_format_error(capsys, tmp_path, ed
     rewrite_record(path, 3, edit)
     with open_readonly(path) as h:
         h.read_batch([0, 1, 2, 4])  # intact records still readable
-        for read in (h.read_batch, h.fetch):
+        for read in (h.read_batch, lambda idx: fetch_batch(h, idx)):
             with pytest.raises(FormatError, match=message) as info:
                 read([4, 3, 0])
             assert not isinstance(info.value, CorruptionError)
@@ -313,7 +313,7 @@ def test_read_batch_equals_stacked_samples_bitwise(tmp_path, kind, indices):
     with open_readonly(path) as h:
         got = h.read_batch(indices)
         assert h.payload_bytes_read == len(indices) * h.record_size
-        labels = [s.label for s in h.fetch(indices)]
+        labels = [s.label for s in fetch_batch(h, indices)]
     assert labels == [ds.samples[i].label for i in indices]
     for f in dataclasses.fields(got):
         a, b = getattr(got, f.name), getattr(want, f.name)
