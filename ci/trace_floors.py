@@ -23,16 +23,16 @@ FLOORS = {
     "potsmine.cli": 99,
     "potsmine.core": 100,
     "potsmine.errors": 100,
-    "potsmine.metrics": 96,
+    "potsmine.metrics": 100,
     "potsmine.models.__init__": 100,
     "potsmine.models.artifact": 100,
     "potsmine.models.base": 99,
     "potsmine.models.classification": 100,
     "potsmine.models.clustering": 100,
-    "potsmine.models.forecasting": 95,
+    "potsmine.models.forecasting": 100,
     "potsmine.models.imputation": 100,
     "potsmine.store": 100,
-    "potsmine.tensor": 90,
+    "potsmine.tensor": 91,
 }
 
 # "  395    93%   potsmine.cli   (/path/to/cli.py)"

@@ -186,7 +186,7 @@ def _split_dataset(dataset: core.PotsDataset, cfg: dict):
     return core.split(dataset, fracs, seed=int(cfg["seed"]) + 2)
 
 
-def _build_model(kind: str, task: str, dataset: core.PotsDataset, cfg: dict):
+def _build_model(kind: str, dataset: core.PotsDataset, cfg: dict):
     seed = int(cfg["seed"]) + 3
     n_steps, n_features = dataset.n_steps, dataset.n_features
     if kind == "locf":
@@ -245,7 +245,7 @@ def _cmd_train(args) -> int:
     else:
         train_view, val_view = train_ds, val_ds
 
-    model = _build_model(kind, task, dataset, cfg)
+    model = _build_model(kind, dataset, cfg)
     config = TrainConfig(
         epochs=int(cfg["epochs"]), batch_size=int(cfg["batch_size"]),
         learning_rate=float(cfg["lr"]), patience=int(cfg["patience"]),

@@ -1,10 +1,10 @@
 """Data model for partially observed multivariate time series.
 
-A sample is a (T, D) value matrix with a binary observation mask; missing
-cells hold NaN in the value matrix and 0 in the mask, and the mask is the
-authority. Datasets are homogeneous in T and D. An in-memory dataset is one
-read-only block of arrays; _first_fault checks such a block once, and also
-checks single samples, container reads and CSV ingestion.
+A sample is a (T, D) value matrix with a bool observation mask; missing
+cells hold NaN in the value matrix and False in the mask, and the mask is
+the authority. Datasets are homogeneous in T and D. An in-memory dataset
+is one read-only block of arrays; _first_fault checks such a block once,
+and also checks single samples, container reads and CSV ingestion.
 """
 
 from __future__ import annotations
@@ -27,15 +27,20 @@ _NOT_INCREASING = "timestamps are not strictly increasing"
 
 @dataclass
 class Batch:
-    """Stacked arrays for a block of samples, as consumed by models."""
+    """Stacked arrays for a block of samples, as consumed by models.
+
+    Every view's batches hold bool masks (mask and indicating); a model
+    also takes a hand-built batch whose masks are 0s and 1s, and casts
+    them to the float it needs per batch.
+    """
 
     values: np.ndarray            # (B, T, D), NaN at missing cells
-    mask: np.ndarray              # (B, T, D), 0/1
+    mask: np.ndarray              # (B, T, D) bool, True where observed
     timestamps: np.ndarray        # (B, T)
     labels: np.ndarray | None     # (B,) int64, None if any label absent
                                   # (a dataset's own block keeps -1 there)
     originals: np.ndarray | None = None   # (B, T, D) pre-corruption values
-    indicating: np.ndarray | None = None  # (B, T, D) artificially removed cells
+    indicating: np.ndarray | None = None  # (B, T, D) bool, artificially removed cells
     sample_ids: np.ndarray | None = None  # (B,) uint64
 
 
@@ -46,21 +51,24 @@ _BLOCK = ("values", "mask", "timestamps", "labels", "sample_ids")
 def _first_fault(block: Batch) -> tuple[int, str] | None:
     """The first row of a block that breaks a sample invariant, and which one.
 
-    Each row needs strictly increasing timestamps, a mask of 0s and 1s that
-    is 1 exactly where its value is finite, a sample id in [0, 2**64) and a
-    label that is -1 (absent) or non-negative. None when every row holds.
+    Each row needs strictly increasing timestamps, a mask of 0s and 1s (or
+    a bool one) that is 1 exactly where its value is finite, a sample id in
+    [0, 2**64) and a label that is -1 (absent) or non-negative. None when
+    every row holds.
     """
     ts, mask, ids = block.timestamps, block.mask, block.sample_ids
-    one = mask == 1
-    holds = {
-        _NOT_INCREASING: ts[:, 1:] > ts[:, :-1],
-        "mask entries must be 0 or 1": one | (mask == 0),
+    holds = {_NOT_INCREASING: ts[:, 1:] > ts[:, :-1]}
+    one = mask
+    if mask.dtype != bool:
+        one = mask == 1
+        holds["mask entries must be 0 or 1"] = one | (mask == 0)
+    holds.update({
         "mask and NaN sentinel disagree": np.isfinite(block.values) == one,
         "sample_id must be in [0, 2**64)": ((ids >= 0) & (ids < 2**64)
                                             if isinstance(ids, np.ndarray) else
                                             np.array([0 <= i < 2**64 for i in ids])),
         "label must be non-negative": block.labels >= -1,
-    }
+    })
     if all(np.logical_and.reduce(ok, axis=None) for ok in holds.values()):
         return None
     broken = [~ok.all(axis=tuple(range(1, ok.ndim))) for ok in holds.values()]
@@ -82,11 +90,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeriesSample:
-    """One series: timestamps (T,), values (T, D), mask (T, D), optional label.
+    """One series: timestamps (T,), values (T, D), bool mask (T, D), optional label.
 
     Checked at construction as a block of one. Its arrays are read-only:
     a writable input is copied, a read-only one (such as a row of a
-    dataset's block) is kept.
+    dataset's block) is kept. A mask of 0s and 1s is accepted and kept as
+    bool.
     """
 
     sample_id: int
@@ -96,22 +105,28 @@ class TimeSeriesSample:
     label: int | None = None
 
     def __post_init__(self):
-        for name in ("timestamps", "values", "mask"):
+        for name in ("timestamps", "values"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, _read_only(arr.copy()) if arr.flags.writeable
                                else arr)
-        _checked(Batch(values=self.values[None], mask=self.mask[None],
-                       timestamps=self.timestamps[None], labels=[_label_code(self.label)],
-                       sample_ids=[self.sample_id]))
+        mask = np.asarray(self.mask)
+        if mask.dtype == bool and mask.flags.writeable:
+            mask = mask.copy()  # a mask of another dtype is copied by its cast
+        block = _checked(Batch(values=self.values[None], mask=mask[None],
+                               timestamps=self.timestamps[None],
+                               labels=[_label_code(self.label)], sample_ids=[self.sample_id]))
+        object.__setattr__(self, "mask", _read_only(block.mask[0]))
 
 
 def _checked(data: Batch) -> Batch:
     """data as a checked block (a dataset's, or a sample's block of one):
-    float64 arrays, uint64 ids (0..N-1 when None) and int64 labels (all
-    absent when None). Raises InvalidInputError for a shape out of place or
-    naming the first sample that breaks an invariant of _first_fault."""
-    values, mask, ts = (np.asarray(a, dtype=np.float64)
-                        for a in (data.values, data.mask, data.timestamps))
+    float64 values and timestamps, a bool mask, uint64 ids (0..N-1 when
+    None) and int64 labels (all absent when None). A mask of another dtype
+    is checked to hold only 0s and 1s before it is cast. Raises
+    InvalidInputError for a shape out of place or naming the first sample
+    that breaks an invariant of _first_fault."""
+    values, ts = (np.asarray(a, dtype=np.float64) for a in (data.values, data.timestamps))
+    mask = np.asarray(data.mask)
     n = len(values) if values.ndim else 0
     ids = np.arange(n, dtype=np.uint64) if data.sample_ids is None else data.sample_ids
     labels = np.full(n, -1) if data.labels is None else np.asarray(data.labels, dtype=np.int64)
@@ -125,6 +140,7 @@ def _checked(data: Batch) -> Batch:
     fault = _first_fault(block)
     if fault is not None:
         raise InvalidInputError(f"sample {ids[fault[0]]}: {fault[1]}")
+    block.mask = mask.astype(bool, copy=False)
     block.sample_ids = np.asarray(ids, dtype=np.uint64)
     return block
 
@@ -192,12 +208,13 @@ class PotsDataset:
     """An in-memory dataset: one checked, read-only block of arrays.
 
     Built from a Batch, whose arrays it keeps as read-only views, without a
-    copy: (N, T, D) values and mask, (N, T) timestamps, (N,) sample ids
-    (0..N-1 when None) and (N,) labels (-1 where absent; None for none). Or
-    built from TimeSeriesSample objects, which are stacked, unless they are
-    another dataset's unchanged .samples, whose block is then shared. Every
-    row is checked once, as a sample or in the block (see _first_fault);
-    n_classes defaults to max label + 1 when every sample is labeled.
+    copy: (N, T, D) float64 values and bool mask (a mask of 0s and 1s is
+    cast), (N, T) timestamps, (N,) sample ids (0..N-1 when None) and (N,)
+    labels (-1 where absent; None for none). Or built from TimeSeriesSample
+    objects, which are stacked, unless they are another dataset's unchanged
+    .samples, whose block is then shared. Every row is checked once, as a
+    sample or in the block (see _first_fault); n_classes defaults to max
+    label + 1 when every sample is labeled.
     """
 
     def __init__(self, data: Batch | Sequence[TimeSeriesSample],
@@ -275,12 +292,12 @@ class CorruptedPairView:
     Pairs two views of the same samples: the original and a corrupted copy
     in which some observed cells were hidden. Batches carry the corrupted
     values and mask plus originals (the pre-corruption values) and
-    indicating, which flags the hidden cells: original mask AND NOT
-    corrupted mask. Works with any pair of views exposing training_batch,
-    including lazy container handles; both arrays are derived batch by
-    batch, so nothing is materialized up front. A batch is refused if the
-    corrupted view observes a cell the original lacks, or a value that
-    differs from the original's.
+    indicating, the bool mask of the hidden cells: original mask AND NOT
+    corrupted mask. Works with any pair of views exposing training_batch
+    with bool masks, including lazy container handles; both arrays are
+    derived batch by batch, so nothing is materialized up front. A batch
+    is refused if the corrupted view observes a cell the original lacks,
+    or a value that differs from the original's.
     """
 
     def __init__(self, original, corrupted):
@@ -308,11 +325,11 @@ class CorruptedPairView:
         if np.any(batch.mask > orig.mask):
             raise InvalidInputError(
                 "paired views: the corrupted view observes cells its original lacks")
-        if np.any((batch.values != orig.values) & (batch.mask != 0)):
+        if np.any((batch.values != orig.values) & batch.mask):
             raise InvalidInputError(
                 "paired views: the views disagree on a value both observe")
         batch.originals = orig.values
-        batch.indicating = orig.mask * (1.0 - batch.mask)
+        batch.indicating = orig.mask & ~batch.mask
         return batch
 
 
@@ -379,7 +396,7 @@ def inject_mcar(dataset: PotsDataset, rate: float, seed: int) -> CorruptedPairVi
         raise InvalidInputError(f"inject_mcar: rate must be in [0, 1], got {rate}")
     rng = np.random.Generator(np.random.PCG64(seed))
     block, n = dataset._block, len(dataset)
-    observed = block.mask.reshape(n, -1) != 0
+    observed = block.mask.reshape(n, -1)
     counts = observed.sum(axis=1).tolist()
     cells = np.flatnonzero(observed)  # row by row, in each row's np.nonzero order
     starts = np.cumsum([0] + counts).tolist()
@@ -392,7 +409,7 @@ def inject_mcar(dataset: PotsDataset, rate: float, seed: int) -> CorruptedPairVi
     if hidden:
         flat = np.concatenate(hidden)
         values.reshape(-1)[flat] = np.nan
-        mask.reshape(-1)[flat] = 0.0
+        mask.reshape(-1)[flat] = False
     corrupted = PotsDataset(dataclasses.replace(block, values=values, mask=mask),
                             n_classes=dataset.n_classes)
     return CorruptedPairView(dataset, corrupted)
@@ -478,7 +495,7 @@ def generate_synthetic(n_samples: int, n_steps: int, n_features: int,
     t_norm = t_grid / n_steps
     d_grid = np.arange(n_features, dtype=np.float64)
     values = np.empty((n_samples, n_steps, n_features))
-    mask = np.ones((n_samples, n_steps, n_features))
+    mask = np.ones((n_samples, n_steps, n_features), dtype=bool)
     k = _mcar_cell_count(missing_rate, n_steps * n_features)
     for i, c in enumerate(labels.tolist()):
         freq = 1.0 + 0.35 * d_grid + 0.55 * c
@@ -488,7 +505,7 @@ def generate_synthetic(n_samples: int, n_steps: int, n_features: int,
         if k > 0:
             flat = rng.choice(n_steps * n_features, size=k, replace=False)
             values[i].reshape(-1)[flat] = np.nan
-            mask[i].reshape(-1)[flat] = 0.0
+            mask[i].reshape(-1)[flat] = False
     return PotsDataset(Batch(values=values, mask=mask,
                              timestamps=np.tile(t_grid, (n_samples, 1)), labels=labels),
                        n_classes=n_classes)
@@ -573,7 +590,7 @@ def ingest_csv(path: str, schema: ColumnSchema | None = None) -> PotsDataset:
         rows.sort(key=lambda r: r[0])
     ids = list(samples)
     values = np.array([[r[1] for r in rows] for _, rows in samples.values()], dtype=np.float64)
-    block = Batch(values=values, mask=np.isfinite(values).astype(np.float64),
+    block = Batch(values=values, mask=np.isfinite(values),
                   timestamps=np.array([[r[0] for r in rows] for _, rows in samples.values()]),
                   labels=np.array([_label_code(label) for label, _ in samples.values()]),
                   sample_ids=ids)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import Batch, _carry_forward, fit_norm_stats
+from ..core import Batch, _carry_forward, _chunks, fit_norm_stats
 from .. import tensor as T
 from .artifact import ModelArtifact, register_model
 from .base import (AnalyticModel, GradientModel, Imputer, TrainConfig,
@@ -160,6 +160,10 @@ def saits_loss(xhat: np.ndarray, originals: np.ndarray, observed_mask: np.ndarra
 # the attention score a step gives itself before the softmax
 _SELF_SCORE = -1e9
 
+# the bytes of one block's intermediates that inference keeps in flight, a
+# per-core L2 cache: 16 samples at T=48, d_model=32, d_ff=64 and D=8
+_INFER_BYTES = 2 << 20
+
 
 class _BlockState(NamedTuple):
     """One block's intermediates, as _block_grads reads them back."""
@@ -193,10 +197,15 @@ class SaitsLiteModel(GradientModel, Imputer):
     The large (B, T, .) intermediates, the (B, T, T) attention among
     them, are written into workspace arrays the model keeps and reuses
     from call to call (GradientModel._scratch), so a minibatch does not
-    allocate, free and re-fault them. The workspace is bounded by the
-    largest batch of at most _WORKSPACE_ROWS samples the model has seen;
-    nothing a caller receives aliases it. Because of it, one model
-    instance must not be called from two threads at once.
+    allocate, free and re-fault them. Inference (impute, validation)
+    runs both blocks over row blocks of _infer_rows samples, whose
+    intermediates fit _INFER_BYTES, so its workspace is one row block
+    whatever the batch. Training's is bounded by the largest batch of at
+    most _WORKSPACE_ROWS samples the model has seen, and its backward
+    writes each gradient over the forward state it has consumed, so a
+    forward's state serves one backward. Nothing a caller receives
+    aliases the workspace. Because of it, one model instance must not be
+    called from two threads at once.
     """
 
     kind = "saits_lite"
@@ -273,6 +282,15 @@ class SaitsLiteModel(GradientModel, Imputer):
         return working * self.norm_stats.std + self.norm_stats.mean
 
     # -- forward and backward ----------------------------------------------
+    @property
+    def _infer_rows(self) -> int:
+        """Samples per row block of inference: as many as keep one
+        block's float64 intermediates (inp, h0, qkv, attn, h1, f1, h2 and
+        x_b) within _INFER_BYTES, at least one."""
+        d, dm = self.n_features, self.d_model
+        per_sample = 8 * self.n_steps * (3 * d + 6 * dm + self.n_steps + self.d_ff)
+        return max(1, _INFER_BYTES // per_sample)
+
     def _block(self, p: dict, pre: str, cur: np.ndarray, maskf: np.ndarray,
                ws: str) -> tuple[np.ndarray, _BlockState]:
         """One attention block over (B, T, D) input; returns (x_b, its state).
@@ -323,8 +341,15 @@ class SaitsLiteModel(GradientModel, Imputer):
         x0 is the zero-filled working-space batch and maskf its 0/1 mask.
         With keep, also returns what _forward_grads needs, each block's
         intermediates in its own workspace arrays; without it, the blocks
-        share one set. The reconstruction is a fresh array.
+        share one set, and run over row blocks of _infer_rows samples.
+        Samples are independent, so a row's bits do not depend on the
+        rows run with it. The reconstruction is a fresh array.
         """
+        if not keep and len(x0) > self._infer_rows:
+            xhat = np.empty(x0.shape)
+            for part in _chunks(len(x0), self._infer_rows):
+                xhat[part] = self._forward(p, x0[part], maskf[part])[0]
+            return xhat, None
         keepm = 1.0 - maskf
         cur = x0
         states = []
@@ -345,7 +370,10 @@ class SaitsLiteModel(GradientModel, Imputer):
 
         Adds the block's parameter gradients to grads (fresh arrays).
         With want_input, returns the gradient of the block's series input
-        (the first D columns of inp).
+        (the first D columns of inp). Each gradient is written over the
+        forward array it replaces once that array's last read is done
+        (d_h2 over h2, d_f1 over f1, d_h1 over h1, d_q, d_k and d_v over
+        qkv, d_h0 over h0), so s serves one backward.
         """
         n, steps, dm = s.h0.shape
         rows = n * steps
@@ -356,36 +384,37 @@ class SaitsLiteModel(GradientModel, Imputer):
         d_xb = flat(d_xb)
         grads[pre + "w_out"] = flat(s.h2).T @ d_xb
         grads[pre + "b_out"] = d_xb.sum(axis=0)
-        d_h2 = self._scratch("d_h2", s.h2.shape)
+        d_h2 = s.h2
         np.matmul(d_xb, p[pre + "w_out"].T, out=flat(d_h2))
         grads[pre + "w_f2"] = flat(s.f1).T @ flat(d_h2)
         grads[pre + "b_f2"] = flat(d_h2).sum(axis=0)
-        d_f1 = self._scratch("d_f1", s.f1.shape)
+        relu_on = s.f1 > 0
+        d_f1 = s.f1
         np.matmul(flat(d_h2), p[pre + "w_f2"].T, out=flat(d_f1))
-        d_f1 *= s.f1 > 0
+        d_f1 *= relu_on
         grads[pre + "w_f1"] = flat(s.h1).T @ flat(d_f1)
         grads[pre + "b_f1"] = flat(d_f1).sum(axis=0)
-        d_h1 = self._scratch("d_h1", s.h1.shape)
+        d_h1 = s.h1
         np.matmul(flat(d_f1), p[pre + "w_f1"].T, out=flat(d_h1))
         d_h1 += d_h2
         # h1 = h0 + attn @ v with attn = softmax(q k^T / sqrt(d_model))
         # off the diagonal; attn is exactly 0 on the diagonal, so the
         # score gradient vanishes there as the fill requires
         q, k, v = s.qkv[..., :dm], s.qkv[..., dm:2 * dm], s.qkv[..., 2 * dm:]
-        d_qkv = self._scratch("d_qkv", s.qkv.shape)
-        d_q, d_k, d_v = d_qkv[..., :dm], d_qkv[..., dm:2 * dm], d_qkv[..., 2 * dm:]
-        np.matmul(s.attn.swapaxes(1, 2), d_h1, out=d_v)
         d_s = self._scratch("d_attn", s.attn.shape)
         np.matmul(d_h1, v.swapaxes(1, 2), out=d_s)
+        np.matmul(s.attn.swapaxes(1, 2), d_h1, out=v)  # d_v
         d_s -= np.einsum("bij,bij->bi", d_s, s.attn)[..., None]
         d_s *= s.attn
         d_s *= 1.0 / math.sqrt(dm)
-        np.matmul(d_s, k, out=d_q)
-        np.matmul(d_s.swapaxes(1, 2), q, out=d_k)
+        d_q = np.matmul(d_s, k, out=self._scratch("d_q", q.shape))
+        np.matmul(d_s.swapaxes(1, 2), q, out=k)  # d_k
+        q[...] = d_q
+        d_qkv = s.qkv
         d_w_qkv = flat(s.h0).T @ flat(d_qkv)
         for j, name in enumerate(("w_q", "w_k", "w_v")):
             grads[pre + name] = d_w_qkv[:, j * dm:(j + 1) * dm]
-        d_h0 = self._scratch("d_h0", s.h0.shape)
+        d_h0 = s.h0
         np.matmul(flat(d_qkv), s.w_qkv.T, out=flat(d_h0))
         d_h0 += d_h1
         grads[pre + "w_in"] = flat(s.inp).T @ flat(d_h0)
@@ -401,10 +430,13 @@ class SaitsLiteModel(GradientModel, Imputer):
 
         Gradients come in the order of self.parameters. Block 2 runs
         first; the gradient of its input reaches block 1's output only
-        through the cells the re-substitution left missing.
+        through the cells the re-substitution left missing. The blocks'
+        backward overwrites the forward's state, so it runs once per
+        forward.
         """
         keepm, states, token = saved
         self._check_workspace(token)
+        self._claim_workspace()
         grads: dict[str, np.ndarray] = {}
         d_x = d_xhat
         for b in range(self.N_BLOCKS, 0, -1):

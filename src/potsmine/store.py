@@ -192,7 +192,7 @@ class ReadHandle:
         b, t, d = len(positions), self.n_steps, self.n_features
         observed = np.unpackbits(records["mask"], axis=1, count=t * d, bitorder="little")
         batch = Batch(values=records["values"].astype(np.float64),
-                      mask=observed.reshape(b, t, d).astype(np.float64),
+                      mask=observed.reshape(b, t, d).view(bool),  # unpackbits gives 0s and 1s
                       timestamps=records["timestamps"].astype(np.float64),
                       labels=records["label"].astype(np.int64),
                       sample_ids=records["sample_id"].astype(np.uint64))
@@ -205,7 +205,7 @@ class ReadHandle:
         """_read for any number of records: they are decoded one chunk at a
         time into preallocated arrays, so a big read is decoded only once."""
         n, t, d = len(idx), self.n_steps, self.n_features
-        block = Batch(values=np.empty((n, t, d)), mask=np.empty((n, t, d)),
+        block = Batch(values=np.empty((n, t, d)), mask=np.empty((n, t, d), dtype=bool),
                       timestamps=np.empty((n, t)), labels=np.empty(n, dtype=np.int64),
                       sample_ids=np.empty(n, dtype=np.uint64))
         for part in _chunks(n):

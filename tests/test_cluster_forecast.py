@@ -264,6 +264,32 @@ def test_tmf_rejects_empty_rows_and_columns():
         tmf_fit(y, mask, rank=1)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"rank": 0}, "rank must be positive, got 0"),
+    ({"ar_order": 0}, r"ar_order must be in \[1, n_steps\), got 0 with 4 steps"),
+    ({"ar_order": 4}, r"ar_order must be in \[1, n_steps\), got 4 with 4 steps"),
+    ({"lam_w": -0.1}, "ridge weights must be non-negative"),
+    ({"lam_f": -0.1}, "ridge weights must be non-negative"),
+    ({"lam_a": -0.1}, "ridge weights must be non-negative"),
+    ({"iters": 0}, "iters must be positive, got 0"),
+])
+def test_tmf_refuses_bad_settings(settings, message):
+    with pytest.raises(InvalidInputError, match=message):
+        TmfModel(n_steps=4, n_features=1, **settings)
+
+
+def test_tmf_fit_refuses_mismatched_shapes():
+    with pytest.raises(ShapeError, match="must be matching rank-2 arrays"):
+        tmf_fit(np.ones((3, 5)), np.ones((3, 4)), rank=1)
+    with pytest.raises(ShapeError, match="must be matching rank-2 arrays"):
+        tmf_fit(np.ones(5), np.ones(5), rank=1)
+
+
+def test_tmf_forecast_of_an_unfitted_model_is_refused():
+    with pytest.raises(InvalidInputError, match="model has not been fit"):
+        tmf_forecast(TmfModel(n_steps=4, n_features=1), horizon=1)
+
+
 def fabricate_rank_one_model(coeff=0.9, w_value=2.0):
     model = TmfModel(n_steps=4, n_features=1, rank=1, ar_order=1)
     model.n_series = 1

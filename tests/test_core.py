@@ -29,6 +29,7 @@ from potsmine import (
     stack_samples,
     write_container,
 )
+from potsmine.store import fetch_batch
 from potsmine.core import _time_since_observed
 from potsmine.errors import FormatError, InvalidInputError
 
@@ -200,6 +201,56 @@ def test_dataset_block_and_its_rows_are_read_only():
 
 
 # ---------------------------------------------------------------------------
+# bool masks
+
+def test_a_mask_of_0s_and_1s_comes_back_read_only_bool():
+    cells = [[True, False], [True, True], [False, True]]
+    s = make_sample()
+    ds = PotsDataset(block(mask=np.ones((2, 3, 2), dtype=np.int64)))
+    for mask in (s.mask, ds._block.mask, ds.samples[0].mask):
+        assert mask.dtype == bool and not mask.flags.writeable
+    assert np.array_equal(s.mask, cells) and ds._block.mask.all()
+    # a writable bool mask is copied, a read-only one (a block's row) kept
+    mine = np.array(cells)
+    kept = TimeSeriesSample(0, np.arange(3.0), s.values, mine)
+    mine[0, 0] = False
+    assert kept.mask[0, 0] and not kept.mask.flags.writeable
+    row = ds.samples[1]
+    again = TimeSeriesSample(0, row.timestamps, row.values, row.mask)
+    assert np.shares_memory(again.mask, ds._block.mask)
+
+
+def test_a_mask_entry_of_one_half_is_still_refused():
+    half = np.array([[1.0], [0.5]])
+    with pytest.raises(InvalidInputError, match="mask entries must be 0 or 1"):
+        TimeSeriesSample(0, np.arange(2.0), np.ones((2, 1)), half)
+    with pytest.raises(InvalidInputError, match="sample 7: mask entries must be 0 or 1"):
+        PotsDataset(block(n=2, t=2, d=1, mask=np.stack([np.ones((2, 1)), half])))
+
+
+def test_every_mask_source_gives_bool_masks_with_the_observed_cells(tmp_path):
+    ds = generate_synthetic(6, 5, 3, 2, missing_rate=0.3, seed=2)
+    observed = np.isfinite(ds._block.values)
+    pots, text = str(tmp_path / "d.pots"), str(tmp_path / "d.csv")
+    write_container(ds, pots)
+    export_csv(ds, text)
+    with open_readonly(pots) as h:
+        masks = {"generate_synthetic": ds._block.mask,
+                 "stack_samples": stack_samples(ds.samples).mask,
+                 "read_batch": h.read_batch(range(6)).mask,
+                 "fetch_batch": stack_samples(fetch_batch(h, range(6))).mask,
+                 "ingest_csv": ingest_csv(text)._block.mask}
+    for name, mask in masks.items():
+        assert mask.dtype == bool and np.array_equal(mask, observed), name
+    # the pair view's indicating mask holds the cells 0/1 float masks gave
+    view = inject_mcar(ds, 0.4, seed=3)
+    batch = view.training_batch(range(6))
+    orig, corr = (v._block.mask.astype(np.float64) for v in (view.original, view.corrupted))
+    assert batch.mask.dtype == batch.indicating.dtype == bool
+    assert batch.indicating.any() and np.array_equal(batch.indicating, orig * (1.0 - corr))
+
+
+# ---------------------------------------------------------------------------
 # compute_delta
 
 def test_delta_gap_accumulation():
@@ -327,14 +378,15 @@ def test_mcar_rejects_bad_rate():
 
 
 def test_pair_view_matches_direct_injection():
-    # CRC-32 of the stacked indicating mask as inject_mcar built it when it
-    # still returned per-sample lists; it pins which cells the seed hides
+    # CRC-32 of the stacked indicating mask, as float64 0s and 1s, as
+    # inject_mcar built it when it still returned per-sample lists; it pins
+    # which cells the seed hides
     ds = generate_synthetic(8, 12, 3, 2, 0.3, seed=5)
     batch = inject_mcar(ds, 0.25, seed=9).training_batch(list(range(8)))
     assert np.array_equal(batch.originals, np.stack([s.values for s in ds.samples]),
                           equal_nan=True)
-    assert batch.indicating.dtype == np.float64 and batch.indicating.shape == (8, 12, 3)
-    assert zlib.crc32(batch.indicating.tobytes()) == 2598851383
+    assert batch.indicating.dtype == bool and batch.indicating.shape == (8, 12, 3)
+    assert zlib.crc32(batch.indicating.astype(np.float64).tobytes()) == 2598851383
     assert int(batch.indicating.sum()) == 48
 
 

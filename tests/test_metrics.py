@@ -62,6 +62,14 @@ def test_masked_metrics_reject_empty_mask():
             fn([1.0], [2.0], [0.0])
 
 
+@pytest.mark.parametrize("shapes", [((2,), (3,), (2,)), ((2,), (2,), (2, 1))])
+def test_masked_metrics_reject_shapes_that_differ(shapes):
+    pred, target, mask = (np.ones(s) for s in shapes)
+    for fn in (masked_mae, masked_mse, masked_rmse, masked_mre):
+        with pytest.raises(InvalidInputError, match="shapes differ"):
+            fn(pred, target, mask)
+
+
 def test_mre_needs_nonzero_target_mass():
     with pytest.raises(InvalidInputError):
         masked_mre([1.0, 2.0], [0.0, 0.0], [1.0, 1.0])
@@ -110,6 +118,15 @@ def test_confusion_counts_and_f1():
 def test_labels_outside_01_rejected():
     with pytest.raises(InvalidInputError):
         binary_classification_metrics([0.5, 0.5], [0, 2])
+
+
+@pytest.mark.parametrize("scores, labels, message", [
+    ([0.5, 0.5], [0, 1, 1], "2 scores vs 3 labels"),
+    ([], [], "empty input"),
+])
+def test_binary_metrics_refuse_mismatched_or_empty_input(scores, labels, message):
+    with pytest.raises(InvalidInputError, match=message):
+        binary_classification_metrics(scores, labels)
 
 
 def test_single_class_marks_auc_undefined():

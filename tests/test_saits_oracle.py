@@ -7,8 +7,9 @@ Its backward is the tape's own. The fused node sums in another order
 gradients are compared to a relative tolerance set beforehand from
 float64 rounding, 1e-12; a wrong term in the hand-written backward is
 off by order 1. The rest checks the workspace the fused node reuses:
-nothing a caller holds aliases it, and a warm workspace gives the bits
-a fresh model gives.
+nothing a caller holds aliases it, a warm workspace gives the bits a
+fresh model gives, and inference run in row blocks gives the bits of
+one block.
 """
 
 import gc
@@ -18,11 +19,12 @@ import weakref
 import numpy as np
 import pytest
 
-from potsmine import (Batch, SaitsLiteModel, generate_synthetic, inject_mcar,
-                      saits_forward, stack_samples)
+from potsmine import (Batch, PotsDataset, SaitsLiteModel, generate_synthetic, impute,
+                      inject_mcar, saits_forward, stack_samples)
 from potsmine import tensor as T
 from potsmine.errors import InvalidInputError
 from potsmine.models.base import _WORKSPACE_ROWS
+from potsmine.models.imputation import _INFER_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +188,45 @@ def test_backward_after_another_forward_is_refused():
         tape.backward(loss)
 
 
+def test_a_second_backward_of_one_forward_is_refused():
+    # the backward writes its gradients over the state it reads
+    view = pair_view(n=4, t=6, d=2)
+    model = perturbed_model(t=6, d=2, d_model=8)
+    tape = T.Tape()
+    leaves = {k: tape.leaf(v) for k, v in model.parameters.items()}
+    loss = model.batch_loss_sum(leaves, view.training_batch([0, 1, 2, 3]))
+    tape.backward(loss)
+    with pytest.raises(InvalidInputError, match="overwrote the workspace"):
+        tape.backward(loss)
+
+
 # ---------------------------------------------------------------------------
 # the workspace
+
+def workspace_bytes(model):
+    return sum(a.nbytes for a in model._workspace.values())
+
+
+@pytest.mark.parametrize("size", [1, 15, 16, 17, 75, 300])
+def test_blocked_inference_equals_one_block_bitwise(size):
+    # saits_forward runs the whole batch as one block, as training does
+    ds = generate_synthetic(size, 48, 8, 2, missing_rate=0.2, seed=size)
+    batch = stack_samples(ds.samples)
+    model = perturbed_model()
+    model.prepare_fit(ds)
+    one_block = saits_forward(model, batch.values, batch.mask)[0]
+    assert np.array_equal(model._reconstruct(batch), one_block)
+    assert np.array_equal(impute(model, ds), np.where(batch.mask, batch.values, one_block))
+
+
+def test_inference_workspace_is_one_row_block_whatever_the_batch():
+    ds = generate_synthetic(300, 48, 8, 2, missing_rate=0.2, seed=6)
+    many, one = perturbed_model(), perturbed_model()
+    assert one._infer_rows == 16
+    impute(many, ds)
+    impute(one, PotsDataset(ds.samples[:one._infer_rows]))
+    assert workspace_bytes(many) == workspace_bytes(one) <= _INFER_BYTES
+
 
 def test_two_shard_results_held_at_once_are_independent():
     view = pair_view(n=32, t=12, d=3)
@@ -229,9 +268,6 @@ def test_alternating_batch_sizes_match_a_fresh_model_bitwise():
 
 
 def test_workspace_is_bounded_by_the_largest_batch_up_to_the_cap():
-    def workspace_bytes(model):
-        return sum(a.nbytes for a in model._workspace.values())
-
     ds = generate_synthetic(_WORKSPACE_ROWS + 44, 6, 2, 2, missing_rate=0.2, seed=8)
     batch = stack_samples(ds.samples)
     model = perturbed_model(t=6, d=2, d_model=8)
