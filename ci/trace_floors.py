@@ -26,13 +26,13 @@ FLOORS = {
     "potsmine.metrics": 100,
     "potsmine.models.__init__": 100,
     "potsmine.models.artifact": 100,
-    "potsmine.models.base": 99,
+    "potsmine.models.base": 100,
     "potsmine.models.classification": 100,
     "potsmine.models.clustering": 100,
     "potsmine.models.forecasting": 100,
     "potsmine.models.imputation": 100,
     "potsmine.store": 100,
-    "potsmine.tensor": 91,
+    "potsmine.tensor": 97,
 }
 
 # "  395    93%   potsmine.cli   (/path/to/cli.py)"

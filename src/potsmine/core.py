@@ -451,10 +451,11 @@ def fit_norm_stats(view, batch_size: int = _EVAL_CHUNK) -> NormStats:
     d = view.n_features
     total, total_sq, count = np.zeros(d), np.zeros(d), np.zeros(d)
     for batch in _iter_batches(view, batch_size):
-        filled = np.where(batch.mask != 0, batch.values, 0.0)
+        hit = batch.mask.astype(bool, copy=False)
+        filled = np.where(hit, batch.values, 0.0)
         total += filled.sum(axis=(0, 1))
         total_sq += (filled * filled).sum(axis=(0, 1))
-        count += (batch.mask != 0).sum(axis=(0, 1))
+        count += hit.sum(axis=(0, 1))
     seen = count > 0
     mean = np.where(seen, total / np.maximum(count, 1), 0.0)
     var = np.where(seen, total_sq / np.maximum(count, 1) - mean * mean, 1.0)
@@ -511,15 +512,6 @@ def generate_synthetic(n_samples: int, n_steps: int, n_features: int,
                        n_classes=n_classes)
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Column names used by CSV ingestion."""
-
-    sample_id: str = "sample_id"
-    step: str = "step"
-    label: str = "label"
-
-
 def _csv_rows(handle, path: str):
     """The rows of an open CSV file.
 
@@ -534,7 +526,7 @@ def _csv_rows(handle, path: str):
         raise FormatError(f"{path}: {e}") from None
 
 
-def ingest_csv(path: str, schema: ColumnSchema | None = None) -> PotsDataset:
+def ingest_csv(path: str) -> PotsDataset:
     """Read a long-format CSV into a dataset.
 
     Expected columns: sample_id, step, one column per feature, and an
@@ -542,7 +534,6 @@ def ingest_csv(path: str, schema: ColumnSchema | None = None) -> PotsDataset:
     cells are missing. Rows may arrive in any order; they are grouped by
     sample_id (first-appearance order) and sorted by step.
     """
-    schema = schema or ColumnSchema()
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as e:
@@ -552,12 +543,12 @@ def ingest_csv(path: str, schema: ColumnSchema | None = None) -> PotsDataset:
         header = [h.strip() for h in next(reader, [])]
         if not header:
             raise FormatError(f"{path}: empty file")
-        for required in (schema.sample_id, schema.step):
+        for required in ("sample_id", "step"):
             if required not in header:
                 raise FormatError(f"{path}: missing required column {required!r}")
-        id_col = header.index(schema.sample_id)
-        step_col = header.index(schema.step)
-        label_col = header.index(schema.label) if schema.label in header else None
+        id_col = header.index("sample_id")
+        step_col = header.index("step")
+        label_col = header.index("label") if "label" in header else None
         feature_cols = [i for i in range(len(header))
                         if i not in (id_col, step_col, label_col)]
         if not feature_cols:

@@ -86,19 +86,20 @@ class BinaryMetricsReport:
         return "\n".join(lines)
 
 
+def _tie_ends(sorted_scores: np.ndarray) -> np.ndarray:
+    """Exclusive end index of each run of equal values in a sorted array."""
+    ends = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    return np.append(ends, sorted_scores.size)
+
+
 def _roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     # Mann-Whitney rank statistic; tied scores share their midrank, which
     # credits ties as half-wins.
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
+    ends = _tie_ends(scores[order])
+    starts = np.append(0, ends[:-1])
     ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < sorted_scores.size:
-        j = i
-        while j + 1 < sorted_scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     n_pos = int((labels == 1).sum())
     n_neg = labels.size - n_pos
     pos_rank_sum = ranks[labels == 1].sum()
@@ -107,38 +108,23 @@ def _roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def _pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     # Step summation over descending distinct thresholds: sum over steps of
-    # (recall_k - recall_{k-1}) * precision_k.
+    # (recall_k - recall_{k-1}) * precision_k. The steps are added one by
+    # one in threshold order: np.sum adds pairwise, which changes the bits.
     order = np.argsort(-scores, kind="stable")
-    sorted_labels = labels[order]
-    sorted_scores = scores[order]
-    total_pos = int((labels == 1).sum())
-    tp = 0
-    seen = 0
-    prev_recall = 0.0
-    area = 0.0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        tp += int((sorted_labels[i:j + 1] == 1).sum())
-        seen = j + 1
-        precision = tp / seen
-        recall = tp / total_pos
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(area)
+    ends = _tie_ends(scores[order])
+    tp = np.cumsum(labels[order] == 1)[ends - 1]
+    recall = tp / int((labels == 1).sum())
+    steps = np.diff(recall, prepend=0.0) * (tp / ends)
+    return float(np.cumsum(steps)[-1])
 
 
 def binary_classification_metrics(scores, labels,
                                   threshold: float = 0.5) -> BinaryMetricsReport:
     """Confusion counts at a threshold plus ROC AUC and PR AUC.
 
-    scores are probabilities of the positive class; a sample is predicted
-    positive when score >= threshold. Undefined ratios (empty denominators)
-    are reported as 0.
+    scores are finite probabilities of the positive class; a sample is
+    predicted positive when score >= threshold. Undefined ratios (empty
+    denominators) are reported as 0.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
@@ -147,6 +133,10 @@ def binary_classification_metrics(scores, labels,
             f"binary metrics: {scores.shape[0]} scores vs {labels.shape[0]} labels")
     if scores.size == 0:
         raise InvalidInputError("binary metrics: empty input")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise InvalidInputError(
+            f"binary metrics: score at position {bad[0]} is not finite ({scores[bad[0]]})")
     if not np.all((labels == 0) | (labels == 1)):
         raise InvalidInputError("binary metrics: labels must be 0 or 1")
     labels = labels.astype(np.int64)
@@ -169,38 +159,34 @@ def binary_classification_metrics(scores, labels,
         tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def _check_partitions(a, b, name: str):
+def _contingency(a, b, name: str) -> np.ndarray:
+    """Counts of points per (partition a label, partition b label) pair."""
     a = np.asarray(a).reshape(-1)
     b = np.asarray(b).reshape(-1)
     if a.shape != b.shape:
         raise InvalidInputError(f"{name}: label vectors differ in length")
     if a.size < 2:
         raise InvalidInputError(f"{name}: need at least two points")
-    return a, b
+    _, a_ids = np.unique(a, return_inverse=True)
+    _, b_ids = np.unique(b, return_inverse=True)
+    table = np.zeros((a_ids.max() + 1, b_ids.max() + 1), dtype=np.int64)
+    np.add.at(table, (a_ids, b_ids), 1)
+    return table
 
 
 def rand_index(pred_labels, true_labels) -> float:
     """Fraction of point pairs on which two partitions agree."""
-    a, b = _check_partitions(pred_labels, true_labels, "rand_index")
-    n = a.size
-    _, a_ids = np.unique(a, return_inverse=True)
-    _, b_ids = np.unique(b, return_inverse=True)
-    contingency = np.zeros((a_ids.max() + 1, b_ids.max() + 1), dtype=np.int64)
-    np.add.at(contingency, (a_ids, b_ids), 1)
+    contingency = _contingency(pred_labels, true_labels, "rand_index")
     comb2 = lambda x: x * (x - 1) // 2
     same_both = comb2(contingency).sum()
     same_a = comb2(contingency.sum(axis=1)).sum()
     same_b = comb2(contingency.sum(axis=0)).sum()
-    total = comb2(n)
+    total = comb2(int(contingency.sum()))
     agreements = total + 2 * same_both - same_a - same_b
     return float(agreements / total)
 
 
 def purity(pred_labels, true_labels) -> float:
     """Fraction of points in the majority true class of their cluster."""
-    a, b = _check_partitions(pred_labels, true_labels, "purity")
-    _, a_ids = np.unique(a, return_inverse=True)
-    _, b_ids = np.unique(b, return_inverse=True)
-    contingency = np.zeros((a_ids.max() + 1, b_ids.max() + 1), dtype=np.int64)
-    np.add.at(contingency, (a_ids, b_ids), 1)
-    return float(contingency.max(axis=1).sum() / a.size)
+    contingency = _contingency(pred_labels, true_labels, "purity")
+    return float(contingency.max(axis=1).sum() / contingency.sum())

@@ -1,8 +1,8 @@
 """Model zoo and training entry points."""
 
-from .base import (AnalyticModel, BaseModel, BestTracker, Checkpoint, Classifier,
-                   Clusterer, ElectionResult, Forecaster, GradientModel, Imputer,
-                   TrainConfig, classify, cluster, fit, forecast, impute,
+from .base import (AnalyticModel, BaseModel, Checkpoint, Classifier, Clusterer,
+                   ElectionResult, Forecaster, GradientModel, Imputer, TrainConfig,
+                   classify, cluster, fit, forecast, impute,
                    imputer_validation_metric, run_election)
 from .artifact import (MODEL_REGISTRY, ModelArtifact, decode_artifact,
                        encode_artifact, load_model, model_from_artifact,
@@ -14,7 +14,7 @@ from .clustering import TwoStageKMeansModel, kmeans_fit
 from .forecasting import TmfModel, tmf_fit, tmf_forecast
 
 __all__ = [
-    "AnalyticModel", "BaseModel", "BestTracker", "Checkpoint", "Classifier",
+    "AnalyticModel", "BaseModel", "Checkpoint", "Classifier",
     "Clusterer", "ElectionResult", "Forecaster", "GradientModel", "Imputer",
     "TrainConfig", "classify", "cluster", "fit", "forecast", "impute",
     "imputer_validation_metric", "run_election",

@@ -78,61 +78,32 @@ class ElectionResult(NamedTuple):
     stopped_after: int    # epoch after which training halted (== len(log) if it ran out)
 
 
-class BestTracker:
-    """Argbest election with earliest-epoch tie breaking and patience.
-
-    update() is called once per epoch with the validation metric and
-    returns whether this epoch became the new best. Improvement is
-    strict, so ties keep the earlier epoch.
-    """
-
-    def __init__(self, maximize: bool = False, patience: int = 0):
-        self.maximize = maximize
-        self.patience = patience
-        self.epoch = 0
-        self.best_epoch = 0
-        self.best_metric: float | None = None
-        self.bad_streak = 0
-
-    def update(self, metric: float) -> bool:
-        self.epoch += 1
-        if self.best_metric is None:
-            better = True
-        elif self.maximize:
-            better = metric > self.best_metric
-        else:
-            better = metric < self.best_metric
-        if better:
-            self.best_metric = metric
-            self.best_epoch = self.epoch
-            self.bad_streak = 0
-        else:
-            self.bad_streak += 1
-        return better
-
-    @property
-    def should_stop(self) -> bool:
-        return self.patience > 0 and self.bad_streak >= self.patience
+def _out_of_patience(patience: int, epochs_run: int, best_epoch: int) -> bool:
+    return 0 < patience <= epochs_run - best_epoch
 
 
 def run_election(metrics: Sequence[float], maximize: bool = False,
                  patience: int = 0) -> ElectionResult:
-    """Replay checkpoint election over a recorded per-epoch metric log.
+    """Elect the best epoch of a per-epoch metric log.
 
-    A non-finite entry is refused, as fit refuses it when training.
+    An epoch becomes the best only when its metric is strictly better
+    than the best so far, so ties keep the earlier epoch. With patience
+    > 0, the election stops after the epoch that ends `patience`
+    consecutive epochs without a new best. fit elects by calling this on
+    the log of its epochs so far. A non-finite entry is refused, as fit
+    refuses it when training.
     """
     if len(metrics) == 0:
         raise InvalidInputError("run_election: empty metric log")
     if not np.all(np.isfinite(np.asarray(metrics, dtype=np.float64))):
         raise InvalidInputError(f"run_election: non-finite metric in {list(metrics)}")
-    tracker = BestTracker(maximize=maximize, patience=patience)
-    stopped_after = len(metrics)
-    for i, m in enumerate(metrics, start=1):
-        tracker.update(float(m))
-        if tracker.should_stop:
-            stopped_after = i
-            break
-    return ElectionResult(tracker.best_epoch, tracker.best_metric, stopped_after)
+    best_epoch, best = 1, float(metrics[0])
+    for epoch, m in enumerate(map(float, metrics), start=1):
+        if m > best if maximize else m < best:
+            best_epoch, best = epoch, m
+        if _out_of_patience(patience, epoch, best_epoch):
+            return ElectionResult(best_epoch, best, epoch)
+    return ElectionResult(best_epoch, best, len(metrics))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +234,7 @@ class GradientModel(BaseModel):
 
     def _to_working(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Zero-filled working-space values; sentinels never touch math."""
-        hit = mask != 0
+        hit = mask.astype(bool, copy=False)
         if self.norm_stats is None:
             return np.where(hit, values, 0.0)
         stats = self.norm_stats
@@ -373,6 +344,10 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
     model instance is not safe for concurrent calls, since it may keep
     a per-model workspace between them.
 
+    After each epoch, run_election over the metrics logged so far elects
+    the checkpoint: the parameters are copied when the newest epoch is
+    elected, and training stops once the election runs out of patience.
+
     A non-finite training loss or validation metric raises
     TrainingDivergedError: NaN compares false against everything, so
     letting it into the election would either never elect it or pin it
@@ -399,8 +374,8 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
     model.prepare_fit(train_set)
     params = model.parameters
     state = T.AdamState.for_params(params, lr=config.learning_rate)
-    tracker = BestTracker(
-        maximize=(config.selection_metric == "val_accuracy"), patience=config.patience)
+    maximize = config.selection_metric == "val_accuracy"
+    log: list[float] = []
     best: dict[str, np.ndarray] = {}
     n = len(train_set)
     for epoch_idx in range(config.epochs):
@@ -415,16 +390,16 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
                 raise TrainingDivergedError(epoch_idx + 1, batch_no, loss_total)
             grads = _merge_shard_grads(results, 1.0 / idx.size)
             T.adam_step(params, grads, state)
-        metric = _finite_metric(model.validation_metric(val_set, config), epoch_idx + 1)
-        if tracker.update(metric):
+        log.append(_finite_metric(model.validation_metric(val_set, config), epoch_idx + 1))
+        election = run_election(log, maximize, config.patience)
+        if election.best_epoch == len(log):
             best = {k: v.copy() for k, v in params.items()}
-        if tracker.should_stop:
+        if _out_of_patience(config.patience, len(log), election.best_epoch):
             break
     for name, snap in best.items():
         params[name][...] = snap
-    return model, Checkpoint(
-        epoch=tracker.best_epoch, metric=float(tracker.best_metric),
-        parameters={k: v.copy() for k, v in best.items()})
+    return model, Checkpoint(epoch=election.best_epoch, metric=election.best_metric,
+                             parameters=best)
 
 
 def imputer_validation_metric(reconstruct, val_set) -> float:
@@ -440,12 +415,12 @@ def imputer_validation_metric(reconstruct, val_set) -> float:
     ind_err = ind_n = obs_err = obs_n = 0.0
     for batch in _iter_batches(val_set):
         xhat = reconstruct(batch)
-        hit = batch.mask != 0
+        hit = batch.mask.astype(bool, copy=False)
         diff = xhat[hit] - batch.values[hit]
         obs_err += float(diff @ diff)
         obs_n += diff.size
         if batch.indicating is not None and batch.originals is not None:
-            held = batch.indicating != 0
+            held = batch.indicating.astype(bool, copy=False)
             if held.any():
                 diff = xhat[held] - batch.originals[held]
                 ind_err += float(diff @ diff)

@@ -172,7 +172,7 @@ class GrudLiteModel(GradientModel, Classifier):
         gaps = np.diff(np.asarray(batch.timestamps, dtype=np.float64), axis=1)
         if not np.all(gaps > 0):
             raise InvalidInputError("grud_lite: timestamps must be strictly increasing")
-        obs = np.ascontiguousarray((batch.mask != 0).transpose(1, 0, 2))
+        obs = np.ascontiguousarray(batch.mask.astype(bool, copy=False).transpose(1, 0, 2))
         x_work = self._to_working(batch.values.transpose(1, 0, 2), obs)
         return (x_work, obs.astype(np.float64), _time_since_observed(gaps.T, obs),
                 _carry_forward(x_work, obs, self.x_bar)[:-1])

@@ -37,7 +37,7 @@ def _locf_fill(values: np.ndarray, mask: np.ndarray, fallback: np.ndarray) -> np
     bitwise that of the index-based fill in tests/, the oracle. Returns a
     (B, T, D) view of rows 1.. of the time-major result.
     """
-    obs = np.ascontiguousarray((mask != 0).transpose(1, 0, 2))
+    obs = np.ascontiguousarray(mask.astype(bool, copy=False).transpose(1, 0, 2))
     vals = np.ascontiguousarray(values.transpose(1, 0, 2))
     first = np.take_along_axis(vals, obs.argmax(axis=0)[None], axis=0)[0]
     seed = np.where(obs.any(axis=0), first, fallback)
@@ -117,7 +117,7 @@ class MeanImputerModel(_AnalyticImputer):
 
     def impute_batch(self, batch: Batch) -> np.ndarray:
         fill = np.broadcast_to(self.feature_values, batch.values.shape)
-        return np.where(batch.mask != 0, batch.values, fill)
+        return np.where(batch.mask.astype(bool, copy=False), batch.values, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ class SaitsLiteModel(GradientModel, Imputer):
         inputs = [leaves[name] for name in names]
         p = {name: t.data for name, t in zip(names, inputs)}
         keep = any(t.tape is not None for t in inputs)
-        maskf = (batch.mask != 0).astype(np.float64)
+        maskf = batch.mask.astype(bool, copy=False).astype(np.float64)
         x0 = self._to_working(batch.values, batch.mask)
         xhat, saved = self._forward(p, x0, maskf, keep=keep)
         originals = batch.values if batch.originals is None else batch.originals
@@ -479,12 +479,13 @@ class SaitsLiteModel(GradientModel, Imputer):
 
     # -- inference ----------------------------------------------------------
     def _reconstruct(self, batch: Batch) -> np.ndarray:
-        maskf = (batch.mask != 0).astype(np.float64)
+        maskf = batch.mask.astype(bool, copy=False).astype(np.float64)
         x0 = self._to_working(batch.values, batch.mask)
         return self._from_working(self._forward(self.parameters, x0, maskf)[0])
 
     def impute_batch(self, batch: Batch) -> np.ndarray:
-        return np.where(batch.mask != 0, batch.values, self._reconstruct(batch))
+        hit = batch.mask.astype(bool, copy=False)
+        return np.where(hit, batch.values, self._reconstruct(batch))
 
 
 def saits_forward(model: SaitsLiteModel, values: np.ndarray, mask: np.ndarray):

@@ -54,7 +54,7 @@ def _record_dtype(n_steps: int, n_features: int) -> np.dtype:
 def _encode(block: Batch, dtype: np.dtype) -> bytes:
     """The records of a block's rows, back to back, each with its CRC-32."""
     b, size = len(block.values), dtype.itemsize
-    observed = block.mask != 0
+    observed = block.mask.astype(bool, copy=False)
     records = np.zeros(b, dtype=dtype)
     records["sample_id"] = block.sample_ids
     records["timestamps"] = block.timestamps

@@ -60,9 +60,6 @@ class Tensor:
             return None
         return self.tape._grads[self.node_id]
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         tag = "const" if self.tape is None else f"node {self.node_id}"
         return f"Tensor({tag}, shape={self.data.shape})"
@@ -396,11 +393,6 @@ def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
     return tuple(sorted(axes))
 
 
-def _expand(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
-    expanded = np.expand_dims(g, axes) if axes else g
-    return np.broadcast_to(expanded, shape)
-
-
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _coerce(a)
     axes = _normalize_axes(axis, a.data.ndim)
@@ -586,13 +578,3 @@ def adam_step(params: dict, grads: dict, state: AdamState):
         v += (1.0 - state.beta2) * (g * g)
         p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return params, state
-
-
-def sgd_step(params: dict, grads: dict, lr: float):
-    """One plain gradient descent update, in place. Returns params."""
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        p -= lr * g
-    return params

@@ -275,6 +275,21 @@ def test_classify_pipeline_report_keys(capsys, tmp_path):
     assert len(lines) == 31
 
 
+def test_evaluate_classify_refuses_a_nan_score(capsys, tmp_path, monkeypatch):
+    data = gen(capsys, tmp_path, n=30, classes=2, rate=0.1)
+    model_path = str(tmp_path / "clf.pmdl")
+    code, _, err = run(capsys, "train", "--task", "classify", "--model", "grud_lite",
+                       "--data", data, "--out", model_path, "--epochs", "1")
+    assert code == 0, err
+    probs = np.full((30, 2), 0.5)
+    probs[3] = np.nan
+    monkeypatch.setattr(cli, "classify", lambda *args: probs)
+    code, out, err = run(capsys, "evaluate", "--task", "classify",
+                         "--model", model_path, "--data", data)
+    assert code == 2 and out == ""
+    assert "score at position 3 is not finite" in err
+
+
 def test_cluster_and_forecast_pipelines(capsys, tmp_path):
     data = gen(capsys, tmp_path, n=18, classes=3, rate=0.1)
     cl_path = str(tmp_path / "cl.pmdl")

@@ -9,7 +9,6 @@ import pytest
 
 from potsmine import (
     Batch,
-    ColumnSchema,
     CorruptedPairView,
     NormStats,
     PotsDataset,
@@ -540,7 +539,7 @@ def test_csv_round_trip_exact(tmp_path):
     ds = generate_synthetic(6, 7, 3, 2, missing_rate=0.25, seed=13)
     path = tmp_path / "round.csv"
     export_csv(ds, str(path))
-    back = ingest_csv(str(path), ColumnSchema(label="label"))
+    back = ingest_csv(str(path))
     assert len(back) == len(ds)
     for a, b in zip(ds.samples, back.samples):
         assert np.array_equal(a.values, b.values, equal_nan=True)

@@ -175,6 +175,40 @@ def test_binary_metrics_brute_force_oracle():
         assert abs(report.roc_auc - wins / (pos.size * neg.size)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_binary_metrics_refuse_non_finite_scores(bad):
+    # a NaN counted below the threshold but ranked above every finite
+    # score used to get roc_auc 1.0
+    with pytest.raises(InvalidInputError, match="position 1 is not finite"):
+        binary_classification_metrics([0.1, bad, 0.8, bad], [0, 1, 1, 0])
+
+
+def test_pr_auc_hand_worked_example():
+    # thresholds 0.9, 0.8, 0.3, 0.1 give (recall, precision) steps
+    # (1/3, 1), (2/3, 2/3), (2/3, 1/2), (1, 3/5): 1/3 + 2/9 + 0 + 1/5
+    report = binary_classification_metrics([0.9, 0.8, 0.3, 0.8, 0.1], [1, 0, 0, 1, 1])
+    assert abs(report.pr_auc - 34.0 / 45.0) < 1e-15
+
+
+def test_pr_auc_equals_a_per_threshold_step_sum():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        scores = np.round(rng.random(n), 1)  # many ties
+        labels = rng.integers(0, 2, size=n)
+        if labels.min() == labels.max():
+            labels[int(rng.integers(n))] = 1 - labels[0]
+        n_pos = int(labels.sum())
+        area, prev_recall = 0.0, 0.0
+        for t in sorted(set(scores.tolist()), reverse=True):
+            hit = scores >= t
+            tp = int(labels[hit].sum())
+            recall = tp / n_pos
+            area += (recall - prev_recall) * (tp / int(hit.sum()))
+            prev_recall = recall
+        assert binary_classification_metrics(scores, labels).pr_auc == area
+
+
 # ---------------------------------------------------------------------------
 # clustering agreement
 

@@ -30,7 +30,7 @@ from potsmine import (
     write_container,
 )
 from potsmine import tensor as T
-from potsmine.models.base import imputer_validation_metric
+from potsmine.models.base import BaseModel, imputer_validation_metric
 from potsmine.errors import (
     CorruptionError,
     FormatError,
@@ -183,6 +183,47 @@ def test_fit_stops_once_patience_runs_out():
     model = Counted(6, 2, 2, hidden_size=3)
     _, ckpt = fit_model(model, view, view, TrainConfig(epochs=6, batch_size=4, patience=2))
     assert (ckpt.epoch, Counted.calls) == (1, 3)
+
+
+@pytest.mark.parametrize("selection_metric", ["val_loss", "val_accuracy"])
+@pytest.mark.parametrize("patience", [0, 1, 2])
+def test_fit_elects_what_run_election_elects_on_its_metric_log(selection_metric, patience):
+    class Recorded(GrudLiteModel):
+        def validation_metric(self, val_set, config):
+            metric = super().validation_metric(val_set, config)
+            log.append(metric)
+            snapshots.append({k: v.copy() for k, v in self.parameters.items()})
+            return metric
+
+    log, snapshots = [], []
+    view = small_view(n=16, rate=0.5)
+    model = Recorded(6, 2, 2, hidden_size=4, init_seed=3)
+    config = TrainConfig(epochs=8, batch_size=4, learning_rate=1.0, seed=1,
+                         patience=patience, selection_metric=selection_metric)
+    _, ckpt = fit_model(model, view, view, config)
+    election = run_election(log, selection_metric == "val_accuracy", patience)
+    assert (ckpt.epoch, ckpt.metric) == (election.best_epoch, election.best_metric)
+    assert len(log) == election.stopped_after
+    for name, snap in snapshots[ckpt.epoch - 1].items():
+        assert np.array_equal(ckpt.parameters[name], snap)
+        assert np.array_equal(model.parameters[name], snap)
+        assert not np.shares_memory(ckpt.parameters[name], model.parameters[name])
+
+
+def test_fit_refuses_a_model_that_is_neither_analytic_nor_gradient():
+    class Inert(BaseModel):
+        kind = "inert"
+        n_features = 2
+
+        def hyperparams(self):
+            return {}
+
+        def tensors(self):
+            return {}
+
+    view = small_view()
+    with pytest.raises(InvalidInputError, match="'inert' is not trainable"):
+        fit_model(Inert(), view, view, TrainConfig(epochs=1))
 
 
 def test_imputer_metric_of_a_view_without_observed_cells_is_zero():

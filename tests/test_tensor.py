@@ -116,6 +116,43 @@ def test_rank_cap():
         T.constant(np.zeros((1, 1, 1, 1)))
 
 
+_Z = np.zeros
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: T.matmul(_Z((2, 3)), _Z((2, 3))), ShapeError, r"incompatible shapes \(2, 3\)"),
+    (lambda: T.matmul(_Z((4, 2, 3)), _Z((2, 3))), ShapeError, "incompatible shapes"),
+    (lambda: T.matmul(_Z((4, 2, 3)), _Z((5, 3, 2))), ShapeError, "incompatible shapes"),
+    (lambda: T.matmul(_Z((4, 2, 3)), _Z((4, 2, 3))), ShapeError, "incompatible shapes"),
+    (lambda: T.matmul(_Z(3), _Z((3, 2))), ShapeError, "unsupported ranks"),
+    (lambda: T.transpose(_Z(3)), ShapeError, "needs rank >= 2"),
+    (lambda: T.concat([]), InvalidInputError, "at least one tensor"),
+    (lambda: T.concat([_Z((2, 3)), _Z(3)]), ShapeError, "mixed ranks"),
+    (lambda: T.concat([_Z((2, 3)), _Z((3, 3))]), ShapeError, "leading dimensions differ"),
+    (lambda: T.slice_axis(_Z((2, 3)), 2, 0, 1), ShapeError, "axis 2 out of range"),
+    (lambda: T.slice_axis(_Z((2, 3)), -1, 2, 2), InvalidInputError, r"bounds \[2, 2\)"),
+    (lambda: T.slice_axis(_Z((2, 3)), 1, 0, 4), InvalidInputError, "invalid for dimension 3"),
+    (lambda: T.reduce_sum(_Z((2, 3)), axis=2), ShapeError, "axis 2 out of range"),
+    (lambda: T.reduce_sum(_Z((2, 3)), axis=(1, -1)), InvalidInputError, "repeated axis"),
+    (lambda: T.reduce_mean(_Z((0, 3)), axis=0), InvalidInputError, "zero elements"),
+    (lambda: T.reshape(_Z(4), (1, 1, 2, 2)), ShapeError, "rank 4 exceeds the cap of 3"),
+    (lambda: T.masked_mse(_Z(2), _Z(2), _Z(3)), ShapeError, "masked_mse: shapes differ"),
+    (lambda: T.masked_mse(_Z(2), _Z(3), _Z(2)), ShapeError, "masked_mse: shapes differ"),
+    (lambda: T.cross_entropy_with_logits(_Z(3), [0]), ShapeError, "must be rank 2"),
+    (lambda: T.cross_entropy_with_logits(_Z((2, 3)), [0]), ShapeError, "labels shape"),
+    (lambda: T.cross_entropy_with_logits(_Z((2, 3)), [[0, 1]]), ShapeError, "labels shape"),
+    (lambda: T.cross_entropy_with_logits(_Z((2, 3)), [0, 3]), InvalidInputError,
+     r"labels outside \[0, 3\)"),
+    (lambda: T.cross_entropy_with_logits(_Z((2, 3)), [-1, 0]), InvalidInputError,
+     "labels outside"),
+    (lambda: T.grad_check(lambda x: x * 2.0, _Z(2)), InvalidInputError,
+     "must return a scalar tensor"),
+])
+def test_ops_refuse_bad_shapes_and_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # backward examples
 
@@ -342,12 +379,6 @@ def test_cross_entropy_matches_manual_value():
 
 # ---------------------------------------------------------------------------
 # optimizers
-
-def test_sgd_example():
-    params = {"w": np.array([1.0])}
-    T.sgd_step(params, {"w": np.array([2.0])}, lr=0.5)
-    assert params["w"][0] == 0.0
-
 
 def test_adam_first_step_magnitude():
     # with fresh moments the first Adam step is exactly -lr * sign(g)
