@@ -25,8 +25,8 @@ import sys
 
 import numpy as np
 
-from .errors import (FormatError, InvalidInputError, PotsError, TrainingDivergedError,
-                     UnsupportedTaskError)
+from .errors import (FormatError, InvalidInputError, PotsError, StorageError,
+                     TrainingDivergedError, UnsupportedTaskError)
 from . import core, metrics, store
 from .models import (GrudLiteModel, LocfModel, MeanImputerModel, SaitsLiteModel,
                      TmfModel, TrainConfig, TwoStageKMeansModel, classify, cluster,
@@ -127,7 +127,7 @@ def _load_dataset(path: str, flag: str = "--data") -> core.PotsDataset:
     if path.endswith(".csv"):
         return core.ingest_csv(path)
     with store.open_readonly(path) as handle:
-        return core.PotsDataset(handle._read_block(np.arange(handle.n_samples)))
+        return core.PotsDataset(core.fetch_all(store.LazyDataset(handle)))
 
 
 def _write_dataset(dataset: core.PotsDataset, path: str) -> None:
@@ -259,9 +259,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _print_report(pairs) -> None:
-    for key, value in pairs:
-        _emit(f"{key}: {value:.10g}")
+def _print_report(names, *args) -> None:
+    """One line per named function of metrics, each called on args."""
+    for name in names:
+        _emit(f"{name}: {getattr(metrics, name)(*args):.10g}")
 
 
 def _cmd_evaluate(args) -> int:
@@ -275,18 +276,14 @@ def _cmd_evaluate(args) -> int:
     if task == "impute":
         originals_path = _require(cfg, "originals", "--originals")
         originals = _load_dataset(originals_path, "--originals")
-        view = core.CorruptedPairView(originals, dataset)
-        batch = core.fetch_all(view)
-        filled = impute(model, view)
+        batch = core.fetch_all(core.CorruptedPairView(originals, dataset))
         if not batch.indicating.any():
             raise InvalidInputError(
                 f"no artificially removed cells between {data} and {originals_path}")
-        _print_report([
-            ("masked_mae", metrics.masked_mae(filled, batch.originals, batch.indicating)),
-            ("masked_mse", metrics.masked_mse(filled, batch.originals, batch.indicating)),
-            ("masked_rmse", metrics.masked_rmse(filled, batch.originals, batch.indicating)),
-            ("masked_mre", metrics.masked_mre(filled, batch.originals, batch.indicating)),
-        ])
+        # an imputer reads only values and mask, which the pair takes from dataset
+        filled = impute(model, dataset)
+        _print_report(("masked_mae", "masked_mse", "masked_rmse", "masked_mre"),
+                      filled, batch.originals, batch.indicating)
         return 0
     if task == "classify":
         if not dataset.has_labels:
@@ -297,18 +294,12 @@ def _cmd_evaluate(args) -> int:
             report = metrics.binary_classification_metrics(probs[:, 1], labels)
             _emit(report.to_text())
         else:
-            acc = float((probs.argmax(axis=1) == labels).mean())
-            _print_report([("accuracy", acc)])
+            _emit(f"accuracy: {float((probs.argmax(axis=1) == labels).mean()):.10g}")
         return 0
     if task == "cluster":
         if not dataset.has_labels:
             raise InvalidInputError(f"cluster scoring needs labels in {data}")
-        pred = cluster(model, dataset)
-        truth = dataset.labels_array()
-        _print_report([
-            ("rand_index", metrics.rand_index(pred, truth)),
-            ("purity", metrics.purity(pred, truth)),
-        ])
+        _print_report(("rand_index", "purity"), cluster(model, dataset), dataset.labels_array())
         return 0
     if task == "forecast":
         truth_path = _require(cfg, "truth", "--truth")
@@ -320,13 +311,9 @@ def _cmd_evaluate(args) -> int:
                 f"--truth {truth_path} holds {truth_ds.n_steps} steps, "
                 f"fewer than --horizon {horizon}")
         pred = forecast(model, dataset, horizon)
-        truth_batch = core.fetch_all(truth_ds)
-        truth_vals = truth_batch.values[:, :horizon, :]
-        truth_mask = truth_batch.mask[:, :horizon, :]
-        _print_report([
-            ("masked_mae", metrics.masked_mae(pred, truth_vals, truth_mask)),
-            ("masked_rmse", metrics.masked_rmse(pred, truth_vals, truth_mask)),
-        ])
+        truth = truth_ds._block
+        _print_report(("masked_mae", "masked_rmse"),
+                      pred, truth.values[:, :horizon], truth.mask[:, :horizon])
         return 0
     raise _UsageError(f"unknown task {task!r} (--task)")
 
@@ -375,11 +362,15 @@ def _cmd_predict(args) -> int:
 def _cmd_inspect(args) -> int:
     path = args.path
     _require_file(path, "path")
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"PMDL":
+    try:
         with open(path, "rb") as fh:
-            art = decode_artifact(fh.read(), source=path)
+            raw = fh.read(4)
+            if raw == b"PMDL":
+                raw += fh.read()
+    except OSError as e:
+        raise StorageError(f"{path}: cannot read ({e})") from e
+    if raw[:4] == b"PMDL":
+        art = decode_artifact(raw, source=path)
         _emit(f"model artifact: {path}")
         _emit(f"kind: {art.kind}")
         for key in sorted(art.hyperparams):

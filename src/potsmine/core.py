@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,16 +29,17 @@ _NOT_INCREASING = "timestamps are not strictly increasing"
 class Batch:
     """Stacked arrays for a block of samples, as consumed by models.
 
-    Every view's batches hold bool masks (mask and indicating); a model
-    also takes a hand-built batch whose masks are 0s and 1s, and casts
-    them to the float it needs per batch.
+    Every view's batches hold bool masks (mask and indicating) and (B,)
+    int64 labels, -1 where a sample has none. A model also takes a
+    hand-built batch whose masks are 0s and 1s, and casts them to the
+    float it needs per batch; its labels may be None, which means that
+    every label is absent.
     """
 
     values: np.ndarray            # (B, T, D), NaN at missing cells
     mask: np.ndarray              # (B, T, D) bool, True where observed
     timestamps: np.ndarray        # (B, T)
-    labels: np.ndarray | None     # (B,) int64, None if any label absent
-                                  # (a dataset's own block keeps -1 there)
+    labels: np.ndarray | None     # (B,) int64, -1 where absent
     originals: np.ndarray | None = None   # (B, T, D) pre-corruption values
     indicating: np.ndarray | None = None  # (B, T, D) bool, artificially removed cells
     sample_ids: np.ndarray | None = None  # (B,) uint64
@@ -150,19 +151,12 @@ def _rows(block: Batch, idx) -> Batch:
     return Batch(**{name: getattr(block, name)[idx] for name in _BLOCK})
 
 
-def _for_models(batch: Batch) -> Batch:
-    """batch with labels as models take them: None unless every one is present."""
-    if batch.labels.min() < 0:
-        batch.labels = None
-    return batch
-
-
 def stack_samples(samples: Sequence[TimeSeriesSample]) -> Batch:
-    return _for_models(Batch(
+    return Batch(
         values=np.stack([s.values for s in samples]), mask=np.stack([s.mask for s in samples]),
         timestamps=np.stack([s.timestamps for s in samples]),
         labels=np.array([_label_code(s.label) for s in samples], dtype=np.int64),
-        sample_ids=np.array([s.sample_id for s in samples], dtype=np.uint64)))
+        sample_ids=np.array([s.sample_id for s in samples], dtype=np.uint64))
 
 
 class _Rows(list):
@@ -210,11 +204,11 @@ class PotsDataset:
     Built from a Batch, whose arrays it keeps as read-only views, without a
     copy: (N, T, D) float64 values and bool mask (a mask of 0s and 1s is
     cast), (N, T) timestamps, (N,) sample ids (0..N-1 when None) and (N,)
-    labels (-1 where absent; None for none). Or built from TimeSeriesSample
-    objects, which are stacked, unless they are another dataset's unchanged
-    .samples, whose block is then shared. Every row is checked once, as a
-    sample or in the block (see _first_fault); n_classes defaults to max
-    label + 1 when every sample is labeled.
+    labels (-1 where absent; None means every one is). Or built from
+    TimeSeriesSample objects, which are stacked, unless they are another
+    dataset's unchanged .samples, whose block is then shared. Every row is
+    checked once, as a sample or in the block (see _first_fault);
+    n_classes defaults to max label + 1 when every sample is labeled.
     """
 
     def __init__(self, data: Batch | Sequence[TimeSeriesSample],
@@ -230,7 +224,6 @@ class PotsDataset:
                 block = stack_samples(self._samples)
             except ValueError as e:  # no samples, or samples of unequal shapes
                 raise InvalidInputError(f"cannot stack the samples ({e})") from None
-            block.labels = np.array([_label_code(s.label) for s in self._samples])
         self._block = Batch(**{name: _read_only(getattr(block, name)) for name in _BLOCK})
         labels = self._block.labels
         if n_classes is None and labels.min() >= 0:
@@ -268,7 +261,7 @@ class PotsDataset:
         return self._samples
 
     def training_batch(self, indices: Sequence[int]) -> Batch:
-        return _for_models(_rows(self._block, _check_indices(indices, len(self))))
+        return _rows(self._block, _check_indices(indices, len(self)))
 
     def labels_array(self) -> np.ndarray:
         if not self.has_labels:
@@ -431,15 +424,23 @@ def _iter_batches(view, batch_size: int = _EVAL_CHUNK) -> Iterator[Batch]:
 def fetch_all(view, batch_size: int = _EVAL_CHUNK) -> Batch:
     """Stream a whole view into one stacked Batch, in index order.
 
+    Each chunk of batch_size samples is copied into one block, sized from
+    the first chunk's shapes and dtypes, and can be freed once copied.
     Every view's training_batch returns fresh arrays, so a view that fits
-    one chunk comes back as that chunk's batch, without a copy.
+    one chunk comes back as that chunk's batch, without a copy. Labels
+    come as every batch gives them: (N,) codes, -1 where absent.
     """
-    parts = list(_iter_batches(view, batch_size))
-    if len(parts) == 1:
-        return parts[0]
-    return Batch(**{f.name: None if getattr(parts[0], f.name) is None
-                    else np.concatenate([getattr(p, f.name) for p in parts])
-                    for f in fields(Batch)})
+    n, out = len(view), None
+    for part, batch in zip(_chunks(n, batch_size), _iter_batches(view, batch_size)):
+        if out is None:
+            if part.stop == n:
+                return batch
+            out = Batch(**{name: None if a is None else np.empty((n, *a.shape[1:]), a.dtype)
+                           for name, a in vars(batch).items()})
+        for name, a in vars(out).items():
+            if a is not None:
+                a[part] = getattr(batch, name)
+    return out
 
 
 def fit_norm_stats(view, batch_size: int = _EVAL_CHUNK) -> NormStats:
@@ -579,18 +580,16 @@ def ingest_csv(path: str) -> PotsDataset:
             raise FormatError(
                 f"{path}: sample {sid}: has {len(rows)} steps, expected {n_steps}")
         rows.sort(key=lambda r: r[0])
-    ids = list(samples)
     values = np.array([[r[1] for r in rows] for _, rows in samples.values()], dtype=np.float64)
     block = Batch(values=values, mask=np.isfinite(values),
                   timestamps=np.array([[r[0] for r in rows] for _, rows in samples.values()]),
                   labels=np.array([_label_code(label) for label, _ in samples.values()]),
-                  sample_ids=ids)
-    fault = _first_fault(block)
-    if fault is not None:
-        row, what = fault
-        what = "steps must be strictly increasing" if what == _NOT_INCREASING else what
-        raise FormatError(f"{path}: sample {ids[row]}: {what}")
-    return PotsDataset(block)
+                  sample_ids=list(samples))
+    try:
+        return PotsDataset(block)
+    except InvalidInputError as e:
+        what = str(e).replace(_NOT_INCREASING, "steps must be strictly increasing")
+        raise FormatError(f"{path}: {what}") from None
 
 
 def write_csv(path: str, blocks: Iterable[Iterable[str]]) -> None:

@@ -275,43 +275,38 @@ def _check_view_shape(model: BaseModel, dataset, task: str) -> None:
             f"model expects {model.n_features}")
 
 
-def _run_batched(dataset, fn) -> np.ndarray:
+def _serve(model: BaseModel, dataset, contract: type, task: str, fn) -> np.ndarray:
+    """fn over the dataset's batches, stacked, once the model is found to
+    fulfil the task's contract and to fit the dataset's shape."""
+    if not isinstance(model, contract):
+        raise UnsupportedTaskError(model.kind, task)
+    _check_view_shape(model, dataset, task)
     # map drops each batch once fn returns, before the next one is read
     return np.concatenate(list(map(fn, _iter_batches(dataset))), axis=0)
 
 
 def impute(model: BaseModel, dataset) -> np.ndarray:
     """Fill every missing cell; observed cells pass through bitwise."""
-    if not isinstance(model, Imputer):
-        raise UnsupportedTaskError(model.kind, "impute")
-    _check_view_shape(model, dataset, "impute")
-    return _run_batched(dataset, model.impute_batch)
+    return _serve(model, dataset, Imputer, "impute", lambda b: model.impute_batch(b))
 
 
 def classify(model: BaseModel, dataset) -> np.ndarray:
     """Per-sample class probability rows, each summing to 1."""
-    if not isinstance(model, Classifier):
-        raise UnsupportedTaskError(model.kind, "classify")
-    _check_view_shape(model, dataset, "classify")
-    return _run_batched(dataset, model.predict_proba_batch)
+    return _serve(model, dataset, Classifier, "classify",
+                  lambda b: model.predict_proba_batch(b))
 
 
 def cluster(model: BaseModel, dataset) -> np.ndarray:
     """Per-sample cluster labels in [0, k)."""
-    if not isinstance(model, Clusterer):
-        raise UnsupportedTaskError(model.kind, "cluster")
-    _check_view_shape(model, dataset, "cluster")
-    return _run_batched(dataset, model.assign_batch)
+    return _serve(model, dataset, Clusterer, "cluster", lambda b: model.assign_batch(b))
 
 
 def forecast(model: BaseModel, dataset, horizon: int) -> np.ndarray:
     """(N, horizon, D) predictions beyond the observed window."""
-    if not isinstance(model, Forecaster):
-        raise UnsupportedTaskError(model.kind, "forecast")
-    if horizon < 1:
+    if isinstance(model, Forecaster) and horizon < 1:
         raise InvalidInputError(f"forecast: horizon must be at least 1, got {horizon}")
-    _check_view_shape(model, dataset, "forecast")
-    return _run_batched(dataset, lambda b: model.forecast_batch(b, horizon))
+    return _serve(model, dataset, Forecaster, "forecast",
+                  lambda b: model.forecast_batch(b, horizon))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,11 @@ def decay(delta_t: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(-np.maximum(0.0, z))
 
 
+def _all_labeled(batch: Batch) -> bool:
+    """Whether every sample of the batch has a label (None: none has)."""
+    return batch.labels is not None and np.min(batch.labels) >= 0
+
+
 @register_model
 class GrudLiteModel(GradientModel, Classifier):
     """GRU over [repaired value, mask] with input and hidden decays.
@@ -351,7 +356,7 @@ class GrudLiteModel(GradientModel, Classifier):
             self.x_bar = stats.mean.copy()
 
     def batch_loss_sum(self, leaves: dict, batch: Batch) -> T.Tensor:
-        if batch.labels is None:
+        if not _all_labeled(batch):
             raise InvalidInputError("grud_lite training requires labels on every sample")
         inputs = [leaves[name] for name in _PARAMS]
         p = {name: t.data for name, t in zip(_PARAMS, inputs)}
@@ -365,7 +370,7 @@ class GrudLiteModel(GradientModel, Classifier):
         total = 0.0
         n = 0
         for batch in _iter_batches(val_set):
-            if batch.labels is None:
+            if not _all_labeled(batch):
                 raise InvalidInputError("grud_lite validation requires labels")
             logits = self._logits_np(batch)
             if want_acc:

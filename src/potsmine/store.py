@@ -20,6 +20,9 @@ order, with one pread, checks every record's CRC-32, decodes the whole
 batch with numpy at once, and checks the batch once with the same
 sample check as an in-memory dataset (strictly increasing timestamps, a
 mask that agrees with the NaN sentinel, labels absent or non-negative).
+A batch carries each record's label as stored, -1 where absent, as every
+view's batches do; whole views are gathered by core.fetch_all. An OSError
+from the file system is a StorageError that names the path.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (_BLOCK, Batch, PotsDataset, TimeSeriesSample, _check_indices, _chunks,
-                   _first_fault, _for_models, _read_only, _rows, _Rows)
+                   _first_fault, _read_only, _rows, _Rows)
 from .errors import CorruptionError, FormatError, StorageError
 
 MAGIC = b"POTS"
@@ -127,9 +130,11 @@ class ReadHandle:
             lo, hi = int(self._offsets.min()), int(self._offsets.max())
             if lo < _HEADER.size or hi + self.record_size > index_offset:
                 raise FormatError(f"{path}: index points outside the record region")
+        except OSError as e:  # a directory, say, opens but refuses pread
+            self.close()
+            raise StorageError(f"{path}: cannot read ({e})") from e
         except Exception:
-            os.close(self._fd)
-            self._fd = -1
+            self.close()
             raise
         self.payload_bytes_read = 0
         self._lock = threading.Lock()
@@ -158,14 +163,10 @@ class ReadHandle:
         the batch is checked once for strictly increasing timestamps, a mask
         that agrees with the NaN sentinel and labels that are absent (-1) or
         non-negative. A record that fails those checks is a FormatError
-        naming its position, whatever its CRC says. labels is None unless
-        every requested record has one.
+        naming its position, whatever its CRC says. labels holds each
+        record's label as stored, -1 where absent.
         """
-        return _for_models(self._read(_check_indices(indices, self.n_samples)))
-
-    def _read(self, idx: np.ndarray) -> Batch:
-        """read_batch's Batch for checked indices, with each record's label as
-        stored (-1 when absent)."""
+        idx = _check_indices(indices, self.n_samples)
         if self._fd < 0:
             raise StorageError(f"{self.path}: handle is closed")
         size, positions = self.record_size, idx.tolist()
@@ -174,7 +175,10 @@ class ReadHandle:
         for j in range(1, len(offsets) + 1):
             if j < len(offsets) and offsets[j] == offsets[j - 1] + size:
                 continue
-            chunk = os.pread(self._fd, (j - start) * size, offsets[start])
+            try:
+                chunk = os.pread(self._fd, (j - start) * size, offsets[start])
+            except OSError as e:
+                raise StorageError(f"{self.path}: cannot read ({e})") from e
             if len(chunk) != (j - start) * size:
                 short = positions[start + len(chunk) // size]
                 raise CorruptionError(f"{self.path}: record {short}: truncated")
@@ -201,19 +205,6 @@ class ReadHandle:
             raise FormatError(f"{self.path}: record {positions[fault[0]]}: {fault[1]}")
         return batch
 
-    def _read_block(self, idx: np.ndarray) -> Batch:
-        """_read for any number of records: they are decoded one chunk at a
-        time into preallocated arrays, so a big read is decoded only once."""
-        n, t, d = len(idx), self.n_steps, self.n_features
-        block = Batch(values=np.empty((n, t, d)), mask=np.empty((n, t, d), dtype=bool),
-                      timestamps=np.empty((n, t)), labels=np.empty(n, dtype=np.int64),
-                      sample_ids=np.empty(n, dtype=np.uint64))
-        for part in _chunks(n):
-            chunk = self._read(idx[part])
-            for name in _BLOCK:
-                getattr(block, name)[part] = getattr(chunk, name)
-        return block
-
 
 def open_readonly(path: str) -> ReadHandle:
     """Open a container for reading, validating its header and index."""
@@ -222,7 +213,7 @@ def open_readonly(path: str) -> ReadHandle:
 
 def fetch_batch(handle: ReadHandle, indices: Sequence[int]) -> list[TimeSeriesSample]:
     """Read the requested records, in order, duplicates allowed."""
-    block = handle._read_block(_check_indices(indices, handle.n_samples))
+    block = handle.read_batch(indices)
     return _Rows(Batch(**{name: _read_only(getattr(block, name)) for name in _BLOCK}))
 
 

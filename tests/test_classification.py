@@ -1,5 +1,7 @@
 """GRU-D-lite: decay math, step semantics, probabilities, gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,21 @@ def test_training_requires_labels():
     with pytest.raises(InvalidInputError, match="label"):
         model.batch_loss_sum({k: T.constant(v) for k, v in model.parameters.items()},
                              unlabeled)
+
+
+def test_a_batch_with_an_absent_label_is_refused_by_loss_and_validation():
+    model = tiny_model()
+    ds = generate_synthetic(4, 4, 2, 2, missing_rate=0.0, seed=1)
+    labels = ds._block.labels.copy()
+    labels[2] = -1
+    partial = PotsDataset(dataclasses.replace(ds._block, labels=labels))
+    model.prepare_fit(ds)
+    with pytest.raises(InvalidInputError, match="training requires labels on every sample"):
+        model.batch_loss_sum({k: T.constant(v) for k, v in model.parameters.items()},
+                             partial.training_batch(range(4)))
+    for metric in ("val_loss", "val_accuracy"):
+        with pytest.raises(InvalidInputError, match="validation requires labels"):
+            model.validation_metric(partial, TrainConfig(selection_metric=metric))
 
 
 def test_cross_entropy_gradient_through_recurrence():

@@ -136,6 +136,34 @@ def test_corrupt_keeps_partial_labels(capsys, tmp_path):
         assert [s.label for s in fetch_batch(h, range(10))] == [s.label for s in samples]
 
 
+def test_predict_impute_keeps_absent_labels_where_the_input_had_them(capsys, tmp_path):
+    # 300 samples take two read chunks when the CLI loads the container
+    data, samples = write_partly_labeled(tmp_path, n=300)
+    model = train_impute(capsys, tmp_path, data, model="mean")
+    out = str(tmp_path / "completed.pots")
+    code, _, err = run(capsys, "predict", "--task", "impute", "--model", model,
+                       "--data", data, "--out", out)
+    assert code == 0, err
+    with open_readonly(out) as h:
+        assert [s.label for s in fetch_batch(h, range(300))] == [s.label for s in samples]
+
+
+def test_forecast_of_a_container_whose_last_series_is_unlabeled(capsys, tmp_path):
+    block = generate_synthetic(2000, 8, 2, 2, 0.1, seed=0)._block
+    labels = block.labels.copy()
+    labels[-1] = -1
+    data = str(tmp_path / "data.pots")
+    write_container(PotsDataset(dataclasses.replace(block, labels=labels)), data)
+    model = str(tmp_path / "tmf.pmdl")
+    code, _, err = run(capsys, "train", "--task", "forecast", "--model", "tmf",
+                       "--data", data, "--out", model)
+    assert code == 0, err
+    code, out, err = run(capsys, "evaluate", "--task", "forecast", "--model", model,
+                         "--data", data, "--truth", data)
+    assert code == 0, err
+    assert set(report_values(out)) == {"masked_mae", "masked_rmse"}
+
+
 def test_partly_labeled_data_is_refused_where_labels_are_needed(capsys, tmp_path):
     labeled = gen(capsys, tmp_path, n=12, t=6, classes=3)
     partial, _ = write_partly_labeled(tmp_path, n=12)
@@ -539,6 +567,24 @@ def test_data_errors_exit_two(capsys, tmp_path):
     bad.write_bytes(b"JUNKJUNKJUNKJUNK" * 8)
     code, _, err = run(capsys, "inspect", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect", "{folder}"],
+    ["train", "--task", "forecast", "--model", "tmf", "--data", "{folder}", "--out", "{out}"],
+    ["corrupt", "--data", "{folder}", "--out", "{out}"],
+    ["evaluate", "--task", "forecast", "--model", "{model}", "--data", "{data}",
+     "--truth", "{folder}"],
+], ids=["inspect", "train", "corrupt", "evaluate"])
+def test_a_directory_given_as_an_input_file_exits_two(capsys, tmp_path, predict_setup, argv):
+    data, _, _, models = predict_setup
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code, _, err = run(capsys, *[a.format(folder=folder, out=tmp_path / "out",
+                                          model=models["forecast"], data=data) for a in argv])
+    assert code == 2
+    assert f"{folder}: cannot read" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_data_that_is_not_utf8_text_exits_two(capsys, tmp_path):

@@ -142,7 +142,7 @@ def test_stack_samples_shapes_and_labels():
     assert batch.values.shape == (2, 3, 2)
     assert batch.mask.shape == (2, 3, 2)
     assert np.array_equal(batch.labels, [1, 0])
-    assert stack_samples([make_sample(0), make_sample(1, label=1)]).labels is None
+    assert stack_samples([make_sample(0), make_sample(1, label=1)]).labels.tolist() == [-1, 1]
 
 
 def partly_labeled(n=6, t=5, d=2, seed=4):
@@ -165,10 +165,11 @@ def test_samples_equal_the_arrays_row_for_row(kind):
     assert len(samples) == n
     assert [s.sample_id for s in samples] == batch.sample_ids.tolist()
     labels = [s.label for s in samples]
-    if batch.labels is None:
-        assert None in labels and not ds.has_labels
+    assert [-1 if label is None else label for label in labels] == batch.labels.tolist()
+    if None in labels:
+        assert not ds.has_labels
     else:
-        assert labels == batch.labels.tolist() == ds.labels_array().tolist()
+        assert labels == ds.labels_array().tolist()
     for f in ("values", "mask", "timestamps"):
         rows = np.stack([getattr(s, f) for s in samples])
         assert rows.tobytes() == getattr(batch, f).tobytes(), f
@@ -646,3 +647,44 @@ def test_fetch_all_result_is_the_callers_own(tmp_path, backend, batch_size):
     assert ("originals" in kept) == (backend == "pair")
     for name, arr in kept.items():
         assert getattr(again, name).tobytes() == arr.tobytes(), name
+
+
+def unlabeled_at(n, rows, seed=0):
+    """A synthetic dataset of n samples whose only unlabeled samples are rows."""
+    block = generate_synthetic(n, 4, 2, 2, missing_rate=0.1, seed=seed)._block
+    labels = block.labels.copy()
+    labels[rows] = -1
+    return PotsDataset(dataclasses.replace(block, labels=labels))
+
+
+@pytest.mark.parametrize("backend", ["in_memory", "pair", "lazy"])
+def test_fetch_all_keeps_a_label_absent_past_the_first_chunk(tmp_path, backend):
+    ds = unlabeled_at(300, [290])
+    path = str(tmp_path / "d.pots")
+    write_container(ds, path)
+    with open_readonly(path) as handle:
+        view = {"in_memory": ds, "pair": inject_mcar(ds, 0.3, seed=1),
+                "lazy": lazy_dataset(handle)}[backend]
+        got = fetch_all(view)
+        chunks = [view.training_batch(range(0, 256)), view.training_batch(range(256, 300))]
+    assert got.labels[290] == -1 and (np.delete(got.labels, 290) >= 0).all()
+    for f in dataclasses.fields(Batch):
+        parts = [getattr(c, f.name) for c in chunks]
+        if parts[0] is None:
+            assert getattr(got, f.name) is None, f.name
+        else:
+            joined = np.concatenate(parts)
+            assert getattr(got, f.name).dtype == joined.dtype, f.name
+            assert getattr(got, f.name).tobytes() == joined.tobytes(), f.name
+
+
+def test_every_batch_gives_label_codes_on_a_partly_labeled_set(tmp_path):
+    ds = partly_labeled()
+    codes = [-1 if s.label is None else s.label for s in ds.samples]
+    path = str(tmp_path / "d.pots")
+    write_container(ds, path)
+    with open_readonly(path) as handle:
+        read = handle.read_batch(range(len(ds)))
+    for batch in (ds.training_batch(range(len(ds))), read, stack_samples(ds.samples)):
+        assert batch.labels.dtype == np.int64
+        assert batch.labels.tolist() == codes

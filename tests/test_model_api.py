@@ -370,6 +370,8 @@ def test_unsupported_task_names_kind_and_task():
     ds = generate_synthetic(3, 4, 2, 2, missing_rate=0.0, seed=0)
     with pytest.raises(UnsupportedTaskError, match="locf"):
         forecast(model, ds, horizon=1)
+    with pytest.raises(UnsupportedTaskError, match="locf"):
+        forecast(model, ds, horizon=0)  # refused as unsupported before its horizon
     with pytest.raises(UnsupportedTaskError, match="classify"):
         classify(model, ds)
     grud = GrudLiteModel(4, 2, 2, hidden_size=3)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import struct
 import zlib
 
@@ -135,6 +136,40 @@ def test_open_rejects_records_too_large_to_decode(tmp_path):
     raw[:_HEADER.size] = _HEADER.pack(*fields)
     open(path, "wb").write(bytes(raw))
     with pytest.raises(FormatError, match="records too large"):
+        open_readonly(path)
+
+
+def test_a_directory_is_a_storage_error_naming_it(tmp_path):
+    # a directory opens for reading, but its header pread fails
+    with pytest.raises(StorageError, match=re.escape(f"{tmp_path}: cannot read")):
+        open_readonly(str(tmp_path))
+
+
+@pytest.mark.parametrize("failing", [1, 2, 3])  # the header, index and records pread
+def test_a_failing_pread_is_a_storage_error_naming_the_path(tmp_path, monkeypatch, failing):
+    _, path = write_demo(tmp_path)
+    real, calls = os.pread, []
+
+    def pread(fd, size, offset):
+        calls.append(offset)
+        if len(calls) == failing:
+            raise OSError(5, "Input/output error")
+        return real(fd, size, offset)
+
+    monkeypatch.setattr(os, "pread", pread)
+    with pytest.raises(StorageError, match=re.escape(f"{path}: cannot read")):
+        with open_readonly(path) as h:
+            h.read_batch([0])
+
+
+def test_a_failing_fstat_is_a_storage_error_naming_the_path(tmp_path, monkeypatch):
+    _, path = write_demo(tmp_path)
+
+    def fstat(fd):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    with pytest.raises(StorageError, match=re.escape(f"{path}: cannot read")):
         open_readonly(path)
 
 
