@@ -101,6 +101,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    if cfg["seed"] < 0:
+        raise _UsageError(f"--seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 

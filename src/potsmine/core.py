@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -79,8 +80,8 @@ def _first_fault(block: Batch) -> tuple[int, str] | None:
 
 def _label_code(label) -> int:
     """A label as a block stores it: -1 when absent. An explicit negative
-    label stays below -1, where _first_fault refuses it."""
-    return -1 if label is None else label if label >= 0 else min(label, -2)
+    label becomes -2, which _first_fault refuses."""
+    return -1 if label is None else label if label >= 0 else -2
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -373,6 +374,13 @@ def compute_delta(timestamps: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return _time_since_observed(gaps[:, None], (m != 0)[:, None])[:, 0]
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator every seeded draw starts from; a negative seed is refused."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def _mcar_cell_count(rate: float, n_observed: int) -> int:
     # round half up, fixed across platforms
     return int(np.floor(rate * n_observed + 0.5))
@@ -387,7 +395,7 @@ def inject_mcar(dataset: PotsDataset, rate: float, seed: int) -> CorruptedPairVi
     """
     if not 0.0 <= rate <= 1.0:
         raise InvalidInputError(f"inject_mcar: rate must be in [0, 1], got {rate}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(seed)
     block, n = dataset._block, len(dataset)
     observed = block.mask.reshape(n, -1)
     counts = observed.sum(axis=1).tolist()
@@ -490,7 +498,7 @@ def generate_synthetic(n_samples: int, n_steps: int, n_features: int,
     if not 0.0 <= missing_rate < 1.0:
         raise InvalidInputError(
             f"generate_synthetic: missing_rate must be in [0, 1), got {missing_rate}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(seed)
     labels = np.array([i % n_classes for i in range(n_samples)], dtype=np.int64)
     rng.shuffle(labels)
     t_grid = np.arange(n_steps, dtype=np.float64)
@@ -531,8 +539,9 @@ def ingest_csv(path: str) -> PotsDataset:
     """Read a long-format CSV into a dataset.
 
     Expected columns: sample_id, step, one column per feature, and an
-    optional label column (constant within each sample). Empty feature
-    cells are missing. Rows may arrive in any order; they are grouped by
+    optional label column (constant within each sample), below 2**63.
+    Empty feature cells are missing; any other cell must hold a finite
+    number. Rows may arrive in any order; they are grouped by
     sample_id (first-appearance order) and sorted by step.
     """
     try:
@@ -568,6 +577,13 @@ def ingest_csv(path: str) -> PotsDataset:
                          if label_col is not None and row[label_col].strip() else None)
             except ValueError as e:
                 raise FormatError(f"{path}: row {line_no}: {e}") from None
+            bad = [row[i] for i, f in zip(feature_cols, feats)
+                   if row[i].strip() and not math.isfinite(f)]
+            if bad:
+                raise FormatError(f"{path}: row {line_no}: sample {sid}: "
+                                  f"feature value {bad[0]!r} is not finite")
+            if label is not None and label >= 2**63:
+                raise FormatError(f"{path}: sample {sid}: label {label} is beyond 2**63 - 1")
             if samples.setdefault(sid, (label, []))[0] != label:
                 raise FormatError(
                     f"{path}: sample {sid}: label is not constant within the sample")
@@ -654,7 +670,7 @@ def split(dataset: PotsDataset, fractions: Sequence[float], seed: int):
     if min(n_train, n_val, n_test) < 1:
         raise InvalidInputError(
             f"split: dataset of {n} samples leaves an empty split for {fractions}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(seed)
     perm = rng.permutation(n)
     pick = lambda idx: PotsDataset(_rows(dataset._block, idx), n_classes=dataset.n_classes)
     return (pick(perm[:n_train]),

@@ -24,6 +24,7 @@ model's outputs bitwise.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ MODEL_REGISTRY: dict[str, type] = {}
 
 
 def register_model(cls):
-    """Class decorator mapping a model's kind tag to its loader."""
+    """Class decorator mapping a model's kind tag to its class."""
     MODEL_REGISTRY[cls.kind] = cls
     return cls
 
@@ -178,10 +179,9 @@ def decode_artifact(data: bytes, source: str = "artifact") -> ModelArtifact:
     for _ in range(n_tensors):
         name = cur.text()
         (rank,) = cur.unpack("<B")
-        dims = cur.unpack(f"<{rank}Q") if rank else ()
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        flat = np.frombuffer(cur.take(8 * size), dtype="<f8").copy()
-        tensors[name] = flat.reshape([int(d) for d in dims])
+        dims = cur.unpack(f"<{rank}Q")
+        flat = np.frombuffer(cur.take(8 * math.prod(dims)), dtype="<f8").copy()
+        tensors[name] = flat.reshape(dims)
     (has_inner,) = cur.unpack("<B")
     inner = None
     if has_inner:
@@ -206,40 +206,54 @@ def model_to_artifact(model) -> ModelArtifact:
 def model_from_artifact(art: ModelArtifact):
     """Rebuild the model an artifact describes, or refuse it.
 
-    An artifact can pass its checksum and still not fit its kind. Every
-    hyperparameter the model reports, and every tensor it holds at the
-    shape its hyperparameters give (tensor_shapes), must be present, and
-    nothing else; otherwise this raises FormatError naming the entry.
+    An artifact can pass its checksum and still not fit its kind. Its
+    hyperparameters must be exactly the kind's HYPERPARAMS, each of the
+    declared type; it must hold an inner model exactly when the kind
+    takes one; and its tensors must be exactly those of the model its
+    hyperparameters build, at their shapes, and finite. Otherwise this
+    raises FormatError naming the entry; values the kind's constructor
+    refuses raise its InvalidInputError. The tensors are copied into the
+    new model's own arrays.
     """
     cls = MODEL_REGISTRY.get(art.kind)
     if cls is None:
         raise FormatError(f"unknown model kind tag {art.kind!r}")
-    try:
-        model = cls.from_artifact(art)
-    except KeyError as exc:
-        raise FormatError(f"{art.kind} artifact lacks entry {exc.args[0]!r}") from None
-    odd = sorted(set(model.hyperparams()) ^ set(art.hyperparams))
+    hp = art.hyperparams
+    odd = sorted(set(cls.HYPERPARAMS) ^ set(hp))
     if odd:
         raise FormatError(f"{art.kind} artifact lacks or adds hyperparameter {odd[0]!r}")
-    want = model.tensor_shapes()
+    for name, typ in cls.HYPERPARAMS.items():
+        if type(hp[name]) is not typ:
+            raise FormatError(f"{art.kind} artifact hyperparameter {name!r} is stored as "
+                              f"{type(hp[name]).__name__}, expected {typ.__name__}")
+    if cls.takes_inner != (art.inner is not None):
+        raise FormatError(f"{art.kind} artifact is missing its inner model" if cls.takes_inner
+                          else f"{art.kind} artifact holds an inner model its kind does not take")
+    model = cls(inner=model_from_artifact(art.inner), **hp) if cls.takes_inner else cls(**hp)
+    own = model.tensors()
+    want = {name: arr.shape for name, arr in own.items()}
     got = {name: arr.shape for name, arr in art.tensors.items()}
     for name in sorted(set(want) | set(got)):
         if want.get(name) != got.get(name):
             raise FormatError(f"{art.kind} artifact tensor {name!r}: found shape "
                               f"{got.get(name, 'none')}, expected {want.get(name, 'none')}")
+    for name, arr in own.items():
+        if not np.isfinite(art.tensors[name]).all():
+            raise FormatError(f"{art.kind} artifact tensor {name!r} holds a non-finite value")
+        arr[...] = art.tensors[name]
+    model.norm_stats = art.norm
     return model
 
 
 def save_model(model, path: str) -> None:
     """Write the model's `.pmdl` artifact to path.
 
-    The artifact first passes model_from_artifact, the check load_model
-    makes, so a model load_model would refuse is refused here with the
-    same error, and no file is written.
+    The encoded artifact first passes model_from_artifact, the check
+    load_model makes on the same bytes, so a model load_model would
+    refuse is refused here with the same error, and no file is written.
     """
-    art = model_to_artifact(model)
-    model_from_artifact(art)
-    data = encode_artifact(art)
+    data = encode_artifact(model_to_artifact(model))
+    model_from_artifact(decode_artifact(data))
     try:
         with open(path, "wb") as fh:
             fh.write(data)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import InvalidInputError, TrainingDivergedError, UnsupportedTaskError
-from ..core import _EVAL_CHUNK, Batch, NormStats, _iter_batches
+from ..core import _EVAL_CHUNK, Batch, NormStats, _iter_batches, _rng
 from .. import tensor as T
 
 # a workspace array holds at most this many samples; a larger batch gets
@@ -114,33 +114,31 @@ class BaseModel(ABC):
 
     kind is the artifact tag. n_steps is None for models that accept any
     series length; n_features is always fixed at construction.
+
+    HYPERPARAMS maps the name of each constructor keyword argument that
+    an artifact stores to its type (int, float or bool); the model keeps
+    each one as an attribute of that name. A kind that wraps another
+    model sets takes_inner and takes that model as its inner argument.
     """
 
     kind: str = ""
+    HYPERPARAMS: dict[str, type] = {}
+    takes_inner = False
     n_steps: int | None = None
     n_features: int = 0
     norm_stats: NormStats | None = None
     inner_model: "BaseModel | None" = None
 
-    @abstractmethod
     def hyperparams(self) -> dict:
-        """Scalar/string settings needed to rebuild the model skeleton."""
+        """The declared hyperparameters, read off the instance."""
+        return {name: getattr(self, name) for name in self.HYPERPARAMS}
 
     @abstractmethod
     def tensors(self) -> dict[str, np.ndarray]:
-        """Named parameter arrays, the model's full numeric state."""
+        """The model's own parameter arrays, its full numeric state."""
 
     def supported_metrics(self) -> tuple[str, ...]:
         return ("val_loss",)
-
-    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Name and shape of every tensor, as the hyperparameters fix them.
-
-        The default rebuilds an untrained skeleton from hyperparams();
-        models whose shapes also depend on the training data override it.
-        """
-        skeleton = type(self)(**self.hyperparams())
-        return {name: arr.shape for name, arr in skeleton.tensors().items()}
 
 
 class Imputer(BaseModel):
@@ -374,8 +372,7 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
     best: dict[str, np.ndarray] = {}
     n = len(train_set)
     for epoch_idx in range(config.epochs):
-        order = np.random.Generator(
-            np.random.PCG64(config.seed + epoch_idx)).permutation(n)
+        order = _rng(config.seed + epoch_idx).permutation(n)
         for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[start:start + config.batch_size]
             shards = [s for s in np.array_split(idx, config.workers) if s.size]

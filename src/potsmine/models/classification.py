@@ -27,10 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import (Batch, _carry_forward, _iter_batches, _time_since_observed,
+from ..core import (Batch, _carry_forward, _iter_batches, _rng, _time_since_observed,
                     fit_norm_stats)
 from .. import tensor as T
-from .artifact import ModelArtifact, register_model
+from .artifact import register_model
 from .base import Classifier, GradientModel, TrainConfig, xavier
 
 # the parameters in the order the fused node takes them and
@@ -101,6 +101,8 @@ class GrudLiteModel(GradientModel, Classifier):
     """
 
     kind = "grud_lite"
+    HYPERPARAMS = {"n_steps": int, "n_features": int, "n_classes": int,
+                   "hidden_size": int, "normalize": bool, "init_seed": int}
 
     def __init__(self, n_steps: int, n_features: int, n_classes: int,
                  hidden_size: int = 256, normalize: bool = True, init_seed: int = 0):
@@ -117,13 +119,12 @@ class GrudLiteModel(GradientModel, Classifier):
         self.hidden_size = hidden_size
         self.normalize = bool(normalize)
         self.init_seed = int(init_seed)
-        self.norm_stats = None
         # empirical feature means in working space; set by prepare_fit
         self.x_bar = np.zeros(n_features, dtype=np.float64)
         self.parameters = self._init_params()
 
     def _init_params(self) -> dict[str, np.ndarray]:
-        rng = np.random.Generator(np.random.PCG64(self.init_seed))
+        rng = _rng(self.init_seed)
         d, hid = self.n_features, self.hidden_size
         params: dict[str, np.ndarray] = {}
         # small positive decay weights: exactly zero would pin the relu
@@ -141,28 +142,10 @@ class GrudLiteModel(GradientModel, Classifier):
         params["b_out"] = np.zeros(self.n_classes)
         return params
 
-    # -- serialization ----------------------------------------------------
-    def hyperparams(self) -> dict:
-        return {"n_steps": self.n_steps, "n_features": self.n_features,
-                "n_classes": self.n_classes, "hidden_size": self.hidden_size,
-                "normalize": self.normalize, "init_seed": self.init_seed}
-
     def tensors(self) -> dict[str, np.ndarray]:
         out = dict(self.parameters)
         out["x_bar"] = self.x_bar
         return out
-
-    @classmethod
-    def from_artifact(cls, art: ModelArtifact) -> "GrudLiteModel":
-        hp = art.hyperparams
-        model = cls(int(hp["n_steps"]), int(hp["n_features"]), int(hp["n_classes"]),
-                    hidden_size=int(hp["hidden_size"]), normalize=bool(hp["normalize"]),
-                    init_seed=int(hp["init_seed"]))
-        for name in model.parameters:
-            model.parameters[name] = art.tensors[name].copy()
-        model.x_bar = art.tensors["x_bar"].copy()
-        model.norm_stats = art.norm
-        return model
 
     def supported_metrics(self) -> tuple[str, ...]:
         return ("val_loss", "val_accuracy")

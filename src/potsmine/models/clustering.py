@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CorruptionError, InvalidInputError, ShapeError
-from ..core import Batch, fetch_all
-from .artifact import ModelArtifact, model_from_artifact, register_model
+from ..errors import InvalidInputError, ShapeError
+from ..core import Batch, _rng, fetch_all
+from .artifact import register_model
 from .base import (AnalyticModel, Clusterer, Imputer, TrainConfig, fit as fit_model,
                    impute)
 
@@ -44,7 +44,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iters: int = 100,
         raise InvalidInputError(f"kmeans_fit: k must be positive, got {k}")
     if n < k:
         raise InvalidInputError(f"kmeans_fit: {n} points cannot form {k} clusters")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(seed)
 
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[int(rng.integers(n))]
@@ -83,52 +83,48 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iters: int = 100,
 
 @register_model
 class TwoStageKMeansModel(AnalyticModel, Clusterer):
-    """Inner imputer feeding k-means on standardized flattened series."""
+    """Inner imputer feeding k-means on standardized flattened series.
+
+    n_steps is the series length of the fit, 0 while unfitted; n_features
+    defaults to, and must equal, the inner model's.
+    """
 
     kind = "twostage_kmeans"
+    HYPERPARAMS = {"k": int, "max_iters": int, "tol": float, "n_steps": int,
+                   "n_features": int}
+    takes_inner = True
 
     def __init__(self, inner: Imputer, k: int, max_iters: int = 100,
-                 tol: float = 1e-6):
+                 tol: float = 1e-6, n_steps: int = 0, n_features: int | None = None):
         if not isinstance(inner, Imputer):
             raise InvalidInputError(
                 "twostage_kmeans requires an inner model with the impute contract")
         if k < 1:
             raise InvalidInputError(f"k must be positive, got {k}")
+        if n_steps < 0:
+            raise InvalidInputError(f"n_steps must be non-negative, got {n_steps}")
+        if n_features not in (None, inner.n_features):
+            raise InvalidInputError(
+                f"twostage_kmeans: n_features {n_features} does not match the "
+                f"inner model's {inner.n_features}")
         self.inner_model = inner
         self.k = k
         self.max_iters = max_iters
         self.tol = float(tol)
-        self.n_steps: int | None = None
+        self.n_steps = n_steps or None
         self.n_features = inner.n_features
-        self.centroids = np.zeros((k, 0), dtype=np.float64)
-        self.feat_mean = np.zeros(0, dtype=np.float64)
-        self.feat_std = np.ones(0, dtype=np.float64)
+        width = n_steps * self.n_features
+        self.centroids = np.zeros((k, width), dtype=np.float64)
+        self.feat_mean = np.zeros(width, dtype=np.float64)
+        self.feat_std = np.ones(width, dtype=np.float64)
 
-    # -- serialization ------------------------------------------------------
     def hyperparams(self) -> dict:
-        return {"k": self.k, "max_iters": self.max_iters, "tol": self.tol,
-                "n_steps": int(self.n_steps or 0), "n_features": self.n_features}
+        # an unfitted model takes series of any length: n_steps None, stored as 0
+        return {**super().hyperparams(), "n_steps": self.n_steps or 0}
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {"centroids": self.centroids, "feat_mean": self.feat_mean,
                 "feat_std": self.feat_std}
-
-    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
-        width = int(self.n_steps or 0) * self.n_features
-        return {"centroids": (self.k, width), "feat_mean": (width,), "feat_std": (width,)}
-
-    @classmethod
-    def from_artifact(cls, art: ModelArtifact) -> "TwoStageKMeansModel":
-        if art.inner is None:
-            raise CorruptionError("twostage_kmeans artifact is missing its inner model")
-        hp = art.hyperparams
-        model = cls(model_from_artifact(art.inner), int(hp["k"]),
-                    max_iters=int(hp["max_iters"]), tol=float(hp["tol"]))
-        model.n_steps = int(hp["n_steps"]) or None
-        model.centroids = art.tensors["centroids"].copy()
-        model.feat_mean = art.tensors["feat_mean"].copy()
-        model.feat_std = art.tensors["feat_std"].copy()
-        return model
 
     # -- fitting -----------------------------------------------------------
     def _standardize(self, flat: np.ndarray) -> np.ndarray:

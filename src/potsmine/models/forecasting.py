@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import Batch, fetch_all
-from .artifact import ModelArtifact, register_model
+from ..core import Batch, _rng, fetch_all
+from .artifact import register_model
 from .base import AnalyticModel, Forecaster, TrainConfig
 
 # keeps every block subproblem strictly positive definite
@@ -83,7 +83,7 @@ def _tmf_core(yz: np.ndarray, obs: np.ndarray, rank: int, ar_order: int,
               lam_w: float, lam_f: float, lam_a: float, iters: int, seed: int):
     """Alternating ridge updates for (D, N, T) stacks; returns (W, F, A, history).
 
-    Feature d starts from PCG64(seed + d), drawing W and then F. history
+    Feature d starts from core._rng(seed + d), drawing W and then F. history
     holds one objective list per feature, one entry per iteration.
     """
     n_feat, n, t_len = yz.shape
@@ -91,7 +91,7 @@ def _tmf_core(yz: np.ndarray, obs: np.ndarray, rank: int, ar_order: int,
     lam_w += _RIDGE_FLOOR
     lam_f += _RIDGE_FLOOR
     lam_a += _RIDGE_FLOOR
-    rngs = [np.random.Generator(np.random.PCG64(seed + d)) for d in range(n_feat)]
+    rngs = [_rng(seed + d) for d in range(n_feat)]
     w = np.stack([rng.normal(0.0, 0.1, (n, rank)) for rng in rngs])
     # F lives inside zero padding of L steps at each end, so every step's
     # AR window f_{t-L} .. f_{t+L} is one slice
@@ -153,13 +153,20 @@ def _forecast(w: np.ndarray, f: np.ndarray, a: np.ndarray, horizon: int) -> np.n
 
 @register_model
 class TmfModel(AnalyticModel, Forecaster):
-    """One factorization per feature, stacked over the feature axis."""
+    """One factorization per feature, stacked over the feature axis.
+
+    n_series is the number of series the factors were fit to; 0 means
+    unfitted, and a positive value allocates zero factors of that size.
+    """
 
     kind = "tmf"
+    HYPERPARAMS = {"n_steps": int, "n_features": int, "rank": int, "ar_order": int,
+                   "lam_w": float, "lam_f": float, "lam_a": float, "iters": int,
+                   "n_series": int}
 
     def __init__(self, n_steps: int, n_features: int, rank: int = 2,
                  ar_order: int = 2, lam_w: float = 0.1, lam_f: float = 0.1,
-                 lam_a: float = 0.1, iters: int = 20):
+                 lam_a: float = 0.1, iters: int = 20, n_series: int = 0):
         if rank < 1:
             raise InvalidInputError(f"rank must be positive, got {rank}")
         if not 0 < ar_order < n_steps:
@@ -170,6 +177,8 @@ class TmfModel(AnalyticModel, Forecaster):
             raise InvalidInputError("ridge weights must be non-negative")
         if iters < 1:
             raise InvalidInputError(f"iters must be positive, got {iters}")
+        if n_series < 0:
+            raise InvalidInputError(f"n_series must be non-negative, got {n_series}")
         self.n_steps = n_steps
         self.n_features = n_features
         self.rank = rank
@@ -178,18 +187,12 @@ class TmfModel(AnalyticModel, Forecaster):
         self.lam_f = float(lam_f)
         self.lam_a = float(lam_a)
         self.iters = iters
-        self.n_series = 0
-        self.w_list: list[np.ndarray] = []
-        self.f_list: list[np.ndarray] = []
-        self.a_list: list[np.ndarray] = []
+        self.n_series = n_series
+        fitted = range(n_features if n_series else 0)
+        self.w_list = [np.zeros((n_series, rank)) for _ in fitted]
+        self.f_list = [np.zeros((n_steps, rank)) for _ in fitted]
+        self.a_list = [np.zeros((ar_order, rank)) for _ in fitted]
         self.objective_history: list[list[float]] = []
-
-    # -- serialization -------------------------------------------------------
-    def hyperparams(self) -> dict:
-        return {"n_steps": self.n_steps, "n_features": self.n_features,
-                "rank": self.rank, "ar_order": self.ar_order,
-                "lam_w": self.lam_w, "lam_f": self.lam_f, "lam_a": self.lam_a,
-                "iters": self.iters, "n_series": self.n_series}
 
     def tensors(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -198,29 +201,6 @@ class TmfModel(AnalyticModel, Forecaster):
             out[f"f{d}"] = self.f_list[d]
             out[f"a{d}"] = self.a_list[d]
         return out
-
-    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
-        out: dict[str, tuple[int, ...]] = {}
-        # a fit always sees at least one series, so n_series 0 means unfitted
-        for d in range(self.n_features if self.n_series else 0):
-            out[f"w{d}"] = (self.n_series, self.rank)
-            out[f"f{d}"] = (self.n_steps, self.rank)
-            out[f"a{d}"] = (self.ar_order, self.rank)
-        return out
-
-    @classmethod
-    def from_artifact(cls, art: ModelArtifact) -> "TmfModel":
-        hp = art.hyperparams
-        model = cls(int(hp["n_steps"]), int(hp["n_features"]), rank=int(hp["rank"]),
-                    ar_order=int(hp["ar_order"]), lam_w=float(hp["lam_w"]),
-                    lam_f=float(hp["lam_f"]), lam_a=float(hp["lam_a"]),
-                    iters=int(hp["iters"]))
-        model.n_series = int(hp["n_series"])
-        for d in range(model.n_features if model.n_series else 0):
-            model.w_list.append(art.tensors[f"w{d}"].copy())
-            model.f_list.append(art.tensors[f"f{d}"].copy())
-            model.a_list.append(art.tensors[f"a{d}"].copy())
-        return model
 
     # -- fitting ----------------------------------------------------------------
     def _fit_stacks(self, yz: np.ndarray, obs: np.ndarray, seed: int) -> None:

@@ -14,9 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import Batch, _carry_forward, _chunks, fit_norm_stats
+from ..core import Batch, _carry_forward, _chunks, _rng, fit_norm_stats
 from .. import tensor as T
-from .artifact import ModelArtifact, register_model
+from .artifact import register_model
 from .base import (AnalyticModel, GradientModel, Imputer, TrainConfig,
                    imputer_validation_metric, xavier)
 
@@ -64,6 +64,7 @@ def locf_impute(values: np.ndarray, mask: np.ndarray,
 class _AnalyticImputer(AnalyticModel, Imputer):
     """Shared fit for imputers whose only state is per-feature means."""
 
+    HYPERPARAMS = {"n_features": int}
     values_name = ""   # the artifact tensor holding the per-feature values
 
     def __init__(self, n_features: int, values: np.ndarray | None = None):
@@ -81,17 +82,9 @@ class _AnalyticImputer(AnalyticModel, Imputer):
             raise InvalidInputError("per-feature values must be finite")
         self.feature_values = values
 
-    def hyperparams(self) -> dict:
-        return {"n_features": self.n_features}
-
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:
         self.feature_values = fit_norm_stats(train_set).mean
         return imputer_validation_metric(self.impute_batch, val_set)
-
-    @classmethod
-    def from_artifact(cls, art: ModelArtifact):
-        return cls(int(art.hyperparams["n_features"]),
-                   values=art.tensors[cls.values_name])
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {self.values_name: self.feature_values}
@@ -209,6 +202,8 @@ class SaitsLiteModel(GradientModel, Imputer):
     """
 
     kind = "saits_lite"
+    HYPERPARAMS = {"n_steps": int, "n_features": int, "d_model": int, "d_ff": int,
+                   "lam_mit": float, "normalize": bool, "init_seed": int}
     N_BLOCKS = 2
 
     def __init__(self, n_steps: int, n_features: int, d_model: int = 32,
@@ -230,11 +225,10 @@ class SaitsLiteModel(GradientModel, Imputer):
         self.lam_mit = float(lam_mit)
         self.normalize = bool(normalize)
         self.init_seed = int(init_seed)
-        self.norm_stats = None
         self.parameters = self._init_params()
 
     def _init_params(self) -> dict[str, np.ndarray]:
-        rng = np.random.Generator(np.random.PCG64(self.init_seed))
+        rng = _rng(self.init_seed)
         d, dm, df = self.n_features, self.d_model, self.d_ff
         params: dict[str, np.ndarray] = {}
         for b in range(1, self.N_BLOCKS + 1):
@@ -253,27 +247,8 @@ class SaitsLiteModel(GradientModel, Imputer):
             params[pre + "b_out"] = np.zeros(d)
         return params
 
-    # -- serialization --------------------------------------------------
-    def hyperparams(self) -> dict:
-        return {"n_steps": self.n_steps, "n_features": self.n_features,
-                "d_model": self.d_model, "d_ff": self.d_ff,
-                "lam_mit": self.lam_mit, "normalize": self.normalize,
-                "init_seed": self.init_seed}
-
     def tensors(self) -> dict[str, np.ndarray]:
         return dict(self.parameters)
-
-    @classmethod
-    def from_artifact(cls, art: ModelArtifact) -> "SaitsLiteModel":
-        hp = art.hyperparams
-        model = cls(int(hp["n_steps"]), int(hp["n_features"]),
-                    d_model=int(hp["d_model"]), d_ff=int(hp["d_ff"]),
-                    lam_mit=float(hp["lam_mit"]), normalize=bool(hp["normalize"]),
-                    init_seed=int(hp["init_seed"]))
-        for name in model.parameters:
-            model.parameters[name] = art.tensors[name].copy()
-        model.norm_stats = art.norm
-        return model
 
     # -- normalization helpers -------------------------------------------
     def _from_working(self, working: np.ndarray) -> np.ndarray:

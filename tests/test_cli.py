@@ -597,6 +597,33 @@ def test_csv_data_that_is_not_utf8_text_exits_two(capsys, tmp_path):
     assert "not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("argv", [["gen-data"], ["corrupt", "--data", "d.pots"],
+                                  ["train", "--data", "d.pots"]], ids=lambda a: a[0])
+def test_a_negative_seed_flag_exits_one(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--seed", "-1", "--out", str(tmp_path / "out.pots"))
+    assert code == 1, err
+    assert "--seed must be non-negative, got -1" in err
+    assert not (tmp_path / "out.pots").exists()
+
+
+@pytest.mark.parametrize("cell", ["inf", "1e400", "nan"])
+def test_pack_of_a_csv_with_a_non_finite_cell_exits_two(capsys, tmp_path, cell):
+    path = tmp_path / "cells.csv"
+    path.write_text(f"sample_id,step,f0\n4,0,1.0\n4,1,{cell}\n")
+    code, _, err = run(capsys, "pack", "--data", str(path), "--out", str(tmp_path / "p.pots"))
+    assert code == 2, err
+    assert f"row 3: sample 4: feature value {cell!r} is not finite" in err
+    assert not (tmp_path / "p.pots").exists()
+
+
+def test_pack_of_a_csv_label_beyond_int64_exits_two(capsys, tmp_path):
+    path = tmp_path / "label.csv"
+    path.write_text("sample_id,step,f0,label\n9,0,1.0,99999999999999999999\n")
+    code, _, err = run(capsys, "pack", "--data", str(path), "--out", str(tmp_path / "p.pots"))
+    assert code == 2, err
+    assert "sample 9: label 99999999999999999999" in err
+
+
 def test_csv_field_over_the_csv_size_limit_exits_two(capsys, tmp_path):
     huge = tmp_path / "huge.csv"
     huge.write_text("sample_id,step,f0\n0,0," + "1" * 200_000 + "\n")
@@ -765,6 +792,8 @@ _BAD_CONFIG_FILES = {
                     "unknown model kind"),
     "patience": ('{"patience": -1}', ["train", "--task", "forecast", "--model", "tmf"], 1,
                  "--patience must be non-negative"),
+    "seed": ('{"seed": -5}', ["train", "--task", "forecast", "--model", "tmf"], 1,
+             "--seed must be non-negative, got -5"),
     "evaluate_task": ('{"task": "bogus"}', ["evaluate", "--model", "models"], 1,
                       "unknown task"),
     "predict_task": ('{"task": "bogus"}', ["predict", "--model", "models"], 1,
@@ -839,7 +868,8 @@ def test_every_kind_has_tamper_entries():
 
 
 @pytest.mark.parametrize("kind", sorted(_ARTIFACT_ENTRIES))
-@pytest.mark.parametrize("fault", ["missing_tensor", "wrong_shape", "missing_hyperparameter"])
+@pytest.mark.parametrize("fault", ["missing_tensor", "wrong_shape", "non_finite_tensor",
+                                   "missing_hyperparameter", "wrong_type"])
 def test_inconsistent_artifact_exits_two(capsys, tmp_path, trained_artifacts, kind, fault):
     from potsmine.models import decode_artifact, encode_artifact
     data, paths = trained_artifacts
@@ -853,6 +883,13 @@ def test_inconsistent_artifact_exits_two(capsys, tmp_path, trained_artifacts, ki
         shape = art.tensors[tensor].shape
         art.tensors[tensor] = np.zeros(shape[:-1] + (shape[-1] + 1,))
         entry = tensor
+    elif fault == "non_finite_tensor":
+        art.tensors[tensor].flat[-1] = np.nan
+        entry = tensor
+    elif fault == "wrong_type":
+        # the same number, re-encoded under the float tag
+        art.hyperparams[hyper] = float(art.hyperparams[hyper])
+        entry = hyper
     else:
         del art.hyperparams[hyper]
         entry = hyper
@@ -921,6 +958,37 @@ def test_two_stage_artifact_without_its_inner_model_exits_two(
     assert "missing its inner model" in err
 
 
+# per case: the kind tampered with, its edit given the two-stage artifact, and a
+# phrase of the refusal
+_WHOLE_ARTIFACT_FAULTS = {
+    "inner_model_in_locf": ("locf", lambda art, kmeans: setattr(art, "inner", kmeans.inner),
+                            "locf artifact holds an inner model"),
+    "kmeans_features_differ": ("twostage_kmeans",
+                               lambda art, _: art.hyperparams.update(n_features=3),
+                               "n_features 3 does not match the inner model's 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WHOLE_ARTIFACT_FAULTS))
+def test_artifact_inconsistent_with_its_inner_model_exits_two(
+        capsys, tmp_path, trained_artifacts, case):
+    from potsmine.models import decode_artifact, encode_artifact
+    data, paths = trained_artifacts
+    kind, edit, message = _WHOLE_ARTIFACT_FAULTS[case]
+    with open(paths[kind], "rb") as fh:
+        art = decode_artifact(fh.read())
+    with open(paths["twostage_kmeans"], "rb") as fh:
+        edit(art, decode_artifact(fh.read()))
+    tampered = str(tmp_path / "tampered.pmdl")
+    with open(tampered, "wb") as fh:
+        fh.write(encode_artifact(art))
+    task = _ARTIFACT_ENTRIES[kind][0]
+    code, _, err = run(capsys, "predict", "--task", task, "--model", tampered,
+                       "--data", data, "--out", str(tmp_path / "out.csv"))
+    assert code == 2, err
+    assert message in err
+
+
 def test_string_hyperparameters_are_not_encoded():
     from potsmine.models import ModelArtifact, encode_artifact
     with pytest.raises(FormatError, match="unsupported type str"):
@@ -941,5 +1009,5 @@ def test_train_refuses_a_model_that_load_would_refuse(capsys, tmp_path):
     code, _, err = run(capsys, "train", "--task", "impute", "--model", "mean",
                        "--data", data, "--out", str(out))
     assert code == 2, err
-    assert "per-feature values must be finite" in err
+    assert "mean artifact tensor 'means' holds a non-finite value" in err
     assert not out.exists()

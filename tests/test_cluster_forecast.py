@@ -185,6 +185,15 @@ def test_two_stage_rejects_non_imputer_inner():
         TwoStageKMeansModel(inner="locf", k=2)
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ({"n_steps": -1}, "n_steps must be non-negative, got -1"),
+    ({"n_features": 3}, "n_features 3 does not match the inner model's 2"),
+])
+def test_two_stage_refuses_stored_sizes_that_do_not_fit(sizes, message):
+    with pytest.raises(InvalidInputError, match=message):
+        TwoStageKMeansModel(inner=LocfModel(n_features=2), k=2, **sizes)
+
+
 def test_kmeans_and_two_stage_refusals():
     with pytest.raises(ShapeError, match="rank 2"):
         kmeans_fit(np.zeros(4), 2, seed=0)
@@ -272,6 +281,7 @@ def test_tmf_rejects_empty_rows_and_columns():
     ({"lam_f": -0.1}, "ridge weights must be non-negative"),
     ({"lam_a": -0.1}, "ridge weights must be non-negative"),
     ({"iters": 0}, "iters must be positive, got 0"),
+    ({"n_series": -1}, "n_series must be non-negative, got -1"),
 ])
 def test_tmf_refuses_bad_settings(settings, message):
     with pytest.raises(InvalidInputError, match=message):

@@ -490,6 +490,15 @@ def test_synthetic_rejects_bad_args():
         generate_synthetic(4, 4, 2, 2, missing_rate=1.0, seed=0)
 
 
+def test_every_seeded_draw_refuses_a_negative_seed():
+    ds = generate_synthetic(8, 4, 2, 2, missing_rate=0.0, seed=0)
+    for draw in (lambda: generate_synthetic(8, 4, 2, 2, missing_rate=0.0, seed=-1),
+                 lambda: inject_mcar(ds, 0.2, seed=-1),
+                 lambda: split(ds, (0.5, 0.25, 0.25), seed=-2)):
+        with pytest.raises(InvalidInputError, match="seed must be non-negative, got -"):
+            draw()
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
@@ -519,6 +528,15 @@ _MALFORMED_CSV = {
                "has 1 steps, expected 2"),
     "invalid_sample": ("sample_id,step,f0,label\n0,0,1.0,-1\n",
                        "sample 0: .*label must be non-negative"),
+    "label_beyond_int64": ("sample_id,step,f0,label\n0,0,1.0,99999999999999999999\n",
+                           "sample 0: label 99999999999999999999 is beyond 2"),
+    "label_below_int64": ("sample_id,step,f0,label\n0,0,1.0,-99999999999999999999\n",
+                          "sample 0: label must be non-negative"),
+    "infinite_cell": ("sample_id,step,f0\n0,0,1.0\n0,1,-inf\n",
+                      "row 3: sample 0: feature value '-inf' is not finite"),
+    "overflowing_cell": ("sample_id,step,f0,f1\n7,0,1.0,\n7,1,2.0,1e400\n",
+                         "row 3: sample 7: feature value '1e400' is not finite"),
+    "nan_cell": ("sample_id,step,f0\n0,0, nan\n", "row 2: sample 0: feature value ' nan'"),
 }
 
 

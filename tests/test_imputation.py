@@ -208,6 +208,11 @@ def test_imputer_constructors_refuse_bad_settings(build, message):
         build()
 
 
+def test_analytic_imputer_refuses_values_of_another_width():
+    with pytest.raises(ShapeError, match=r"'means' shape \(1,\) does not match 2 features"):
+        MeanImputerModel(2, values=[1.0])
+
+
 def test_saits_loss_gradient_small_batch():
     rng = np.random.default_rng(10)
     originals = rng.normal(size=(2, 3, 2))

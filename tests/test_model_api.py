@@ -30,6 +30,8 @@ from potsmine import (
     write_container,
 )
 from potsmine import tensor as T
+from potsmine.models import (MODEL_REGISTRY, decode_artifact, encode_artifact, kmeans_fit,
+                             model_from_artifact, model_to_artifact, tmf_fit)
 from potsmine.models.base import BaseModel, imputer_validation_metric
 from potsmine.errors import (
     CorruptionError,
@@ -395,6 +397,54 @@ def test_save_load_round_trip_bitwise(tmp_path):
     a = impute(model, view.corrupted)
     b = impute(loaded, view.corrupted)
     assert np.array_equal(a, b)
+
+
+# one fresh model per registered kind, for a (12, 6, 2) dataset of 2 classes
+_KIND_BUILDERS = {
+    "locf": lambda: LocfModel(n_features=2),
+    "mean": lambda: MeanImputerModel(n_features=2),
+    "saits_lite": lambda: SaitsLiteModel(n_steps=6, n_features=2, d_model=4, d_ff=4),
+    "grud_lite": lambda: GrudLiteModel(n_steps=6, n_features=2, n_classes=2, hidden_size=3),
+    "twostage_kmeans": lambda: TwoStageKMeansModel(inner=MeanImputerModel(n_features=2), k=2),
+    "tmf": lambda: TmfModel(n_steps=6, n_features=2, rank=2, iters=2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_REGISTRY))
+def test_declared_hyperparameters_rebuild_a_fitted_model(kind):
+    ds = generate_synthetic(12, 6, 2, 2, missing_rate=0.1, seed=0)
+    model = _KIND_BUILDERS[kind]()
+    fit_model(model, ds, ds, TrainConfig(epochs=1, batch_size=4))
+    hp = model.hyperparams()
+    assert {name: type(v) for name, v in hp.items()} == MODEL_REGISTRY[kind].HYPERPARAMS
+    inner = {"inner": model.inner_model} if model.takes_inner else {}
+    rebuilt = MODEL_REGISTRY[kind](**inner, **hp)
+    assert ({name: a.shape for name, a in rebuilt.tensors().items()}
+            == {name: a.shape for name, a in model.tensors().items()})
+    assert model.tensors()    # a fitted model of every kind holds some state
+
+
+@pytest.mark.parametrize("name, value, stored", [
+    ("normalize", 1, "int"), ("lam_mit", 1, "int"), ("d_model", 4.0, "float"),
+    ("init_seed", False, "bool")])
+def test_load_refuses_a_hyperparameter_stored_under_another_type(name, value, stored):
+    art = model_to_artifact(SaitsLiteModel(n_steps=6, n_features=2, d_model=4, d_ff=4))
+    art.hyperparams[name] = value
+    with pytest.raises(FormatError, match=f"'{name}' is stored as {stored}, expected"):
+        model_from_artifact(decode_artifact(encode_artifact(art)))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: SaitsLiteModel(n_steps=6, n_features=2, init_seed=-1),
+    lambda: GrudLiteModel(n_steps=6, n_features=2, n_classes=2, init_seed=-1),
+    lambda: kmeans_fit(np.zeros((4, 2)), 2, seed=-1),
+    lambda: tmf_fit(np.ones((3, 4)), np.ones((3, 4)), rank=1, seed=-1),
+    lambda: fit_model(SaitsLiteModel(n_steps=6, n_features=2, d_model=4, d_ff=4),
+                      small_view(), small_view(), TrainConfig(seed=-1)),
+], ids=["saits_init", "grud_init", "kmeans", "tmf", "epoch_shuffle"])
+def test_model_draws_refuse_a_negative_seed(draw):
+    with pytest.raises(InvalidInputError, match="seed must be non-negative, got -1"):
+        draw()
 
 
 def test_unfitted_tmf_round_trip(tmp_path):
