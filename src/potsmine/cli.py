@@ -129,7 +129,8 @@ def _load_dataset(path: str, flag: str = "--data") -> core.PotsDataset:
     if path.endswith(".csv"):
         return core.ingest_csv(path)
     with store.open_readonly(path) as handle:
-        return core.PotsDataset(core.fetch_all(store.LazyDataset(handle)))
+        # read_batch checks every record it reads, so the block is not checked again
+        return core.PotsDataset._of_checked(core.fetch_all(store.LazyDataset(handle)))
 
 
 def _write_dataset(dataset: core.PotsDataset, path: str) -> None:

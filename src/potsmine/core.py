@@ -225,6 +225,18 @@ class PotsDataset:
                 block = stack_samples(self._samples)
             except ValueError as e:  # no samples, or samples of unequal shapes
                 raise InvalidInputError(f"cannot stack the samples ({e})") from None
+        self._adopt(block, n_classes)
+
+    @classmethod
+    def _of_checked(cls, block: Batch, n_classes: int | None = None) -> "PotsDataset":
+        """A dataset over a block whose rows have passed _first_fault as a
+        container read or a dataset's rows, without checking them again."""
+        dataset = cls.__new__(cls)
+        dataset._samples = None
+        dataset._adopt(block, n_classes)
+        return dataset
+
+    def _adopt(self, block: Batch, n_classes: int | None) -> None:
         self._block = Batch(**{name: _read_only(getattr(block, name)) for name in _BLOCK})
         labels = self._block.labels
         if n_classes is None and labels.min() >= 0:
@@ -672,7 +684,7 @@ def split(dataset: PotsDataset, fractions: Sequence[float], seed: int):
             f"split: dataset of {n} samples leaves an empty split for {fractions}")
     rng = _rng(seed)
     perm = rng.permutation(n)
-    pick = lambda idx: PotsDataset(_rows(dataset._block, idx), n_classes=dataset.n_classes)
+    pick = lambda idx: PotsDataset._of_checked(_rows(dataset._block, idx), dataset.n_classes)
     return (pick(perm[:n_train]),
             pick(perm[n_train:n_train + n_val]),
             pick(perm[n_train + n_val:]))

@@ -20,11 +20,40 @@ Layout, all little-endian:
 
 Numeric state is binary64 end to end, so a load reproduces the saved
 model's outputs bitwise.
+
+load_model reads the file once, into a buffer of its own. decode_artifact
+parses it in one pass with precompiled structs; its tensors and norm
+statistics are views of that buffer. model_from_artifact builds the
+model without drawing its initialization, checks the tensor shapes its
+hyperparameters imply before allocating any array, copies each tensor
+once into one block that the model's arrays are views of, and checks
+that block for non-finite values in one pass. A load is refused, with a
+FormatError that names the file or the entry (a CorruptionError where
+the bytes are damaged), when:
+
+- the magic or the version is wrong, the file is truncated, or the
+  checksum does not match;
+- the payload ends early or has trailing bytes, a hyperparameter has an
+  unknown type tag, a string field is not valid UTF-8, or a tensor's
+  dims are more than numpy can hold;
+- the kind is unknown, a hyperparameter is missing, extra or stored
+  under another type, or an inner model is missing or present for a
+  kind that takes none;
+- a tensor is missing, extra or of another shape than the
+  hyperparameters give, so a size the artifact's bytes do not hold is
+  refused before it is allocated;
+- a tensor holds a non-finite value;
+- the norm statistics are not n_features wide, hold a non-finite value,
+  or hold a std below NormStats.STD_FLOOR.
+
+A value the kind's constructor refuses raises its InvalidInputError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -117,80 +146,110 @@ def encode_artifact(art: ModelArtifact) -> bytes:
         "<I", zlib.crc32(payload))
 
 
-class _Cursor:
-    """Bounds-checked sequential reader over the payload bytes."""
-
-    def __init__(self, data: bytes, source: str):
-        self.data = data
-        self.pos = 0
-        self.source = source
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptionError(f"{self.source}: artifact payload ended early")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self) -> str:
-        (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+_U8, _U16, _U32, _U64 = (struct.Struct(fmt) for fmt in ("<B", "<H", "<I", "<Q"))
+_VALUES = {_TAG_FLOAT: struct.Struct("<d"), _TAG_INT: struct.Struct("<q"),
+           _TAG_BOOL: struct.Struct("<?")}
+_F8 = np.dtype("<f8")
 
 
-def decode_artifact(data: bytes, source: str = "artifact") -> ModelArtifact:
-    if len(data) < 6 or data[:4] != MAGIC:
+def _ended(source: str) -> CorruptionError:
+    return CorruptionError(f"{source}: artifact payload ended early")
+
+
+def _text(bounded: memoryview, pos: int, source: str) -> tuple[str, int]:
+    """The u16-length-prefixed UTF-8 string at pos, and the position after it."""
+    (n,) = _U16.unpack_from(bounded, pos)
+    if pos + 2 + n > len(bounded):
+        raise _ended(source)
+    try:  # a slice of the bytearray under the view decodes faster than one of the view
+        return bounded.obj[pos + 2:pos + 2 + n].decode("utf-8"), pos + 2 + n
+    except UnicodeDecodeError:
+        raise CorruptionError(f"{source}: the string at byte {pos} is not valid UTF-8") from None
+
+
+def _parse(raw: bytearray, start: int, end: int, source: str) -> ModelArtifact:
+    """The artifact in raw[start:end], read in one pass; its tensors and
+    norm statistics are float64 views of raw."""
+    if end - start < 6 or raw[start:start + 4] != MAGIC:
         raise FormatError(f"{source}: not a PMDL artifact")
-    (version,) = struct.unpack("<H", data[4:6])
+    (version,) = _U16.unpack_from(raw, start + 4)
     if version != VERSION:
         raise FormatError(f"{source}: unsupported artifact version {version}")
-    if len(data) < 10:
+    if end - start < 10:
         raise CorruptionError(f"{source}: artifact truncated")
-    payload = data[6:-4]
-    (stored,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(payload) != stored:
+    pos, end = start + 6, end - 4
+    if zlib.crc32(memoryview(raw)[pos:end]) != _U32.unpack_from(raw, end)[0]:
         raise CorruptionError(f"{source}: artifact checksum mismatch")
-    cur = _Cursor(payload, source)
-    kind = cur.text()
-    (n_hp,) = cur.unpack("<I")
+    # fields are read through a view of raw that ends where the payload does
+    bounded = memoryview(raw)[:end]
+    kind, pos = _text(bounded, pos, source)
+    (n_hp,) = _U32.unpack_from(bounded, pos)
+    pos += 4
     hyperparams: dict = {}
     for _ in range(n_hp):
-        key = cur.text()
-        (tag,) = cur.unpack("<B")
-        if tag == _TAG_FLOAT:
-            (hyperparams[key],) = cur.unpack("<d")
-        elif tag == _TAG_INT:
-            (hyperparams[key],) = cur.unpack("<q")
-        elif tag == _TAG_BOOL:
-            hyperparams[key] = bool(cur.unpack("<B")[0])
-        else:
+        key, pos = _text(bounded, pos, source)
+        (tag,) = _U8.unpack_from(bounded, pos)
+        value = _VALUES.get(tag)
+        if value is None:
             raise CorruptionError(f"{source}: unknown hyperparameter tag {tag}")
-    (has_norm,) = cur.unpack("<B")
+        (hyperparams[key],) = value.unpack_from(bounded, pos + 1)
+        pos += 1 + value.size
+    (has_norm,) = _U8.unpack_from(bounded, pos)
+    pos += 1
     norm = None
     if has_norm:
-        (dim,) = cur.unpack("<I")
-        mean = np.frombuffer(cur.take(8 * dim), dtype="<f8").copy()
-        std = np.frombuffer(cur.take(8 * dim), dtype="<f8").copy()
-        norm = NormStats(mean=mean, std=std)
-    (n_tensors,) = cur.unpack("<I")
+        (dim,) = _U32.unpack_from(bounded, pos)
+        pos += 4
+        if pos + 16 * dim > end:
+            raise _ended(source)
+        stats = np.ndarray((2, dim), _F8, raw, pos)
+        norm = NormStats(mean=stats[0], std=stats[1])
+        pos += 16 * dim
+    (n_tensors,) = _U32.unpack_from(bounded, pos)
+    pos += 4
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
-        name = cur.text()
-        (rank,) = cur.unpack("<B")
-        dims = cur.unpack(f"<{rank}Q")
-        flat = np.frombuffer(cur.take(8 * math.prod(dims)), dtype="<f8").copy()
-        tensors[name] = flat.reshape(dims)
-    (has_inner,) = cur.unpack("<B")
+        name, pos = _text(bounded, pos, source)
+        (rank,) = _U8.unpack_from(bounded, pos)
+        dims = struct.unpack_from(f"<{rank}Q", bounded, pos + 1)
+        pos += 1 + 8 * rank
+        nbytes = 8 * math.prod(dims)
+        if pos + nbytes > end:
+            raise _ended(source)
+        try:
+            tensors[name] = np.ndarray(dims, _F8, raw, pos)
+        except ValueError:  # more than 64 dims, or a size-0 shape too large
+            raise CorruptionError(
+                f"{source}: tensor {name!r} has a shape numpy cannot hold, {dims}") from None
+        pos += nbytes
+    (has_inner,) = _U8.unpack_from(bounded, pos)
+    pos += 1
     inner = None
     if has_inner:
-        (nbytes,) = cur.unpack("<Q")
-        inner = decode_artifact(cur.take(nbytes), source=f"{source} (inner)")
-    if cur.pos != len(payload):
-        raise CorruptionError(f"{source}: {len(payload) - cur.pos} trailing payload bytes")
+        (nbytes,) = _U64.unpack_from(bounded, pos)
+        pos += 8
+        if pos + nbytes > end:
+            raise _ended(source)
+        inner = _parse(raw, pos, pos + nbytes, f"{source} (inner)")
+        pos += nbytes
+    if pos != end:
+        raise CorruptionError(f"{source}: {end - pos} trailing payload bytes")
     return ModelArtifact(kind=kind, hyperparams=hyperparams, norm=norm,
                          tensors=tensors, inner=inner)
+
+
+def decode_artifact(data, source: str = "artifact") -> ModelArtifact:
+    """Parse the artifact in data, any bytes-like object, in one pass.
+
+    The tensors and norm statistics are float64 views of data when it is
+    a bytearray, and of one bytearray copy of it otherwise, so they can
+    be edited before model_from_artifact copies them.
+    """
+    raw = data if isinstance(data, bytearray) else bytearray(data)
+    try:
+        return _parse(raw, 0, len(raw), source)
+    except struct.error:  # a fixed-width field runs past the payload's end
+        raise _ended(source) from None
 
 
 def model_to_artifact(model) -> ModelArtifact:
@@ -209,11 +268,20 @@ def model_from_artifact(art: ModelArtifact):
     An artifact can pass its checksum and still not fit its kind. Its
     hyperparameters must be exactly the kind's HYPERPARAMS, each of the
     declared type; it must hold an inner model exactly when the kind
-    takes one; and its tensors must be exactly those of the model its
-    hyperparameters build, at their shapes, and finite. Otherwise this
-    raises FormatError naming the entry; values the kind's constructor
-    refuses raise its InvalidInputError. The tensors are copied into the
-    new model's own arrays.
+    takes one; its tensors must be exactly those of the model its
+    hyperparameters build, at their shapes, and finite; and its norm
+    statistics, if any, must be n_features wide, finite, with every std
+    at least NormStats.STD_FLOOR. Otherwise this raises FormatError
+    naming the entry; values the kind's constructor refuses raise its
+    InvalidInputError.
+
+    The model is built without its initial tensors: the constructor
+    checks the hyperparameters and allocates nothing, and the shapes
+    they imply are compared with the artifact's before any array is
+    made, so a size that the artifact's bytes do not hold is refused,
+    not allocated. Each tensor is then copied once, into one block that
+    the model's arrays are views of, and one pass over that block checks
+    that every value is finite.
     """
     cls = MODEL_REGISTRY.get(art.kind)
     if cls is None:
@@ -229,19 +297,39 @@ def model_from_artifact(art: ModelArtifact):
     if cls.takes_inner != (art.inner is not None):
         raise FormatError(f"{art.kind} artifact is missing its inner model" if cls.takes_inner
                           else f"{art.kind} artifact holds an inner model its kind does not take")
-    model = cls(inner=model_from_artifact(art.inner), **hp) if cls.takes_inner else cls(**hp)
-    own = model.tensors()
-    want = {name: arr.shape for name, arr in own.items()}
+    inner = {"inner": model_from_artifact(art.inner)} if cls.takes_inner else {}
+    model = cls.__new__(cls)
+    model._unfilled = True
+    model.__init__(**inner, **hp)
+    del model._unfilled
+    want = dict(itertools.islice(model._shapes(), len(art.tensors) + 1))
     got = {name: arr.shape for name, arr in art.tensors.items()}
-    for name in sorted(set(want) | set(got)):
-        if want.get(name) != got.get(name):
-            raise FormatError(f"{art.kind} artifact tensor {name!r}: found shape "
-                              f"{got.get(name, 'none')}, expected {want.get(name, 'none')}")
-    for name, arr in own.items():
-        if not np.isfinite(art.tensors[name]).all():
-            raise FormatError(f"{art.kind} artifact tensor {name!r} holds a non-finite value")
+    if got != want:
+        name = min(name for name in set(want) | set(got) if want.get(name) != got.get(name))
+        raise FormatError(f"{art.kind} artifact tensor {name!r}: found shape "
+                          f"{got.get(name, 'none')}, expected {want.get(name, 'none')}")
+    block = np.empty(sum(map(math.prod, want.values())))
+    own, at = {}, 0
+    for name, shape in want.items():
+        arr = own[name] = np.ndarray(shape, block.dtype, block, at)
         arr[...] = art.tensors[name]
-    model.norm_stats = art.norm
+        at += arr.nbytes
+    if not np.isfinite(block).all():
+        name = next(name for name, arr in own.items() if not np.isfinite(arr).all())
+        raise FormatError(f"{art.kind} artifact tensor {name!r} holds a non-finite value")
+    if art.norm is not None:
+        mean, std = (np.array(stat, dtype=np.float64) for stat in (art.norm.mean, art.norm.std))
+        width = model.n_features
+        if mean.shape != (width,) or std.shape != (width,):
+            raise FormatError(
+                f"{art.kind} artifact norm stats are {mean.size} wide, expected {width}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise FormatError(f"{art.kind} artifact norm stats hold a non-finite value")
+        if (std < NormStats.STD_FLOOR).any():
+            raise FormatError(
+                f"{art.kind} artifact norm stats hold a std below {NormStats.STD_FLOOR}")
+        model.norm_stats = NormStats(mean=mean, std=std)
+    model._fill(own)
     return model
 
 
@@ -265,7 +353,8 @@ def load_model(path: str):
     """Read a `.pmdl` artifact and rebuild the model it describes."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            del data[fh.readinto(data):]  # the file may have shrunk since fstat
     except OSError as exc:
         raise StorageError(f"cannot read model artifact {path}: {exc}") from exc
     return model_from_artifact(decode_artifact(data, source=path))

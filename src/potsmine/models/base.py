@@ -119,11 +119,21 @@ class BaseModel(ABC):
     an artifact stores to its type (int, float or bool); the model keeps
     each one as an attribute of that name. A kind that wraps another
     model sets takes_inner and takes that model as its inner argument.
+
+    A registered kind is also loadable. _shapes() iterates over each
+    tensor's (name, shape), in the order of tensors(), computed from the
+    hyperparameters alone; model_from_artifact reads at most one more of
+    them than the artifact holds tensors, so a kind whose tensor count
+    grows with a hyperparameter yields them lazily. _fill(tensors) takes arrays of
+    those shapes as the model's own. model_from_artifact sets _unfilled
+    on an instance before running its constructor, which then checks
+    its arguments but allocates and draws no tensor, for _fill to set.
     """
 
     kind: str = ""
     HYPERPARAMS: dict[str, type] = {}
     takes_inner = False
+    _unfilled = False
     n_steps: int | None = None
     n_features: int = 0
     norm_stats: NormStats | None = None

@@ -119,33 +119,46 @@ class GrudLiteModel(GradientModel, Classifier):
         self.hidden_size = hidden_size
         self.normalize = bool(normalize)
         self.init_seed = int(init_seed)
-        # empirical feature means in working space; set by prepare_fit
-        self.x_bar = np.zeros(n_features, dtype=np.float64)
-        self.parameters = self._init_params()
+        if not self._unfilled:
+            # empirical feature means in working space; set by prepare_fit
+            self.x_bar = np.zeros(n_features, dtype=np.float64)
+            self.parameters = self._init_params()
+
+    def _shapes(self):
+        d, hid = self.n_features, self.hidden_size
+        shapes = {"w_dx": (d,), "b_dx": (d,), "w_dh": (d, hid), "b_dh": (hid,)}
+        for gate in ("z", "r", "c"):
+            shapes.update({f"w_{gate}": (2 * d, hid), f"u_{gate}": (hid, hid),
+                           f"b_{gate}": (hid,)})
+        shapes.update(w_out=(hid, self.n_classes), b_out=(self.n_classes,), x_bar=(d,))
+        return shapes.items()
 
     def _init_params(self) -> dict[str, np.ndarray]:
+        """The parameters (every tensor but x_bar), drawn from init_seed in
+        _shapes order."""
         rng = _rng(self.init_seed)
-        d, hid = self.n_features, self.hidden_size
         params: dict[str, np.ndarray] = {}
-        # small positive decay weights: exactly zero would pin the relu
-        # at its flat region and freeze the decays
-        params["w_dx"] = rng.uniform(0.0, 0.1, d)
-        params["b_dx"] = np.zeros(d)
-        params["w_dh"] = rng.uniform(0.0, 0.1, (d, hid))
-        params["b_dh"] = np.zeros(hid)
-        for gate in ("z", "r", "c"):
-            params[f"w_{gate}"] = xavier(rng, 2 * d, hid)
-            params[f"u_{gate}"] = xavier(rng, hid, hid)
-            params[f"b_{gate}"] = np.zeros(hid)
-        # zero readout makes the untrained model exactly uniform
-        params["w_out"] = np.zeros((hid, self.n_classes))
-        params["b_out"] = np.zeros(self.n_classes)
+        for name, shape in self._shapes():
+            if name in ("w_dx", "w_dh"):
+                # small positive decay weights: exactly zero would pin the
+                # relu at its flat region and freeze the decays
+                params[name] = rng.uniform(0.0, 0.1, shape)
+            elif name in ("w_z", "u_z", "w_r", "u_r", "w_c", "u_c"):
+                params[name] = xavier(rng, *shape)
+            elif name != "x_bar":
+                # zero biases, and a zero readout, which makes the untrained
+                # model exactly uniform
+                params[name] = np.zeros(shape)
         return params
 
     def tensors(self) -> dict[str, np.ndarray]:
         out = dict(self.parameters)
         out["x_bar"] = self.x_bar
         return out
+
+    def _fill(self, tensors: dict[str, np.ndarray]) -> None:
+        self.parameters = {name: arr for name, arr in tensors.items() if name != "x_bar"}
+        self.x_bar = tensors["x_bar"]
 
     def supported_metrics(self) -> tuple[str, ...]:
         return ("val_loss", "val_accuracy")

@@ -113,10 +113,11 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
         self.tol = float(tol)
         self.n_steps = n_steps or None
         self.n_features = inner.n_features
-        width = n_steps * self.n_features
-        self.centroids = np.zeros((k, width), dtype=np.float64)
-        self.feat_mean = np.zeros(width, dtype=np.float64)
-        self.feat_std = np.ones(width, dtype=np.float64)
+        if not self._unfilled:
+            width = n_steps * self.n_features
+            self.centroids = np.zeros((k, width), dtype=np.float64)
+            self.feat_mean = np.zeros(width, dtype=np.float64)
+            self.feat_std = np.ones(width, dtype=np.float64)
 
     def hyperparams(self) -> dict:
         # an unfitted model takes series of any length: n_steps None, stored as 0
@@ -125,6 +126,15 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
     def tensors(self) -> dict[str, np.ndarray]:
         return {"centroids": self.centroids, "feat_mean": self.feat_mean,
                 "feat_std": self.feat_std}
+
+    def _shapes(self):
+        width = (self.n_steps or 0) * self.n_features
+        return [("centroids", (self.k, width)), ("feat_mean", (width,)), ("feat_std", (width,))]
+
+    def _fill(self, tensors: dict[str, np.ndarray]) -> None:
+        self.centroids = tensors["centroids"]
+        self.feat_mean = tensors["feat_mean"]
+        self.feat_std = tensors["feat_std"]
 
     # -- fitting -----------------------------------------------------------
     def _standardize(self, flat: np.ndarray) -> np.ndarray:

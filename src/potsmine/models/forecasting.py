@@ -188,11 +188,9 @@ class TmfModel(AnalyticModel, Forecaster):
         self.lam_a = float(lam_a)
         self.iters = iters
         self.n_series = n_series
-        fitted = range(n_features if n_series else 0)
-        self.w_list = [np.zeros((n_series, rank)) for _ in fitted]
-        self.f_list = [np.zeros((n_steps, rank)) for _ in fitted]
-        self.a_list = [np.zeros((ar_order, rank)) for _ in fitted]
         self.objective_history: list[list[float]] = []
+        if not self._unfilled:
+            self._fill({name: np.zeros(shape) for name, shape in self._shapes()})
 
     def tensors(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -201,6 +199,19 @@ class TmfModel(AnalyticModel, Forecaster):
             out[f"f{d}"] = self.f_list[d]
             out[f"a{d}"] = self.a_list[d]
         return out
+
+    def _shapes(self):
+        each = {"w": (self.n_series, self.rank), "f": (self.n_steps, self.rank),
+                "a": (self.ar_order, self.rank)}
+        # lazily: n_features sets the tensor count
+        return ((f"{factor}{d}", shape) for d in range(self.n_features if self.n_series else 0)
+                for factor, shape in each.items())
+
+    def _fill(self, tensors: dict[str, np.ndarray]) -> None:
+        fitted = range(len(tensors) // 3)
+        self.w_list = [tensors[f"w{d}"] for d in fitted]
+        self.f_list = [tensors[f"f{d}"] for d in fitted]
+        self.a_list = [tensors[f"a{d}"] for d in fitted]
 
     # -- fitting ----------------------------------------------------------------
     def _fit_stacks(self, yz: np.ndarray, obs: np.ndarray, seed: int) -> None:

@@ -71,6 +71,8 @@ class _AnalyticImputer(AnalyticModel, Imputer):
         if n_features < 1:
             raise InvalidInputError(f"n_features must be positive, got {n_features}")
         self.n_features = n_features
+        if self._unfilled:
+            return
         if values is None:
             values = np.zeros(n_features, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
@@ -88,6 +90,12 @@ class _AnalyticImputer(AnalyticModel, Imputer):
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {self.values_name: self.feature_values}
+
+    def _shapes(self):
+        return [(self.values_name, (self.n_features,))]
+
+    def _fill(self, tensors: dict[str, np.ndarray]) -> None:
+        self.feature_values = tensors[self.values_name]
 
 
 @register_model
@@ -225,30 +233,30 @@ class SaitsLiteModel(GradientModel, Imputer):
         self.lam_mit = float(lam_mit)
         self.normalize = bool(normalize)
         self.init_seed = int(init_seed)
-        self.parameters = self._init_params()
+        if not self._unfilled:
+            self.parameters = self._init_params()
+
+    def _shapes(self):
+        d, dm, df = self.n_features, self.d_model, self.d_ff
+        block = {"w_in": (2 * d, dm), "b_in": (dm,), "pos": (self.n_steps, dm),
+                 "w_q": (dm, dm), "w_k": (dm, dm), "w_v": (dm, dm), "w_f1": (dm, df),
+                 "b_f1": (df,), "w_f2": (df, dm), "b_f2": (dm,), "w_out": (dm, d),
+                 "b_out": (d,)}
+        return [(f"b{b}_{name}", shape)
+                for b in range(1, self.N_BLOCKS + 1) for name, shape in block.items()]
 
     def _init_params(self) -> dict[str, np.ndarray]:
+        """Glorot-uniform weights (w_*), drawn from init_seed in _shapes
+        order; zero biases and step embeddings."""
         rng = _rng(self.init_seed)
-        d, dm, df = self.n_features, self.d_model, self.d_ff
-        params: dict[str, np.ndarray] = {}
-        for b in range(1, self.N_BLOCKS + 1):
-            pre = f"b{b}_"
-            params[pre + "w_in"] = xavier(rng, 2 * d, dm)
-            params[pre + "b_in"] = np.zeros(dm)
-            params[pre + "pos"] = np.zeros((self.n_steps, dm))
-            params[pre + "w_q"] = xavier(rng, dm, dm)
-            params[pre + "w_k"] = xavier(rng, dm, dm)
-            params[pre + "w_v"] = xavier(rng, dm, dm)
-            params[pre + "w_f1"] = xavier(rng, dm, df)
-            params[pre + "b_f1"] = np.zeros(df)
-            params[pre + "w_f2"] = xavier(rng, df, dm)
-            params[pre + "b_f2"] = np.zeros(dm)
-            params[pre + "w_out"] = xavier(rng, dm, d)
-            params[pre + "b_out"] = np.zeros(d)
-        return params
+        return {name: xavier(rng, *shape) if name[3:5] == "w_" else np.zeros(shape)
+                for name, shape in self._shapes()}
 
     def tensors(self) -> dict[str, np.ndarray]:
         return dict(self.parameters)
+
+    def _fill(self, tensors: dict[str, np.ndarray]) -> None:
+        self.parameters = tensors
 
     # -- normalization helpers -------------------------------------------
     def _from_working(self, working: np.ndarray) -> np.ndarray:

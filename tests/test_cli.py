@@ -8,6 +8,7 @@ import os
 import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from potsmine import (
 )
 from potsmine import cli
 from potsmine.cli import build_parser, main
-from potsmine.errors import FormatError
+from potsmine.errors import CorruptionError, FormatError
 
 
 def run(capsys, *argv):
@@ -298,7 +299,7 @@ def test_classify_pipeline_report_keys(capsys, tmp_path):
     code, _, err = run(capsys, "predict", "--task", "classify",
                        "--model", model_path, "--data", data, "--out", probs_path)
     assert code == 0, err
-    lines = open(probs_path).read().strip().splitlines()
+    lines = Path(probs_path).read_text().strip().splitlines()
     assert lines[0] == "sample_id,p0,p1"
     assert len(lines) == 31
 
@@ -338,7 +339,7 @@ def test_cluster_and_forecast_pipelines(capsys, tmp_path):
     code, _, err = run(capsys, "predict", "--task", "forecast", "--model", fc_path,
                        "--data", data, "--out", fc_csv, "--horizon", "2")
     assert code == 0, err
-    lines = open(fc_csv).read().strip().splitlines()
+    lines = Path(fc_csv).read_text().strip().splitlines()
     assert lines[0] == "sample_id,step,f0,f1"
     assert len(lines) == 1 + 18 * 2
 
@@ -406,7 +407,7 @@ def test_predict_cluster_rows_carry_sample_ids(capsys, tmp_path):
                        "--data", data, "--out", out_csv)
     assert code == 0, err
     labels = cluster(load_model(cl_path), load_pots(data))
-    lines = open(out_csv).read().strip().splitlines()
+    lines = Path(out_csv).read_text().strip().splitlines()
     assert lines[0] == "sample_id,cluster"
     assert lines[1:] == [f"{s.sample_id},{int(lab)}" for s, lab in zip(samples, labels)]
 
@@ -590,7 +591,7 @@ def test_a_directory_given_as_an_input_file_exits_two(capsys, tmp_path, predict_
 def test_csv_data_that_is_not_utf8_text_exits_two(capsys, tmp_path):
     # a .pots container under a .csv name
     not_text = tmp_path / "x.csv"
-    not_text.write_bytes(open(gen(capsys, tmp_path), "rb").read())
+    not_text.write_bytes(Path(gen(capsys, tmp_path)).read_bytes())
     code, _, err = run(capsys, "train", "--task", "classify", "--model", "grud_lite",
                        "--data", str(not_text), "--out", str(tmp_path / "m.pmdl"))
     assert code == 2
@@ -921,11 +922,22 @@ def _with_tag(payload, tag):
     return payload[:at] + bytes([tag]) + payload[at + 1:]
 
 
+def _with_dims(payload, dims):
+    """The payload with the fallback_values tensor's rank and dims replaced."""
+    at = payload.index(b"fallback_values") + len(b"fallback_values")
+    assert payload[at] == 1    # one dim
+    return (payload[:at] + struct.pack(f"<B{len(dims)}Q", len(dims), *dims)
+            + payload[at + 9:])
+
+
 _BAD_PAYLOADS = {
     "trailing_bytes": (lambda p: p + b"\x00\x00\x00", "3 trailing payload bytes"),
     "ends_early": (lambda p: p[:-5], "artifact payload ended early"),
     "retired_string_tag": (lambda p: _with_tag(p, 2), "unknown hyperparameter tag 2"),
     "unknown_tag": (lambda p: _with_tag(p, 9), "unknown hyperparameter tag 9"),
+    # no data, but more elements than numpy can index
+    "impossible_shape": (lambda p: _with_dims(p, (0, 2**62)),
+                         "tensor 'fallback_values' has a shape numpy cannot hold"),
 }
 
 
@@ -940,6 +952,24 @@ def test_artifact_payload_faults_under_a_valid_checksum_exit_two(
                        "--data", data, "--out", str(tmp_path / "out.csv"))
     assert code == 2, err
     assert message in err
+
+
+@pytest.mark.parametrize("field", [b"locf", b"n_features", b"fallback_values"],
+                         ids=["kind", "hyperparameter_key", "tensor_name"])
+def test_a_string_field_that_is_not_utf8_exits_two(capsys, tmp_path, trained_artifacts, field):
+    data, paths = trained_artifacts
+    payload = bytearray(_locf_payload(paths))
+    payload[payload.index(field)] = 0xFF
+    tampered = str(tmp_path / "tampered.pmdl")
+    _write_payload(tampered, bytes(payload))
+    with pytest.raises(CorruptionError, match=f"{tampered}: the string at byte .* UTF-8"):
+        load_model(tampered)
+    for argv in (["inspect", tampered],
+                 ["predict", "--task", "impute", "--model", tampered, "--data", data,
+                  "--out", str(tmp_path / "out.csv")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, err
+        assert "is not valid UTF-8" in err
 
 
 def test_two_stage_artifact_without_its_inner_model_exits_two(

@@ -1,21 +1,29 @@
-"""Damaged files: truncations and single-bit flips of a .pots and a .pmdl.
+"""Damaged files: truncations and single-bit flips of a .pots and a .pmdl,
+and byte rewrites, insertions and truncations of a .pmdl's payload under a
+recomputed checksum.
 
 Each damaged copy either reads back or is refused with a PotsError
 subclass; a bare exception of any other type is a bug. The cases are
 drawn by a seeded numpy generator, so a failure reproduces.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from potsmine import (LocfModel, PotsError, SaitsLiteModel, TrainConfig,
-                      TwoStageKMeansModel, cluster, fetch_all, fit,
-                      generate_synthetic, impute, inject_mcar, lazy_dataset,
-                      open_readonly, save_model, write_container)
-from potsmine.models import decode_artifact, model_from_artifact
+from potsmine import (CorruptionError, GrudLiteModel, LocfModel, MeanImputerModel,
+                      PotsError, SaitsLiteModel, TmfModel, TrainConfig, TwoStageKMeansModel,
+                      cluster, fetch_all, fit, generate_synthetic, impute, inject_mcar,
+                      lazy_dataset, open_readonly, save_model, write_container)
+from potsmine.models import (MODEL_REGISTRY, decode_artifact, encode_artifact,
+                             model_from_artifact, model_to_artifact)
 
 N_TRUNCATIONS = 40
 N_FLIPS = 200
+N_REWRITES = 200
+N_INSERTIONS = 40
 
 
 def damaged_copies(data: bytes, seed: int):
@@ -29,10 +37,53 @@ def damaged_copies(data: bytes, seed: int):
         yield f"bit {bit} flipped", bytes(flipped)
 
 
-def outcomes(data: bytes, seed: int, read) -> dict[str, int]:
+def hyperparameter_values(payload: bytes) -> tuple[set[int], int]:
+    """The positions of an artifact payload's hyperparameter values, and
+    where its hyperparameter entries end."""
+    pos = 2 + int.from_bytes(payload[:2], "little")
+    (count,) = struct.unpack_from("<I", payload, pos)
+    pos += 4
+    values: set[int] = set()
+    for _ in range(count):
+        pos += 2 + int.from_bytes(payload[pos:pos + 2], "little")
+        width = 1 if payload[pos] == 3 else 8    # a bool, or an int or a float
+        values.update(range(pos + 1, pos + 1 + width))
+        pos += 1 + width
+    return values, pos
+
+
+def framed(data: bytes, payload: bytes) -> bytes:
+    """An artifact of data's magic and version around payload, with its checksum."""
+    return data[:6] + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def edited_payloads(data: bytes, seed: int):
+    """(label, artifact) for seeded byte rewrites and insertions of data's
+    payload, each framed again with a fresh checksum.
+
+    No edit touches a hyperparameter value or inserts bytes before one (an
+    inner artifact's values sit behind its own checksum), so no edit can
+    claim a size the loader might try to allocate; such claims have tests
+    of their own.
+    """
+    payload = data[6:-4]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values, values_end = hyperparameter_values(payload)
+    free = [p for p in range(len(payload)) if p not in values]
+    for pos in rng.choice(free, size=N_REWRITES):
+        edited = bytearray(payload)
+        edited[pos] ^= int(rng.integers(1, 256))
+        yield f"byte {pos} rewritten", framed(data, bytes(edited))
+    for pos in rng.integers(values_end, len(payload) + 1, size=N_INSERTIONS):
+        extra = rng.bytes(int(rng.integers(1, 9)))
+        yield (f"{extra.hex()} inserted at byte {pos}",
+               framed(data, payload[:pos] + extra + payload[pos:]))
+
+
+def outcomes(data: bytes, seed: int, read, copies=damaged_copies) -> dict[str, int]:
     """Run read on every damaged copy; count reads and refusals."""
     counts = {"read": 0, "refused": 0}
-    for label, damaged in damaged_copies(data, seed):
+    for label, damaged in copies(data, seed):
         try:
             read(damaged)
         except PotsError:
@@ -81,3 +132,36 @@ def test_damaged_artifact_loads_or_raises_pots_error(tmp_path, kind):
     counts = outcomes(path.read_bytes(), 12, read)
     assert counts["refused"] > 0
     assert sum(counts.values()) == N_TRUNCATIONS + N_FLIPS
+
+
+def _fitted(kind: str):
+    """A model of the kind, fit on a tiny dataset."""
+    ds = generate_synthetic(12, 6, 2, 2, missing_rate=0.1, seed=4)
+    model = {
+        "locf": lambda: LocfModel(2),
+        "mean": lambda: MeanImputerModel(2),
+        "saits_lite": lambda: SaitsLiteModel(6, 2, d_model=4, d_ff=4),
+        "grud_lite": lambda: GrudLiteModel(6, 2, 2, hidden_size=3),
+        "twostage_kmeans": lambda: TwoStageKMeansModel(MeanImputerModel(2), 2),
+        "tmf": lambda: TmfModel(6, 2, rank=2, iters=2),
+    }[kind]()
+    fit(model, ds, ds, TrainConfig(epochs=1, batch_size=4))
+    return model
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_REGISTRY))
+def test_edited_payload_under_a_valid_checksum_loads_or_raises_pots_error(kind):
+    data = encode_artifact(model_to_artifact(_fitted(kind)))
+    counts = outcomes(data, 13, lambda edited: model_from_artifact(decode_artifact(edited)),
+                      copies=edited_payloads)
+    assert counts["refused"] > 0
+    assert sum(counts.values()) == N_REWRITES + N_INSERTIONS
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_REGISTRY))
+def test_every_truncated_payload_under_a_valid_checksum_ends_early(kind):
+    data = encode_artifact(model_to_artifact(_fitted(kind)))
+    payload = data[6:-4]
+    for cut in range(len(payload)):
+        with pytest.raises(CorruptionError, match="artifact payload ended early"):
+            decode_artifact(framed(data, payload[:cut]))

@@ -1,5 +1,7 @@
 """Task API: config, election, fit loop, dispatch, artifacts, sharding."""
 
+import resource
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from potsmine import (
     LocfModel,
     MeanImputerModel,
     GrudLiteModel,
+    NormStats,
     PotsDataset,
     SaitsLiteModel,
     TmfModel,
@@ -445,6 +448,66 @@ def test_load_refuses_a_hyperparameter_stored_under_another_type(name, value, st
 def test_model_draws_refuse_a_negative_seed(draw):
     with pytest.raises(InvalidInputError, match="seed must be non-negative, got -1"):
         draw()
+
+
+def _arrays(model):
+    """Every array a model holds: its tensors, its norm statistics, and its
+    inner model's."""
+    out = list(model.tensors().values())
+    if model.norm_stats is not None:
+        out += [model.norm_stats.mean, model.norm_stats.std]
+    return out + (_arrays(model.inner_model) if model.inner_model is not None else [])
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_REGISTRY))
+def test_a_loaded_model_re_encodes_to_its_file_and_owns_its_arrays(tmp_path, kind):
+    ds = generate_synthetic(12, 6, 2, 2, missing_rate=0.1, seed=0)
+    model = _KIND_BUILDERS[kind]()
+    fit_model(model, ds, ds, TrainConfig(epochs=1, batch_size=4))
+    path = tmp_path / "m.pmdl"
+    save_model(model, str(path))
+    raw = path.read_bytes()
+    assert encode_artifact(model_to_artifact(load_model(str(path)))) == raw
+    buf = bytearray(raw)
+    loaded = model_from_artifact(decode_artifact(buf))
+    assert list(loaded._shapes()) == [(name, arr.shape) for name, arr in loaded.tensors().items()]
+    for arr in _arrays(loaded):
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, np.frombuffer(buf, np.uint8))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: GrudLiteModel(n_steps=6, n_features=2, n_classes=2, hidden_size=3), "hidden_size"),
+    (lambda: TmfModel(n_steps=6, n_features=2, rank=2, n_series=5), "n_series"),
+    # n_features sets how many factor tensors a fitted TMF holds
+    (lambda: TmfModel(n_steps=6, n_features=2, rank=2, n_series=5), "n_features"),
+], ids=["grud_hidden_size", "tmf_n_series", "tmf_n_features"])
+def test_load_refuses_an_inflated_size_without_allocating_it(make, name):
+    art = model_to_artifact(make())
+    art.hyperparams[name] = 2**40
+    data = encode_artifact(art)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    with pytest.raises(FormatError, match="found shape"):
+        model_from_artifact(decode_artifact(data))
+    # ru_maxrss counts KiB on Linux
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak < 50 * 1024
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda norm: NormStats(mean=np.zeros(3), std=np.ones(3)), "are 3 wide, expected 2"),
+    (lambda norm: NormStats(mean=np.array([np.nan, 0.0]), std=norm.std),
+     "hold a non-finite value"),
+    (lambda norm: NormStats(mean=norm.mean, std=np.array([1.0, 0.0])),
+     "hold a std below 1e-08"),
+], ids=["width", "nan_mean", "zero_std"])
+def test_load_refuses_norm_stats_that_do_not_fit_the_model(edit, message):
+    view = small_view()
+    model = SaitsLiteModel(n_steps=6, n_features=2, d_model=4, d_ff=4)
+    fit_model(model, view, view, TrainConfig(epochs=1, batch_size=4))
+    art = model_to_artifact(model)
+    art.norm = edit(art.norm)
+    with pytest.raises(FormatError, match=f"saits_lite artifact norm stats {message}"):
+        model_from_artifact(decode_artifact(encode_artifact(art)))
 
 
 def test_unfitted_tmf_round_trip(tmp_path):

@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_record_bytes_follow_the_documented_layout(tmp_path):
     write_container(PotsDataset([TimeSeriesSample(
         sample_id=2**63 + 5, timestamps=[0.0, 1.0, 3.0], values=values,
         mask=np.isfinite(values))]), path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     rec = raw[_HEADER.size:_HEADER.size + 8 + 3 * 8 + 6 * 8 + 1 + 8 + 4]
     assert _HEADER.unpack_from(raw) == (b"POTS", 1, 0, 1, 3, 2, 0, _HEADER.size + len(rec))
     sample_id, *floats, bits, label, crc = struct.unpack("<Q3d6dBqI", rec)
@@ -92,18 +93,18 @@ def test_write_unwritable_path_raises_storage_error(tmp_path):
 
 def test_open_rejects_bad_magic(tmp_path):
     _, path = write_demo(tmp_path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[:4] = b"JUNK"
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="not a POTS container"):
         open_readonly(path)
 
 
 def test_open_rejects_unknown_version(tmp_path):
     _, path = write_demo(tmp_path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[4:6] = (99).to_bytes(2, "little")
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="99"):
         open_readonly(path)
 
@@ -119,22 +120,22 @@ def test_open_rejects_truncated_index(tmp_path):
 
 def test_open_rejects_degenerate_dimensions(tmp_path):
     _, path = write_demo(tmp_path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     fields = list(_HEADER.unpack_from(raw))
     fields[5] = 0  # n_features
     raw[:_HEADER.size] = _HEADER.pack(*fields)
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="degenerate"):
         open_readonly(path)
 
 
 def test_open_rejects_records_too_large_to_decode(tmp_path):
     _, path = write_demo(tmp_path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     fields = list(_HEADER.unpack_from(raw))
     fields[4] = 2**40  # n_steps
     raw[:_HEADER.size] = _HEADER.pack(*fields)
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="records too large"):
         open_readonly(path)
 
@@ -228,9 +229,9 @@ def test_flipped_payload_byte_detected(tmp_path):
     rec = _record_dtype(6, 3).itemsize
     # flip one byte inside record 3's values region
     target = _HEADER.size + 3 * rec + 8 + 8 * 6 + 5
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[target] ^= 0xFF
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with open_readonly(path) as h:
         fetch_batch(h, [0, 1, 2, 4])  # intact records still readable
         with pytest.raises(CorruptionError, match="record 3"):
