@@ -24,6 +24,11 @@ from .. import tensor as T
 # fresh arrays that are freed after use
 _WORKSPACE_ROWS = _EVAL_CHUNK
 
+# the bytes of the large float64 blocks an inference forward keeps in
+# flight, about a per-core L2 cache: SAITS-lite runs row blocks of as many
+# samples, GRU-D-lite time spans of as many steps, as fit within it
+_INFER_BYTES = 2 << 20
+
 
 # ---------------------------------------------------------------------------
 # configuration and checkpointing
@@ -181,6 +186,16 @@ class AnalyticModel(BaseModel):
     @abstractmethod
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:
         """Fit in place; return the validation metric value."""
+
+
+def _check_non_negative(label: str, **values: float) -> None:
+    """Refuse a float hyperparameter that is negative, NaN or infinite,
+    naming its key: a config file's json reads NaN and Infinity, and NaN
+    passes any comparison with 0 that a plain sign check would make."""
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise InvalidInputError(
+                f"{label} must be non-negative and finite, got {name}={value}")
 
 
 def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

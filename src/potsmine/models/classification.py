@@ -17,7 +17,8 @@ oracle the tests compare the fused forward against.
 The forward writes its (T, B, .) blocks, and with a backward to come
 each step's gates, into workspace arrays the model keeps from call to
 call, and the backward writes its gradients over them, so no step
-allocates. The inference forward keeps no per-step history.
+allocates. The inference forward keeps no per-step history and runs over
+spans of steps whose blocks fit one byte budget.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..core import (Batch, _carry_forward, _iter_batches, _rng, _time_since_obse
                     fit_norm_stats)
 from .. import tensor as T
 from .artifact import register_model
-from .base import Classifier, GradientModel, TrainConfig, xavier
+from .base import _INFER_BYTES, Classifier, GradientModel, TrainConfig, xavier
 
 # the parameters in the order the fused node takes them and
 # _forward_grads returns their gradients
@@ -90,12 +91,15 @@ class GrudLiteModel(GradientModel, Classifier):
 
     The fused forward and backward write their intermediates into
     workspace arrays the model keeps and reuses from call to call
-    (GradientModel._scratch): the hidden decays and the gates' input
-    side for every step at once, and, for training, each step's hidden
-    state, decayed state, gates and candidate. The inference forward
-    keeps one (B, .) row block per quantity instead of that history. The
-    workspace is bounded by the largest batch of at most _WORKSPACE_ROWS
-    samples the model has seen; nothing a caller receives aliases it.
+    (GradientModel._scratch). Training writes the hidden decays and the
+    gates' input side for every step at once, and each step's hidden
+    state, decayed state, gates and candidate; its workspace is bounded
+    by the largest batch of at most _WORKSPACE_ROWS samples the model
+    has trained on. Inference (classify, validation) runs over spans of
+    steps whose hidden decays and gate inputs fit _INFER_BYTES, at
+    least one step each, and keeps one (B, .) row block per quantity
+    instead of the history, so its workspace does not grow with the
+    series length. Nothing a caller receives aliases the workspace.
     Because of it, one model instance must not be called from two
     threads at once.
     """
@@ -183,20 +187,22 @@ class GrudLiteModel(GradientModel, Classifier):
         """A workspace array whose batch axis is the second to last."""
         return self._scratch(name, shape, dtype, batch_axis=-2)
 
-    def _forward(self, p: dict, x_work, maskf, delta, x_last, keep: bool = False):
-        """Logits (B, n_classes) of the recurrence over _prepare_batch's
-        time-major (T, B, D) blocks.
+    def _infer_steps(self, n: int) -> int:
+        """Steps per span of an n-sample inference forward: as many as keep
+        the span's float64 blocks (gh, pre and inp) within _INFER_BYTES,
+        at least one."""
+        per_step = 8 * n * (4 * self.hidden_size + 2 * self.n_features)
+        return max(1, _INFER_BYTES // per_step)
 
-        Nothing before the gates depends on h, so the decays, the repaired
-        inputs and the input side of all three gates are computed for
-        every step at once; only the h-dependent terms loop over T.
-        Arrays are time-major, (T, B, .), and the gates are a leading
-        axis, so each step reads and writes contiguous (B, H) rows of
-        workspace arrays. With keep, each step writes its own rows of the
-        history _forward_grads reads, and the call also returns that
-        state; without it, every step reuses one row block per quantity.
+    def _gate_inputs(self, p: dict, w: tuple, x_work, maskf, delta, x_last, keep: bool):
+        """What the recurrence needs of a run of steps that does not depend
+        on h, from (S, B, D) slices of _prepare_batch's blocks: s_x, gx,
+        inp, gh, gh_on (None without keep) and pre, for those S steps.
+
+        w is _forward's (w_in, b_in, neg_w_dh). inp, gh, gh_on and pre are
+        workspace arrays; each row depends on its own step and sample only.
         """
-        token = self._claim_workspace()
+        w_in, b_in, neg_w_dh = w
         hid, d = self.hidden_size, self.n_features
         n_steps, n = delta.shape[:2]
         rows = n_steps * n
@@ -205,22 +211,55 @@ class GrudLiteModel(GradientModel, Classifier):
         inp = self._ws("inp", n_steps, n, 2 * d)
         inp[..., :d] = maskf * x_work + (1.0 - maskf) * (gx * x_last + (1.0 - gx) * self.x_bar)
         inp[..., d:] = maskf
-        # gh = exp(-max(0, s_h)), decayed in place over s_h
+        # gh = exp(-max(0, s_h)), as exp(min(0, -s_h)) in place over -s_h
         gh = self._ws("gh", n_steps, n, hid)
-        np.matmul(delta.reshape(rows, d), p["w_dh"], out=gh.reshape(rows, hid))
-        gh += p["b_dh"]
-        gh_on = np.greater(gh, 0.0, out=self._ws("gh_on", *gh.shape, dtype=bool)) if keep else None
-        np.maximum(gh, 0.0, out=gh)
-        np.negative(gh, out=gh)
+        np.matmul(delta.reshape(rows, d), neg_w_dh, out=gh.reshape(rows, hid))
+        gh -= p["b_dh"]
+        gh_on = np.less(gh, 0.0, out=self._ws("gh_on", *gh.shape, dtype=bool)) if keep else None
+        np.minimum(gh, 0.0, out=gh)
         np.exp(gh, out=gh)
-        # the input side of the z, r and c gates: (3, T, B, H)
+        # the input side of the z, r and c gates: (3, S, B, H)
         pre = self._ws("pre", 3, n_steps, n, hid)
-        w_in = np.stack([p["w_z"], p["w_r"], p["w_c"]])
         np.matmul(inp.reshape(rows, 2 * d), w_in, out=pre.reshape(3, rows, hid))
-        pre += np.stack([p["b_z"], p["b_r"], p["b_c"]])[:, None, None, :]
+        pre += b_in[:, None, None, :]
+        return s_x, gx, inp, gh, gh_on, pre
 
+    def _forward(self, p: dict, x_work, maskf, delta, x_last, keep: bool = False):
+        """Logits (B, n_classes) of the recurrence over _prepare_batch's
+        time-major (T, B, D) blocks.
+
+        Nothing before the gates depends on h, so _gate_inputs computes
+        the decays, the repaired inputs and the input side of all three
+        gates for a run of steps at once; only the h-dependent terms loop
+        over the steps. With keep, that run is the whole series: each
+        step writes its own rows of the history _forward_grads reads, and
+        the call also returns that state. Without it, the series runs in
+        spans of _infer_steps steps, whose blocks fit _INFER_BYTES, h
+        carries from one span to the next, and every step reuses one row
+        block per quantity. Arrays are time-major, (S, B, .), and the
+        gates are a leading axis, so each step reads and writes contiguous
+        (B, H) rows of workspace arrays. Every step reads the same rows in
+        the same order either way, so the logits are the same bits.
+
+        sigmoid(a) = (tanh(a / 2) + 1) / 2, so the z and r gates run on
+        halved copies of their weights and biases, and finish in place
+        with tanh, + 1 and * 0.5; -w_dh gives -s_h directly. Scaling by a
+        power of two and negating are exact, so each gate gets the bits
+        T.sigmoid_array and decay give it, unless an intermediate is
+        subnormal (below 2.2e-308), where halving can round.
+        """
+        token = self._claim_workspace()
+        hid = self.hidden_size
+        n_steps, n = delta.shape[:2]
+        w_in = np.stack([p["w_z"], p["w_r"], p["w_c"]])
+        b_in = np.stack([p["b_z"], p["b_r"], p["b_c"]])
+        w_in[:2] *= 0.5
+        b_in[:2] *= 0.5
+        w = (w_in, b_in, -p["w_dh"])
         u_zr = np.stack([p["u_z"], p["u_r"]])
+        u_zr *= 0.5
         u_c = p["u_c"]
+        span = n_steps if keep else self._infer_steps(n)
         hist = n_steps if keep else 1
         # with keep, h holds the state before each step, then the last one
         h = self._ws("h", n_steps + 1 if keep else 1, n, hid)
@@ -228,21 +267,28 @@ class GrudLiteModel(GradientModel, Classifier):
         zr = self._ws("zr", hist, 2, n, hid)
         tmp = self._ws("tmp", n, hid)
         h[0] = 0.0
-        for t in range(n_steps):
-            i = t if keep else 0
-            hd_t, zr_t, c_t = hd[i], zr[i], c[i]
-            np.multiply(gh[t], h[i], out=hd_t)
-            np.matmul(hd_t, u_zr, out=zr_t)
-            zr_t += pre[:2, t]
-            T.sigmoid_array(zr_t, out=zr_t)
-            np.multiply(zr_t[1], hd_t, out=rhd[i])
-            np.matmul(rhd[i], u_c, out=c_t)
-            c_t += pre[2, t]
-            np.tanh(c_t, out=c_t)
-            # h = (1 - z) hd + z c, as hd + z (c - hd)
-            np.subtract(c_t, hd_t, out=tmp)
-            tmp *= zr_t[0]
-            np.add(hd_t, tmp, out=h[i + 1 if keep else 0])
+        for lo in range(0, n_steps, span):
+            part = slice(lo, lo + span)
+            s_x, gx, inp, gh, gh_on, pre = self._gate_inputs(
+                p, w, x_work[part], maskf[part], delta[part], x_last[part], keep)
+            for j in range(len(gh)):
+                # with keep, the one span starts at step 0
+                i = j if keep else 0
+                hd_t, zr_t, c_t = hd[i], zr[i], c[i]
+                np.multiply(gh[j], h[i], out=hd_t)
+                np.matmul(hd_t, u_zr, out=zr_t)
+                zr_t += pre[:2, j]
+                np.tanh(zr_t, out=zr_t)
+                zr_t += 1.0
+                zr_t *= 0.5
+                np.multiply(zr_t[1], hd_t, out=rhd[i])
+                np.matmul(rhd[i], u_c, out=c_t)
+                c_t += pre[2, j]
+                np.tanh(c_t, out=c_t)
+                # h = (1 - z) hd + z c, as hd + z (c - hd)
+                np.subtract(c_t, hd_t, out=tmp)
+                tmp *= zr_t[0]
+                np.add(hd_t, tmp, out=h[i + 1 if keep else 0])
         logits = h[-1] @ p["w_out"] + p["b_out"]
         if not keep:
             return logits, None

@@ -11,8 +11,8 @@ import numpy as np
 from ..errors import InvalidInputError, ShapeError
 from ..core import Batch, _rng, fetch_all
 from .artifact import register_model
-from .base import (AnalyticModel, Clusterer, Imputer, TrainConfig, fit as fit_model,
-                   impute)
+from .base import (AnalyticModel, Clusterer, Imputer, TrainConfig, _check_non_negative,
+                   fit as fit_model, impute)
 
 _STD_FLOOR = 1e-8
 _DIST_CHUNK_BYTES = 1 << 22
@@ -101,6 +101,7 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
                 "twostage_kmeans requires an inner model with the impute contract")
         if k < 1:
             raise InvalidInputError(f"k must be positive, got {k}")
+        _check_non_negative("tol", tol=tol)
         if n_steps < 0:
             raise InvalidInputError(f"n_steps must be non-negative, got {n_steps}")
         if n_features not in (None, inner.n_features):

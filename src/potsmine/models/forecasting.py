@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import InvalidInputError, ShapeError
 from ..core import Batch, _rng, fetch_all
 from .artifact import register_model
-from .base import AnalyticModel, Forecaster, TrainConfig
+from .base import AnalyticModel, Forecaster, TrainConfig, _check_non_negative
 
 # keeps every block subproblem strictly positive definite
 _RIDGE_FLOOR = 1e-10
@@ -173,8 +173,7 @@ class TmfModel(AnalyticModel, Forecaster):
             raise InvalidInputError(
                 f"ar_order must be in [1, n_steps), got {ar_order} with "
                 f"{n_steps} steps")
-        if min(lam_w, lam_f, lam_a) < 0:
-            raise InvalidInputError("ridge weights must be non-negative")
+        _check_non_negative("ridge weights", lam_w=lam_w, lam_f=lam_f, lam_a=lam_a)
         if iters < 1:
             raise InvalidInputError(f"iters must be positive, got {iters}")
         if n_series < 0:

@@ -17,8 +17,8 @@ from ..errors import InvalidInputError, ShapeError
 from ..core import Batch, _carry_forward, _chunks, _rng, fit_norm_stats
 from .. import tensor as T
 from .artifact import register_model
-from .base import (AnalyticModel, GradientModel, Imputer, TrainConfig,
-                   imputer_validation_metric, xavier)
+from .base import (_INFER_BYTES, AnalyticModel, GradientModel, Imputer, TrainConfig,
+                   _check_non_negative, imputer_validation_metric, xavier)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +161,6 @@ def saits_loss(xhat: np.ndarray, originals: np.ndarray, observed_mask: np.ndarra
 # the attention score a step gives itself before the softmax
 _SELF_SCORE = -1e9
 
-# the bytes of one block's intermediates that inference keeps in flight, a
-# per-core L2 cache: 16 samples at T=48, d_model=32, d_ff=64 and D=8
-_INFER_BYTES = 2 << 20
-
 
 class _BlockState(NamedTuple):
     """One block's intermediates, as _block_grads reads them back."""
@@ -224,8 +220,7 @@ class SaitsLiteModel(GradientModel, Imputer):
                 f"got {n_steps}")
         if n_features < 1 or d_model < 1 or d_ff < 1:
             raise InvalidInputError("saits_lite sizes must be positive")
-        if lam_mit < 0:
-            raise InvalidInputError(f"lam_mit must be non-negative, got {lam_mit}")
+        _check_non_negative("lam_mit", lam_mit=lam_mit)
         self.n_steps = n_steps
         self.n_features = n_features
         self.d_model = d_model

@@ -1,6 +1,7 @@
 """GRU-D-lite: decay math, step semantics, probabilities, gradients."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from potsmine import (
 )
 from potsmine import tensor as T
 from potsmine.errors import InvalidInputError, ShapeError
-from potsmine.models.base import _WORKSPACE_ROWS
+from potsmine.models.base import _INFER_BYTES, _WORKSPACE_ROWS
 
 
 def tiny_model(t=4, d=2, h=3, classes=2, seed=0):
@@ -386,6 +387,57 @@ def test_inference_forward_without_history_gives_the_training_logits_bitwise():
     plain, none = model._forward(model.parameters, *prepared)
     assert none is None
     assert np.array_equal(plain, kept)
+
+
+# (n, t) at hidden_size 256 and 2 features, where one step's span blocks
+# take 8 * n * (4 * 256 + 2 * 2) bytes of the budget
+@pytest.mark.parametrize("n, t, spans", [
+    (300, 3, "one-step"),       # a step is over budget: a span is one step
+    (50, 12, "uneven"),         # 5 steps per span: 5 + 5 + 2
+    (8, 40, "uneven"),          # 31 steps per span: 31 + 9
+    (8, 20, "whole"),
+    (1, 300, "uneven"),         # 255 steps per span: 255 + 45
+    (1, 6, "whole"),
+])
+def test_inference_spans_give_the_training_logits_bitwise(n, t, spans):
+    model = perturbed_model(t=t, d=2, h=256)
+    span = model._infer_steps(n)
+    assert {"one-step": span == 1 < t, "uneven": 1 < span < t and t % span,
+            "whole": span >= t}[spans]
+    prepared = model._prepare_batch(irregular_batch(n=n, t=t, d=2))
+    kept, _ = model._forward(model.parameters, *prepared, keep=True)
+    plain, _ = model._forward(model.parameters, *prepared)
+    assert np.array_equal(plain, kept)
+
+
+def test_inference_workspace_holds_one_span_whatever_the_series_length():
+    n, hid, d = 256, 256, 8
+
+    def workspace(t):
+        model = GrudLiteModel(t, d, 2, hidden_size=hid)
+        classify(model, generate_synthetic(n, t, d, 2, missing_rate=0.3, seed=4))
+        return {name: a.nbytes for name, a in model._workspace.items()}
+
+    short, long = workspace(12), workspace(48)
+    assert short == long
+    spans = long.pop("inp") + long.pop("gh") + long.pop("pre")
+    # a span is at least one step, here just over the budget
+    assert spans == max(_INFER_BYTES, 8 * n * (4 * hid + 2 * d))
+    # h, hd, rhd, c and tmp, and zr's two
+    assert sum(long.values()) == 7 * 8 * n * hid
+
+
+def test_classify_peak_memory_is_bounded_by_the_spans():
+    ds = generate_synthetic(512, 48, 8, 2, missing_rate=0.3, seed=4)
+    model = GrudLiteModel(48, 8, 2, hidden_size=64)
+    tracemalloc.start()
+    try:
+        classify(model, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 7.0 MiB measured with spans; the whole-series blocks took 35.7 MiB
+    assert peak < 12 << 20
 
 
 def test_history_free_forward_uses_one_row_block_per_quantity():

@@ -31,7 +31,7 @@ from potsmine import (
 )
 from potsmine import cli
 from potsmine.cli import build_parser, main
-from potsmine.errors import CorruptionError, FormatError
+from potsmine.errors import CorruptionError, FormatError, InvalidInputError
 
 
 def run(capsys, *argv):
@@ -783,6 +783,34 @@ def test_config_value_of_the_wrong_type_exits_one(capsys, tmp_path, predict_setu
     assert not (tmp_path / "out.csv").exists()
 
 
+# a float hyperparameter that json reads from a config file and the model
+# refuses: the task, the model kind, the config text and what the message names
+_BAD_FLOAT_HYPERPARAMS = {
+    "tmf_lam_w_nan": ("forecast", "tmf", '{"lam_w": NaN}', "lam_w=nan"),
+    "tmf_lam_f_inf": ("forecast", "tmf", '{"lam_f": Infinity}', "lam_f=inf"),
+    "tmf_lam_a_nan": ("forecast", "tmf", '{"lam_a": NaN}', "lam_a=nan"),
+    "saits_lam_mit_nan": ("impute", "saits_lite", '{"lam_mit": NaN}', "lam_mit=nan"),
+    "kmeans_tol_nan": ("cluster", "twostage_kmeans", '{"kmeans_tol": NaN}', "tol=nan"),
+    "kmeans_tol_negative": ("cluster", "twostage_kmeans", '{"kmeans_tol": -1.0}',
+                            "tol=-1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FLOAT_HYPERPARAMS))
+def test_train_refuses_a_float_hyperparameter_that_is_negative_or_not_finite(
+        capsys, tmp_path, case):
+    task, kind, text, named = _BAD_FLOAT_HYPERPARAMS[case]
+    data = gen(capsys, tmp_path, n=20)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "model.pmdl"
+    code, _, err = run(capsys, "train", "--task", task, "--model", kind, "--data", data,
+                       "--config", str(cfg_path), "--out", str(out), "--epochs", "1")
+    assert code == 2, err
+    assert f"must be non-negative and finite, got {named}" in err
+    assert not out.exists()
+
+
 # config file text, the command's exit code and a phrase of its message
 _BAD_CONFIG_FILES = {
     "missing": (None, ["train"], 1, "config file not found"),
@@ -970,6 +998,25 @@ def test_a_string_field_that_is_not_utf8_exits_two(capsys, tmp_path, trained_art
         code, _, err = run(capsys, *argv)
         assert code == 2, err
         assert "is not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("kind, key", [("tmf", "lam_w"), ("saits_lite", "lam_mit"),
+                                       ("twostage_kmeans", "tol")])
+def test_load_refuses_a_float_hyperparameter_that_is_not_finite(
+        capsys, tmp_path, trained_artifacts, kind, key):
+    from potsmine.models import decode_artifact, encode_artifact
+    data, paths = trained_artifacts
+    art = decode_artifact(Path(paths[kind]).read_bytes())
+    art.hyperparams[key] = float("nan")
+    tampered = tmp_path / "tampered.pmdl"
+    tampered.write_bytes(encode_artifact(art))    # a fresh, valid checksum
+    with pytest.raises(InvalidInputError, match=f"got {key}=nan"):
+        load_model(str(tampered))
+    task = _ARTIFACT_ENTRIES[kind][0]
+    code, _, err = run(capsys, "predict", "--task", task, "--model", str(tampered),
+                       "--data", data, "--out", str(tmp_path / "out.csv"))
+    assert code == 2, err
+    assert f"got {key}=nan" in err
 
 
 def test_two_stage_artifact_without_its_inner_model_exits_two(

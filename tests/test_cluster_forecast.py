@@ -163,6 +163,12 @@ def test_cluster_training_set_consistency():
     assert np.array_equal(labels, dists.argmin(axis=1))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+def test_two_stage_refuses_a_tolerance_that_is_negative_or_not_finite(tol):
+    with pytest.raises(InvalidInputError, match=f"tol must be non-negative and finite, got tol={tol}"):
+        TwoStageKMeansModel(inner=LocfModel(n_features=2), k=2, tol=tol)
+
+
 def test_cluster_duplicates_get_same_label():
     ds, view = clustered_view(seed=3)
     model = TwoStageKMeansModel(inner=MeanImputerModel(n_features=2), k=2)
@@ -282,6 +288,9 @@ def test_tmf_rejects_empty_rows_and_columns():
     ({"lam_a": -0.1}, "ridge weights must be non-negative"),
     ({"iters": 0}, "iters must be positive, got 0"),
     ({"n_series": -1}, "n_series must be non-negative, got -1"),
+    ({"lam_w": float("nan")}, "ridge weights must be non-negative and finite, got lam_w=nan"),
+    ({"lam_f": float("inf")}, "ridge weights must be non-negative and finite, got lam_f=inf"),
+    ({"lam_a": float("nan")}, "ridge weights must be non-negative and finite, got lam_a=nan"),
 ])
 def test_tmf_refuses_bad_settings(settings, message):
     with pytest.raises(InvalidInputError, match=message):

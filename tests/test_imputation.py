@@ -202,6 +202,8 @@ def test_saits_loss_rejects_overlapping_masks():
     (lambda: SaitsLiteModel(1, 2), "at least 2 steps"),
     (lambda: SaitsLiteModel(4, 2, d_ff=0), "sizes must be positive"),
     (lambda: SaitsLiteModel(4, 2, lam_mit=-0.5), "lam_mit must be non-negative"),
+    (lambda: SaitsLiteModel(4, 2, lam_mit=math.nan), "lam_mit must be non-negative and finite"),
+    (lambda: SaitsLiteModel(4, 2, lam_mit=math.inf), "lam_mit must be non-negative and finite"),
 ])
 def test_imputer_constructors_refuse_bad_settings(build, message):
     with pytest.raises(InvalidInputError, match=message):
