@@ -10,9 +10,9 @@ from .errors import (CorruptionError, FormatError, InvalidInputError, PotsError,
                      ShapeError, StorageError, TrainingDivergedError,
                      UnsupportedTaskError)
 from .core import (Batch, CorruptedPairView, NormStats, PotsDataset,
-                   TimeSeriesSample, apply_norm, compute_delta, export_csv,
-                   fetch_all, fit_norm_stats, generate_synthetic, ingest_csv,
-                   inject_mcar, invert_norm, split, stack_samples)
+                   TimeSeriesSample, compute_delta, export_csv, fetch_all,
+                   fit_norm_stats, generate_synthetic, ingest_csv, inject_mcar,
+                   split, stack_samples)
 from .store import (LazyDataset, ReadHandle, fetch_batch, lazy_dataset,
                     open_readonly, write_container)
 from .metrics import (BinaryMetricsReport, binary_classification_metrics,

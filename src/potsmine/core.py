@@ -284,12 +284,40 @@ class PotsDataset:
 
 @dataclass
 class NormStats:
-    """Per-feature mean and standard deviation of observed cells."""
+    """Per-feature mean and standard deviation, and the normalization
+    they define: the one map between data space and working space.
+
+    The stats check themselves when built: 1-D, of one width, finite,
+    with every std at least STD_FLOOR. Otherwise InvalidInputError names
+    the first feature at fault.
+    """
 
     mean: np.ndarray  # (D,)
-    std: np.ndarray   # (D,), floored at 1e-8
+    std: np.ndarray   # (D,), at least STD_FLOOR
 
     STD_FLOOR = 1e-8
+
+    def __post_init__(self):
+        if np.ndim(self.mean) != 1 or np.shape(self.mean) != np.shape(self.std):
+            raise InvalidInputError(f"norm stats must be 1-D and of one width, got mean "
+                                    f"{np.shape(self.mean)} and std {np.shape(self.std)}")
+        finite = np.isfinite(self.mean) & np.isfinite(self.std)
+        bad = np.flatnonzero(~finite | np.less(self.std, self.STD_FLOOR))
+        if bad.size:
+            j = bad[0]
+            fault = f"a std below {self.STD_FLOOR}" if finite[j] else "a non-finite value"
+            raise InvalidInputError(f"norm stats hold {fault} at feature {j} "
+                                    f"(mean {float(self.mean[j])}, std {float(self.std[j])})")
+
+    def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """(x - mean) / std over the last axis, 0 where mask is 0 if one is given."""
+        w = x - self.mean
+        w /= self.std
+        return w if mask is None else np.where(mask, w, 0.0)
+
+    def inverse(self, w: np.ndarray) -> np.ndarray:
+        """w * std + mean over the last axis: forward's inverse."""
+        return w * self.std + self.mean
 
 
 class CorruptedPairView:
@@ -483,18 +511,6 @@ def fit_norm_stats(view, batch_size: int = _EVAL_CHUNK) -> NormStats:
     std = np.sqrt(np.maximum(var, 0.0))
     std = np.maximum(np.where(seen, std, 1.0), NormStats.STD_FLOOR)
     return NormStats(mean=mean, std=std)
-
-
-def apply_norm(dataset: PotsDataset, stats: NormStats) -> PotsDataset:
-    """Return a dataset with observed values standardized per feature."""
-    block = dataset._block
-    values = (block.values - stats.mean) / stats.std
-    return PotsDataset(dataclasses.replace(block, values=values), n_classes=dataset.n_classes)
-
-
-def invert_norm(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Undo apply_norm on an array whose last axis is the feature axis."""
-    return np.asarray(values) * stats.std + stats.mean
 
 
 def generate_synthetic(n_samples: int, n_steps: int, n_features: int,

@@ -43,8 +43,8 @@ the bytes are damaged), when:
   hyperparameters give, so a size the artifact's bytes do not hold is
   refused before it is allocated;
 - a tensor holds a non-finite value;
-- the norm statistics are not n_features wide, hold a non-finite value,
-  or hold a std below NormStats.STD_FLOOR.
+- the norm statistics are not n_features wide, or NormStats refuses
+  them: a non-finite value, or a std below NormStats.STD_FLOOR.
 
 A value the kind's constructor refuses raises its InvalidInputError.
 """
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import CorruptionError, FormatError, StorageError
+from ..errors import CorruptionError, FormatError, InvalidInputError, StorageError
 from ..core import NormStats
 
 MAGIC = b"PMDL"
@@ -85,7 +85,7 @@ class ModelArtifact:
 
     kind: str
     hyperparams: dict = field(default_factory=dict)
-    norm: NormStats | None = None
+    norm: np.ndarray | None = None   # (2, D): the norm stats' means, then stds
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     inner: "ModelArtifact | None" = None
 
@@ -118,11 +118,9 @@ def _encode_payload(art: ModelArtifact) -> bytes:
     if art.norm is None:
         out.append(b"\x00")
     else:
-        mean = np.asarray(art.norm.mean, dtype="<f8")
-        std = np.asarray(art.norm.std, dtype="<f8")
-        out.append(struct.pack("<BI", 1, mean.size))
-        out.append(mean.tobytes())
-        out.append(std.tobytes())
+        norm = np.ascontiguousarray(art.norm, dtype="<f8")
+        out.append(struct.pack("<BI", 1, norm.shape[1]))
+        out.append(norm.tobytes())
     names = sorted(art.tensors)
     out.append(struct.pack("<I", len(names)))
     for name in names:
@@ -202,8 +200,7 @@ def _parse(raw: bytearray, start: int, end: int, source: str) -> ModelArtifact:
         pos += 4
         if pos + 16 * dim > end:
             raise _ended(source)
-        stats = np.ndarray((2, dim), _F8, raw, pos)
-        norm = NormStats(mean=stats[0], std=stats[1])
+        norm = np.ndarray((2, dim), _F8, raw, pos)
         pos += 16 * dim
     (n_tensors,) = _U32.unpack_from(bounded, pos)
     pos += 4
@@ -257,7 +254,8 @@ def model_to_artifact(model) -> ModelArtifact:
     return ModelArtifact(
         kind=model.kind,
         hyperparams=dict(model.hyperparams()),
-        norm=model.norm_stats,
+        norm=None if model.norm_stats is None else np.stack(
+            (model.norm_stats.mean, model.norm_stats.std)),
         tensors=dict(model.tensors()),
         inner=inner)
 
@@ -270,10 +268,10 @@ def model_from_artifact(art: ModelArtifact):
     declared type; it must hold an inner model exactly when the kind
     takes one; its tensors must be exactly those of the model its
     hyperparameters build, at their shapes, and finite; and its norm
-    statistics, if any, must be n_features wide, finite, with every std
-    at least NormStats.STD_FLOOR. Otherwise this raises FormatError
-    naming the entry; values the kind's constructor refuses raise its
-    InvalidInputError.
+    statistics, if any, must be n_features wide and pass NormStats' own
+    check (finite, every std at least NormStats.STD_FLOOR). Otherwise this
+    raises FormatError naming the entry; values the kind's constructor
+    refuses raise its InvalidInputError.
 
     The model is built without its initial tensors: the constructor
     checks the hyperparameters and allocates nothing, and the shapes
@@ -318,17 +316,13 @@ def model_from_artifact(art: ModelArtifact):
         name = next(name for name, arr in own.items() if not np.isfinite(arr).all())
         raise FormatError(f"{art.kind} artifact tensor {name!r} holds a non-finite value")
     if art.norm is not None:
-        mean, std = (np.array(stat, dtype=np.float64) for stat in (art.norm.mean, art.norm.std))
-        width = model.n_features
-        if mean.shape != (width,) or std.shape != (width,):
-            raise FormatError(
-                f"{art.kind} artifact norm stats are {mean.size} wide, expected {width}")
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-            raise FormatError(f"{art.kind} artifact norm stats hold a non-finite value")
-        if (std < NormStats.STD_FLOOR).any():
-            raise FormatError(
-                f"{art.kind} artifact norm stats hold a std below {NormStats.STD_FLOOR}")
-        model.norm_stats = NormStats(mean=mean, std=std)
+        if art.norm.shape[1] != model.n_features:
+            raise FormatError(f"{art.kind} artifact norm stats are {art.norm.shape[1]} "
+                              f"wide, expected {model.n_features}")
+        try:
+            model.norm_stats = NormStats(*np.array(art.norm, dtype=np.float64))
+        except InvalidInputError as exc:
+            raise FormatError(f"{art.kind} artifact {exc}") from None
     model._fill(own)
     return model
 

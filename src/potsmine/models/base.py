@@ -204,6 +204,20 @@ def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, (fan_in, fan_out))
 
 
+class _Identity:
+    """NormStats' forward and inverse for a model without norm statistics:
+    working space is data space."""
+
+    def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        return x if mask is None else np.where(mask, x, 0.0)
+
+    def inverse(self, w: np.ndarray) -> np.ndarray:
+        return w
+
+
+_IDENTITY = _Identity()
+
+
 class GradientModel(BaseModel):
     """Models trained by minibatch gradient descent on the tape engine.
 
@@ -255,13 +269,15 @@ class GradientModel(BaseModel):
                 f"{self.kind}: a later forward ran on this model before the backward "
                 "of an earlier one and overwrote the workspace it reads")
 
+    @property
+    def _norm(self):
+        """The map between data space and working space: norm_stats, or
+        the identity when the model keeps none (normalize off)."""
+        return _IDENTITY if self.norm_stats is None else self.norm_stats
+
     def _to_working(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Zero-filled working-space values; sentinels never touch math."""
-        hit = mask.astype(bool, copy=False)
-        if self.norm_stats is None:
-            return np.where(hit, values, 0.0)
-        stats = self.norm_stats
-        return np.where(hit, (values - stats.mean) / stats.std, 0.0)
+        return self._norm.forward(values, mask)
 
     @abstractmethod
     def prepare_fit(self, train_set) -> None:

@@ -390,12 +390,9 @@ class GrudLiteModel(GradientModel, Classifier):
     # -- training --------------------------------------------------------------
     def prepare_fit(self, train_set) -> None:
         stats = fit_norm_stats(train_set)
-        if self.normalize:
-            self.norm_stats = stats
-            # the observed mean lands exactly at the working-space origin
-            self.x_bar = (stats.mean - stats.mean) / stats.std
-        else:
-            self.x_bar = stats.mean.copy()
+        self.norm_stats = stats if self.normalize else None
+        # normalized, the observed mean lands exactly at the working-space origin
+        self.x_bar = self._norm.forward(stats.mean)
 
     def batch_loss_sum(self, leaves: dict, batch: Batch) -> T.Tensor:
         if not _all_labeled(batch):

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidInputError, ShapeError
-from ..core import Batch, _rng, fetch_all
+from ..errors import FormatError, InvalidInputError, ShapeError
+from ..core import Batch, NormStats, _rng, fetch_all
 from .artifact import register_model
 from .base import (AnalyticModel, Clusterer, Imputer, TrainConfig, _check_non_negative,
                    fit as fit_model, impute)
 
-_STD_FLOOR = 1e-8
 _DIST_CHUNK_BYTES = 1 << 22
 
 
@@ -86,7 +85,9 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
     """Inner imputer feeding k-means on standardized flattened series.
 
     n_steps is the series length of the fit, 0 while unfitted; n_features
-    defaults to, and must equal, the inner model's.
+    defaults to, and must equal, the inner model's. feat_stats standardizes
+    each column of the flattened series; the artifact keeps it as the
+    tensors feat_mean and feat_std.
     """
 
     kind = "twostage_kmeans"
@@ -117,16 +118,15 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
         if not self._unfilled:
             width = n_steps * self.n_features
             self.centroids = np.zeros((k, width), dtype=np.float64)
-            self.feat_mean = np.zeros(width, dtype=np.float64)
-            self.feat_std = np.ones(width, dtype=np.float64)
+            self.feat_stats = NormStats(np.zeros(width), np.ones(width))
 
     def hyperparams(self) -> dict:
         # an unfitted model takes series of any length: n_steps None, stored as 0
         return {**super().hyperparams(), "n_steps": self.n_steps or 0}
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {"centroids": self.centroids, "feat_mean": self.feat_mean,
-                "feat_std": self.feat_std}
+        return {"centroids": self.centroids, "feat_mean": self.feat_stats.mean,
+                "feat_std": self.feat_stats.std}
 
     def _shapes(self):
         width = (self.n_steps or 0) * self.n_features
@@ -134,12 +134,12 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
 
     def _fill(self, tensors: dict[str, np.ndarray]) -> None:
         self.centroids = tensors["centroids"]
-        self.feat_mean = tensors["feat_mean"]
-        self.feat_std = tensors["feat_std"]
+        try:
+            self.feat_stats = NormStats(tensors["feat_mean"], tensors["feat_std"])
+        except InvalidInputError as exc:  # the loader has refused non-finite tensors
+            raise FormatError(f"{self.kind} artifact tensor 'feat_std': {exc}") from None
 
     # -- fitting -----------------------------------------------------------
-    def _standardize(self, flat: np.ndarray) -> np.ndarray:
-        return (flat - self.feat_mean) / self.feat_std
 
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:
         if len(train_set) < self.k:
@@ -149,10 +149,10 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
         self.n_steps = train_set.n_steps
         fit_model(self.inner_model, train_set, val_set, config)
         flat = impute(self.inner_model, train_set).reshape(len(train_set), -1)
-        self.feat_mean = flat.mean(axis=0)
-        self.feat_std = np.maximum(flat.std(axis=0), _STD_FLOOR)
+        self.feat_stats = NormStats(
+            flat.mean(axis=0), np.maximum(flat.std(axis=0), NormStats.STD_FLOOR))
         self.centroids, _ = kmeans_fit(
-            self._standardize(flat), self.k, seed=config.seed,
+            self.feat_stats.forward(flat), self.k, seed=config.seed,
             max_iters=self.max_iters, tol=self.tol)
         return float(self._distances(fetch_all(val_set)).min(axis=1).mean())
 
@@ -163,7 +163,7 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
             raise ShapeError(
                 f"cluster: flattened width {flat.shape[1]} does not match "
                 f"centroids ({self.centroids.shape[1]})")
-        return _sq_dists(self._standardize(flat), self.centroids)
+        return _sq_dists(self.feat_stats.forward(flat), self.centroids)
 
     # -- inference ----------------------------------------------------------
     def assign_batch(self, batch: Batch) -> np.ndarray:

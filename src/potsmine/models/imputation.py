@@ -253,12 +253,6 @@ class SaitsLiteModel(GradientModel, Imputer):
     def _fill(self, tensors: dict[str, np.ndarray]) -> None:
         self.parameters = tensors
 
-    # -- normalization helpers -------------------------------------------
-    def _from_working(self, working: np.ndarray) -> np.ndarray:
-        if self.norm_stats is None:
-            return working
-        return working * self.norm_stats.std + self.norm_stats.mean
-
     # -- forward and backward ----------------------------------------------
     @property
     def _infer_rows(self) -> int:
@@ -442,10 +436,8 @@ class SaitsLiteModel(GradientModel, Imputer):
         maskf = batch.mask.astype(bool, copy=False).astype(np.float64)
         x0 = self._to_working(batch.values, batch.mask)
         xhat, saved = self._forward(p, x0, maskf, keep=keep)
-        originals = batch.values if batch.originals is None else batch.originals
-        if self.norm_stats is not None:
-            originals = originals - self.norm_stats.mean
-            originals /= self.norm_stats.std
+        originals = self._norm.forward(
+            batch.values if batch.originals is None else batch.originals)
         held = np.zeros_like(maskf) if batch.indicating is None else batch.indicating
         loss, d_xhat = saits_loss(xhat, originals, maskf, held, self.lam_mit)
         return T.record_fused(np.asarray(loss, dtype=np.float64), inputs,
@@ -459,7 +451,7 @@ class SaitsLiteModel(GradientModel, Imputer):
     def _reconstruct(self, batch: Batch) -> np.ndarray:
         maskf = batch.mask.astype(bool, copy=False).astype(np.float64)
         x0 = self._to_working(batch.values, batch.mask)
-        return self._from_working(self._forward(self.parameters, x0, maskf)[0])
+        return self._norm.inverse(self._forward(self.parameters, x0, maskf)[0])
 
     def impute_batch(self, batch: Batch) -> np.ndarray:
         hit = batch.mask.astype(bool, copy=False)
@@ -486,4 +478,4 @@ def saits_forward(model: SaitsLiteModel, values: np.ndarray, mask: np.ndarray):
     maskf = (mask_arr != 0).astype(np.float64)
     x0 = model._to_working(values, mask_arr)
     xhat, (_, states, _) = model._forward(model.parameters, x0, maskf, keep=True)
-    return model._from_working(xhat), [s.attn.copy() for s in states]
+    return model._norm.inverse(xhat), [s.attn.copy() for s in states]

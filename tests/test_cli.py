@@ -1072,11 +1072,11 @@ def test_string_hyperparameters_are_not_encoded():
         encode_artifact(ModelArtifact(kind="locf", hyperparams={"name": "x"}))
 
 
-# the overflow itself still warns (the statistics are not made stable here)
+# the overflow itself still warns (the statistics are not computed under errstate)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_refuses_a_model_that_load_would_refuse(capsys, tmp_path):
-    # feature 0 near 1e307: its mean overflows, and a mean imputer with an
-    # infinite value cannot be loaded, so train must not write it either
+    # feature 0 near 1e307: its statistics overflow, which NormStats refuses
+    # as a data error naming the feature, so train writes no model
     ds = generate_synthetic(20, 6, 2, 2, missing_rate=0.0, seed=1)
     block = ds.training_batch(range(len(ds)))
     block.values[:, :, 0] = 1e307 * (1.0 + np.abs(block.values[:, :, 0]))
@@ -1086,5 +1086,5 @@ def test_train_refuses_a_model_that_load_would_refuse(capsys, tmp_path):
     code, _, err = run(capsys, "train", "--task", "impute", "--model", "mean",
                        "--data", data, "--out", str(out))
     assert code == 2, err
-    assert "mean artifact tensor 'means' holds a non-finite value" in err
+    assert "norm stats hold a non-finite value at feature 0" in err
     assert not out.exists()

@@ -21,7 +21,7 @@ from potsmine import (
     tmf_fit,
     tmf_forecast,
 )
-from potsmine.core import Batch
+from potsmine.core import Batch, NormStats
 from potsmine.errors import InvalidInputError, ShapeError
 from potsmine.models import clustering
 
@@ -125,8 +125,7 @@ def test_distance_memory_does_not_grow_with_n_times_k():
     model = TwoStageKMeansModel(inner=LocfModel(n_features=d), k=k)
     model.n_steps = t
     model.centroids = rng.normal(size=(k, t * d))
-    model.feat_mean = np.zeros(t * d)
-    model.feat_std = np.ones(t * d)
+    model.feat_stats = NormStats(np.zeros(t * d), np.ones(t * d))
     points = values.reshape(n, -1)
     tracemalloc.start()
     try:
@@ -158,7 +157,7 @@ def test_cluster_training_set_consistency():
     labels = cluster(model, view.corrupted)
     # recompute the assignment from scratch through the same pipeline
     flat = impute(model.inner_model, view.corrupted).reshape(24, -1)
-    std = (flat - model.feat_mean) / model.feat_std
+    std = (flat - model.feat_stats.mean) / model.feat_stats.std
     dists = ((std[:, None, :] - model.centroids[None]) ** 2).sum(axis=2)
     assert np.array_equal(labels, dists.argmin(axis=1))
 

@@ -13,7 +13,6 @@ from potsmine import (
     NormStats,
     PotsDataset,
     TimeSeriesSample,
-    apply_norm,
     compute_delta,
     export_csv,
     fetch_all,
@@ -21,7 +20,6 @@ from potsmine import (
     generate_synthetic,
     ingest_csv,
     inject_mcar,
-    invert_norm,
     lazy_dataset,
     open_readonly,
     split,
@@ -421,8 +419,8 @@ def test_norm_two_point_example():
     ds = PotsDataset([s])
     stats = fit_norm_stats(ds)
     assert stats.mean[0] == 3.0 and stats.std[0] == 1.0
-    normed = apply_norm(ds, stats)
-    assert np.array_equal(normed.samples[0].values, [[-1.0], [1.0]])
+    assert np.array_equal(stats.forward(values), [[-1.0], [1.0]])
+    assert np.array_equal(stats.forward(values, np.array([[0.0], [1.0]])), [[0.0], [1.0]])
 
 
 def test_norm_all_missing_feature_identity():
@@ -437,11 +435,10 @@ def test_norm_all_missing_feature_identity():
 def test_norm_round_trip():
     ds = generate_synthetic(6, 10, 4, 2, missing_rate=0.2, seed=2)
     stats = fit_norm_stats(ds)
-    normed = apply_norm(ds, stats)
-    for i, s in enumerate(normed.samples):
-        back = invert_norm(s.values, stats)
+    for s in ds.samples:
+        back = stats.inverse(stats.forward(s.values))
         obs = s.mask != 0
-        orig = ds.samples[i].values
+        orig = s.values
         rel = np.abs(back[obs] - orig[obs]) / np.maximum(np.abs(orig[obs]), 1e-12)
         assert rel.max() < 1e-12
         assert np.isnan(back[~obs]).all()
@@ -454,6 +451,36 @@ def test_norm_std_floor():
                                        values=values, mask=np.ones((3, 1)))])
     stats = fit_norm_stats(ds)
     assert stats.std[0] == 1e-8
+
+
+@pytest.mark.parametrize("mean, std, message", [
+    (np.zeros((2, 2)), np.ones((2, 2)), r"must be 1-D and of one width, got mean \(2, 2\)"),
+    (np.zeros(3), np.ones(2), r"of one width, got mean \(3,\) and std \(2,\)"),
+    (np.array([0.0, np.nan, 0.0]), np.ones(3), "a non-finite value at feature 1"),
+    (np.zeros(3), np.array([1.0, 1.0, np.inf]), "a non-finite value at feature 2"),
+    (np.zeros(3), np.array([1.0, 0.0, 1.0]), "a std below 1e-08 at feature 1"),
+    (np.zeros(3), np.array([1.0, 1.0, 9e-9]), "a std below 1e-08 at feature 2"),
+    # the first feature at fault is named, whichever its fault
+    (np.array([0.0, np.nan]), np.array([-1.0, 1.0]), "a std below 1e-08 at feature 0"),
+], ids=["rank2", "widths", "nan_mean", "inf_std", "zero_std", "std_under_floor", "first"])
+def test_norm_stats_refuse_what_they_cannot_normalize_by(mean, std, message):
+    with pytest.raises(InvalidInputError, match=message):
+        NormStats(mean, std)
+
+
+def test_norm_stats_at_the_floor_and_with_no_features_are_accepted():
+    assert NormStats(np.zeros(1), np.full(1, NormStats.STD_FLOOR)).std[0] == 1e-8
+    assert NormStats(np.zeros(0), np.ones(0)).forward(np.ones((2, 0))).shape == (2, 0)
+
+
+def test_norm_forward_and_inverse_are_the_one_formula_bitwise():
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(4, 5, 3)) * 1e3
+    mask = rng.random((4, 5, 3)) < 0.7
+    stats = NormStats(rng.normal(size=3), rng.random(3) + 0.5)
+    w = stats.forward(values, mask)
+    assert np.array_equal(w, np.where(mask, (values - stats.mean) / stats.std, 0.0))
+    assert np.array_equal(stats.inverse(w), w * stats.std + stats.mean)
 
 
 # ---------------------------------------------------------------------------

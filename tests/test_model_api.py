@@ -11,7 +11,6 @@ from potsmine import (
     LocfModel,
     MeanImputerModel,
     GrudLiteModel,
-    NormStats,
     PotsDataset,
     SaitsLiteModel,
     TmfModel,
@@ -493,12 +492,12 @@ def test_load_refuses_an_inflated_size_without_allocating_it(make, name):
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak < 50 * 1024
 
 
+# an artifact keeps its norm stats as one (2, D) array, means over stds,
+# which the loader checks by building a NormStats from them
 @pytest.mark.parametrize("edit, message", [
-    (lambda norm: NormStats(mean=np.zeros(3), std=np.ones(3)), "are 3 wide, expected 2"),
-    (lambda norm: NormStats(mean=np.array([np.nan, 0.0]), std=norm.std),
-     "hold a non-finite value"),
-    (lambda norm: NormStats(mean=norm.mean, std=np.array([1.0, 0.0])),
-     "hold a std below 1e-08"),
+    (lambda norm: np.array([np.zeros(3), np.ones(3)]), "are 3 wide, expected 2"),
+    (lambda norm: np.array([[np.nan, 0.0], norm[1]]), "hold a non-finite value"),
+    (lambda norm: np.array([norm[0], [1.0, 0.0]]), "hold a std below 1e-08"),
 ], ids=["width", "nan_mean", "zero_std"])
 def test_load_refuses_norm_stats_that_do_not_fit_the_model(edit, message):
     view = small_view()
@@ -507,6 +506,19 @@ def test_load_refuses_norm_stats_that_do_not_fit_the_model(edit, message):
     art = model_to_artifact(model)
     art.norm = edit(art.norm)
     with pytest.raises(FormatError, match=f"saits_lite artifact norm stats {message}"):
+        model_from_artifact(decode_artifact(encode_artifact(art)))
+
+
+@pytest.mark.parametrize("std", [0.0, 0.5e-8])
+def test_load_refuses_kmeans_feature_stds_below_the_floor(std):
+    view = small_view()
+    model = TwoStageKMeansModel(inner=MeanImputerModel(n_features=2), k=2)
+    fit_model(model, view, view, TrainConfig())
+    art = model_to_artifact(model)
+    art.tensors["feat_std"] = art.tensors["feat_std"].copy()
+    art.tensors["feat_std"][5] = std
+    with pytest.raises(FormatError, match="twostage_kmeans artifact tensor 'feat_std': "
+                                          "norm stats hold a std below 1e-08 at feature 5"):
         model_from_artifact(decode_artifact(encode_artifact(art)))
 
 
