@@ -491,26 +491,34 @@ def fetch_all(view, batch_size: int = _EVAL_CHUNK) -> Batch:
     return out
 
 
-def fit_norm_stats(view, batch_size: int = _EVAL_CHUNK) -> NormStats:
-    """Per-feature mean/std over observed cells, streamed in index order.
+def fit_norm_stats(view) -> NormStats:
+    """Per-feature mean/std over observed cells, in one pass over the view.
 
-    Features with no observations get mean 0 and std 1; the std is floored
-    at NormStats.STD_FLOOR so normalization never divides by zero.
+    Each _iter_batches chunk, in index order, gives its count, mean and
+    centred sum of squares; the running ones take them in by the pairwise
+    update of Chan, Golub and LeVeque ("Algorithms for computing the
+    sample variance", 1983), which does not cancel as E[x^2] - mean^2
+    does. Features with no observations get mean 0 and std 1; the std is
+    floored at NormStats.STD_FLOOR. Statistics that overflow float64 come
+    out non-finite, without a warning, and NormStats refuses them.
     """
     d = view.n_features
-    total, total_sq, count = np.zeros(d), np.zeros(d), np.zeros(d)
-    for batch in _iter_batches(view, batch_size):
-        hit = batch.mask.astype(bool, copy=False)
-        filled = np.where(hit, batch.values, 0.0)
-        total += filled.sum(axis=(0, 1))
-        total_sq += (filled * filled).sum(axis=(0, 1))
-        count += hit.sum(axis=(0, 1))
+    count, mean, m2 = np.zeros(d), np.zeros(d), np.zeros(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in _iter_batches(view):
+            hit = batch.mask.astype(bool, copy=False)
+            n = hit.sum(axis=(0, 1), dtype=np.float64)
+            chunk_mean = np.where(hit, batch.values, 0.0).sum(axis=(0, 1)) / np.maximum(n, 1)
+            dev = np.where(hit, batch.values - chunk_mean, 0.0)
+            delta, total = chunk_mean - mean, count + n
+            share = n / np.maximum(total, 1)
+            mean = mean + delta * share
+            m2 = m2 + (dev * dev).sum(axis=(0, 1)) + delta * delta * count * share
+            count = total
+        std = np.sqrt(m2 / np.maximum(count, 1))
     seen = count > 0
-    mean = np.where(seen, total / np.maximum(count, 1), 0.0)
-    var = np.where(seen, total_sq / np.maximum(count, 1) - mean * mean, 1.0)
-    std = np.sqrt(np.maximum(var, 0.0))
-    std = np.maximum(np.where(seen, std, 1.0), NormStats.STD_FLOOR)
-    return NormStats(mean=mean, std=std)
+    return NormStats(mean=np.where(seen, mean, 0.0),
+                     std=np.maximum(np.where(seen, std, 1.0), NormStats.STD_FLOOR))
 
 
 def generate_synthetic(n_samples: int, n_steps: int, n_features: int,

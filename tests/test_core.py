@@ -453,6 +453,29 @@ def test_norm_std_floor():
     assert stats.std[0] == 1e-8
 
 
+def test_norm_stats_do_not_cancel_far_from_zero():
+    # E[x^2] - mean^2 loses every digit here: each std came out as the floor
+    ds = generate_synthetic(200, 24, 3, 2, 0.1, seed=0)
+    block = ds.training_batch(range(len(ds)))
+    block.values[...] += 1e8
+    stats = fit_norm_stats(PotsDataset(block))
+    for j in range(3):
+        seen = block.values[..., j][block.mask[..., j]]
+        assert abs(stats.std[j] - seen.std()) <= 1e-6 * seen.std()
+        assert abs(stats.mean[j] - seen.mean()) <= 1e-12 * seen.mean()
+
+
+def test_norm_stats_stream_the_same_bits_from_memory_and_from_a_container(tmp_path):
+    ds = generate_synthetic(600, 7, 3, 2, 0.2, seed=4)   # three chunks of at most 256
+    path = str(tmp_path / "d.pots")
+    write_container(ds, path)
+    with open_readonly(path) as handle:
+        lazy = fit_norm_stats(lazy_dataset(handle))
+    memory = fit_norm_stats(ds)
+    assert lazy.mean.tobytes() == memory.mean.tobytes()
+    assert lazy.std.tobytes() == memory.std.tobytes()
+
+
 @pytest.mark.parametrize("mean, std, message", [
     (np.zeros((2, 2)), np.ones((2, 2)), r"must be 1-D and of one width, got mean \(2, 2\)"),
     (np.zeros(3), np.ones(2), r"of one width, got mean \(3,\) and std \(2,\)"),
