@@ -203,7 +203,9 @@ def main(argv: list[str]) -> int:
         print(f"{'identical' if what is None else 'differs':9}  {name}"
               + ("" if what is None else f": {what}"))
     moved = sum(what is not None for _, what in rows)
-    print(f"{len(rows)} outputs: {len(rows) - moved} identical, {moved} differ")
+    rels = [float(r) for _, what in rows if what for r in re.findall(r"max rel ([^,;\s]+)", what)]
+    print(f"{len(rows)} outputs: {len(rows) - moved} identical, {moved} differ"
+          + (f"; largest relative difference {max(rels):.3g}" if rels else ""))
     return 1 if moved else 0
 
 

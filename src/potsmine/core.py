@@ -510,15 +510,13 @@ def fit_norm_stats(view) -> NormStats:
             n = hit.sum(axis=(0, 1), dtype=np.float64)
             chunk_mean = np.where(hit, batch.values, 0.0).sum(axis=(0, 1)) / np.maximum(n, 1)
             dev = np.where(hit, batch.values - chunk_mean, 0.0)
-            delta, total = chunk_mean - mean, count + n
-            share = n / np.maximum(total, 1)
+            delta, share = chunk_mean - mean, n / np.maximum(count + n, 1)
             mean = mean + delta * share
             m2 = m2 + (dev * dev).sum(axis=(0, 1)) + delta * delta * count * share
-            count = total
-        std = np.sqrt(m2 / np.maximum(count, 1))
-    seen = count > 0
-    return NormStats(mean=np.where(seen, mean, 0.0),
-                     std=np.maximum(np.where(seen, std, 1.0), NormStats.STD_FLOOR))
+            count = count + n
+        # a feature never observed keeps mean 0 (its share is 0) and gets std 1
+        std = np.where(count > 0, np.sqrt(m2 / np.maximum(count, 1)), 1.0)
+    return NormStats(mean=mean, std=np.maximum(std, NormStats.STD_FLOOR))
 
 
 def generate_synthetic(n_samples: int, n_steps: int, n_features: int,

@@ -149,8 +149,7 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
         self.n_steps = train_set.n_steps
         fit_model(self.inner_model, train_set, val_set, config)
         flat = impute(self.inner_model, train_set).reshape(len(train_set), -1)
-        self.feat_stats = NormStats(
-            flat.mean(axis=0), np.maximum(flat.std(axis=0), NormStats.STD_FLOOR))
+        self.feat_stats = NormStats(flat.mean(0), np.maximum(flat.std(0), NormStats.STD_FLOOR))
         self.centroids, _ = kmeans_fit(
             self.feat_stats.forward(flat), self.k, seed=config.seed,
             max_iters=self.max_iters, tol=self.tol)

@@ -1072,19 +1072,34 @@ def test_string_hyperparameters_are_not_encoded():
         encode_artifact(ModelArtifact(kind="locf", hyperparams={"name": "x"}))
 
 
-# the overflow itself still warns (the statistics are not computed under errstate)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_refuses_a_model_that_load_would_refuse(capsys, tmp_path):
-    # feature 0 near 1e307: its statistics overflow, which NormStats refuses
-    # as a data error naming the feature, so train writes no model
+def _huge_feature_zero(tmp_path) -> str:
+    """A container whose feature 0 holds finite values near 1e307."""
     ds = generate_synthetic(20, 6, 2, 2, missing_rate=0.0, seed=1)
     block = ds.training_batch(range(len(ds)))
     block.values[:, :, 0] = 1e307 * (1.0 + np.abs(block.values[:, :, 0]))
     data = str(tmp_path / "huge.pots")
     write_container(PotsDataset(block), data)
+    return data
+
+
+def test_train_refuses_a_model_that_load_would_refuse(capsys, tmp_path):
+    # feature 0's statistics overflow float64, which NormStats refuses as a
+    # data error naming the feature, without a warning; train writes no model
+    data = _huge_feature_zero(tmp_path)
     out = tmp_path / "mean.pmdl"
     code, _, err = run(capsys, "train", "--task", "impute", "--model", "mean",
                        "--data", data, "--out", str(out))
     assert code == 2, err
     assert "norm stats hold a non-finite value at feature 0" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["mean", "locf", "saits_lite", "grud_lite",
+                                  "twostage_kmeans"])
+def test_statistics_that_overflow_are_a_data_error_for_every_kind_that_computes_them(
+        capsys, tmp_path, kind):
+    data = _huge_feature_zero(tmp_path)
+    code, _, err = run(capsys, "train", "--task", cli._MODEL_TASKS[kind], "--model", kind,
+                       "--data", data, "--out", str(tmp_path / "m.pmdl"), "--epochs", "1")
+    assert code == 2, err
+    assert "norm stats hold a non-finite value at feature 0" in err

@@ -509,6 +509,15 @@ def test_load_refuses_norm_stats_that_do_not_fit_the_model(edit, message):
         model_from_artifact(decode_artifact(encode_artifact(art)))
 
 
+def test_save_refuses_a_model_that_load_would_refuse_and_writes_nothing(tmp_path):
+    model = MeanImputerModel(n_features=2)
+    model.feature_values = np.array([1.0, np.inf])
+    path = tmp_path / "mean.pmdl"
+    with pytest.raises(FormatError, match="mean artifact tensor 'means' holds a non-finite value"):
+        save_model(model, str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("std", [0.0, 0.5e-8])
 def test_load_refuses_kmeans_feature_stds_below_the_floor(std):
     view = small_view()
