@@ -140,7 +140,6 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
             raise FormatError(f"{self.kind} artifact tensor 'feat_std': {exc}") from None
 
     # -- fitting -----------------------------------------------------------
-
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:
         if len(train_set) < self.k:
             raise InvalidInputError(
