@@ -13,7 +13,13 @@ It writes into OUTDIR, which must be empty or missing:
   numeric content as that checkout's potsmine decodes it;
 - `grads_<kind>_<norm|raw>.npz`: the loss and every parameter gradient
   of SAITS-lite and GRU-D-lite on one minibatch, with and without
-  normalization;
+  normalization, and `grads_grud_lite_wide_<norm|raw>.npz` the same for
+  GRU-D-lite at 32 samples, 48 steps and hidden size 64; GRU-D-lite's
+  parameters are perturbed from their initialization, whose zero
+  readout makes every recurrent gradient exactly 0;
+- `pred_<kind>.npz`: each of the six kinds fit through the library API
+  at fixed seeds, and its impute, classify, cluster or forecast output
+  on a held-out split; GRU-D-lite's classify runs in several spans;
 - `log.json`: each CLI command with its exit code, stdout and stderr.
 
 The CLI runs in process; every path it is given is relative to OUTDIR,
@@ -30,7 +36,9 @@ import sys
 
 import numpy as np
 
-from potsmine import generate_synthetic, inject_mcar
+from potsmine import (LocfModel, MeanImputerModel, TmfModel, TrainConfig,
+                      TwoStageKMeansModel, classify, cluster, fit, forecast,
+                      generate_synthetic, impute, inject_mcar, split)
 from potsmine.cli import main as cli_main
 from potsmine.models import GrudLiteModel, SaitsLiteModel, decode_artifact
 from potsmine.store import LazyDataset, open_readonly
@@ -106,22 +114,54 @@ def _decode_files() -> None:
         np.savez(name + ".npz", **arrays)
 
 
+def _perturbed(model: GrudLiteModel, seed: int) -> GrudLiteModel:
+    rng = np.random.default_rng(seed)
+    model.parameters = {name: value + rng.normal(0.0, 0.1, value.shape)
+                        for name, value in model.parameters.items()}
+    return model
+
+
 def _gradients() -> None:
     ds = generate_synthetic(40, 10, 3, 2, missing_rate=0.15, seed=11)
     view = inject_mcar(ds, 0.2, seed=12)
+    wide = generate_synthetic(40, 48, 8, 2, missing_rate=0.3, seed=15)
     idx = list(range(3, 19))
     for normalize in (True, False):
         tag = "norm" if normalize else "raw"
         models = {
             "saits_lite": (SaitsLiteModel(10, 3, d_model=8, d_ff=16, normalize=normalize,
-                                          init_seed=13), view),
-            "grud_lite": (GrudLiteModel(10, 3, 2, hidden_size=8, normalize=normalize,
-                                        init_seed=14), ds),
+                                          init_seed=13), view, idx),
+            "grud_lite": (_perturbed(GrudLiteModel(10, 3, 2, hidden_size=8,
+                                                   normalize=normalize, init_seed=14), 16),
+                          ds, idx),
+            "grud_lite_wide": (_perturbed(GrudLiteModel(48, 8, 2, hidden_size=64,
+                                                        normalize=normalize, init_seed=17),
+                                          18), wide, list(range(4, 36))),
         }
-        for kind, (model, data) in models.items():
+        for kind, (model, data, rows) in models.items():
             model.prepare_fit(data)
-            loss, grads = model.shard_loss_and_grads(data, idx)
+            loss, grads = model.shard_loss_and_grads(data, rows)
             np.savez(f"grads_{kind}_{tag}.npz", loss=np.array(loss), **grads)
+
+
+def _predictions() -> None:
+    ds = generate_synthetic(240, 48, 8, 2, missing_rate=0.3, seed=21)
+    train, val, test = split(ds, (0.6, 0.2, 0.2), seed=22)
+    config = TrainConfig(epochs=1, seed=23)
+    models = {
+        "locf": (LocfModel(8), impute),
+        "mean": (MeanImputerModel(8), impute),
+        "saits_lite": (SaitsLiteModel(48, 8, d_model=16, d_ff=32, init_seed=24), impute),
+        # the 48 held-out series take three spans of steps
+        "grud_lite": (GrudLiteModel(48, 8, 2, hidden_size=64, init_seed=25), classify),
+        "twostage_kmeans": (TwoStageKMeansModel(LocfModel(8), 2), cluster),
+        "tmf": (TmfModel(48, 8, iters=5), lambda m, data: forecast(m, data, 2)),
+    }
+    for kind, (model, serve) in models.items():
+        views = ((inject_mcar(train, 0.2, seed=26), inject_mcar(val, 0.2, seed=27))
+                 if kind == "saits_lite" else (train, val))
+        model, _ = fit(model, *views, config)
+        np.savez(f"pred_{kind}.npz", pred=serve(model, test))
 
 
 def main(argv: list[str]) -> int:
@@ -138,6 +178,7 @@ def main(argv: list[str]) -> int:
         _pipeline(log, fmt)
     _decode_files()
     _gradients()
+    _predictions()
     with open("log.json", "w", encoding="utf-8") as fh:
         json.dump(log, fh, indent=1)
     return 0

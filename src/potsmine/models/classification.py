@@ -19,6 +19,16 @@ each step's gates, into workspace arrays the model keeps from call to
 call, and the backward writes its gradients over them, so no step
 allocates. The inference forward keeps no per-step history and runs over
 spans of steps whose blocks fit one byte budget.
+
+The recurrence's biases ride in the matmuls their terms already make:
+the gate inputs [repaired value | mask] and the gaps delta each end in a
+ones column, and the weights they meet end in the bias row, so no pass
+broadcasts a bias over a (steps, batch) block. The same ones columns
+make the last row of the input-weight and hidden-decay weight gradients
+the bias gradients, and the input decay's two gradients come from one
+ones-vector matmul, so the backward sums no bias over those blocks
+either. Only the readout's bias is still added to, and summed over, the
+(B, n_classes) logits.
 """
 
 from __future__ import annotations
@@ -45,17 +55,20 @@ class _Recurrence(NamedTuple):
 
     The step axis comes first, except in pre, whose gate axis does. All
     but the (T, B, D) arrays are workspace arrays, which the backward
-    overwrites.
+    overwrites. inp and delta1 end in a ones column, the bias's input:
+    with it, inp^T times a gate's gradient has that gate's bias gradient
+    as its last row, and delta1^T times the hidden decay's gradient has
+    b_dh's.
     """
 
-    delta: np.ndarray    # (T, B, D) time since each feature's last observation
+    delta1: np.ndarray   # (T, B, D + 1) time since each feature's last observation, then 1
     maskf: np.ndarray    # (T, B, D) 0/1 mask
     x_last: np.ndarray   # (T, B, D) last observation carried forward
     s_x: np.ndarray      # (T, B, D) input decay pre-activation
     gx: np.ndarray       # (T, B, D) input decay
     gh: np.ndarray       # (T, B, H) hidden decay
     gh_on: np.ndarray    # (T, B, H) bool, where the hidden decay's relu is active
-    inp: np.ndarray      # (T, B, 2D) repaired values and mask
+    inp: np.ndarray      # (T, B, 2D + 1) repaired values, mask, then 1
     pre: np.ndarray      # (3, T, B, H) input side of the z, r and c gates
     h: np.ndarray        # (T + 1, B, H) hidden state before each step, then the last
     hd: np.ndarray       # (T, B, H) decayed hidden state
@@ -189,40 +202,45 @@ class GrudLiteModel(GradientModel, Classifier):
 
     def _infer_steps(self, n: int) -> int:
         """Steps per span of an n-sample inference forward: as many as keep
-        the span's float64 blocks (gh, pre and inp) within _INFER_BYTES,
-        at least one."""
-        per_step = 8 * n * (4 * self.hidden_size + 2 * self.n_features)
+        the span's float64 blocks (gh, pre, inp and delta1) within
+        _INFER_BYTES, at least one."""
+        per_step = 8 * n * (4 * self.hidden_size + 3 * self.n_features + 2)
         return max(1, _INFER_BYTES // per_step)
 
     def _gate_inputs(self, p: dict, w: tuple, x_work, maskf, delta, x_last, keep: bool):
         """What the recurrence needs of a run of steps that does not depend
         on h, from (S, B, D) slices of _prepare_batch's blocks: s_x, gx,
-        inp, gh, gh_on (None without keep) and pre, for those S steps.
+        inp, delta1, gh, gh_on (None without keep) and pre, for those S
+        steps.
 
-        w is _forward's (w_in, b_in, neg_w_dh). inp, gh, gh_on and pre are
-        workspace arrays; each row depends on its own step and sample only.
+        w is _forward's (w_in, neg_w_dh), each with its bias as the last
+        row, which meets the ones column of inp and of delta1. inp, delta1,
+        gh, gh_on and pre are workspace arrays; each row depends on its own
+        step and sample only.
         """
-        w_in, b_in, neg_w_dh = w
+        w_in, neg_w_dh = w
         hid, d = self.hidden_size, self.n_features
         n_steps, n = delta.shape[:2]
         rows = n_steps * n
         s_x = delta * p["w_dx"] + p["b_dx"]
         gx = np.exp(-np.maximum(0.0, s_x))
-        inp = self._ws("inp", n_steps, n, 2 * d)
+        inp = self._ws("inp", n_steps, n, 2 * d + 1)
         inp[..., :d] = maskf * x_work + (1.0 - maskf) * (gx * x_last + (1.0 - gx) * self.x_bar)
-        inp[..., d:] = maskf
+        inp[..., d:-1] = maskf
+        inp[..., -1] = 1.0
+        delta1 = self._ws("delta1", n_steps, n, d + 1)
+        delta1[..., :d] = delta
+        delta1[..., -1] = 1.0
         # gh = exp(-max(0, s_h)), as exp(min(0, -s_h)) in place over -s_h
         gh = self._ws("gh", n_steps, n, hid)
-        np.matmul(delta.reshape(rows, d), neg_w_dh, out=gh.reshape(rows, hid))
-        gh -= p["b_dh"]
+        np.matmul(delta1.reshape(rows, d + 1), neg_w_dh, out=gh.reshape(rows, hid))
         gh_on = np.less(gh, 0.0, out=self._ws("gh_on", *gh.shape, dtype=bool)) if keep else None
         np.minimum(gh, 0.0, out=gh)
         np.exp(gh, out=gh)
         # the input side of the z, r and c gates: (3, S, B, H)
         pre = self._ws("pre", 3, n_steps, n, hid)
-        np.matmul(inp.reshape(rows, 2 * d), w_in, out=pre.reshape(3, rows, hid))
-        pre += b_in[:, None, None, :]
-        return s_x, gx, inp, gh, gh_on, pre
+        np.matmul(inp.reshape(rows, 2 * d + 1), w_in, out=pre.reshape(3, rows, hid))
+        return s_x, gx, inp, delta1, gh, gh_on, pre
 
     def _forward(self, p: dict, x_work, maskf, delta, x_last, keep: bool = False):
         """Logits (B, n_classes) of the recurrence over _prepare_batch's
@@ -243,19 +261,18 @@ class GrudLiteModel(GradientModel, Classifier):
 
         sigmoid(a) = (tanh(a / 2) + 1) / 2, so the z and r gates run on
         halved copies of their weights and biases, and finish in place
-        with tanh, + 1 and * 0.5; -w_dh gives -s_h directly. Scaling by a
-        power of two and negating are exact, so each gate gets the bits
-        T.sigmoid_array and decay give it, unless an intermediate is
-        subnormal (below 2.2e-308), where halving can round.
+        with tanh, + 1 and * 0.5; -[w_dh; b_dh] gives -s_h directly.
+        Scaling by a power of two and negating are exact; each bias
+        enters its matmul's sum rather than being added after it, so a
+        gate can differ from grud_step's in its last bits.
         """
         token = self._claim_workspace()
         hid = self.hidden_size
         n_steps, n = delta.shape[:2]
-        w_in = np.stack([p["w_z"], p["w_r"], p["w_c"]])
-        b_in = np.stack([p["b_z"], p["b_r"], p["b_c"]])
+        # each gate's input weights over its bias: (3, 2D + 1, H)
+        w_in = np.stack([np.vstack((p["w_" + g], p["b_" + g])) for g in "zrc"])
         w_in[:2] *= 0.5
-        b_in[:2] *= 0.5
-        w = (w_in, b_in, -p["w_dh"])
+        w = (w_in, -np.vstack((p["w_dh"], p["b_dh"])))
         u_zr = np.stack([p["u_z"], p["u_r"]])
         u_zr *= 0.5
         u_c = p["u_c"]
@@ -269,7 +286,7 @@ class GrudLiteModel(GradientModel, Classifier):
         h[0] = 0.0
         for lo in range(0, n_steps, span):
             part = slice(lo, lo + span)
-            s_x, gx, inp, gh, gh_on, pre = self._gate_inputs(
+            s_x, gx, inp, delta1, gh, gh_on, pre = self._gate_inputs(
                 p, w, x_work[part], maskf[part], delta[part], x_last[part], keep)
             for j in range(len(gh)):
                 # with keep, the one span starts at step 0
@@ -292,7 +309,7 @@ class GrudLiteModel(GradientModel, Classifier):
         logits = h[-1] @ p["w_out"] + p["b_out"]
         if not keep:
             return logits, None
-        return logits, _Recurrence(delta, maskf, x_last, s_x, gx, gh, gh_on, inp, pre,
+        return logits, _Recurrence(delta1, maskf, x_last, s_x, gx, gh, gh_on, inp, pre,
                                    h, hd, zr, rhd, c, token)
 
     def _forward_grads(self, p: dict, s: _Recurrence, d_logits: np.ndarray) -> list[np.ndarray]:
@@ -301,8 +318,9 @@ class GrudLiteModel(GradientModel, Classifier):
         One reverse sweep over T carries the hidden-state gradient back
         through the gates and writes each step's gate pre-activation
         gradients over that step's rows of pre; the input and recurrent
-        weight gradients are then a few large matmuls. The sweep
-        overwrites the forward's state, so it runs once per forward.
+        weight gradients are then a few large matmuls, whose ones columns
+        give the bias gradients too. The sweep overwrites the forward's
+        state, so it runs once per forward.
         """
         self._check_workspace(s.token)
         self._claim_workspace()
@@ -347,23 +365,32 @@ class GrudLiteModel(GradientModel, Classifier):
             np.multiply(d_hd, s.gh[t], out=dh)
 
         d_pre = s.pre.reshape(3, rows, hid)
-        d_w_in = np.matmul(s.inp.reshape(rows, 2 * d).T, d_pre)
-        d_b_in = d_pre.sum(axis=1)
+        # (3, 2D + 1, H): each gate's input weight gradient over its bias's
+        d_w_in = np.matmul(s.inp.reshape(rows, 2 * d + 1).T, d_pre)
         d_u_zr = np.matmul(s.hd.reshape(rows, hid).T, d_pre[:2])
         d_u_c = s.rhd.reshape(rows, hid).T @ d_pre[2]
         # only the repaired values' rows of w_in reach a parameter
         w_x = np.stack([p["w_z"][:d].T, p["w_r"][:d].T, p["w_c"][:d].T])
         d_x_hat = np.matmul(d_pre, w_x).sum(axis=0).reshape(n_steps, n, d)
-        d_s_x = d_x_hat * (1.0 - s.maskf) * (s.x_last - self.x_bar) * -s.gx * (s.s_x > 0)
+        # [d_s_x delta | d_s_x], whose column sums are the gradients of w_dx and b_dx
+        dx_rows = self._ws("dx_rows", n_steps, n, 2 * d)
+        d_s_x = dx_rows[..., d:]
+        np.multiply(d_x_hat, 1.0 - s.maskf, out=d_s_x)
+        d_s_x *= s.x_last - self.x_bar
+        d_s_x *= -s.gx
+        d_s_x *= s.s_x > 0
+        np.multiply(d_s_x, s.delta1[..., :d], out=dx_rows[..., :d])
+        d_dx = np.ones(rows) @ dx_rows.reshape(rows, 2 * d)
         # -d_s_h: the gradient of gh times gh where the relu is active
         d_gh = s.h[:n_steps]
         d_gh *= s.gh
         d_gh *= s.gh_on
-        grads = [(d_s_x * s.delta).sum(axis=(0, 1)), d_s_x.sum(axis=(0, 1)),
-                 -(s.delta.reshape(rows, d).T @ d_gh.reshape(rows, hid)),
-                 -d_gh.sum(axis=(0, 1))]
+        # (D + 1, H): w_dh's gradient over b_dh's
+        d_dh = s.delta1.reshape(rows, d + 1).T @ d_gh.reshape(rows, hid)
+        np.negative(d_dh, out=d_dh)
+        grads = [d_dx[:d], d_dx[d:], d_dh[:d], d_dh[d]]
         for k in range(3):
-            grads += [d_w_in[k], d_u_zr[k] if k < 2 else d_u_c, d_b_in[k]]
+            grads += [d_w_in[k, :-1], d_u_zr[k] if k < 2 else d_u_c, d_w_in[k, -1]]
         return grads + [s.h[n_steps].T @ d_logits, d_logits.sum(axis=0)]
 
     def grud_step(self, x_t, m_t, delta_t, x_last, h_prev):

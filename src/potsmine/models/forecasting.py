@@ -45,6 +45,29 @@ def _feature_stacks(values: np.ndarray, mask: np.ndarray):
     return np.where(obs != 0, values.transpose(2, 0, 1), 0.0), obs
 
 
+def _singular(systems: np.ndarray, step: str, remedy: str, at: str = "") -> InvalidInputError:
+    """The data error for a stacked solve that met a singular system.
+
+    It names the first feature, along the leading axis of systems, whose
+    systems include one, and what would make them solvable.
+    """
+    for d, mats in enumerate(systems):
+        try:
+            np.linalg.solve(mats, np.zeros(mats.shape[:-1] + (1,)))
+        except np.linalg.LinAlgError:
+            break
+    return InvalidInputError(f"tmf: the {step} system of feature {d}{at} is singular; {remedy}")
+
+
+def _solve(systems: np.ndarray, rhs: np.ndarray, step: str, weight: str) -> np.ndarray:
+    """np.linalg.solve over (D, ..., R, R) ridge systems whose ridge
+    weight is weight; a singular one is a data error."""
+    try:
+        return np.linalg.solve(systems, rhs)
+    except np.linalg.LinAlgError:
+        raise _singular(systems, step, f"try a larger ridge weight {weight}") from None
+
+
 def _masked_grams(obs: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """(D, M, R, R) sums of f f^T over the rows of (D, K, R) factors that
     each row of the (D, M, K) 0/1 obs selects."""
@@ -59,7 +82,7 @@ def _estimate_w(yz: np.ndarray, obs: np.ndarray, f: np.ndarray,
     (D, T, R) temporal factors; lam_w is the whole ridge weight."""
     gram = _masked_grams(obs, f)
     gram += lam_w * np.eye(f.shape[2])
-    return np.linalg.solve(gram, (yz @ f)[..., None])[..., 0]
+    return _solve(gram, (yz @ f)[..., None], "W-step", "lam_w")[..., 0]
 
 
 def _objective(yz, obs, w, f, a, lam_w, lam_f, lam_a) -> np.ndarray:
@@ -125,17 +148,25 @@ def _tmf_core(yz: np.ndarray, obs: np.ndarray, rank: int, ar_order: int,
                 if other != lag:
                     coef[:, ahead, order + lag - other] -= a_lag * a[:, other - 1, None]
         data_rhs = yz_t @ w
-        for t in range(t_len):
-            ar_rhs = np.einsum("djr,djr->dr", coef[:, t], padded[:, t:t + 2 * order + 1])
-            f[:, t] = np.linalg.solve(m[:, t], (data_rhs[:, t] + ar_rhs)[..., None])[..., 0]
+        try:
+            for t in range(t_len):
+                ar_rhs = np.einsum("djr,djr->dr", coef[:, t], padded[:, t:t + 2 * order + 1])
+                f[:, t] = np.linalg.solve(m[:, t], (data_rhs[:, t] + ar_rhs)[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # lam_f weighs each step's own AR residual; a step before ar_order has
+            # none, and enters later ones only through A, which starts at 0
+            remedy = ("try a larger ridge weight lam_f" if t >= order else
+                      "no ridge weight reaches a step before ar_order: observe the step "
+                      "in more series or lower the rank")
+            raise _singular(m[:, t], "F-step", remedy, f" at step {t}") from None
 
         # A step: one (L, L) ridge system per feature and rank component
         design = np.stack([f[:, order - lag:t_len - lag] for lag in range(1, order + 1)],
                           axis=-1).transpose(0, 2, 1, 3)
         scaled = lam_f * design.swapaxes(-1, -2)
-        a = np.linalg.solve(scaled @ design + lam_a * np.eye(order),
-                            scaled @ f[:, order:].transpose(0, 2, 1)[..., None]
-                            )[..., 0].transpose(0, 2, 1)
+        a = _solve(scaled @ design + lam_a * np.eye(order),
+                   scaled @ f[:, order:].transpose(0, 2, 1)[..., None], "A-step", "lam_a"
+                   )[..., 0].transpose(0, 2, 1)
 
         history.append(_objective(yz, obs, w, f, a, lam_w, lam_f, lam_a))
     return w, f, a, np.array(history).T.tolist()

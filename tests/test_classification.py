@@ -420,9 +420,10 @@ def test_inference_workspace_holds_one_span_whatever_the_series_length():
 
     short, long = workspace(12), workspace(48)
     assert short == long
-    spans = long.pop("inp") + long.pop("gh") + long.pop("pre")
-    # a span is at least one step, here just over the budget
-    assert spans == max(_INFER_BYTES, 8 * n * (4 * hid + 2 * d))
+    spans = long.pop("inp") + long.pop("delta1") + long.pop("gh") + long.pop("pre")
+    # a span is at least one step, here just over the budget; inp and
+    # delta1 end in a ones column
+    assert spans == max(_INFER_BYTES, 8 * n * (4 * hid + (2 * d + 1) + (d + 1)))
     # h, hd, rhd, c and tmp, and zr's two
     assert sum(long.values()) == 7 * 8 * n * hid
 

@@ -1105,3 +1105,25 @@ def test_statistics_that_overflow_are_a_data_error_for_every_kind_that_computes_
     assert code == 2, err
     assert "norm stats hold a non-finite value at feature 0" in err
     assert not out.exists()
+
+
+def test_a_singular_tmf_system_is_a_data_error(capsys, tmp_path):
+    # step 7 is observed in series 0 only; at this scale the 1e-10 ridge
+    # floor vanishes in rounding, and without lam_f its F-step system is
+    # singular
+    ds = generate_synthetic(60, 16, 2, 2, missing_rate=0.0, seed=1)
+    block = ds.training_batch(range(len(ds)))
+    block.values[...] *= 1e4
+    block.mask[1:, 7] = False
+    block.values[1:, 7] = np.nan
+    data = str(tmp_path / "data.pots")
+    write_container(PotsDataset(block), data)
+    config = tmp_path / "tmf.json"
+    config.write_text(json.dumps({"lam_f": 0, "rank": 4, "iters": 5, "horizon": 2}))
+    out = tmp_path / "m.pmdl"
+    code, _, err = run(capsys, "train", "--task", "forecast", "--model", "tmf", "--data", data,
+                       "--out", str(out), "--config", str(config), "--seed", "1")
+    assert code == 2, err
+    assert ("tmf: the F-step system of feature 0 at step 7 is singular; "
+            "try a larger ridge weight lam_f") in err
+    assert not out.exists()

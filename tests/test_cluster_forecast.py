@@ -23,7 +23,7 @@ from potsmine import (
 )
 from potsmine.core import Batch, NormStats
 from potsmine.errors import InvalidInputError, ShapeError
-from potsmine.models import clustering
+from potsmine.models import clustering, forecasting
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,42 @@ def test_tmf_rejects_empty_rows_and_columns():
     mask[:, 2] = 0.0
     with pytest.raises(InvalidInputError, match="column 2"):
         tmf_fit(y, mask, rank=1)
+
+
+def _observed_once(step):
+    """A 1e4-scale (60, 16) matrix whose step is observed in series 0
+    only; at this scale the 1e-10 ridge floor vanishes in rounding."""
+    y = generate_synthetic(60, 16, 1, 2, missing_rate=0.0, seed=1).training_batch(
+        range(60)).values[:, :, 0] * 1e4
+    mask = np.ones_like(y)
+    mask[1:, step] = 0.0
+    return y, mask
+
+
+@pytest.mark.parametrize("step, lam_f, remedy", [
+    (7, 0.0, "try a larger ridge weight lam_f"),
+    # a step before ar_order (2) has no AR residual for lam_f to weigh
+    (1, 10.0, "no ridge weight reaches a step before ar_order"),
+])
+def test_tmf_fit_refuses_a_singular_f_step_system(step, lam_f, remedy):
+    with pytest.raises(InvalidInputError,
+                       match=f"F-step system of feature 0 at step {step} is singular; {remedy}"):
+        tmf_fit(*_observed_once(step), rank=4, lam_f=lam_f, iters=5, seed=1)
+
+
+def test_tmf_fit_solves_a_step_observed_once_with_lam_f():
+    model = tmf_fit(*_observed_once(7), rank=4, lam_f=0.1, iters=5, seed=1)
+    assert np.isfinite(model.reconstruct()).all()
+
+
+def test_a_singular_w_step_system_names_its_feature():
+    # feature 1's series 2 has no observation, and no ridge weight remains
+    f = np.ones((2, 4, 1))
+    obs = np.ones((2, 3, 4))
+    obs[1, 2] = 0.0
+    with pytest.raises(InvalidInputError,
+                       match="W-step system of feature 1 is singular; .* lam_w$"):
+        forecasting._estimate_w(np.zeros_like(obs), obs, f, 0.0)
 
 
 @pytest.mark.parametrize("settings, message", [
