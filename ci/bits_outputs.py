@@ -8,7 +8,8 @@ It writes into OUTDIR, which must be empty or missing:
 
 - every file of a CLI pipeline over all six model kinds, once on a
   `.pots` file and once on a CSV: gen-data, corrupt, train, evaluate and
-  predict, at fixed seeds and small shapes;
+  predict, at fixed seeds and small shapes, and each kind's train once
+  more on the corrupted container;
 - `<file>.npz` beside each `.pots` container and `.pmdl` artifact, its
   numeric content as that checkout's potsmine decodes it;
 - `grads_<kind>_<norm|raw>.npz`: the loss and every parameter gradient
@@ -20,6 +21,9 @@ It writes into OUTDIR, which must be empty or missing:
 - `pred_<kind>.npz`: each of the six kinds fit through the library API
   at fixed seeds, and its impute, classify, cluster or forecast output
   on a held-out split; GRU-D-lite's classify runs in several spans;
+- `logits_grud_lite_saturated.npz`: GRU-D-lite's logits on that split
+  with its z and r weights and biases scaled until their gate inputs
+  pass exp's float64 range, which saturates the gates;
 - `log.json`: each CLI command with its exit code, stdout and stderr.
 
 The CLI runs in process; every path it is given is relative to OUTDIR,
@@ -37,7 +41,7 @@ import sys
 import numpy as np
 
 from potsmine import (LocfModel, MeanImputerModel, TmfModel, TrainConfig,
-                      TwoStageKMeansModel, classify, cluster, fit, forecast,
+                      TwoStageKMeansModel, classify, cluster, fetch_all, fit, forecast,
                       generate_synthetic, impute, inject_mcar, split)
 from potsmine.cli import main as cli_main
 from potsmine.models import GrudLiteModel, SaitsLiteModel, decode_artifact
@@ -72,6 +76,8 @@ def _pipeline(log: list, fmt: str) -> None:
          "--seed", "7")
     originals = corrupted.replace(".pots", ".originals.pots")
     for kind, (task, flags) in _TRAIN.items():
+        _cli(log, "train", "--task", task, "--model", kind, "--data", corrupted,
+             "--out", f"{fmt}_{kind}_on_corrupted.pmdl", "--seed", "3", *flags)
         model = f"{fmt}_{kind}.pmdl"
         _cli(log, "train", "--task", task, "--model", kind, "--data", data,
              "--out", model, "--seed", "3", *flags)
@@ -162,6 +168,16 @@ def _predictions() -> None:
                  if kind == "saits_lite" else (train, val))
         model, _ = fit(model, *views, config)
         np.savez(f"pred_{kind}.npz", pred=serve(model, test))
+    _saturated_logits(train, test)
+
+
+def _saturated_logits(train, test) -> None:
+    model = _perturbed(GrudLiteModel(48, 8, 2, hidden_size=64, init_seed=28), 29)
+    model.prepare_fit(train)
+    for name in ("w_z", "w_r", "b_z", "b_r"):
+        model.parameters[name] *= 3e3
+    # the 48 held-out series take three spans of steps
+    np.savez("logits_grud_lite_saturated.npz", logits=model._logits_np(fetch_all(test)))
 
 
 def main(argv: list[str]) -> int:

@@ -385,13 +385,17 @@ def _time_since_observed(gaps: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Time since each cell's last observation, over a time-major block.
 
     gaps (T - 1, B) holds the steps between timestamps and observed is
-    (T, B, D). Row 0 is 0, and row t is gaps[t - 1] plus, where step
+    (T, B, D) bool. Row 0 is 0, and row t is gaps[t - 1] plus, where step
     t - 1 is missing, row t - 1: missing runs accumulate elapsed time
-    while observations reset it.
+    while observations reset it. Rows 1.. start as the gaps, and each
+    then adds its predecessor in one masked add.
     """
-    delta = np.zeros(observed.shape)
-    for t in range(1, len(delta)):
-        delta[t] = gaps[t - 1, :, None] + np.where(observed[t - 1], 0.0, delta[t - 1])
+    delta = np.empty(observed.shape)
+    delta[:1] = 0.0
+    delta[1:] = gaps[:, :, None]
+    missing = ~observed[:-1]
+    for prev, row, gone in zip(delta[:-1], delta[1:], missing):
+        np.add(row, prev, out=row, where=gone)
     return delta
 
 

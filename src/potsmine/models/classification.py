@@ -20,6 +20,12 @@ call, and the backward writes its gradients over them, so no step
 allocates. The inference forward keeps no per-step history and runs over
 spans of steps whose blocks fit one byte budget.
 
+A step of the recurrence is twelve numpy calls over (B, H) row views
+built before the loop. The z and r gates are sigmoids, which the step
+keeps as their denominators 1 + exp(-a), from negated weights, and
+applies by dividing by them; the backward inverts the saved
+denominators into the gates once, over the whole history.
+
 The recurrence's biases ride in the matmuls their terms already make:
 the gate inputs [repaired value | mask] and the gaps delta each end in a
 ones column, and the weights they meet end in the bias row, so no pass
@@ -33,6 +39,7 @@ either. Only the readout's bias is still added to, and summed over, the
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +79,8 @@ class _Recurrence(NamedTuple):
     pre: np.ndarray      # (3, T, B, H) input side of the z, r and c gates
     h: np.ndarray        # (T + 1, B, H) hidden state before each step, then the last
     hd: np.ndarray       # (T, B, H) decayed hidden state
-    zr: np.ndarray       # (T, 2, B, H) update and reset gates
+    zr: np.ndarray       # (T, 2, B, H) 1 + exp(-a) of the update and reset gates,
+                         # which the backward inverts in place into the gates
     rhd: np.ndarray      # (T, B, H) reset gate times hd
     c: np.ndarray        # (T, B, H) candidate state
     token: int           # the workspace claim of the forward
@@ -259,22 +267,27 @@ class GrudLiteModel(GradientModel, Classifier):
         (B, H) rows of workspace arrays. Every step reads the same rows in
         the same order either way, so the logits are the same bits.
 
-        sigmoid(a) = (tanh(a / 2) + 1) / 2, so the z and r gates run on
-        halved copies of their weights and biases, and finish in place
-        with tanh, + 1 and * 0.5; -[w_dh; b_dh] gives -s_h directly.
-        Scaling by a power of two and negating are exact; each bias
-        enters its matmul's sum rather than being added after it, so a
-        gate can differ from grud_step's in its last bits.
+        sigmoid(a) = 1 / (1 + exp(-a)), so the z and r gates run on
+        negated copies of their weights and biases, and a step computes
+        only their denominators, exp and + 1 in place, and applies each
+        gate by dividing by it; -[w_dh; b_dh] gives -s_h directly.
+        Negating is exact, and exp(-a) overflowing to inf gives a gate of
+        exactly 0, so the loop ignores overflow. Each bias enters its
+        matmul's sum rather than being added after it, so a gate can
+        differ from grud_step's in its last bits.
+
+        Each step walks prebuilt views: the span's rows of gh and pre,
+        and, with keep, its own rows of the history; without it, one row
+        block repeated.
         """
         token = self._claim_workspace()
         hid = self.hidden_size
         n_steps, n = delta.shape[:2]
         # each gate's input weights over its bias: (3, 2D + 1, H)
         w_in = np.stack([np.vstack((p["w_" + g], p["b_" + g])) for g in "zrc"])
-        w_in[:2] *= 0.5
+        np.negative(w_in[:2], out=w_in[:2])
         w = (w_in, -np.vstack((p["w_dh"], p["b_dh"])))
-        u_zr = np.stack([p["u_z"], p["u_r"]])
-        u_zr *= 0.5
+        neg_u_zr = -np.stack([p["u_z"], p["u_r"]])
         u_c = p["u_c"]
         span = n_steps if keep else self._infer_steps(n)
         hist = n_steps if keep else 1
@@ -284,28 +297,32 @@ class GrudLiteModel(GradientModel, Classifier):
         zr = self._ws("zr", hist, 2, n, hid)
         tmp = self._ws("tmp", n, hid)
         h[0] = 0.0
-        for lo in range(0, n_steps, span):
-            part = slice(lo, lo + span)
-            s_x, gx, inp, delta1, gh, gh_on, pre = self._gate_inputs(
-                p, w, x_work[part], maskf[part], delta[part], x_last[part], keep)
-            for j in range(len(gh)):
-                # with keep, the one span starts at step 0
-                i = j if keep else 0
-                hd_t, zr_t, c_t = hd[i], zr[i], c[i]
-                np.multiply(gh[j], h[i], out=hd_t)
-                np.matmul(hd_t, u_zr, out=zr_t)
-                zr_t += pre[:2, j]
-                np.tanh(zr_t, out=zr_t)
-                zr_t += 1.0
-                zr_t *= 0.5
-                np.multiply(zr_t[1], hd_t, out=rhd[i])
-                np.matmul(rhd[i], u_c, out=c_t)
-                c_t += pre[2, j]
-                np.tanh(c_t, out=c_t)
-                # h = (1 - z) hd + z c, as hd + z (c - hd)
-                np.subtract(c_t, hd_t, out=tmp)
-                tmp *= zr_t[0]
-                np.add(hd_t, tmp, out=h[i + 1 if keep else 0])
+        # per step: h before and after it, hd, the gates' denominators,
+        # together and each, rhd and c
+        if keep:
+            rows = zip(h[:-1], h[1:], hd, zr, zr[:, 0], zr[:, 1], rhd, c)
+        else:
+            rows = itertools.repeat((h[0], h[0], hd[0], zr[0], zr[0, 0], zr[0, 1], rhd[0], c[0]))
+        with np.errstate(over="ignore"):
+            for lo in range(0, n_steps, span):
+                part = slice(lo, lo + span)
+                s_x, gx, inp, delta1, gh, gh_on, pre = self._gate_inputs(
+                    p, w, x_work[part], maskf[part], delta[part], x_last[part], keep)
+                for gh_t, pre_zr, pre_c, (h_t, h_next, hd_t, d_zr, d_z, d_r, rhd_t, c_t) in zip(
+                        gh, pre[:2].swapaxes(0, 1), pre[2], rows):
+                    np.multiply(gh_t, h_t, out=hd_t)
+                    np.matmul(hd_t, neg_u_zr, out=d_zr)
+                    d_zr += pre_zr
+                    np.exp(d_zr, out=d_zr)
+                    d_zr += 1.0
+                    np.divide(hd_t, d_r, out=rhd_t)
+                    np.matmul(rhd_t, u_c, out=c_t)
+                    c_t += pre_c
+                    np.tanh(c_t, out=c_t)
+                    # h = (1 - z) hd + z c, as hd + (c - hd) / d_z
+                    np.subtract(c_t, hd_t, out=tmp)
+                    tmp /= d_z
+                    np.add(hd_t, tmp, out=h_next)
         logits = h[-1] @ p["w_out"] + p["b_out"]
         if not keep:
             return logits, None
@@ -327,6 +344,8 @@ class GrudLiteModel(GradientModel, Classifier):
         hid, d = self.hidden_size, self.n_features
         n_steps, n = s.gh.shape[:2]
         rows = n_steps * n
+        # the forward left the gates' denominators 1 + exp(-a)
+        np.reciprocal(s.zr, out=s.zr)
         z, r = s.zr[:, 0], s.zr[:, 1]
         # the gate derivatives that do not depend on the incoming gradient,
         # for every step at once, over pre: the pre-activation gradients

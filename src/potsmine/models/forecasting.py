@@ -102,12 +102,16 @@ def _objective(yz, obs, w, f, a, lam_w, lam_f, lam_a) -> np.ndarray:
             + _RIDGE_FLOOR * total(f) + lam_f * total(diff))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _tmf_core(yz: np.ndarray, obs: np.ndarray, rank: int, ar_order: int,
               lam_w: float, lam_f: float, lam_a: float, iters: int, seed: int):
     """Alternating ridge updates for (D, N, T) stacks; returns (W, F, A, history).
 
     Feature d starts from core._rng(seed + d), drawing W and then F. history
     holds one objective list per feature, one entry per iteration.
+    Finite data near the float64 limit can overflow the updates; such a
+    feature's objective is then not finite, which is a data error naming
+    it, raised after the iteration without a warning on the way.
     """
     n_feat, n, t_len = yz.shape
     order = ar_order
@@ -168,7 +172,13 @@ def _tmf_core(yz: np.ndarray, obs: np.ndarray, rank: int, ar_order: int,
                    scaled @ f[:, order:].transpose(0, 2, 1)[..., None], "A-step", "lam_a"
                    )[..., 0].transpose(0, 2, 1)
 
-        history.append(_objective(yz, obs, w, f, a, lam_w, lam_f, lam_a))
+        objective = _objective(yz, obs, w, f, a, lam_w, lam_f, lam_a)
+        finite = np.isfinite(objective)
+        if not finite.all():
+            raise InvalidInputError(
+                f"tmf: the objective of feature {int(np.argmin(finite))} is not finite after "
+                f"iteration {len(history) + 1}; its values are too large to factorize in float64")
+        history.append(objective)
     return w, f, a, np.array(history).T.tolist()
 
 

@@ -324,6 +324,38 @@ def test_fused_forward_matches_steps_with_irregular_gaps():
     assert np.abs(logits - model._logits_np(batch)).max() < 1e-12
 
 
+def test_saturated_gates_stay_finite_and_match_the_steps():
+    # z and r inputs far past +-709, where exp(-a) in the fused forward
+    # overflows to inf and the gate is exactly 0; the suite turns any
+    # RuntimeWarning into an error. At 300 series and hidden size 3 the
+    # 50 steps run in two spans.
+    model = perturbed_model(t=50, d=2, h=3)
+    for name in ("w_z", "w_r", "b_z", "b_r"):
+        model.parameters[name] *= 3e3
+    batch = irregular_batch(n=300, t=50, d=2)
+    prepared = model._prepare_batch(batch)
+    kept, state = model._forward(model.parameters, *prepared, keep=True)
+    # pre holds the negated input side of z and r
+    assert state.pre[:2].max() > 709 and state.pre[:2].min() < -709
+    assert 1 < model._infer_steps(300) < 50
+    plain, _ = model._forward(model.parameters, *prepared)
+    assert np.array_equal(plain, kept)
+
+    x_work, maskf, delta, _ = prepared
+    h = np.zeros((300, 3))
+    x_last = np.broadcast_to(model.x_bar, (300, 2)).copy()
+    for t in range(50):
+        h, _, x_last = model.grud_step(x_work[t], maskf[t], delta[t], x_last, h)
+    logits = h @ model.parameters["w_out"] + model.parameters["b_out"]
+    assert np.abs(logits - kept).max() < 1e-12
+
+    assert np.isfinite(classify(model, PotsDataset(batch))).all()
+    loss, grads = fused_loss_and_grads(model, batch)
+    assert np.isfinite(loss)
+    for name, g in grads.items():
+        assert np.isfinite(g).all(), name
+
+
 @pytest.mark.parametrize("name", list(GrudLiteModel(7, 2, 2, hidden_size=3).parameters))
 def test_fused_gradient_check_irregular_gaps(name):
     model = perturbed_model()

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import struct
+import warnings
 import zlib
 from pathlib import Path
 
@@ -1104,6 +1105,27 @@ def test_statistics_that_overflow_are_a_data_error_for_every_kind_that_computes_
                        "--data", data, "--out", str(out), "--epochs", "1")
     assert code == 2, err
     assert "norm stats hold a non-finite value at feature 0" in err
+    assert not out.exists()
+
+
+def test_tmf_on_data_near_the_float64_limit_is_a_data_error(capsys, tmp_path):
+    # tmf computes no statistics that would refuse feature 0 first; its
+    # factor updates overflow, and the non-finite objective names the feature
+    ds = generate_synthetic(60, 16, 2, 2, missing_rate=0.1, seed=1)
+    block = ds.training_batch(range(len(ds)))
+    block.values[:, :, 0] = block.values[:, :, 0] * 1e306 + 5e306
+    data = str(tmp_path / "huge.pots")
+    write_container(PotsDataset(block), data)
+    config = tmp_path / "tmf.json"
+    config.write_text(json.dumps({"horizon": 2, "rank": 2, "iters": 3}))
+    out = tmp_path / "m.pmdl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "train", "--task", "forecast", "--model", "tmf",
+                           "--data", data, "--out", str(out), "--config", str(config),
+                           "--seed", "1")
+    assert code == 2, err
+    assert "tmf: the objective of feature 0 is not finite after iteration 1" in err
     assert not out.exists()
 
 

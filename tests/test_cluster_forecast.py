@@ -304,6 +304,26 @@ def test_tmf_fit_solves_a_step_observed_once_with_lam_f():
     assert np.isfinite(model.reconstruct()).all()
 
 
+def _near_the_float64_limit(n_features):
+    """(D, N, T) stacks of 60 x 16 series whose last feature sits near 5e306."""
+    batch = generate_synthetic(60, 16, n_features, 2, missing_rate=0.1, seed=1).training_batch(
+        range(60))
+    batch.values[:, :, -1] = batch.values[:, :, -1] * 1e306 + 5e306
+    return forecasting._feature_stacks(batch.values, batch.mask)
+
+
+def test_tmf_fit_refuses_values_near_the_float64_limit_without_a_warning():
+    # the factor updates overflow; the suite turns any RuntimeWarning into an error
+    yz, obs = _near_the_float64_limit(1)
+    with pytest.raises(InvalidInputError, match="objective of feature 0 is not finite after "
+                                                "iteration 1; its values are too large"):
+        tmf_fit(yz[0], obs[0], rank=2, iters=3, seed=1)
+    # stacked, the error names the feature whose objective overflowed
+    with pytest.raises(InvalidInputError, match="objective of feature 1 is not finite"):
+        forecasting._tmf_core(*_near_the_float64_limit(2), rank=2, ar_order=2, lam_w=0.1,
+                              lam_f=0.1, lam_a=0.1, iters=3, seed=1)
+
+
 def test_a_singular_w_step_system_names_its_feature():
     # feature 1's series 2 has no observation, and no ridge weight remains
     f = np.ones((2, 4, 1))

@@ -315,6 +315,26 @@ def test_batched_delta_and_compute_delta_are_bitwise_the_step_recurrence(n, t_le
         assert np.array_equal(got.view(np.uint64), want[i].view(np.uint64))
 
 
+@pytest.mark.parametrize("case", ["never_observed", "two_steps", "last_step_only"])
+def test_delta_edge_cases_are_bitwise_the_step_recurrence(case):
+    rng = np.random.default_rng(17)
+    t_len = 2 if case == "two_steps" else 9
+    ts = np.cumsum(rng.uniform(0.1, 3.0, (3, t_len)) * rng.choice([1e-3, 1e3], (3, t_len)),
+                   axis=1)
+    mask = (rng.random((3, t_len, 2)) < 0.5).astype(np.float64)
+    if case == "never_observed":
+        mask[1, :, 0] = 0.0         # the gaps accumulate over the whole series
+    elif case == "last_step_only":
+        mask[2] = 0.0
+        mask[2, -1] = 1.0
+    want = np.stack([_delta_by_step(ts[i], mask[i]) for i in range(3)])
+    batched = _time_since_observed(np.diff(ts, axis=1).T, (mask != 0).transpose(1, 0, 2))
+    assert np.array_equal(batched.transpose(1, 0, 2).view(np.uint64), want.view(np.uint64))
+    for i in range(3):
+        assert np.array_equal(compute_delta(ts[i], mask[i]).view(np.uint64),
+                              want[i].view(np.uint64))
+
+
 def test_compute_delta_of_an_empty_series_is_empty():
     assert compute_delta(np.zeros(0), np.ones((0, 2))).shape == (0, 2)
 
