@@ -306,13 +306,19 @@ def test_batched_delta_and_compute_delta_are_bitwise_the_step_recurrence(n, t_le
     mask = (rng.random((n, t_len, d)) < 0.5).astype(np.float64)
     mask[:, : t_len // 3, 0] = 0.0          # leading gaps
     mask[:, t_len // 3: 2 * t_len // 3, d - 1] = 0.0   # interior gaps
-    want = np.stack([_delta_by_step(ts[i], mask[i]) for i in range(n)])
+    _assert_deltas_are_the_step_recurrence(ts, mask)
+
+
+def _assert_deltas_are_the_step_recurrence(ts, mask):
+    """The batched and per-sample deltas of (N, T) timestamps and an
+    (N, T, D) mask, bitwise against _delta_by_step."""
+    want = np.stack([_delta_by_step(t, m) for t, m in zip(ts, mask)])
     batched = _time_since_observed(np.diff(ts, axis=1).T, (mask != 0).transpose(1, 0, 2))
     assert np.array_equal(batched.transpose(1, 0, 2).view(np.uint64), want.view(np.uint64))
-    for i in range(n):
-        got = compute_delta(ts[i], mask[i])
-        assert got.shape == (t_len, d)
-        assert np.array_equal(got.view(np.uint64), want[i].view(np.uint64))
+    for t, m, w in zip(ts, mask, want):
+        got = compute_delta(t, m)
+        assert got.shape == m.shape
+        assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
 
 
 @pytest.mark.parametrize("case", ["never_observed", "two_steps", "last_step_only"])
@@ -327,12 +333,7 @@ def test_delta_edge_cases_are_bitwise_the_step_recurrence(case):
     elif case == "last_step_only":
         mask[2] = 0.0
         mask[2, -1] = 1.0
-    want = np.stack([_delta_by_step(ts[i], mask[i]) for i in range(3)])
-    batched = _time_since_observed(np.diff(ts, axis=1).T, (mask != 0).transpose(1, 0, 2))
-    assert np.array_equal(batched.transpose(1, 0, 2).view(np.uint64), want.view(np.uint64))
-    for i in range(3):
-        assert np.array_equal(compute_delta(ts[i], mask[i]).view(np.uint64),
-                              want[i].view(np.uint64))
+    _assert_deltas_are_the_step_recurrence(ts, mask)
 
 
 def test_compute_delta_of_an_empty_series_is_empty():
