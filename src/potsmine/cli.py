@@ -263,9 +263,9 @@ def _cmd_train(args) -> int:
 
 
 def _print_report(names, *args) -> None:
-    """One line per named function of metrics, each called on args."""
-    for name in names:
-        _emit(f"{name}: {getattr(metrics, name)(*args):.10g}")
+    """One line per named function of metrics, each called on args; a
+    metric that raises leaves the whole report unprinted."""
+    _emit("\n".join(f"{name}: {getattr(metrics, name)(*args):.10g}" for name in names))
 
 
 def _cmd_evaluate(args) -> int:

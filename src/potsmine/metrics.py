@@ -27,28 +27,83 @@ def _masked_diff(pred, target, mask, name: str):
     return pred[hit], target[hit]
 
 
+def _finite(value, name: str) -> float:
+    if not np.isfinite(value):
+        raise InvalidInputError(f"{name}: the value exceeds the float64 range")
+    return float(value)
+
+
+def _scaled_diff(p: np.ndarray, t: np.ndarray, name: str):
+    """(r, s) with p - t == r * s, s half the largest |p - t| and every
+    |r| <= 2.
+
+    For a metric whose direct computation left the float64 range. Halving
+    before subtracting keeps the difference of any two finite values, and
+    s, finite.
+    """
+    if not (np.isfinite(p).all() and np.isfinite(t).all()):
+        raise InvalidInputError(f"{name}: a selected cell holds a non-finite value")
+    half = 0.5 * p - 0.5 * t
+    s = np.abs(half).max()
+    return (half / s) * 2.0, s
+
+
+def _mean_square(p: np.ndarray, t: np.ndarray, name: str):
+    """(m, s) with the mean squared difference equal to m * s * s; s is 1
+    unless the direct mean left the float64 range."""
+    d = p - t
+    m = (d * d).mean()
+    if np.isfinite(m):
+        return m, 1.0
+    r, s = _scaled_diff(p, t, name)
+    return (r * r).mean(), s
+
+
+# Each masked error returns its direct computation whenever that is
+# finite. Only when it is not does it compute again from differences
+# scaled by the largest one, so finite inputs near the float64 limit
+# give a finite result, or InvalidInputError when the true value exceeds
+# the range.
+
 def masked_mae(pred, target, mask) -> float:
     p, t = _masked_diff(pred, target, mask, "masked_mae")
-    return float(np.abs(p - t).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.abs(p - t).mean()
+        if np.isfinite(value):
+            return float(value)
+        r, s = _scaled_diff(p, t, "masked_mae")
+        return _finite(np.abs(r).mean() * s, "masked_mae")
 
 
 def masked_mse(pred, target, mask) -> float:
     p, t = _masked_diff(pred, target, mask, "masked_mse")
-    d = p - t
-    return float((d * d).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, s = _mean_square(p, t, "masked_mse")
+        return _finite(m * s * s, "masked_mse")
 
 
 def masked_rmse(pred, target, mask) -> float:
-    return float(np.sqrt(masked_mse(pred, target, mask)))
+    p, t = _masked_diff(pred, target, mask, "masked_rmse")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, s = _mean_square(p, t, "masked_rmse")
+        return _finite(np.sqrt(m) * s, "masked_rmse")
 
 
 def masked_mre(pred, target, mask) -> float:
     """Sum of absolute errors over the sum of absolute targets, masked."""
     p, t = _masked_diff(pred, target, mask, "masked_mre")
-    denom = np.abs(t).sum()
-    if denom == 0:
-        raise InvalidInputError("masked_mre: target magnitudes sum to zero")
-    return float(np.abs(p - t).sum() / denom)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        denom = np.abs(t).sum()
+        if denom == 0:
+            raise InvalidInputError("masked_mre: target magnitudes sum to zero")
+        num = np.abs(p - t).sum()
+        if not (np.isfinite(num) and np.isfinite(denom)):
+            # both sums over one common scale, which keeps each finite
+            r, s = _scaled_diff(p, t, "masked_mre")
+            c = max(s, np.abs(t).max())
+            num = np.abs(r).sum() * (s / c)
+            denom = (np.abs(t) / c).sum()
+        return _finite(num / denom, "masked_mre")
 
 
 @dataclass

@@ -167,8 +167,8 @@ class _BlockState(NamedTuple):
 
     inp: np.ndarray      # (B, T, 2D) input and mask
     h0: np.ndarray       # (B, T, d_model) lifted input
-    qkv: np.ndarray      # (B, T, 3 d_model) queries, keys and values
-    w_qkv: np.ndarray    # (d_model, 3 d_model) [w_q | w_k | w_v]
+    qkv: np.ndarray      # (B, T, 2 d_model) [a | v]: a = h0 w_qk, and the values
+    w_qkv: np.ndarray    # (d_model, 2 d_model) [w_qk | w_v], w_qk = w_q w_k^T / sqrt(d_model)
     attn: np.ndarray     # (B, T, T) attention, exactly 0 on the diagonal
     h1: np.ndarray       # (B, T, d_model) after attention
     f1: np.ndarray       # (B, T, d_ff) feed-forward activations
@@ -190,6 +190,12 @@ class SaitsLiteModel(GradientModel, Imputer):
     hand-written and runs back through both blocks, so a minibatch adds
     one node whatever the series length. The node holds no tensor, so
     its tape is freed as soon as the step ends.
+
+    Queries and keys are never formed apart: a block's scores
+    q k^T / sqrt(d_model) are (h0 w_qk) h0^T, with the d_model x d_model
+    product w_qk = w_q w_k^T / sqrt(d_model) formed on each forward, and
+    the backward maps w_qk's gradient onto w_q and w_k. The parameters,
+    and so the artifacts, still hold w_q and w_k.
 
     The large (B, T, .) intermediates, the (B, T, T) attention among
     them, are written into workspace arrays the model keeps and reuses
@@ -258,7 +264,8 @@ class SaitsLiteModel(GradientModel, Imputer):
     def _infer_rows(self) -> int:
         """Samples per row block of inference: as many as keep one
         block's float64 intermediates (inp, h0, qkv, attn, h1, f1, h2 and
-        x_b) within _INFER_BYTES, at least one."""
+        x_b) within _INFER_BYTES, at least one. The count is an upper
+        bound: it allows 3 d_model per step for qkv, which holds 2."""
         d, dm = self.n_features, self.d_model
         per_sample = 8 * self.n_steps * (3 * d + 6 * dm + self.n_steps + self.d_ff)
         return max(1, _INFER_BYTES // per_sample)
@@ -268,8 +275,12 @@ class SaitsLiteModel(GradientModel, Imputer):
         """One attention block over (B, T, D) input; returns (x_b, its state).
 
         pre selects the block's parameters and ws its workspace arrays.
-        Q, K and V come from one matmul; the diagonal fill and the
-        softmax run in place on the score array.
+        Queries and keys meet only in the scores q k^T / sqrt(d_model) =
+        h0 w_qk h0^T, with w_qk = (w_q / sqrt(d_model)) w_k^T, so one
+        matmul projects h0 onto [w_qk | w_v], giving a = h0 w_qk and the
+        values v, and the scores are a h0^T. The diagonal fill and the
+        softmax run in place on the score array; its row sums are a
+        matmul with a ones vector.
         """
         n, steps, d = cur.shape
         dm = self.d_model
@@ -281,17 +292,17 @@ class SaitsLiteModel(GradientModel, Imputer):
         np.matmul(inp.reshape(rows, 2 * d), p[pre + "w_in"], out=h0.reshape(rows, dm))
         h0 += p[pre + "b_in"]
         h0 += p[pre + "pos"]
-        w_qkv = np.concatenate([p[pre + "w_q"], p[pre + "w_k"], p[pre + "w_v"]], axis=1)
-        qkv = self._scratch(ws + "qkv", (n, steps, 3 * dm))
-        np.matmul(h0.reshape(rows, dm), w_qkv, out=qkv.reshape(rows, 3 * dm))
-        q, k, v = qkv[..., :dm], qkv[..., dm:2 * dm], qkv[..., 2 * dm:]
+        w_qk = (p[pre + "w_q"] / math.sqrt(dm)) @ p[pre + "w_k"].T
+        w_qkv = np.concatenate([w_qk, p[pre + "w_v"]], axis=1)
+        qkv = self._scratch(ws + "qkv", (n, steps, 2 * dm))
+        np.matmul(h0.reshape(rows, dm), w_qkv, out=qkv.reshape(rows, 2 * dm))
+        a, v = qkv[..., :dm], qkv[..., dm:]
         attn = self._scratch(ws + "attn", (n, steps, steps))
-        np.matmul(q, k.swapaxes(1, 2), out=attn)
-        attn *= 1.0 / math.sqrt(dm)
+        np.matmul(a, h0.swapaxes(1, 2), out=attn)
         attn.reshape(n, steps * steps)[:, ::steps + 1] = _SELF_SCORE
         attn -= attn.max(axis=2, keepdims=True)
         np.exp(attn, out=attn)
-        attn /= attn.sum(axis=2, keepdims=True)
+        attn /= attn @ np.ones((steps, 1))
         h1 = self._scratch(ws + "h1", (n, steps, dm))
         np.matmul(attn, v, out=h1)
         h1 += h0
@@ -344,53 +355,57 @@ class SaitsLiteModel(GradientModel, Imputer):
         With want_input, returns the gradient of the block's series input
         (the first D columns of inp). Each gradient is written over the
         forward array it replaces once that array's last read is done
-        (d_h2 over h2, d_f1 over f1, d_h1 over h1, d_q, d_k and d_v over
-        qkv, d_h0 over h0), so s serves one backward.
+        (d_h2 over h2, d_f1 over f1, d_h1 over h1, d_a and d_v over qkv,
+        d_h0 over h0), so s serves one backward. Bias gradients are
+        column sums, taken as matmuls with a ones vector.
         """
         n, steps, dm = s.h0.shape
         rows = n * steps
+        ones = np.ones(rows)
 
         def flat(a):
             return a.reshape(rows, a.shape[-1])
 
         d_xb = flat(d_xb)
         grads[pre + "w_out"] = flat(s.h2).T @ d_xb
-        grads[pre + "b_out"] = d_xb.sum(axis=0)
+        grads[pre + "b_out"] = ones @ d_xb
         d_h2 = s.h2
         np.matmul(d_xb, p[pre + "w_out"].T, out=flat(d_h2))
         grads[pre + "w_f2"] = flat(s.f1).T @ flat(d_h2)
-        grads[pre + "b_f2"] = flat(d_h2).sum(axis=0)
+        grads[pre + "b_f2"] = ones @ flat(d_h2)
         relu_on = s.f1 > 0
         d_f1 = s.f1
         np.matmul(flat(d_h2), p[pre + "w_f2"].T, out=flat(d_f1))
         d_f1 *= relu_on
         grads[pre + "w_f1"] = flat(s.h1).T @ flat(d_f1)
-        grads[pre + "b_f1"] = flat(d_f1).sum(axis=0)
+        grads[pre + "b_f1"] = ones @ flat(d_f1)
         d_h1 = s.h1
         np.matmul(flat(d_f1), p[pre + "w_f1"].T, out=flat(d_h1))
         d_h1 += d_h2
-        # h1 = h0 + attn @ v with attn = softmax(q k^T / sqrt(d_model))
-        # off the diagonal; attn is exactly 0 on the diagonal, so the
-        # score gradient vanishes there as the fill requires
-        q, k, v = s.qkv[..., :dm], s.qkv[..., dm:2 * dm], s.qkv[..., 2 * dm:]
+        # h1 = h0 + attn @ v with attn = softmax(a h0^T) off the diagonal;
+        # attn is exactly 0 on the diagonal, so the score gradient
+        # vanishes there as the fill requires
+        a, v = s.qkv[..., :dm], s.qkv[..., dm:]
         d_s = self._scratch("d_attn", s.attn.shape)
         np.matmul(d_h1, v.swapaxes(1, 2), out=d_s)
         np.matmul(s.attn.swapaxes(1, 2), d_h1, out=v)  # d_v
         d_s -= np.einsum("bij,bij->bi", d_s, s.attn)[..., None]
         d_s *= s.attn
-        d_s *= 1.0 / math.sqrt(dm)
-        d_q = np.matmul(d_s, k, out=self._scratch("d_q", q.shape))
-        np.matmul(d_s.swapaxes(1, 2), q, out=k)  # d_k
-        q[...] = d_q
+        # h0 enters the scores twice: through a = h0 w_qk and as the keys
+        d_keys = np.matmul(d_s.swapaxes(1, 2), a, out=self._scratch("d_keys", a.shape))
+        np.matmul(d_s, s.h0, out=a)  # d_a
         d_qkv = s.qkv
         d_w_qkv = flat(s.h0).T @ flat(d_qkv)
-        for j, name in enumerate(("w_q", "w_k", "w_v")):
-            grads[pre + name] = d_w_qkv[:, j * dm:(j + 1) * dm]
+        d_w_qk = d_w_qkv[:, :dm]
+        grads[pre + "w_q"] = (d_w_qk @ p[pre + "w_k"]) / math.sqrt(dm)
+        grads[pre + "w_k"] = (d_w_qk.T @ p[pre + "w_q"]) / math.sqrt(dm)
+        grads[pre + "w_v"] = d_w_qkv[:, dm:]
         d_h0 = s.h0
         np.matmul(flat(d_qkv), s.w_qkv.T, out=flat(d_h0))
+        d_h0 += d_keys
         d_h0 += d_h1
         grads[pre + "w_in"] = flat(s.inp).T @ flat(d_h0)
-        grads[pre + "b_in"] = flat(d_h0).sum(axis=0)
+        grads[pre + "b_in"] = ones @ flat(d_h0)
         grads[pre + "pos"] = d_h0.sum(axis=0)
         if not want_input:
             return None

@@ -374,6 +374,61 @@ def test_evaluate_forecast_matches_library_metrics(capsys, tmp_path):
     }
 
 
+def _scaled_container(tmp_path, name, scale, n, t, seed, missing_rate):
+    ds = generate_synthetic(n, t, 2, 2, missing_rate=missing_rate, seed=seed)
+    block = ds.training_batch(range(len(ds)))
+    block.values[...] *= scale
+    path = str(tmp_path / name)
+    write_container(PotsDataset(block), path)
+    return path
+
+
+def test_evaluate_forecast_against_a_truth_near_the_float64_limit(capsys, tmp_path):
+    # the squared errors pass float64's range, the errors themselves do not
+    data = gen(capsys, tmp_path, n=18, rate=0.1)
+    truth = _scaled_container(tmp_path, "truth.pots", 1e200, n=18, t=3, seed=9,
+                              missing_rate=0.3)
+    fc_path = str(tmp_path / "fc.pmdl")
+    code, _, err = run(capsys, "train", "--task", "forecast", "--model", "tmf",
+                       "--data", data, "--out", fc_path, "--seed", "4")
+    assert code == 0, err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "evaluate", "--task", "forecast", "--model", fc_path,
+                             "--data", data, "--truth", truth, "--horizon", "2")
+    assert code == 0, err
+    pred = forecast(load_model(fc_path), load_pots(data), 2)
+    t = load_pots(truth)
+    vals = np.stack([s.values for s in t.samples])[:, :2]
+    mask = np.stack([s.mask for s in t.samples])[:, :2]
+    rmse = masked_rmse(pred, vals, mask)
+    assert 1e199 < rmse < 1e201
+    assert report_values(out) == {
+        "masked_mae": f"{masked_mae(pred, vals, mask):.10g}",
+        "masked_rmse": f"{rmse:.10g}",
+    }
+
+
+def test_evaluate_impute_whose_squared_error_exceeds_float64_exits_two(capsys, tmp_path):
+    # the mean imputer fills about 0 where the originals hold about 1e200
+    model_path = train_impute(capsys, tmp_path, gen(capsys, tmp_path, n=30), model="mean")
+    huge = _scaled_container(tmp_path, "huge.pots", 1e200, n=30, t=8, seed=3,
+                             missing_rate=0.0)
+    corrupted = str(tmp_path / "holdout.pots")
+    code, _, err = run(capsys, "corrupt", "--data", huge, "--missing-rate", "0.2",
+                       "--out", corrupted, "--seed", "1")
+    assert code == 0, err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "evaluate", "--task", "impute",
+                             "--model", model_path, "--data", corrupted,
+                             "--originals", str(tmp_path / "holdout.originals.pots"))
+    assert code == 2, out
+    assert "masked_mse: the value exceeds the float64 range" in err
+    # the report is refused whole, masked_mae included
+    assert out == ""
+
+
 def test_evaluate_classify_multiclass_prints_accuracy(capsys, tmp_path):
     data = gen(capsys, tmp_path, n=24, classes=3, rate=0.1)
     model_path = str(tmp_path / "clf.pmdl")

@@ -1,5 +1,8 @@
 """Evaluation metrics: masked errors, binary classification, clustering scores."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,61 @@ def test_masked_metrics_brute_force_oracle():
         assert abs(masked_mse(pred, target, mask) - (diff ** 2).mean()) < 1e-12
         assert abs(masked_mre(pred, target, mask)
                    - diff.sum() / np.abs(target[idx]).sum()) < 1e-12
+
+
+def test_finite_masked_metrics_are_the_direct_computation_bitwise():
+    rng = np.random.default_rng(9)
+    pred = rng.normal(size=200) * 1e3
+    target = rng.normal(size=200) + 1.0
+    mask = rng.random(200) < 0.6
+    d = pred[mask] - target[mask]
+    mse = (d * d).mean()
+    assert masked_mae(pred, target, mask) == float(np.abs(d).mean())
+    assert masked_mse(pred, target, mask) == float(mse)
+    assert masked_rmse(pred, target, mask) == float(np.sqrt(mse))
+    assert masked_mre(pred, target, mask) == float(
+        np.abs(d).sum() / np.abs(target[mask]).sum())
+
+
+@pytest.mark.parametrize("fn, pred, target, want", [
+    (masked_mae, [1e308] * 3, [0.0] * 3, 1e308),
+    (masked_mae, [1.5e308, -1.5e308], [0.0, 0.0], 1.5e308),
+    (masked_mae, [1e308, 5e307], [-5e307, -5e307], 1.25e308),
+    (masked_rmse, [1e200] * 3, [0.0] * 3, 1e200),
+    (masked_rmse, [1e200, 2e200, -3e200], [0.0] * 3, math.sqrt(14 / 3) * 1e200),
+    (masked_mse, [1e154, -1e154], [0.0, 0.0], 1e308),
+    (masked_mre, [1e308, 1e308], [1e308, 1.5e308], 0.2),
+    (masked_mre, [-1e308, 1e308], [1e308, 1e308], 1.0),
+])
+def test_masked_metrics_of_finite_inputs_near_the_float64_limit(fn, pred, target, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        have = fn(pred, target, [1.0] * len(pred))
+    assert abs(have - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("fn, pred, target", [
+    (masked_mae, [1e308], [-1e308]),
+    (masked_mse, [1e200] * 3, [0.0] * 3),
+    (masked_rmse, [1.7e308, -1.7e308], [-1.7e308, 1.7e308]),
+    (masked_mre, [1e300], [1e-300]),
+])
+def test_masked_metrics_whose_value_exceeds_float64_are_refused(fn, pred, target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError,
+                           match=f"{fn.__name__}: the value exceeds the float64 range"):
+            fn(pred, target, [1.0] * len(pred))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_masked_metrics_refuse_a_non_finite_selected_cell(bad):
+    for fn in (masked_mae, masked_mse, masked_rmse, masked_mre):
+        for pred, target in (([bad, 1.0], [0.0, 2.0]), ([0.0, 1.0], [bad, 2.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError, match="non-finite value"):
+                    fn(pred, target, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

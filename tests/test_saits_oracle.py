@@ -3,7 +3,8 @@
 The oracle below is the earlier forward, built from tape operations one
 node per matmul, softmax and mask, with the per-sample-mean loss on top.
 Its backward is the tape's own. The fused node sums in another order
-(one matmul for Q, K and V, reshaped batch matmuls), so losses and
+(one projection onto w_q w_k^T and w_v in place of separate queries and
+keys, reshaped batch matmuls, column sums as matmuls), so losses and
 gradients are compared to a relative tolerance set beforehand from
 float64 rounding, 1e-12; a wrong term in the hand-written backward is
 off by order 1. The rest checks the workspace the fused node reuses:
@@ -13,12 +14,19 @@ one block.
 """
 
 import gc
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import potsmine
 from potsmine import (Batch, PotsDataset, SaitsLiteModel, generate_synthetic, impute,
                       inject_mcar, saits_forward, stack_samples)
 from potsmine import tensor as T
@@ -92,10 +100,11 @@ def _loss_and_grads(loss_fn, model, batch):
 # ---------------------------------------------------------------------------
 # fixtures
 
-def perturbed_model(t=48, d=8, d_model=32, normalize=True, seed=3):
+def perturbed_model(t=48, d=8, d_model=32, normalize=True, seed=3, d_ff=None):
     """A model off its zero-bias initialization, so every term is generic."""
-    model = SaitsLiteModel(n_steps=t, n_features=d, d_model=d_model, d_ff=2 * d_model,
-                           lam_mit=0.7, normalize=normalize, init_seed=seed)
+    model = SaitsLiteModel(n_steps=t, n_features=d, d_model=d_model,
+                           d_ff=d_ff or 2 * d_model, lam_mit=0.7, normalize=normalize,
+                           init_seed=seed)
     rng = np.random.default_rng(seed + 100)
     for arr in model.parameters.values():
         arr += rng.normal(0.0, 0.1, arr.shape)
@@ -138,6 +147,81 @@ def test_loss_and_gradients_match_tape_oracle(case):
     for name, g in want.items():
         assert np.abs(g).max() > 0, name
         assert max_rel(grads[name], g) <= 1e-12, name
+
+
+@pytest.mark.parametrize("t, d_model, d_ff, normalize, zero_key_column", [
+    (2, 1, 2, True, False),
+    (6, 8, 12, True, False),
+    (12, 8, 16, False, True),
+])
+def test_merged_query_key_projection_matches_tape_oracle(t, d_model, d_ff, normalize,
+                                                         zero_key_column):
+    # the fused node projects onto w_qk = w_q w_k^T / sqrt(d_model) and
+    # maps its gradient back to w_q and w_k; the oracle projects apart
+    view = pair_view(n=8, t=t, d=3, seed=t)
+    model = perturbed_model(t=t, d=3, d_model=d_model, d_ff=d_ff, normalize=normalize,
+                            seed=5)
+    if zero_key_column:
+        model.parameters["b1_w_k"][:, 2] = 0.0
+    model.prepare_fit(view)
+    batch = view.training_batch(list(range(8)))
+    loss, grads = fused_loss_and_grads(model, batch)
+    want_loss, want = _loss_and_grads(
+        lambda leaves, b: _batch_loss_sum_oracle(model, leaves, b), model, batch)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for name, g in want.items():
+        assert max_rel(grads[name], g) <= 1e-12, name
+    for b in (1, 2):
+        want_q, want_k = want[f"b{b}_w_q"], want[f"b{b}_w_k"]
+        if t == 2:
+            # each step attends to the other alone, whatever the scores
+            assert not grads[f"b{b}_w_q"].any() and not grads[f"b{b}_w_k"].any()
+            continue
+        # a swapped or transposed w_q/w_k gradient would be far outside 1e-12
+        assert max_rel(want_k, want_q) > 1e-3 and max_rel(want_q, want_k) > 1e-3
+        if d_model > 1:
+            assert max_rel(want_q.T, want_q) > 1e-3 and max_rel(want_k.T, want_k) > 1e-3
+
+
+def gradient_digests() -> dict:
+    """sha256 digests of the loss and every gradient of perturbed_model()
+    on pair_view()'s first 17 and 32 samples."""
+    view = pair_view()
+    model = perturbed_model()
+    model.prepare_fit(view)
+    out = {}
+    for size in (17, 32):
+        loss, grads = model.shard_loss_and_grads(view, range(size))
+        out[str(size)] = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                          for name, a in [("loss", np.float64(loss)), *grads.items()]}
+    return out
+
+
+# At 17 samples (816 rows) OpenBLAS splits these weight-gradient matmuls'
+# reductions by thread count (ROADMAP item 10); nothing else may differ.
+_THREAD_DEPENDENT_AT_17 = {f"b{b}_{name}" for b in (1, 2)
+                           for name in ("w_q", "w_k", "w_v", "w_f1", "w_f2")}
+
+
+def _gradient_digests_in_a_subprocess(blas_threads: int) -> dict:
+    here = Path(__file__).resolve().parent
+    src = str(Path(potsmine.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, str(here), env.get("PYTHONPATH")]))
+    script = ("import json; from test_saits_oracle import gradient_digests; "
+              "print(json.dumps(gradient_digests()))")
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return json.loads(done.stdout)
+
+
+def test_gradient_bits_at_one_and_two_blas_threads():
+    one, two = _gradient_digests_in_a_subprocess(1), _gradient_digests_in_a_subprocess(2)
+    assert one.keys() == two.keys() == {"17", "32"}
+    for size, allowed in (("17", _THREAD_DEPENDENT_AT_17), ("32", set())):
+        assert one[size].keys() == two[size].keys()
+        differ = {k for k in one[size] if one[size][k] != two[size][k]}
+        assert differ <= allowed, (size, sorted(differ - allowed))
 
 
 # ---------------------------------------------------------------------------
