@@ -697,7 +697,7 @@ def split(dataset: PotsDataset, fractions: Sequence[float], seed: int):
     if len(fractions) != 3:
         raise InvalidInputError("split: need exactly three fractions")
     f_train, f_val, f_test = (float(f) for f in fractions)
-    if min(f_train, f_val, f_test) <= 0:
+    if not all(f > 0 for f in (f_train, f_val, f_test)):  # NaN is not > 0 either
         raise InvalidInputError(f"split: fractions must be positive, got {fractions}")
     if abs(f_train + f_val + f_test - 1.0) > 1e-9:
         raise InvalidInputError(f"split: fractions must sum to 1, got {fractions}")

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import InvalidInputError
 
 
+_TINY = np.finfo(np.float64).tiny   # the smallest normal float64
+
+
 def _masked_diff(pred, target, mask, name: str):
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -50,20 +53,23 @@ def _scaled_diff(p: np.ndarray, t: np.ndarray, name: str):
 
 def _mean_square(p: np.ndarray, t: np.ndarray, name: str):
     """(m, s) with the mean squared difference equal to m * s * s; s is 1
-    unless the direct mean left the float64 range."""
+    unless the direct mean left the float64 range, or fell below its
+    normal range while some difference is not zero (squares of
+    differences below about 1e-154 underflow)."""
     d = p - t
     m = (d * d).mean()
-    if np.isfinite(m):
+    if np.isfinite(m) and (m >= _TINY or not d.any()):
         return m, 1.0
     r, s = _scaled_diff(p, t, name)
     return (r * r).mean(), s
 
 
 # Each masked error returns its direct computation whenever that is
-# finite. Only when it is not does it compute again from differences
-# scaled by the largest one, so finite inputs near the float64 limit
-# give a finite result, or InvalidInputError when the true value exceeds
-# the range.
+# finite (and, for a mean square, not underflowed). Only when it is not
+# does it compute again from differences scaled by the largest one, so
+# finite inputs near the float64 limit give a finite result, or
+# InvalidInputError when the true value exceeds the range, and tiny
+# differences keep their digits.
 
 def masked_mae(pred, target, mask) -> float:
     p, t = _masked_diff(pred, target, mask, "masked_mae")

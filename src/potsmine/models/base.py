@@ -125,14 +125,14 @@ class BaseModel(ABC):
     each one as an attribute of that name. A kind that wraps another
     model sets takes_inner and takes that model as its inner argument.
 
-    A registered kind is also loadable. _shapes() iterates over each
-    tensor's (name, shape), in the order of tensors(), computed from the
-    hyperparameters alone; model_from_artifact reads at most one more of
-    them than the artifact holds tensors, so a kind whose tensor count
-    grows with a hyperparameter yields them lazily. _fill(tensors) takes arrays of
-    those shapes as the model's own. model_from_artifact sets _unfilled
-    on an instance before running its constructor, which then checks
-    its arguments but allocates and draws no tensor, for _fill to set.
+    A registered kind is also loadable. _shapes() gives each tensor's
+    (name, shape), in the order of tensors(), computed from the
+    hyperparameters alone; the names are fixed by the kind (an unfitted
+    TMF has none), and only the shapes follow the hyperparameters.
+    _fill(tensors) takes arrays of those shapes as the model's own.
+    model_from_artifact sets _unfilled on an instance before running its
+    constructor, which then checks its arguments but allocates and draws
+    no tensor, for _fill to set.
     """
 
     kind: str = ""

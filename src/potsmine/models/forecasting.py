@@ -196,8 +196,11 @@ def _forecast(w: np.ndarray, f: np.ndarray, a: np.ndarray, horizon: int) -> np.n
 class TmfModel(AnalyticModel, Forecaster):
     """One factorization per feature, stacked over the feature axis.
 
-    n_series is the number of series the factors were fit to; 0 means
-    unfitted, and a positive value allocates zero factors of that size.
+    w_list, f_list and a_list are the (D, N, R), (D, T, R) and (D, L, R)
+    factor stacks; indexing one by feature gives that feature's factors.
+    They are the tensors w, f and a. n_series is the number of series
+    the factors were fit to; 0 means unfitted, with no tensors, and a
+    positive value allocates zero factors of that size.
     """
 
     kind = "tmf"
@@ -208,6 +211,8 @@ class TmfModel(AnalyticModel, Forecaster):
     def __init__(self, n_steps: int, n_features: int, rank: int = 2,
                  ar_order: int = 2, lam_w: float = 0.1, lam_f: float = 0.1,
                  lam_a: float = 0.1, iters: int = 20, n_series: int = 0):
+        if n_features < 1:
+            raise InvalidInputError(f"n_features must be positive, got {n_features}")
         if rank < 1:
             raise InvalidInputError(f"rank must be positive, got {rank}")
         if not 0 < ar_order < n_steps:
@@ -233,25 +238,17 @@ class TmfModel(AnalyticModel, Forecaster):
             self._fill({name: np.zeros(shape) for name, shape in self._shapes()})
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for d in range(len(self.w_list)):
-            out[f"w{d}"] = self.w_list[d]
-            out[f"f{d}"] = self.f_list[d]
-            out[f"a{d}"] = self.a_list[d]
-        return out
+        return {"w": self.w_list, "f": self.f_list, "a": self.a_list} if self.n_series else {}
 
     def _shapes(self):
-        each = {"w": (self.n_series, self.rank), "f": (self.n_steps, self.rank),
-                "a": (self.ar_order, self.rank)}
-        # lazily: n_features sets the tensor count
-        return ((f"{factor}{d}", shape) for d in range(self.n_features if self.n_series else 0)
-                for factor, shape in each.items())
+        if not self.n_series:
+            return []
+        d, rank = self.n_features, self.rank
+        return [("w", (d, self.n_series, rank)), ("f", (d, self.n_steps, rank)),
+                ("a", (d, self.ar_order, rank))]
 
     def _fill(self, tensors: dict[str, np.ndarray]) -> None:
-        fitted = range(len(tensors) // 3)
-        self.w_list = [tensors[f"w{d}"] for d in fitted]
-        self.f_list = [tensors[f"f{d}"] for d in fitted]
-        self.a_list = [tensors[f"a{d}"] for d in fitted]
+        self.w_list, self.f_list, self.a_list = (tensors.get(name) for name in "wfa")
 
     # -- fitting ----------------------------------------------------------------
     def _fit_stacks(self, yz: np.ndarray, obs: np.ndarray, seed: int) -> None:
@@ -261,7 +258,8 @@ class TmfModel(AnalyticModel, Forecaster):
             yz, obs, self.rank, self.ar_order, self.lam_w, self.lam_f, self.lam_a,
             self.iters, seed)
         self.n_series = yz.shape[1]
-        self.w_list, self.f_list, self.a_list = list(w), list(f), list(a)
+        # contiguous, as a loaded model's are; f is a view into the solver's padding
+        self.w_list, self.f_list, self.a_list = map(np.ascontiguousarray, (w, f, a))
 
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:
         batch = fetch_all(train_set)
@@ -271,26 +269,27 @@ class TmfModel(AnalyticModel, Forecaster):
     def _refit_w(self, batch: Batch):
         """Series factors re-fit to the batch's rows; returns (W, yz, obs)."""
         yz, obs = _feature_stacks(batch.values, batch.mask)
-        return _estimate_w(yz, obs, np.stack(self.f_list),
-                           self.lam_w + _RIDGE_FLOOR), yz, obs
+        return _estimate_w(yz, obs, self.f_list, self.lam_w + _RIDGE_FLOOR), yz, obs
 
     def _val_metric(self, view) -> float:
         """Observed-cell MSE with series factors re-fit per validation row."""
         w, yz, obs = self._refit_w(fetch_all(view))
-        resid = obs * (yz - w @ np.stack(self.f_list).transpose(0, 2, 1))
+        resid = obs * (yz - w @ self.f_list.transpose(0, 2, 1))
         count = int(obs.sum())
         return float((resid * resid).sum()) / count if count else 0.0
 
     def reconstruct(self) -> np.ndarray:
         """(n_series, T, D) low-rank reconstruction of the training data."""
-        return np.einsum("dnr,dtr->ntd", np.stack(self.w_list), np.stack(self.f_list))
+        if not self.n_series:
+            raise InvalidInputError("reconstruct: model has not been fit")
+        return np.einsum("dnr,dtr->ntd", self.w_list, self.f_list)
 
     # -- inference -----------------------------------------------------------
     def forecast_batch(self, batch: Batch, horizon: int) -> np.ndarray:
-        if not self.w_list:
+        if not self.n_series:
             raise InvalidInputError("forecast: model has not been fit")
         w, _, _ = self._refit_w(batch)
-        return _forecast(w, np.stack(self.f_list), np.stack(self.a_list), horizon)
+        return _forecast(w, self.f_list, self.a_list, horizon)
 
 
 def tmf_fit(y: np.ndarray, mask: np.ndarray, rank: int, ar_order: int = 2,
@@ -318,7 +317,6 @@ def tmf_forecast(model: TmfModel, horizon: int) -> np.ndarray:
     """Roll the stored factors forward; (n_series, horizon, n_features)."""
     if horizon < 1:
         raise InvalidInputError(f"tmf_forecast: horizon must be at least 1, got {horizon}")
-    if not model.w_list:
+    if not model.n_series:
         raise InvalidInputError("tmf_forecast: model has not been fit")
-    return _forecast(np.stack(model.w_list), np.stack(model.f_list),
-                     np.stack(model.a_list), horizon)
+    return _forecast(model.w_list, model.f_list, model.a_list, horizon)

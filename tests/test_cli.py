@@ -879,6 +879,8 @@ _BAD_CONFIG_FILES = {
                  "--patience must be non-negative"),
     "seed": ('{"seed": -5}', ["train", "--task", "forecast", "--model", "tmf"], 1,
              "--seed must be non-negative, got -5"),
+    "val_frac_nan": ('{"val_frac": NaN}', ["train", "--task", "forecast", "--model", "tmf"], 2,
+                     "split: fractions must be positive"),
     "evaluate_task": ('{"task": "bogus"}', ["evaluate", "--model", "models"], 1,
                       "unknown task"),
     "predict_task": ('{"task": "bogus"}', ["predict", "--model", "models"], 1,
@@ -929,7 +931,7 @@ _ARTIFACT_ENTRIES = {
     "saits_lite": ("impute", "b2_w_q", "d_model"),
     "grud_lite": ("classify", "u_c", "hidden_size"),
     "twostage_kmeans": ("cluster", "centroids", "n_features"),
-    "tmf": ("forecast", "w0", "n_series"),
+    "tmf": ("forecast", "w", "n_series"),
 }
 
 

@@ -343,13 +343,15 @@ def test_a_singular_w_step_system_names_its_feature():
     ({"lam_a": -0.1}, "ridge weights must be non-negative"),
     ({"iters": 0}, "iters must be positive, got 0"),
     ({"n_series": -1}, "n_series must be non-negative, got -1"),
+    # n_features is the leading dim of the factor stacks
+    ({"n_features": -1, "n_series": 3}, "n_features must be positive, got -1"),
     ({"lam_w": float("nan")}, "ridge weights must be non-negative and finite, got lam_w=nan"),
     ({"lam_f": float("inf")}, "ridge weights must be non-negative and finite, got lam_f=inf"),
     ({"lam_a": float("nan")}, "ridge weights must be non-negative and finite, got lam_a=nan"),
 ])
 def test_tmf_refuses_bad_settings(settings, message):
     with pytest.raises(InvalidInputError, match=message):
-        TmfModel(n_steps=4, n_features=1, **settings)
+        TmfModel(**{"n_steps": 4, "n_features": 1, **settings})
 
 
 def test_tmf_fit_refuses_mismatched_shapes():
@@ -362,15 +364,17 @@ def test_tmf_fit_refuses_mismatched_shapes():
 def test_tmf_forecast_of_an_unfitted_model_is_refused():
     with pytest.raises(InvalidInputError, match="model has not been fit"):
         tmf_forecast(TmfModel(n_steps=4, n_features=1), horizon=1)
+    with pytest.raises(InvalidInputError, match="reconstruct: model has not been fit"):
+        TmfModel(n_steps=4, n_features=1).reconstruct()
 
 
 def fabricate_rank_one_model(coeff=0.9, w_value=2.0):
     model = TmfModel(n_steps=4, n_features=1, rank=1, ar_order=1)
     model.n_series = 1
-    model.w_list = [np.array([[w_value]])]
+    model.w_list = np.array([[[w_value]]])
     # factor sequence ending at f_T = 1
-    model.f_list = [np.array([[coeff ** 3], [coeff ** 2], [coeff], [1.0]])]
-    model.a_list = [np.array([[coeff]])]
+    model.f_list = np.array([[[coeff ** 3], [coeff ** 2], [coeff], [1.0]]])
+    model.a_list = np.array([[[coeff]]])
     return model
 
 
@@ -389,7 +393,7 @@ def test_tmf_forecast_rejects_zero_horizon():
 
 def test_tmf_forecast_zero_coefficients_give_zero():
     model = fabricate_rank_one_model()
-    model.a_list = [np.zeros((1, 1))]
+    model.a_list = np.zeros((1, 1, 1))
     out = tmf_forecast(model, horizon=4)
     assert np.array_equal(out, np.zeros((1, 4, 1)))
 

@@ -703,6 +703,8 @@ def test_split_rejects_degenerate_fractions():
         split(ds, (1.0, 0.0, 0.0), seed=0)
     with pytest.raises(InvalidInputError):
         split(ds, (0.5, 0.2, 0.2), seed=0)
+    with pytest.raises(InvalidInputError, match="fractions must be positive"):
+        split(ds, (0.8, float("nan"), 0.1), seed=1)
     with pytest.raises(InvalidInputError, match="exactly three"):
         split(ds, (0.5, 0.5), seed=0)
     with pytest.raises(InvalidInputError, match="empty split"):

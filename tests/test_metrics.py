@@ -118,6 +118,11 @@ def test_finite_masked_metrics_are_the_direct_computation_bitwise():
     (masked_mse, [1e154, -1e154], [0.0, 0.0], 1e308),
     (masked_mre, [1e308, 1e308], [1e308, 1.5e308], 0.2),
     (masked_mre, [-1e308, 1e308], [1e308, 1e308], 1.0),
+    # differences whose squares underflow
+    (masked_rmse, [1e-200] * 3, [0.0] * 3, 1e-200),
+    (masked_rmse, [1e-160] * 3, [0.0] * 3, 1e-160),
+    (masked_rmse, [1e-300, -2e-300, 0.0], [0.0] * 3, math.sqrt(5 / 3) * 1e-300),
+    (masked_mse, [1e-160] * 3, [0.0] * 3, 1e-320),
 ])
 def test_masked_metrics_of_finite_inputs_near_the_float64_limit(fn, pred, target, want):
     with warnings.catch_warnings():

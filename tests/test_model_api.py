@@ -401,14 +401,14 @@ def test_save_load_round_trip_bitwise(tmp_path):
     assert np.array_equal(a, b)
 
 
-# one fresh model per registered kind, for a (12, 6, 2) dataset of 2 classes
+# one fresh model per registered kind, for a (12, 6, d) dataset of 2 classes
 _KIND_BUILDERS = {
-    "locf": lambda: LocfModel(n_features=2),
-    "mean": lambda: MeanImputerModel(n_features=2),
-    "saits_lite": lambda: SaitsLiteModel(n_steps=6, n_features=2, d_model=4, d_ff=4),
-    "grud_lite": lambda: GrudLiteModel(n_steps=6, n_features=2, n_classes=2, hidden_size=3),
-    "twostage_kmeans": lambda: TwoStageKMeansModel(inner=MeanImputerModel(n_features=2), k=2),
-    "tmf": lambda: TmfModel(n_steps=6, n_features=2, rank=2, iters=2),
+    "locf": lambda d=2: LocfModel(n_features=d),
+    "mean": lambda d=2: MeanImputerModel(n_features=d),
+    "saits_lite": lambda d=2: SaitsLiteModel(n_steps=6, n_features=d, d_model=4, d_ff=4),
+    "grud_lite": lambda d=2: GrudLiteModel(n_steps=6, n_features=d, n_classes=2, hidden_size=3),
+    "twostage_kmeans": lambda d=2: TwoStageKMeansModel(inner=MeanImputerModel(n_features=d), k=2),
+    "tmf": lambda d=2: TmfModel(n_steps=6, n_features=d, rank=2, iters=2),
 }
 
 
@@ -424,6 +424,18 @@ def test_declared_hyperparameters_rebuild_a_fitted_model(kind):
     assert ({name: a.shape for name, a in rebuilt.tensors().items()}
             == {name: a.shape for name, a in model.tensors().items()})
     assert model.tensors()    # a fitted model of every kind holds some state
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_REGISTRY))
+def test_tensor_names_of_a_fitted_model_do_not_depend_on_n_features(kind):
+    # the loader compares a fixed name set: only the shapes may grow
+    names = []
+    for d in (2, 3):
+        ds = generate_synthetic(12, 6, d, 2, missing_rate=0.1, seed=0)
+        model = _KIND_BUILDERS[kind](d)
+        fit_model(model, ds, ds, TrainConfig(epochs=1, batch_size=4))
+        names.append([name for name, _ in model._shapes()])
+    assert names[0] == names[1]
 
 
 @pytest.mark.parametrize("name, value, stored", [
@@ -478,7 +490,7 @@ def test_a_loaded_model_re_encodes_to_its_file_and_owns_its_arrays(tmp_path, kin
 @pytest.mark.parametrize("make, name", [
     (lambda: GrudLiteModel(n_steps=6, n_features=2, n_classes=2, hidden_size=3), "hidden_size"),
     (lambda: TmfModel(n_steps=6, n_features=2, rank=2, n_series=5), "n_series"),
-    # n_features sets how many factor tensors a fitted TMF holds
+    # n_features is the leading dim of each of a fitted TMF's factor stacks
     (lambda: TmfModel(n_steps=6, n_features=2, rank=2, n_series=5), "n_features"),
 ], ids=["grud_hidden_size", "tmf_n_series", "tmf_n_features"])
 def test_load_refuses_an_inflated_size_without_allocating_it(make, name):
