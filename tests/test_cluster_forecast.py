@@ -343,11 +343,11 @@ def test_a_singular_w_step_system_names_its_feature():
     ({"lam_a": -0.1}, "ridge weights must be non-negative"),
     ({"iters": 0}, "iters must be positive, got 0"),
     ({"n_series": -1}, "n_series must be non-negative, got -1"),
-    # n_features is the leading dim of the factor stacks
-    ({"n_features": -1, "n_series": 3}, "n_features must be positive, got -1"),
     ({"lam_w": float("nan")}, "ridge weights must be non-negative and finite, got lam_w=nan"),
     ({"lam_f": float("inf")}, "ridge weights must be non-negative and finite, got lam_f=inf"),
     ({"lam_a": float("nan")}, "ridge weights must be non-negative and finite, got lam_a=nan"),
+    # n_features is the leading dim of the factor stacks
+    ({"n_features": -1, "n_series": 3}, "n_features must be positive, got -1"),
 ])
 def test_tmf_refuses_bad_settings(settings, message):
     with pytest.raises(InvalidInputError, match=message):
