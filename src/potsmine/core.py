@@ -495,16 +495,16 @@ def fetch_all(view, batch_size: int = _EVAL_CHUNK) -> Batch:
     return out
 
 
-def fit_norm_stats(view) -> NormStats:
-    """Per-feature mean/std over observed cells, in one pass over the view.
+def _observed_moments(view):
+    """Per-feature (count, mean, m2) over observed cells, in one pass over
+    the view; m2 is the sum of squared deviations from the mean.
 
     Each _iter_batches chunk, in index order, gives its count, mean and
     centred sum of squares; the running ones take them in by the pairwise
     update of Chan, Golub and LeVeque ("Algorithms for computing the
     sample variance", 1983), which does not cancel as E[x^2] - mean^2
-    does. Features with no observations get mean 0 and std 1; the std is
-    floored at NormStats.STD_FLOOR. Statistics that overflow float64 come
-    out non-finite, without a warning, and NormStats refuses them.
+    does. A feature never observed has count 0 and mean 0. Moments that
+    overflow float64 come out non-finite, without a warning.
     """
     d = view.n_features
     count, mean, m2 = np.zeros(d), np.zeros(d), np.zeros(d)
@@ -518,7 +518,18 @@ def fit_norm_stats(view) -> NormStats:
             mean = mean + delta * share
             m2 = m2 + (dev * dev).sum(axis=(0, 1)) + delta * delta * count * share
             count = count + n
-        # a feature never observed keeps mean 0 (its share is 0) and gets std 1
+    return count, mean, m2
+
+
+def fit_norm_stats(view) -> NormStats:
+    """Per-feature mean/std over observed cells, from _observed_moments.
+
+    Features with no observations get mean 0 and std 1; the std is
+    floored at NormStats.STD_FLOOR. Statistics that overflow float64
+    come out non-finite, without a warning, and NormStats refuses them.
+    """
+    count, mean, m2 = _observed_moments(view)
+    with np.errstate(over="ignore", invalid="ignore"):
         std = np.where(count > 0, np.sqrt(m2 / np.maximum(count, 1)), 1.0)
     return NormStats(mean=mean, std=np.maximum(std, NormStats.STD_FLOOR))
 

@@ -148,7 +148,10 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
         self.n_steps = train_set.n_steps
         fit_model(self.inner_model, train_set, val_set, config)
         flat = impute(self.inner_model, train_set).reshape(len(train_set), -1)
-        self.feat_stats = NormStats(flat.mean(0), np.maximum(flat.std(0), NormStats.STD_FLOOR))
+        # statistics that overflow come out non-finite, which NormStats refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = flat.mean(0), flat.std(0)
+        self.feat_stats = NormStats(mean, np.maximum(std, NormStats.STD_FLOOR))
         self.centroids, _ = kmeans_fit(
             self.feat_stats.forward(flat), self.k, seed=config.seed,
             max_iters=self.max_iters, tol=self.tol)

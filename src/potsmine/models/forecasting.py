@@ -22,7 +22,8 @@ import numpy as np
 from ..errors import InvalidInputError, ShapeError
 from ..core import Batch, _rng, fetch_all
 from .artifact import register_model
-from .base import AnalyticModel, Forecaster, TrainConfig, _check_non_negative
+from .base import (AnalyticModel, Forecaster, TrainConfig, _check_non_negative,
+                   imputer_validation_metric)
 
 # keeps every block subproblem strictly positive definite
 _RIDGE_FLOOR = 1e-10
@@ -45,27 +46,26 @@ def _feature_stacks(values: np.ndarray, mask: np.ndarray):
     return np.where(obs != 0, values.transpose(2, 0, 1), 0.0), obs
 
 
-def _singular(systems: np.ndarray, step: str, remedy: str, at: str = "") -> InvalidInputError:
-    """The data error for a stacked solve that met a singular system.
+def _solve(systems: np.ndarray, rhs: np.ndarray, step: str, weight: str,
+           at: str = "") -> np.ndarray:
+    """np.linalg.solve over (D, ..., R, R) ridge systems whose ridge
+    weight is weight.
 
-    It names the first feature, along the leading axis of systems, whose
-    systems include one, and what would make them solvable.
+    A singular system is a data error naming the first feature, along
+    the leading axis of systems, whose systems include one; at says
+    where else it sits, such as " at step 3".
     """
+    try:
+        return np.linalg.solve(systems, rhs)
+    except np.linalg.LinAlgError:
+        pass
     for d, mats in enumerate(systems):
         try:
             np.linalg.solve(mats, np.zeros(mats.shape[:-1] + (1,)))
         except np.linalg.LinAlgError:
             break
-    return InvalidInputError(f"tmf: the {step} system of feature {d}{at} is singular; {remedy}")
-
-
-def _solve(systems: np.ndarray, rhs: np.ndarray, step: str, weight: str) -> np.ndarray:
-    """np.linalg.solve over (D, ..., R, R) ridge systems whose ridge
-    weight is weight; a singular one is a data error."""
-    try:
-        return np.linalg.solve(systems, rhs)
-    except np.linalg.LinAlgError:
-        raise _singular(systems, step, f"try a larger ridge weight {weight}") from None
+    raise InvalidInputError(f"tmf: the {step} system of feature {d}{at} is singular; "
+                            f"try a larger ridge weight {weight}")
 
 
 def _masked_grams(obs: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -97,9 +97,8 @@ def _objective(yz, obs, w, f, a, lam_w, lam_f, lam_a) -> np.ndarray:
     def total(x):
         return np.einsum("dij,dij->d", x, x)
 
-    # the F updates carry the ridge floor, so the objective they descend does too
     return (total(resid) + lam_w * total(w) + lam_a * total(a)
-            + _RIDGE_FLOOR * total(f) + lam_f * total(diff))
+            + lam_f * (total(f) + total(diff)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -134,12 +133,13 @@ def _tmf_core(yz: np.ndarray, obs: np.ndarray, rank: int, ar_order: int,
     for _ in range(iters):
         w = _estimate_w(yz, obs, f, lam_w)
 
-        # F step: f_t enters its own AR residual (t >= L) and that of each
-        # step t+lag with L <= t+lag < T; those give the ridge terms of its
-        # system and the weights (coef) of its AR right-hand side over the
-        # steps t-L .. t+L, of which the earlier are already updated.
+        # F step: f_t carries the lam_f ridge and enters its own AR residual
+        # (t >= L) and that of each step t+lag with L <= t+lag < T; those
+        # give the ridge terms of its system and the weights (coef) of its
+        # AR right-hand side over the steps t-L .. t+L, of which the earlier
+        # are already updated.
         m = _masked_grams(obs_t, w)
-        m[:, :, diag, diag] += _RIDGE_FLOOR
+        m[:, :, diag, diag] += lam_f
         m[:, order:, diag, diag] += lam_f
         coef = np.zeros((n_feat, t_len, 2 * order + 1, rank))
         for lag in range(1, order + 1):
@@ -152,17 +152,10 @@ def _tmf_core(yz: np.ndarray, obs: np.ndarray, rank: int, ar_order: int,
                 if other != lag:
                     coef[:, ahead, order + lag - other] -= a_lag * a[:, other - 1, None]
         data_rhs = yz_t @ w
-        try:
-            for t in range(t_len):
-                ar_rhs = np.einsum("djr,djr->dr", coef[:, t], padded[:, t:t + 2 * order + 1])
-                f[:, t] = np.linalg.solve(m[:, t], (data_rhs[:, t] + ar_rhs)[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # lam_f weighs each step's own AR residual; a step before ar_order has
-            # none, and enters later ones only through A, which starts at 0
-            remedy = ("try a larger ridge weight lam_f" if t >= order else
-                      "no ridge weight reaches a step before ar_order: observe the step "
-                      "in more series or lower the rank")
-            raise _singular(m[:, t], "F-step", remedy, f" at step {t}") from None
+        for t in range(t_len):
+            ar_rhs = np.einsum("djr,djr->dr", coef[:, t], padded[:, t:t + 2 * order + 1])
+            f[:, t] = _solve(m[:, t], (data_rhs[:, t] + ar_rhs)[..., None], "F-step", "lam_f",
+                             f" at step {t}")[..., 0]
 
         # A step: one (L, L) ridge system per feature and rank component
         design = np.stack([f[:, order - lag:t_len - lag] for lag in range(1, order + 1)],
@@ -195,6 +188,15 @@ def _forecast(w: np.ndarray, f: np.ndarray, a: np.ndarray, horizon: int) -> np.n
 @register_model
 class TmfModel(AnalyticModel, Forecaster):
     """One factorization per feature, stacked over the feature axis.
+
+    The TRMF form of Yu, Rao and Dhillon ("Temporal Regularized Matrix
+    Factorization for High-dimensional Time Series Prediction", NeurIPS
+    2016): each feature's (series x step) matrix Y is fit as W F^T, with
+    the rows f_t of F tied by diagonal AR weights a_1 .. a_L. Alternating
+    ridge solves minimize
+        |mask * (Y - W F^T)|^2 + lam_w |W|^2 + lam_a |A|^2
+        + lam_f (|F|^2 + sum_{t>=L} |f_t - sum_l a_l * f_{t-l}|^2),
+    each weight floored at 1e-10.
 
     w_list, f_list and a_list are the (D, N, R), (D, T, R) and (D, L, R)
     factor stacks; indexing one by feature gives that feature's factors.
@@ -264,19 +266,16 @@ class TmfModel(AnalyticModel, Forecaster):
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:
         batch = fetch_all(train_set)
         self._fit_stacks(*_feature_stacks(batch.values, batch.mask), config.seed)
-        return self._val_metric(val_set)
+        return imputer_validation_metric(self._row_fit, val_set)
 
-    def _refit_w(self, batch: Batch):
-        """Series factors re-fit to the batch's rows; returns (W, yz, obs)."""
-        yz, obs = _feature_stacks(batch.values, batch.mask)
-        return _estimate_w(yz, obs, self.f_list, self.lam_w + _RIDGE_FLOOR), yz, obs
+    def _refit_w(self, batch: Batch) -> np.ndarray:
+        """(D, B, R) series factors re-fit to the batch's rows."""
+        return _estimate_w(*_feature_stacks(batch.values, batch.mask), self.f_list,
+                           self.lam_w + _RIDGE_FLOOR)
 
-    def _val_metric(self, view) -> float:
-        """Observed-cell MSE with series factors re-fit per validation row."""
-        w, yz, obs = self._refit_w(fetch_all(view))
-        resid = obs * (yz - w @ self.f_list.transpose(0, 2, 1))
-        count = int(obs.sum())
-        return float((resid * resid).sum()) / count if count else 0.0
+    def _row_fit(self, batch: Batch) -> np.ndarray:
+        """(B, T, D) low-rank fit of the batch's rows, their series factors re-fit."""
+        return np.einsum("dnr,dtr->ntd", self._refit_w(batch), self.f_list)
 
     def reconstruct(self) -> np.ndarray:
         """(n_series, T, D) low-rank reconstruction of the training data."""
@@ -288,8 +287,7 @@ class TmfModel(AnalyticModel, Forecaster):
     def forecast_batch(self, batch: Batch, horizon: int) -> np.ndarray:
         if not self.n_series:
             raise InvalidInputError("forecast: model has not been fit")
-        w, _, _ = self._refit_w(batch)
-        return _forecast(w, self.f_list, self.a_list, horizon)
+        return _forecast(self._refit_w(batch), self.f_list, self.a_list, horizon)
 
 
 def tmf_fit(y: np.ndarray, mask: np.ndarray, rank: int, ar_order: int = 2,

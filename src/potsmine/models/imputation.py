@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import Batch, _carry_forward, _chunks, _rng, fit_norm_stats
+from ..core import Batch, _carry_forward, _chunks, _observed_moments, _rng, fit_norm_stats
 from .. import tensor as T
 from .artifact import register_model
 from .base import (_INFER_BYTES, AnalyticModel, GradientModel, Imputer, TrainConfig,
@@ -67,25 +67,21 @@ class _AnalyticImputer(AnalyticModel, Imputer):
     HYPERPARAMS = {"n_features": int}
     values_name = ""   # the artifact tensor holding the per-feature values
 
-    def __init__(self, n_features: int, values: np.ndarray | None = None):
+    def __init__(self, n_features: int):
         if n_features < 1:
             raise InvalidInputError(f"n_features must be positive, got {n_features}")
         self.n_features = n_features
-        if self._unfilled:
-            return
-        if values is None:
-            values = np.zeros(n_features, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (n_features,):
-            raise ShapeError(
-                f"{self.values_name!r} shape {values.shape} does not match "
-                f"{n_features} features")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("per-feature values must be finite")
-        self.feature_values = values
+        if not self._unfilled:
+            self.feature_values = np.zeros(n_features, dtype=np.float64)
 
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:
-        self.feature_values = fit_norm_stats(train_set).mean
+        # the mean alone: data whose squares overflow float64 still has one
+        mean = _observed_moments(train_set)[1]
+        bad = np.flatnonzero(~np.isfinite(mean))
+        if bad.size:
+            raise InvalidInputError(f"norm stats hold a non-finite value at feature {bad[0]} "
+                                    f"(mean {float(mean[bad[0]])})")
+        self.feature_values = mean
         return imputer_validation_metric(self.impute_batch, val_set)
 
     def tensors(self) -> dict[str, np.ndarray]:

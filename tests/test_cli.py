@@ -1165,6 +1165,45 @@ def test_statistics_that_overflow_are_a_data_error_for_every_kind_that_computes_
     assert not out.exists()
 
 
+def _squares_overflow_at_feature_zero(tmp_path) -> str:
+    """A container whose feature 0 alternates between 1e160 and -1e160,
+    with one cell at 3e160: its mean is finite and not 0, but its
+    squares, and so its std, overflow."""
+    ds = generate_synthetic(20, 6, 2, 2, missing_rate=0.0, seed=1)
+    block = ds.training_batch(range(len(ds)))
+    block.values[:, :, 0] = 1e160 * (-1.0) ** np.arange(6)
+    block.values[0, 0, 0] = 3e160
+    data = str(tmp_path / "squares.pots")
+    write_container(PotsDataset(block), data)
+    return data
+
+
+@pytest.mark.parametrize("kind", ["mean", "locf"])
+def test_mean_and_locf_fit_data_whose_std_overflows(capsys, tmp_path, kind):
+    # they use the training mean alone, which stays finite
+    data = _squares_overflow_at_feature_zero(tmp_path)
+    out = tmp_path / "m.pmdl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "train", "--task", "impute", "--model", kind,
+                           "--data", data, "--out", str(out))
+    assert code == 0, err
+    assert np.isfinite(load_model(str(out)).feature_values).all()
+
+
+def test_two_stage_column_statistics_that_overflow_are_a_data_error(capsys, tmp_path):
+    # the inner LOCF model fits; the flattened columns' std overflows
+    data = _squares_overflow_at_feature_zero(tmp_path)
+    out = tmp_path / "m.pmdl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "train", "--task", "cluster", "--model",
+                           "twostage_kmeans", "--data", data, "--out", str(out))
+    assert code == 2, err
+    assert "norm stats hold a non-finite value at feature 0" in err
+    assert not out.exists()
+
+
 def test_tmf_on_data_near_the_float64_limit_is_a_data_error(capsys, tmp_path):
     # tmf computes no statistics that would refuse feature 0 first; its
     # factor updates overflow, and the non-finite objective names the feature
@@ -1206,3 +1245,22 @@ def test_a_singular_tmf_system_is_a_data_error(capsys, tmp_path):
     assert ("tmf: the F-step system of feature 0 at step 7 is singular; "
             "try a larger ridge weight lam_f") in err
     assert not out.exists()
+
+
+def test_tmf_fits_a_step_before_ar_order_observed_in_one_series(capsys, tmp_path):
+    # step 1 comes before ar_order (2), so it has no AR residual of its own;
+    # the lam_f ridge on every step still makes its F-step system solvable
+    ds = generate_synthetic(60, 16, 2, 2, missing_rate=0.0, seed=1)
+    block = ds.training_batch(range(len(ds)))
+    block.values[...] *= 1e4
+    block.mask[1:, 1] = False
+    block.values[1:, 1] = np.nan
+    data = str(tmp_path / "data.pots")
+    write_container(PotsDataset(block), data)
+    config = tmp_path / "tmf.json"
+    config.write_text(json.dumps({"rank": 4, "iters": 5, "horizon": 2}))
+    out = tmp_path / "m.pmdl"
+    code, _, err = run(capsys, "train", "--task", "forecast", "--model", "tmf", "--data", data,
+                       "--out", str(out), "--config", str(config), "--seed", "1")
+    assert code == 0, err
+    assert out.exists()

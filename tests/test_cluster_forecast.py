@@ -1,6 +1,7 @@
 """Clustering (k-means, two-stage) and forecasting (matrix factorization)."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from potsmine import (
     LocfModel,
     MeanImputerModel,
+    PotsDataset,
     TmfModel,
     TrainConfig,
     TwoStageKMeansModel,
@@ -18,12 +20,14 @@ from potsmine import (
     impute,
     inject_mcar,
     kmeans_fit,
+    split,
     tmf_fit,
     tmf_forecast,
 )
 from potsmine.core import Batch, NormStats
 from potsmine.errors import InvalidInputError, ShapeError
 from potsmine.models import clustering, forecasting
+from potsmine.models.base import imputer_validation_metric
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +189,19 @@ def test_cluster_requires_enough_samples():
         fit_model(model, ds, ds, TrainConfig(seed=0))
 
 
+def test_two_stage_refuses_column_statistics_that_overflow_without_a_warning():
+    # the mean imputer fits feature 0 at +-1e160, whose columns' squares overflow
+    ds = generate_synthetic(20, 6, 2, 2, missing_rate=0.0, seed=1)
+    block = ds.training_batch(range(len(ds)))
+    block.values[:, :, 0] = 1e160 * (-1.0) ** np.arange(20)[:, None]
+    model = TwoStageKMeansModel(MeanImputerModel(2), k=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="non-finite value at feature 0 "):
+            fit_model(model, PotsDataset(block), PotsDataset(block), TrainConfig(seed=1))
+    assert np.isfinite(model.inner_model.feature_values).all()
+
+
 def test_two_stage_rejects_non_imputer_inner():
     with pytest.raises(InvalidInputError):
         TwoStageKMeansModel(inner="locf", k=2)
@@ -290,8 +307,8 @@ def _observed_once(step):
 
 @pytest.mark.parametrize("step, lam_f, remedy", [
     (7, 0.0, "try a larger ridge weight lam_f"),
-    # a step before ar_order (2) has no AR residual for lam_f to weigh
-    (1, 10.0, "no ridge weight reaches a step before ar_order"),
+    # a step before ar_order (2) has no AR residual, but carries the lam_f ridge
+    (1, 0.0, "try a larger ridge weight lam_f"),
 ])
 def test_tmf_fit_refuses_a_singular_f_step_system(step, lam_f, remedy):
     with pytest.raises(InvalidInputError,
@@ -302,6 +319,24 @@ def test_tmf_fit_refuses_a_singular_f_step_system(step, lam_f, remedy):
 def test_tmf_fit_solves_a_step_observed_once_with_lam_f():
     model = tmf_fit(*_observed_once(7), rank=4, lam_f=0.1, iters=5, seed=1)
     assert np.isfinite(model.reconstruct()).all()
+    # the ridge reaches a step before ar_order too
+    for lam_f in (0.1, 10.0):
+        model = tmf_fit(*_observed_once(1), rank=4, lam_f=lam_f, iters=5, seed=1)
+        assert np.isfinite(model.reconstruct()).all()
+
+
+def test_tmf_checkpoint_metric_scores_row_fits_with_the_imputer_scorer():
+    train, val, _ = split(generate_synthetic(40, 16, 2, 2, missing_rate=0.2, seed=3),
+                          (0.7, 0.15, 0.15), seed=1)
+    model, checkpoint = fit_model(TmfModel(n_steps=16, n_features=2, rank=3, iters=4),
+                                  train, val, TrainConfig(seed=2))
+
+    def row_fit(batch):
+        w = forecasting._estimate_w(*forecasting._feature_stacks(batch.values, batch.mask),
+                                    model.f_list, model.lam_w + forecasting._RIDGE_FLOOR)
+        return np.einsum("dnr,dtr->ntd", w, model.f_list)
+
+    assert checkpoint.metric == imputer_validation_metric(row_fit, val) > 0
 
 
 def _near_the_float64_limit(n_features):

@@ -198,7 +198,6 @@ def test_saits_loss_rejects_overlapping_masks():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: LocfModel(0), "n_features must be positive"),
-    (lambda: MeanImputerModel(2, values=[np.nan, 0.0]), "must be finite"),
     (lambda: SaitsLiteModel(1, 2), "at least 2 steps"),
     (lambda: SaitsLiteModel(4, 2, d_ff=0), "sizes must be positive"),
     (lambda: SaitsLiteModel(4, 2, lam_mit=-0.5), "lam_mit must be non-negative"),
@@ -208,11 +207,6 @@ def test_saits_loss_rejects_overlapping_masks():
 def test_imputer_constructors_refuse_bad_settings(build, message):
     with pytest.raises(InvalidInputError, match=message):
         build()
-
-
-def test_analytic_imputer_refuses_values_of_another_width():
-    with pytest.raises(ShapeError, match=r"'means' shape \(1,\) does not match 2 features"):
-        MeanImputerModel(2, values=[1.0])
 
 
 def test_saits_loss_gradient_small_batch():

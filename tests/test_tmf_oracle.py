@@ -31,7 +31,7 @@ def _objective_oracle(y, mask, w, f, a, lam_w, lam_f, lam_a):
     value = float((resid * resid).sum())
     value += lam_w * float((w * w).sum())
     value += lam_a * float((a * a).sum())
-    value += _RIDGE_FLOOR * float((f * f).sum())
+    value += lam_f * float((f * f).sum())
     order = a.shape[0]
     for t in range(order, f.shape[0]):
         diff = f[t] - _ar_predict_oracle(f, a, t)
@@ -60,7 +60,7 @@ def _tmf_core_oracle(y, mask, rank, ar_order, lam_w, lam_f, lam_a, iters, seed,
         for t in range(t_len):
             rows = mask[:, t]
             wt = w[rows]
-            m = wt.T @ wt + _RIDGE_FLOOR * eye_r
+            m = wt.T @ wt + lam_f * eye_r
             rhs = wt.T @ yz[rows, t]
             if t >= ar_order:
                 m = m + lam_f * eye_r
