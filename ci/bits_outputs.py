@@ -20,7 +20,8 @@ It writes into OUTDIR, which must be empty or missing:
   readout makes every recurrent gradient exactly 0;
 - `pred_<kind>.npz`: each of the six kinds fit through the library API
   at fixed seeds, and its impute, classify, cluster or forecast output
-  on a held-out split; GRU-D-lite's classify runs in several spans;
+  on a held-out split; GRU-D-lite's classify runs in several spans, and
+  `pred_tmf.npz` also holds the fit's `objective_history`;
 - `logits_grud_lite_saturated.npz`: GRU-D-lite's logits on that split
   with its z and r weights and biases scaled until their gate inputs
   pass exp's float64 range, which saturates the gates;
@@ -167,7 +168,9 @@ def _predictions() -> None:
         views = ((inject_mcar(train, 0.2, seed=26), inject_mcar(val, 0.2, seed=27))
                  if kind == "saits_lite" else (train, val))
         model, _ = fit(model, *views, config)
-        np.savez(f"pred_{kind}.npz", pred=serve(model, test))
+        history = ({"objective_history": np.array(model.objective_history)}
+                   if isinstance(model, TmfModel) else {})
+        np.savez(f"pred_{kind}.npz", pred=serve(model, test), **history)
     _saturated_logits(train, test)
 
 

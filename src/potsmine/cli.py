@@ -313,8 +313,15 @@ def _cmd_evaluate(args) -> int:
             raise InvalidInputError(
                 f"--truth {truth_path} holds {truth_ds.n_steps} steps, "
                 f"fewer than --horizon {horizon}")
+        ids, truth = dataset._block.sample_ids, truth_ds._block
+        # the first series whose sample ids differ, or the shorter count
+        same = int(np.append(ids[:len(truth_ds)] != truth.sample_ids[:len(ids)], True).argmax())
+        if (truth_ds.n_features, len(truth_ds), same) != (dataset.n_features, len(ids), len(ids)):
+            raise InvalidInputError(f"--truth {truth_path} must continue the {len(ids)} series "
+                                    f"of --data in order, with {dataset.n_features} features; it "
+                                    f"holds {len(truth_ds)} of {truth_ds.n_features}, whose "
+                                    f"first {same} sample ids match")
         pred = forecast(model, dataset, horizon)
-        truth = truth_ds._block
         _print_report(("masked_mae", "masked_rmse"),
                       pred, truth.values[:, :horizon], truth.mask[:, :horizon])
         return 0

@@ -726,6 +726,32 @@ def test_evaluate_forecast_with_truth_shorter_than_horizon_exits_two(capsys, tmp
     assert "holds 2 steps, fewer than --horizon 3" in err
 
 
+@pytest.mark.parametrize("truth_of, holds", [
+    (lambda s: s[::-1], "holds 40 of 2, whose first 0 sample ids match"),
+    (lambda s: s[:30], "holds 30 of 2, whose first 30 sample ids match"),
+    (lambda s: [dataclasses.replace(x, sample_id=x.sample_id + 1000) for x in s],
+     "holds 40 of 2, whose first 0 sample ids match"),
+    (lambda s: [dataclasses.replace(x, values=np.repeat(x.values, 2, axis=1),
+                                    mask=np.repeat(x.mask, 2, axis=1)) for x in s],
+     "holds 40 of 4, whose first 40 sample ids match"),
+], ids=["reversed", "fewer_series", "other_ids", "more_features"])
+def test_evaluate_forecast_with_a_truth_that_does_not_continue_data_exits_two(
+        capsys, tmp_path, truth_of, holds):
+    data = gen(capsys, tmp_path, n=40, t=8)
+    truth = str(tmp_path / "truth.pots")
+    write_container(PotsDataset(truth_of(load_pots(gen(
+        capsys, tmp_path, name="future.pots", n=40, t=4, seed=9)).samples)), truth)
+    model = str(tmp_path / "tmf.pmdl")
+    code, _, err = run(capsys, "train", "--task", "forecast", "--model", "tmf",
+                       "--data", data, "--out", model)
+    assert code == 0, err
+    code, out, err = run(capsys, "evaluate", "--task", "forecast", "--model", model,
+                         "--data", data, "--truth", truth, "--horizon", "2")
+    assert (code, out) == (2, "")
+    assert f"--truth {truth} must continue the 40 series of --data in order, with 2 " \
+           f"features; it {holds}" in err
+
+
 def test_evaluate_rejects_unrelated_originals(capsys, tmp_path):
     data = gen(capsys, tmp_path, n=30)
     model_path = train_impute(capsys, tmp_path, data)

@@ -283,6 +283,52 @@ def test_tmf_objective_monotone():
         assert after <= before * (1 + 1e-9) + 1e-12
 
 
+def _counting_objective(monkeypatch):
+    """Route forecasting._objective through a wrapper; returns its call list."""
+    calls = []
+    direct = forecasting._objective
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(forecasting, "_objective", counted)
+    return calls
+
+
+def test_tmf_objective_from_gram_sums_equals_the_residual_sum(monkeypatch):
+    batch = generate_synthetic(50, 20, 3, 2, missing_rate=0.2, seed=5).training_batch(range(50))
+    yz, obs = forecasting._feature_stacks(batch.values, batch.mask)
+    lam = dict(lam_w=0.1, lam_f=0.3, lam_a=0.05)
+    calls = _counting_objective(monkeypatch)
+    w, f, a, history = forecasting._tmf_core(yz, obs, rank=3, ar_order=2, iters=8, seed=2,
+                                             **lam)
+    # noisy data never reaches the guard: every entry comes from the Gram sums
+    assert calls == []
+    direct = forecasting._objective(yz, obs, w, f, a, *(v + forecasting._RIDGE_FLOOR
+                                                        for v in lam.values()))
+    last = np.array([h[-1] for h in history])
+    assert np.abs(last - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def test_tmf_objective_of_an_exact_fit_is_summed_from_the_residual(monkeypatch):
+    # an exactly rank-2 matrix: the data term cancels in the Gram form
+    rng = np.random.default_rng(0)
+    steps = np.arange(40)
+    y = rng.normal(size=(30, 2)) @ np.stack([np.sin(0.3 * steps), np.cos(0.2 * steps)])
+    mask = (rng.random(y.shape) < 0.8).astype(float)
+    mask[:, 0] = 1.0
+    mask[0, :] = 1.0
+    calls = _counting_objective(monkeypatch)
+    model = tmf_fit(y, mask, rank=2, ar_order=2, lam_w=1e-6, lam_f=1e-6, lam_a=1e-6,
+                    iters=30, seed=1)
+    assert 0 < len(calls) < 30
+    lam = 1e-6 + forecasting._RIDGE_FLOOR
+    direct = forecasting._objective(*forecasting._feature_stacks(y[:, :, None], mask[:, :, None]),
+                                    model.w_list, model.f_list, model.a_list, lam, lam, lam)
+    assert abs(model.objective_history[0][-1] - direct[0]) <= 1e-12 * direct[0]
+
+
 def test_tmf_rejects_empty_rows_and_columns():
     y = np.ones((3, 5))
     mask = np.ones((3, 5))
