@@ -7,6 +7,7 @@ in masked-out cells (including NaN) can never leak into a result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ from .errors import InvalidInputError
 
 
 _TINY = np.finfo(np.float64).tiny   # the smallest normal float64
+# a direct sum of squares below this leaves room to add 2**23 more
+_HUGE = 2.0 ** 1000
 
 
 def _masked_diff(pred, target, mask, name: str):
@@ -27,7 +30,10 @@ def _masked_diff(pred, target, mask, name: str):
     hit = mask != 0
     if not hit.any():
         raise InvalidInputError(f"{name}: mask selects no cells")
-    return pred[hit], target[hit]
+    p, t = pred[hit], target[hit]
+    if not (np.isfinite(p).all() and np.isfinite(t).all()):
+        raise InvalidInputError(f"{name}: a selected cell holds a non-finite value")
+    return p, t
 
 
 def _finite(value, name: str) -> float:
@@ -36,32 +42,53 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
-def _scaled_diff(p: np.ndarray, t: np.ndarray, name: str):
+def _scaled_diff(p: np.ndarray, t: np.ndarray):
     """(r, s) with p - t == r * s, s half the largest |p - t| and every
     |r| <= 2.
 
     For a metric whose direct computation left the float64 range. Halving
     before subtracting keeps the difference of any two finite values, and
-    s, finite.
+    s, finite. A non-finite p or t makes r NaN.
     """
-    if not (np.isfinite(p).all() and np.isfinite(t).all()):
-        raise InvalidInputError(f"{name}: a selected cell holds a non-finite value")
     half = 0.5 * p - 0.5 * t
     s = np.abs(half).max()
     return (half / s) * 2.0, s
 
 
-def _mean_square(p: np.ndarray, t: np.ndarray, name: str):
-    """(m, s) with the mean squared difference equal to m * s * s; s is 1
-    unless the direct mean left the float64 range, or fell below its
-    normal range while some difference is not zero (squares of
-    differences below about 1e-154 underflow)."""
-    d = p - t
-    m = (d * d).mean()
-    if np.isfinite(m) and (m >= _TINY or not d.any()):
-        return m, 1.0
-    r, s = _scaled_diff(p, t, name)
-    return (r * r).mean(), s
+class _SquareSum:
+    """A streamed sum of squared differences over n cells, held as a pair
+    (total, scale) whose sum is total * scale**2. It starts at (0.0, 0.0).
+
+    add() takes the direct sum of a batch's squares, at scale 1, when it
+    is at least the smallest normal float64 (squares of differences below
+    about 1e-154 underflow) and below _HUGE, or when it is 0. Otherwise it
+    sums the squares of the differences as _scaled_diff scales them, at
+    that scale, and each is at most 4. The running pair and the batch's
+    meet on the larger scale, so finite inputs near the float64 limit
+    keep the sum finite, and one add() of tiny differences keeps their
+    digits. After one add() of a direct sum, total / n has the bits of
+    the direct mean of the squares. A non-finite p or t makes the sum NaN
+    for good.
+    """
+
+    total, scale, n = 0.0, 0.0, 0
+
+    def add(self, p: np.ndarray, t: np.ndarray) -> "_SquareSum":
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = p - t
+            total, scale = (d * d).sum(), 1.0
+            if not (_TINY <= total < _HUGE or not d.any()):
+                r, scale = _scaled_diff(p, t)
+                total = (r * r).sum()
+            big = np.maximum(self.scale, scale)   # NaN when either scale is
+            q, u = self.scale / big, scale / big
+            self.total = float(self.total * q * q + total * u * u)
+        self.scale = float(big)
+        self.n += d.size
+        return self
+
+    def mean_square(self) -> float:
+        return self.total / self.n * self.scale * self.scale   # inf past float64
 
 
 # Each masked error returns its direct computation whenever that is
@@ -77,22 +104,18 @@ def masked_mae(pred, target, mask) -> float:
         value = np.abs(p - t).mean()
         if np.isfinite(value):
             return float(value)
-        r, s = _scaled_diff(p, t, "masked_mae")
+        r, s = _scaled_diff(p, t)
         return _finite(np.abs(r).mean() * s, "masked_mae")
 
 
 def masked_mse(pred, target, mask) -> float:
-    p, t = _masked_diff(pred, target, mask, "masked_mse")
-    with np.errstate(over="ignore", invalid="ignore"):
-        m, s = _mean_square(p, t, "masked_mse")
-        return _finite(m * s * s, "masked_mse")
+    squares = _SquareSum().add(*_masked_diff(pred, target, mask, "masked_mse"))
+    return _finite(squares.mean_square(), "masked_mse")
 
 
 def masked_rmse(pred, target, mask) -> float:
-    p, t = _masked_diff(pred, target, mask, "masked_rmse")
-    with np.errstate(over="ignore", invalid="ignore"):
-        m, s = _mean_square(p, t, "masked_rmse")
-        return _finite(np.sqrt(m) * s, "masked_rmse")
+    squares = _SquareSum().add(*_masked_diff(pred, target, mask, "masked_rmse"))
+    return _finite(math.sqrt(squares.total / squares.n) * squares.scale, "masked_rmse")
 
 
 def masked_mre(pred, target, mask) -> float:
@@ -105,7 +128,7 @@ def masked_mre(pred, target, mask) -> float:
         num = np.abs(p - t).sum()
         if not (np.isfinite(num) and np.isfinite(denom)):
             # both sums over one common scale, which keeps each finite
-            r, s = _scaled_diff(p, t, "masked_mre")
+            r, s = _scaled_diff(p, t)
             c = max(s, np.abs(t).max())
             num = np.abs(r).sum() * (s / c)
             denom = (np.abs(t) / c).sum()

@@ -19,6 +19,7 @@ import numpy as np
 from ..errors import InvalidInputError, TrainingDivergedError, UnsupportedTaskError
 from ..core import _EVAL_CHUNK, Batch, NormStats, _iter_batches, _rng
 from .. import tensor as T
+from ..metrics import _SquareSum, _finite
 
 # a workspace array holds at most this many samples; a larger batch gets
 # fresh arrays that are freed after use
@@ -444,22 +445,19 @@ def imputer_validation_metric(reconstruct, val_set) -> float:
     so election still tracks the fit. An imputer that passes observed
     cells through bitwise therefore scores 0.0 on a plain view, and
     election is decided by epoch order alone.
+
+    The mean square is the metrics' masked MSE, summed batch by batch:
+    finite differences near the float64 limit keep the sum finite, and
+    an MSE beyond float64 raises InvalidInputError. A scored cell whose
+    reconstruction is not finite makes it NaN, which fit reports as
+    divergence.
     """
-    ind_err = ind_n = obs_err = obs_n = 0.0
+    held, observed = _SquareSum(), _SquareSum()
     for batch in _iter_batches(val_set):
         xhat = reconstruct(batch)
-        hit = batch.mask.astype(bool, copy=False)
-        diff = xhat[hit] - batch.values[hit]
-        obs_err += float(diff @ diff)
-        obs_n += diff.size
+        observed.add(xhat[batch.mask], batch.values[batch.mask])   # a view's masks are bool
         if batch.indicating is not None and batch.originals is not None:
-            held = batch.indicating.astype(bool, copy=False)
-            if held.any():
-                diff = xhat[held] - batch.originals[held]
-                ind_err += float(diff @ diff)
-                ind_n += diff.size
-    if ind_n > 0:
-        return ind_err / ind_n
-    if obs_n > 0:
-        return obs_err / obs_n
-    return 0.0
+            held.add(xhat[batch.indicating], batch.originals[batch.indicating])
+    scored = held if held.n else observed
+    mse = scored.mean_square() if scored.n else 0.0
+    return mse if np.isnan(mse) else _finite(mse, "validation metric")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FormatError, InvalidInputError, ShapeError
-from ..core import Batch, NormStats, _rng, fetch_all
+from ..core import Batch, NormStats, _iter_batches, _rng
 from .artifact import register_model
 from .base import (AnalyticModel, Clusterer, Imputer, TrainConfig, _check_non_negative,
                    fit as fit_model, impute)
@@ -155,7 +155,8 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
         self.centroids, _ = kmeans_fit(
             self.feat_stats.forward(flat), self.k, seed=config.seed,
             max_iters=self.max_iters, tol=self.tol)
-        return float(self._distances(fetch_all(val_set)).min(axis=1).mean())
+        total = sum(self._distances(b).min(axis=1).sum() for b in _iter_batches(val_set))
+        return float(total / len(val_set))
 
     def _distances(self, batch: Batch) -> np.ndarray:
         """(B, k) squared distances of the imputed, standardized rows to the centroids."""

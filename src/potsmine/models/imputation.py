@@ -14,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import Batch, _carry_forward, _chunks, _observed_moments, _rng, fit_norm_stats
+from ..core import (Batch, NormStats, _carry_forward, _chunks, _observed_moments, _rng,
+                    fit_norm_stats)
 from .. import tensor as T
 from .artifact import register_model
 from .base import (_INFER_BYTES, AnalyticModel, GradientModel, Imputer, TrainConfig,
@@ -77,11 +78,7 @@ class _AnalyticImputer(AnalyticModel, Imputer):
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:
         # the mean alone: data whose squares overflow float64 still has one
         mean = _observed_moments(train_set)[1]
-        bad = np.flatnonzero(~np.isfinite(mean))
-        if bad.size:
-            raise InvalidInputError(f"norm stats hold a non-finite value at feature {bad[0]} "
-                                    f"(mean {float(mean[bad[0]])})")
-        self.feature_values = mean
+        self.feature_values = NormStats(mean, np.ones_like(mean)).mean   # refused if not finite
         return imputer_validation_metric(self.impute_batch, val_set)
 
     def tensors(self) -> dict[str, np.ndarray]:

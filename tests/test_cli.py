@@ -1217,6 +1217,21 @@ def test_mean_and_locf_fit_data_whose_std_overflows(capsys, tmp_path, kind):
     assert np.isfinite(load_model(str(out)).feature_values).all()
 
 
+@pytest.mark.parametrize("kind", ["mean", "locf"])
+def test_mean_and_locf_validation_mse_beyond_float64_is_a_data_error(capsys, tmp_path, kind):
+    # at missing rate 0.2 the held-out cells of feature 0 are scored, and
+    # their mean square exceeds float64: a data error, not a divergence
+    data = _squares_overflow_at_feature_zero(tmp_path)
+    out = tmp_path / "m.pmdl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "train", "--task", "impute", "--model", kind,
+                           "--data", data, "--out", str(out), "--missing-rate", "0.2")
+    assert code == 2, err
+    assert "validation metric: the value exceeds the float64 range" in err
+    assert not out.exists()
+
+
 def test_two_stage_column_statistics_that_overflow_are_a_data_error(capsys, tmp_path):
     # the inner LOCF model fits; the flattened columns' std overflows
     data = _squares_overflow_at_feature_zero(tmp_path)

@@ -16,6 +16,7 @@ from potsmine import (
     rand_index,
 )
 from potsmine.errors import InvalidInputError
+from potsmine.metrics import _SquareSum
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,34 @@ def test_masked_metrics_refuse_a_non_finite_selected_cell(bad):
                 warnings.simplefilter("error")
                 with pytest.raises(InvalidInputError, match="non-finite value"):
                     fn(pred, target, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("batches", [
+    # a scaled batch after a direct one, and a direct one after a scaled one
+    ([1.0, -2.0, 0.5], [3e200, -1e200]),
+    ([3e200, -1e200], [1.0, -2.0, 0.5]),
+    # tiny differences, scaled, before and after a direct batch
+    ([1e-200, 2e-200], [0.5]),
+    ([0.5], [1e-200, 2e-200]),
+    # two direct sums of squares within float64 whose total is not
+    ([1e154], [-1e154]),
+])
+def test_square_sum_over_batches_is_the_rmse_over_all_their_cells(batches):
+    squares = _SquareSum()
+    for p in batches:
+        squares.add(np.asarray(p), np.zeros(len(p)))
+    whole = np.concatenate(batches)
+    assert squares.n == whole.size
+    want = masked_rmse(whole, np.zeros(whole.size), np.ones(whole.size))
+    assert abs(math.sqrt(squares.total / squares.n) * squares.scale - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_square_sum_is_nan_for_good_after_a_non_finite_cell(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        squares = _SquareSum().add(np.array([bad, 1.0]), np.zeros(2))
+        assert math.isnan(squares.add(np.ones(3), np.zeros(3)).mean_square())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Task API: config, election, fit loop, dispatch, artifacts, sharding."""
 
+import os
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import potsmine
 
 from potsmine import (
     Batch,
@@ -234,6 +240,51 @@ def test_imputer_metric_of_a_view_without_observed_cells_is_zero():
     empty = PotsDataset(Batch(values=np.full((2, 3, 2), np.nan), mask=np.zeros((2, 3, 2)),
                               timestamps=np.tile(np.arange(3.0), (2, 1)), labels=None))
     assert imputer_validation_metric(lambda b: np.zeros_like(b.values), empty) == 0.0
+
+
+def _filled(cells: str, value: float):
+    """A reconstruction: value at the batch's given cells, 0 elsewhere."""
+    def reconstruct(batch):
+        x = np.zeros_like(batch.values)
+        x[getattr(batch, cells)] = value
+        return x
+    return reconstruct
+
+
+def test_imputer_metric_is_nan_where_a_scored_reconstruction_is_not_finite():
+    view, plain = small_view(), generate_synthetic(12, 6, 2, 2, missing_rate=0.1, seed=0)
+    assert np.isnan(imputer_validation_metric(_filled("indicating", np.inf), view))
+    assert np.isnan(imputer_validation_metric(_filled("mask", np.nan), plain))
+    # the observed cells are not scored where held-out cells are
+    assert np.isfinite(imputer_validation_metric(_filled("mask", np.nan), view))
+
+
+def test_imputer_metric_beyond_float64_is_a_data_error():
+    # 1e200 passes every batch through the scaled sum; the MSE is 1e400
+    with pytest.raises(InvalidInputError,
+                       match="validation metric: the value exceeds the float64 range"):
+        imputer_validation_metric(_filled("indicating", 1e200), small_view(n=300))
+
+
+def test_imputer_metric_bits_at_one_and_two_blas_threads():
+    # one 256-sample batch of 48 x 8 scores about 88k observed cells; a
+    # BLAS dot product of that length splits by thread count
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs two CPUs")
+    src = str(Path(potsmine.__file__).resolve().parent.parent)
+    script = ("import numpy as np; from potsmine import generate_synthetic; "
+              "from potsmine.models import imputer_validation_metric; "
+              "view = generate_synthetic(256, 48, 8, 2, missing_rate=0.1, seed=1); "
+              "print(imputer_validation_metric("
+              "lambda b: np.nan_to_num(b.values) * 0.9 + 0.1, view).hex())")
+    bits = []
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        bits.append(done.stdout.strip())
+    assert bits[0] == bits[1]
 
 
 def test_analytic_fit_reports_epoch_one():
