@@ -21,7 +21,11 @@ It writes into OUTDIR, which must be empty or missing:
 - `pred_<kind>.npz`: each of the six kinds fit through the library API
   at fixed seeds, and its impute, classify, cluster or forecast output
   on a held-out split; GRU-D-lite's classify runs in several spans, and
-  `pred_tmf.npz` also holds the fit's `objective_history`;
+  `pred_tmf.npz` also holds the fit's `objective_history`, as does
+  `pred_tmf_rank1.npz`, TMF at rank 1, whose ridge systems are 1 x 1;
+- `tmf_near_singular.npz`: the factors, forecast and objective history
+  of a TMF fit to 1e4-scale series of which one alone observes step 7,
+  at `lam_f` 0.1, so that step's F-step systems are near singular;
 - `logits_grud_lite_saturated.npz`: GRU-D-lite's logits on that split
   with its z and r weights and biases scaled until their gate inputs
   pass exp's float64 range, which saturates the gates;
@@ -43,7 +47,8 @@ import numpy as np
 
 from potsmine import (LocfModel, MeanImputerModel, TmfModel, TrainConfig,
                       TwoStageKMeansModel, classify, cluster, fetch_all, fit, forecast,
-                      generate_synthetic, impute, inject_mcar, split)
+                      generate_synthetic, impute, inject_mcar, split, tmf_fit,
+                      tmf_forecast)
 from potsmine.cli import main as cli_main
 from potsmine.models import GrudLiteModel, SaitsLiteModel, decode_artifact
 from potsmine.store import LazyDataset, open_readonly
@@ -163,6 +168,7 @@ def _predictions() -> None:
         "grud_lite": (GrudLiteModel(48, 8, 2, hidden_size=64, init_seed=25), classify),
         "twostage_kmeans": (TwoStageKMeansModel(LocfModel(8), 2), cluster),
         "tmf": (TmfModel(48, 8, iters=5), lambda m, data: forecast(m, data, 2)),
+        "tmf_rank1": (TmfModel(48, 8, rank=1, iters=5), lambda m, data: forecast(m, data, 2)),
     }
     for kind, (model, serve) in models.items():
         views = ((inject_mcar(train, 0.2, seed=26), inject_mcar(val, 0.2, seed=27))
@@ -172,6 +178,18 @@ def _predictions() -> None:
                    if isinstance(model, TmfModel) else {})
         np.savez(f"pred_{kind}.npz", pred=serve(model, test), **history)
     _saturated_logits(train, test)
+    _near_singular_tmf()
+
+
+def _near_singular_tmf() -> None:
+    batch = generate_synthetic(60, 16, 1, 2, missing_rate=0.0, seed=30).training_batch(
+        range(60))
+    mask = np.ones((60, 16))
+    mask[1:, 7] = 0.0
+    model = tmf_fit(batch.values[:, :, 0] * 1e4, mask, rank=4, lam_f=0.1, iters=5, seed=31)
+    np.savez("tmf_near_singular.npz", w=model.w_list, f=model.f_list, a=model.a_list,
+             forecast=tmf_forecast(model, 2),
+             objective_history=np.array(model.objective_history))
 
 
 def _saturated_logits(train, test) -> None:

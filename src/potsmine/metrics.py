@@ -46,12 +46,19 @@ def _scaled_diff(p: np.ndarray, t: np.ndarray):
     """(r, s) with p - t == r * s, s half the largest |p - t| and every
     |r| <= 2.
 
-    For a metric whose direct computation left the float64 range. Halving
-    before subtracting keeps the difference of any two finite values, and
-    s, finite. A non-finite p or t makes r NaN.
+    For a metric whose direct computation left the float64 range, or
+    underflowed. Halving before subtracting keeps the difference of any
+    two finite values, and s, finite. Where every halved difference
+    rounds to 0, the differences are a few of the smallest subnormals and
+    exact unhalved, and s is the largest of them. A non-finite p or t
+    makes r NaN.
     """
     half = 0.5 * p - 0.5 * t
     s = np.abs(half).max()
+    if s == 0:
+        d = p - t
+        s = np.abs(d).max()
+        return d / s, s
     return (half / s) * 2.0, s
 
 

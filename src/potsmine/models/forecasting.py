@@ -7,12 +7,15 @@ the factors forward.
 
 One core fits all features at once on stacks: values and mask (D, N, T),
 W (D, N, R), F (D, T, R), A (D, L, R). Each step builds every feature's
-small ridge systems together (a masked Gram matrix is the 0/1 mask times
-the R*R outer products, one matmul) and makes one stacked solve. The F
-step stays Gauss-Seidel in t, as step t's AR right-hand side reads steps
-updated earlier in the sweep; its system matrices and AR weights depend
-on W and A only, so the loop over t keeps one weighted sum and one
-(D, R, R) solve per step.
+small ridge systems together (a masked Gram matrix is the R*R outer
+products times the 0/1 mask, one matmul) and factors them all with one
+batched Cholesky. The systems lie along the last axes, (R, R, D, M), so
+each column update of the factorization is one ufunc call over every
+system. The F step stays Gauss-Seidel in t, as step t's AR right-hand
+side reads steps updated earlier in the sweep; its systems and AR
+weights depend on W and A only, so each iteration factors all of them
+once and turns each step's update into a (D, R, (2L+1)(R+1)) map, and
+the loop over t makes one matmul of that map with the step's AR window.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .base import (AnalyticModel, Forecaster, TrainConfig, _check_non_negative,
 
 # keeps every block subproblem strictly positive definite
 _RIDGE_FLOOR = 1e-10
+# a Cholesky pivot at most this times its diagonal entry is singular
+_PIVOT_TOL = 16 * np.finfo(np.float64).eps
 
 
 def _check_matrix(mask: np.ndarray, label: str) -> None:
@@ -42,47 +47,92 @@ def _check_matrix(mask: np.ndarray, label: str) -> None:
 
 def _feature_stacks(values: np.ndarray, mask: np.ndarray):
     """(N, T, D) values and mask as zero-filled (D, N, T) values and 0/1 weights."""
-    obs = np.ascontiguousarray(mask.astype(bool, copy=False).astype(float).transpose(2, 0, 1))
-    return np.where(obs != 0, values.transpose(2, 0, 1), 0.0), obs
+    hit = np.ascontiguousarray(mask.astype(bool, copy=False).transpose(2, 0, 1))
+    return np.where(hit, values.transpose(2, 0, 1), 0.0), hit.astype(float)
 
 
-def _solve(systems: np.ndarray, rhs: np.ndarray, step: str, weight: str,
-           at: str = "") -> np.ndarray:
-    """np.linalg.solve over (D, ..., R, R) ridge systems whose ridge
-    weight is weight.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _cholesky(systems: np.ndarray) -> np.ndarray:
+    """Overwrite (R, R, ...) symmetric systems with their square-root-free
+    Cholesky factors L D L^T, the pivots D on the diagonal and the unit
+    lower triangle L below it; returns which systems are singular, shaped
+    like the trailing axes.
 
-    A singular system is a data error naming the first feature, along
-    the leading axis of systems, whose systems include one; at says
-    where else it sits, such as " at step 3".
+    The upper triangles are left holding scratch. A system is singular
+    when its first pivot that is not above _PIVOT_TOL times its diagonal
+    entry is finite: a zero or negative pivot, or one lost in rounding. A
+    system holding a non-finite entry first meets a NaN or infinite pivot,
+    so it is not singular, and its NaN factors reach the caller's own
+    finite check.
     """
-    try:
-        return np.linalg.solve(systems, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    for d, mats in enumerate(systems):
-        try:
-            np.linalg.solve(mats, np.zeros(mats.shape[:-1] + (1,)))
-        except np.linalg.LinAlgError:
-            break
-    raise InvalidInputError(f"tmf: the {step} system of feature {d}{at} is singular; "
-                            f"try a larger ridge weight {weight}")
+    rank = systems.shape[0]
+    diag = np.einsum("ii...->i...", systems).copy()
+    for j in range(rank - 1):
+        col = systems[j + 1:, j]
+        scaled = col / systems[j, j]
+        systems[j + 1:, j + 1:] -= scaled[:, None] * col
+        col[...] = scaled
+    pivots = np.einsum("ii...->i...", systems)
+    ok = pivots > _PIVOT_TOL * diag
+    if ok.all():
+        return np.zeros(diag.shape[1:], dtype=bool)
+    first = np.take_along_axis(pivots, np.argmin(ok, axis=0)[None], axis=0)[0]
+    return ~ok.all(axis=0) & np.isfinite(first)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _cho_solve(low: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Overwrite (R, M, ...) right-hand sides x with the solutions of the
+    systems whose (R, R, ...) factors _cholesky left in low; returns x."""
+    rank = low.shape[0]
+    for i in range(rank - 1):
+        x[i + 1:] -= low[i + 1:, i, None] * x[i]
+    x /= np.einsum("ii...->i...", low)[:, None]
+    for i in range(rank - 1, 0, -1):
+        x[:i] -= low[i, :i, None] * x[i]
+    return x
+
+
+def _singular(step: str, weight: str, feature: int, at: str = "") -> InvalidInputError:
+    return InvalidInputError(f"tmf: the {step} system of feature {feature}{at} is "
+                             f"singular; try a larger ridge weight {weight}")
+
+
+def _solve(systems: np.ndarray, rhs: np.ndarray, step: str, weight: str) -> np.ndarray:
+    """(R, D, M) solutions of (R, R, D, M) ridge systems, which it
+    overwrites, for (R, D, M) right-hand sides; weight is the ridge weight.
+
+    A singular system is a data error naming the first feature whose
+    systems include one.
+    """
+    singular = _cholesky(systems)
+    if singular.any():
+        raise _singular(step, weight, int(np.argmax(singular.any(axis=1))))
+    return _cho_solve(systems, rhs[:, None])[:, 0]
 
 
 def _masked_grams(obs: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """(D, M, R, R) sums of f f^T over the rows of (D, K, R) factors that
+    """(R, R, D, M) sums of f f^T over the rows of (D, K, R) factors that
     each row of the (D, M, K) 0/1 obs selects."""
     d, k, rank = factors.shape
-    outer = np.einsum("dkr,dks->dkrs", factors, factors).reshape(d, k, rank * rank)
-    return (obs @ outer).reshape(d, obs.shape[1], rank, rank)
+    cols = np.ascontiguousarray(factors.transpose(2, 0, 1))
+    outer = (cols[:, None] * cols).reshape(rank * rank, d, k)
+    gram = np.empty((rank, rank, d, obs.shape[1]))
+    np.matmul(outer.transpose(1, 0, 2), obs.transpose(0, 2, 1),
+              out=gram.reshape(rank * rank, d, -1).transpose(1, 0, 2))
+    return gram
 
 
 def _estimate_w(yz: np.ndarray, obs: np.ndarray, f: np.ndarray,
                 lam_w: float) -> np.ndarray:
     """(D, N, R) ridge fit of every row of the (D, N, T) stacks to fixed
     (D, T, R) temporal factors; lam_w is the whole ridge weight."""
+    rank = f.shape[2]
     gram = _masked_grams(obs, f)
-    gram += lam_w * np.eye(f.shape[2])
-    return _solve(gram, (yz @ f)[..., None], "W-step", "lam_w")[..., 0]
+    gram.reshape(rank * rank, -1)[::rank + 1] += lam_w
+    rhs = np.empty((rank,) + yz.shape[:2])
+    np.matmul(f.transpose(0, 2, 1), yz.transpose(0, 2, 1), out=rhs.transpose(1, 0, 2))
+    return _solve(gram, rhs, "W-step", "lam_w").transpose(1, 2, 0)
 
 
 def _sq(x: np.ndarray) -> np.ndarray:
@@ -103,6 +153,47 @@ def _objective(yz, obs, w, f, a, lam_w, lam_f, lam_a) -> np.ndarray:
     np.subtract(yz, resid, out=resid)
     resid *= obs
     return _sq(resid) + _penalty(w, f, a, lam_w, lam_f, lam_a)
+
+
+def _f_step_maps(gram, data, a, lam_f):
+    """Each step's F update as a (T, D, R, (2L+1)(R+1)) map of its AR window.
+
+    Step t's f_t = M_t^-1 (r_t + sum_j c_tj * f_{t-L+j}), for the F step's
+    (R, R, D, T) Grams and (R, D, T) data right-hand sides r. f_t enters
+    the AR residual e_u = sum_l b_l * f_{u-l} (b_0 = 1, b_l = -a_l) of
+    each step u = t+l in [L, T): lam_f b_l^2 joins the ridge of M_t, over
+    its own lam_f, and c_tj, for j - L = l - l', gathers -lam_f b_l * b_l'.
+    Each window row ends in a constant 1, whose weight in the map is
+    M_t^-1 r_t in the centre row and 0 elsewhere. A singular M_t is a
+    data error naming the first step in sweep order, then its first
+    feature.
+    """
+    rank, _, n_feat, t_len = gram.shape
+    order = a.shape[1]
+    b = np.concatenate([np.ones((1, n_feat, rank)), -a.transpose(1, 0, 2)])
+    pairs = (lam_f * b[:, None] * b).transpose(0, 1, 3, 2)[..., None]
+    # c as (2L+1, R+1, D, T); rows l .. l+L take l' = L .. 0
+    coef = np.zeros((2 * order + 1, rank + 1, n_feat, t_len))
+    for lag in range(order + 1):
+        coef[lag:lag + order + 1, :rank, :, order - lag:t_len - lag] -= pairs[lag, ::-1]
+    m = gram.copy()
+    m_diag = m.reshape(rank * rank, n_feat, t_len)[::rank + 1]
+    m_diag += lam_f
+    # the centre row (l' = l) gathered -lam_f b_l^2, which belongs to M_t
+    m_diag -= coef[order, :rank]
+    coef[order, :rank] = 0.0
+    coef[order, rank] = 1.0
+    singular = _cholesky(m)
+    if singular.any():
+        t = int(np.argmax(singular.any(axis=0)))
+        raise _singular("F-step", "lam_f", int(np.argmax(singular[:, t])), f" at step {t}")
+    # [M^-1 | M^-1 r] as (R, R+1, D, T)
+    inv = np.zeros((rank, rank + 1, n_feat, t_len))
+    inv.reshape(rank * (rank + 1), n_feat, t_len)[::rank + 2] = 1.0
+    inv[:, rank] = data
+    _cho_solve(m, inv)
+    maps = inv.transpose(3, 2, 0, 1)[:, :, :, None] * coef.transpose(3, 2, 0, 1)[:, :, None]
+    return maps.reshape(t_len, n_feat, rank, -1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -126,63 +217,44 @@ def _tmf_core(yz: np.ndarray, obs: np.ndarray, rank: int, ar_order: int,
     rngs = [_rng(seed + d) for d in range(n_feat)]
     w = np.stack([rng.normal(0.0, 0.1, (n, rank)) for rng in rngs])
     # F lives inside zero padding of L steps at each end, so every step's
-    # AR window f_{t-L} .. f_{t+L} is one slice
-    padded = np.zeros((n_feat, t_len + 2 * order, rank))
-    f = padded[:, order:order + t_len]
+    # AR window f_{t-L} .. f_{t+L} is one slice; each row ends in a 1,
+    # which carries the data term of the step's update
+    padded = np.zeros((n_feat, t_len + 2 * order, rank + 1))
+    padded[..., rank] = 1.0
+    f = padded[:, order:order + t_len, :rank]
     f[:] = np.stack([rng.normal(0.0, 0.1, (t_len, rank)) for rng in rngs])
     a = np.zeros((n_feat, order, rank), dtype=np.float64)
-    obs_t = np.ascontiguousarray(obs.transpose(0, 2, 1))
-    yz_t = np.ascontiguousarray(yz.transpose(0, 2, 1))
     y_sq = _sq(yz)
-    # per-step views of f and of its AR window f_{t-L} .. f_{t+L}
-    steps = [(t, f[:, t], padded[:, t:t + 2 * order + 1]) for t in range(t_len)]
+    # per step, (D, R, 1) f_t and its (D, (2L+1)(R+1), 1) AR window
+    steps = [(f[:, t, :, None], padded[:, t:t + 2 * order + 1].reshape(n_feat, -1, 1))
+             for t in range(t_len)]
     history = []
 
     for _ in range(iters):
         w = _estimate_w(yz, obs, f, lam_w)
 
-        # F step: f_t carries the lam_f ridge and enters its own AR residual
-        # (t >= L) and that of each step t+lag with L <= t+lag < T; those
-        # give the ridge terms of its system and the weights (coef) of its
-        # AR right-hand side over the steps t-L .. t+L, of which the earlier
-        # are already updated.
-        gram = _masked_grams(obs_t, w)
-        m = gram.copy()
-        m_diag = m.reshape(n_feat, t_len, rank * rank)[..., ::rank + 1]
-        m_diag += lam_f
-        m_diag[:, order:] += lam_f
-        coef = np.zeros((n_feat, t_len, 2 * order + 1, rank))
-        for lag in range(1, order + 1):
-            a_lag = lam_f * a[:, lag - 1, None]
-            ahead = slice(order - lag, t_len - lag)
-            m_diag[:, ahead] += a_lag * a[:, lag - 1, None]
-            coef[:, order:, order - lag] += a_lag
-            coef[:, ahead, order + lag] += a_lag
-            for other in range(1, order + 1):
-                if other != lag:
-                    coef[:, ahead, order + lag - other] -= a_lag * a[:, other - 1, None]
-        data_rhs = yz_t @ w
-        for (t, f_t, window), m_t, coef_t, data_t in zip(
-                steps, m.swapaxes(0, 1), coef.swapaxes(0, 1), data_rhs.swapaxes(0, 1)):
-            rhs = np.einsum("djr,djr->dr", coef_t, window)
-            rhs += data_t
-            f_t[:] = _solve(m_t, rhs[..., None], "F-step", "lam_f", f" at step {t}")[..., 0]
+        gram = _masked_grams(obs.transpose(0, 2, 1), w)
+        data = np.matmul(w.transpose(0, 2, 1), yz)   # (D, R, T)
+        maps = _f_step_maps(gram, data.transpose(1, 0, 2), a, lam_f)
+        # F step, Gauss-Seidel in t: each window reads the steps updated before it
+        for (f_t, window), map_t in zip(steps, maps):
+            np.matmul(map_t, window, out=f_t)
 
         # A step: one (L, L) ridge system per feature and rank component
         design = np.stack([f[:, order - lag:t_len - lag] for lag in range(1, order + 1)],
                           axis=-1).transpose(0, 2, 1, 3)
         scaled = lam_f * design.swapaxes(-1, -2)
-        a = _solve(scaled @ design + lam_a * np.eye(order),
-                   scaled @ f[:, order:].transpose(0, 2, 1)[..., None], "A-step", "lam_a"
-                   )[..., 0].transpose(0, 2, 1)
+        systems = (scaled @ design + lam_a * np.eye(order)).transpose(2, 3, 0, 1)
+        rhs = (scaled @ f[:, order:].transpose(0, 2, 1)[..., None])[..., 0]
+        a = _solve(systems, rhs.transpose(2, 0, 1), "A-step", "lam_a").transpose(1, 0, 2)
 
         # the data term from the F-step's sums for the final W and F:
         # |mask * (Y - W F^T)|^2 = sum mask y^2 - 2 sum_t f_t.r_t + sum_t f_t^T G_t f_t;
         # where that cancels, or overflows, it is summed from the residual
-        data = (y_sq - 2 * np.einsum("dtr,dtr->d", f, data_rhs)
-                + np.einsum("dtr,dtrs,dts->d", f, gram, f))
-        objective = (data + _penalty(w, f, a, lam_w, lam_f, lam_a)
-                     if ((data > 1e-6 * y_sq) & (data < np.inf)).all()
+        fit = (y_sq - 2 * np.einsum("dtr,drt->d", f, data)
+               + np.einsum("dtr,rsdt,dts->d", f, gram, f))
+        objective = (fit + _penalty(w, f, a, lam_w, lam_f, lam_a)
+                     if ((fit > 1e-6 * y_sq) & (fit < np.inf)).all()
                      else _objective(yz, obs, w, f, a, lam_w, lam_f, lam_a))
         finite = np.isfinite(objective)
         if not finite.all():
@@ -217,7 +289,10 @@ class TmfModel(AnalyticModel, Forecaster):
     each weight floored at 1e-10. objective_history holds it per feature
     and iteration, its data term from the F step's Gram sums: that agrees
     with the direct residual sum to about 1e-12 relative, and falls back
-    to that sum where the two cancel or overflow.
+    to that sum where the two cancel or overflow. Each step factors all
+    its ridge systems with one batched Cholesky; one whose pivot falls to
+    16 eps of its diagonal entry is singular, a data error that names the
+    feature, the step of an F-step system and the ridge weight to raise.
 
     w_list, f_list and a_list are the (D, N, R), (D, T, R) and (D, L, R)
     factor stacks; indexing one by feature gives that feature's factors.

@@ -176,6 +176,23 @@ def test_square_sum_over_batches_is_the_rmse_over_all_their_cells(batches):
     assert abs(math.sqrt(squares.total / squares.n) * squares.scale - want) <= 1e-15 * want
 
 
+@pytest.mark.parametrize("pred, target", [
+    ([5e-324], [0.0]),
+    ([5e-324, 0.0], [0.0, 5e-324]),
+])
+def test_differences_of_the_smallest_subnormal_keep_their_scale(pred, target):
+    # each halved difference rounds to 0, which once made the scale 0 and
+    # every scaled difference 0/0
+    mask = [1.0] * len(pred)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert masked_rmse(pred, target, mask) == 5e-324
+        assert masked_mse(pred, target, mask) == 0.0
+        squares = _SquareSum().add(np.asarray(pred), np.asarray(target))
+        assert (squares.total, squares.scale) == (len(pred), 5e-324)
+        assert squares.mean_square() == 0.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_square_sum_is_nan_for_good_after_a_non_finite_cell(bad):
     with warnings.catch_warnings():

@@ -6,14 +6,18 @@ objective summed over t in Python. The batched core sums in another
 order, so the comparisons hold to a relative tolerance set beforehand
 from float64 rounding (about 1e-14 observed), far below what a change of
 algorithm, such as a Jacobi instead of a Gauss-Seidel F-step, would give.
+The batched Cholesky kernel is held to np.linalg.solve the same way, and
+its singular rule to the messages of the steps that use it.
 """
 
 import numpy as np
+import pytest
 
 from potsmine import (PotsDataset, TimeSeriesSample, TmfModel, TrainConfig,
                       fit as fit_model, tmf_fit)
-from potsmine.models.forecasting import (_RIDGE_FLOOR, _estimate_w, _feature_stacks,
-                                         _tmf_core)
+from potsmine.errors import InvalidInputError
+from potsmine.models.forecasting import (_RIDGE_FLOOR, _cho_solve, _cholesky, _estimate_w,
+                                         _f_step_maps, _feature_stacks, _solve, _tmf_core)
 
 
 # ---------------------------------------------------------------------------
@@ -177,3 +181,103 @@ def test_estimate_w_matches_scalar_oracle():
     for d in range(values.shape[2]):
         want = _estimate_w_oracle(values[:, :, d], mask[:, :, d] != 0, f[d], 0.2)
         assert _rel(got[d], want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched Cholesky kernel
+
+def _spd(rank, batch, seed):
+    """(R, R, *batch) random symmetric positive definite systems."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=batch + (rank, rank))
+    mats = b @ b.swapaxes(-1, -2) / rank + np.eye(rank)
+    return np.moveaxis(mats, (-2, -1), (0, 1)).copy()
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+@pytest.mark.parametrize("batch", [(1,), (7,), (2000,), (3, 5)])
+def test_cholesky_solve_matches_numpy_solve(rank, batch):
+    systems = _spd(rank, batch, seed=rank)
+    rhs = np.random.default_rng(rank + 10).normal(size=(rank, 3) + batch)
+    want = np.linalg.solve(np.moveaxis(systems, (0, 1), (-2, -1)),
+                           np.moveaxis(rhs, (0, 1), (-2, -1)))
+    low = systems.copy()
+    assert not _cholesky(low).any()
+    got = np.moveaxis(_cho_solve(low, rhs.copy()), (0, 1), (-2, -1))
+    assert _rel(got, want) <= 1e-12
+
+
+def test_a_pivot_within_16_eps_of_its_diagonal_entry_is_singular():
+    systems = np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
+    systems[1, 1] += [1e-14, 1e-15]
+    assert _cholesky(systems).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (2, 2)])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_system_holding_a_non_finite_entry_is_not_singular(entry, bad):
+    # its NaN, if any, is left for the objective's finite check; the suite
+    # turns any RuntimeWarning on the way into an error
+    systems = _spd(3, (2, 2), seed=1)
+    systems[entry + (1, 0)] = systems[entry[::-1] + (1, 0)] = bad
+    want = np.linalg.solve(np.moveaxis(systems, (0, 1), (-2, -1))[0], np.ones((2, 3, 1)))
+    solved = _solve(systems, np.ones((3, 2, 2)), "W-step", "lam_w")
+    assert _rel(solved[:, 0].T, want[..., 0]) <= 1e-12
+
+
+def _degenerate_gram(kind, rank, rows):
+    """(rows, R) factors whose Gram is exactly zero, or rank 1 at 1e8 scale,
+    where the 1e-10 ridge floor vanishes in rounding."""
+    if kind == "zero":
+        return np.zeros((rows, rank))
+    return 1e4 * np.linspace(1.0, 2.0, rows)[:, None] * np.linspace(0.5, 1.0, rank)
+
+
+_RIDGE = {"zero": 0.0, "rank one": _RIDGE_FLOOR}
+
+
+@pytest.mark.parametrize("kind", ["zero", "rank one"])
+def test_a_degenerate_w_step_gram_is_refused(kind):
+    f = np.random.default_rng(2).normal(size=(3, 6, 4))
+    f[1] = _degenerate_gram(kind, 4, 6)
+    obs = np.ones((3, 5, 6))
+    with pytest.raises(InvalidInputError, match="the W-step system of feature 1 is singular; "
+                                                "try a larger ridge weight lam_w$"):
+        _estimate_w(np.ones_like(obs), obs, f, _RIDGE[kind])
+
+
+def _f_step_grams(w, obs):
+    """(R, R, D, T) F-step Grams of (D, N, R) series factors."""
+    return np.einsum("dnt,dnr,dns->rsdt", obs, w, w)
+
+
+@pytest.mark.parametrize("kind", ["zero", "rank one"])
+def test_a_degenerate_f_step_gram_is_refused(kind):
+    w = np.random.default_rng(3).normal(size=(3, 5, 4))
+    obs = np.ones((3, 5, 8))
+    gram = _f_step_grams(w, obs)
+    gram[:, :, 1, 6] = _f_step_grams(_degenerate_gram(kind, 4, 5)[None], obs[:1])[:, :, 0, 0]
+    with pytest.raises(InvalidInputError, match="the F-step system of feature 1 at step 6 is "
+                                                "singular; try a larger ridge weight lam_f$"):
+        _f_step_maps(gram, np.ones((4, 3, 8)), np.zeros((3, 2, 4)), _RIDGE[kind])
+
+
+def test_two_singular_f_steps_report_the_earlier_step():
+    w = np.random.default_rng(4).normal(size=(3, 5, 4))
+    obs = np.ones((3, 5, 8))
+    gram = _f_step_grams(w, obs)
+    gram[:, :, 2, 3] = 0.0
+    gram[:, :, 0, 5] = 0.0
+    with pytest.raises(InvalidInputError, match="F-step system of feature 2 at step 3 is"):
+        _f_step_maps(gram, np.ones((4, 3, 8)), np.zeros((3, 2, 4)), 0.0)
+
+
+@pytest.mark.parametrize("kind", ["zero", "rank one"])
+def test_a_degenerate_a_step_system_is_refused(kind):
+    # the A step's (L, L) systems are a Gram of lagged F columns plus lam_a
+    lags = _degenerate_gram(kind, 3, 10)
+    systems = _spd(3, (2, 4), seed=5)
+    systems[:, :, 1] = (lags.T @ lags + _RIDGE[kind] * np.eye(3))[..., None]
+    with pytest.raises(InvalidInputError, match="the A-step system of feature 1 is singular; "
+                                                "try a larger ridge weight lam_a$"):
+        _solve(systems, np.ones((3, 2, 4)), "A-step", "lam_a")
