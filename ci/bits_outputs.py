@@ -11,10 +11,14 @@ It writes into OUTDIR, which must be empty or missing:
   predict, at fixed seeds and small shapes, and each kind's train once
   more on the corrupted container;
 - `<file>.npz` beside each `.pots` container and `.pmdl` artifact, its
-  numeric content as that checkout's potsmine decodes it;
+  numeric content as that checkout's potsmine decodes it; an artifact's
+  norm statistics are saved under `norm_mean` and `norm_std`, whether
+  that checkout decodes them as tensors or, as format 1 did, as a
+  section of their own;
 - `grads_<kind>_<norm|raw>.npz`: the loss and every parameter gradient
-  of SAITS-lite and GRU-D-lite on one minibatch, with and without
-  normalization, and `grads_grud_lite_wide_<norm|raw>.npz` the same for
+  of SAITS-lite and GRU-D-lite on one minibatch, with norm statistics
+  fit to the data and with a model's initial, identity ones (no
+  prepare_fit), and `grads_grud_lite_wide_<norm|raw>.npz` the same for
   GRU-D-lite at 32 samples, 48 steps and hidden size 64; GRU-D-lite's
   parameters are perturbed from their initialization, whose zero
   readout makes every recurrent gradient exactly 0;
@@ -99,11 +103,9 @@ def _pipeline(log: list, fmt: str) -> None:
 
 def _artifact_arrays(art, prefix: str = "") -> dict:
     out = {prefix + name: arr for name, arr in art.tensors.items()}
-    norm = art.norm
+    norm = getattr(art, "norm", None)   # format 1's (2, D) section, means over stds
     if norm is not None:
-        # (2, D) means over stds, whether decoded as one array or as a pair
-        out[prefix + "norm"] = np.asarray(
-            norm if isinstance(norm, np.ndarray) else (norm.mean, norm.std))
+        out[prefix + "norm_mean"], out[prefix + "norm_std"] = norm
     if art.inner is not None:
         out.update(_artifact_arrays(art.inner, prefix + "inner."))
     return out
@@ -138,20 +140,18 @@ def _gradients() -> None:
     view = inject_mcar(ds, 0.2, seed=12)
     wide = generate_synthetic(40, 48, 8, 2, missing_rate=0.3, seed=15)
     idx = list(range(3, 19))
-    for normalize in (True, False):
-        tag = "norm" if normalize else "raw"
+    for tag in ("norm", "raw"):
         models = {
-            "saits_lite": (SaitsLiteModel(10, 3, d_model=8, d_ff=16, normalize=normalize,
-                                          init_seed=13), view, idx),
-            "grud_lite": (_perturbed(GrudLiteModel(10, 3, 2, hidden_size=8,
-                                                   normalize=normalize, init_seed=14), 16),
+            "saits_lite": (SaitsLiteModel(10, 3, d_model=8, d_ff=16, init_seed=13), view, idx),
+            "grud_lite": (_perturbed(GrudLiteModel(10, 3, 2, hidden_size=8, init_seed=14), 16),
                           ds, idx),
             "grud_lite_wide": (_perturbed(GrudLiteModel(48, 8, 2, hidden_size=64,
-                                                        normalize=normalize, init_seed=17),
+                                                        init_seed=17),
                                           18), wide, list(range(4, 36))),
         }
         for kind, (model, data, rows) in models.items():
-            model.prepare_fit(data)
+            if tag == "norm":
+                model.prepare_fit(data)
             loss, grads = model.shard_loss_and_grads(data, rows)
             np.savez(f"grads_{kind}_{tag}.npz", loss=np.array(loss), **grads)
 

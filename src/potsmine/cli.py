@@ -46,7 +46,7 @@ _DEFAULTS = {
     "n_samples": 200, "n_steps": 24, "n_features": 5, "n_classes": 2,
     "train_frac": 0.8, "val_frac": 0.1, "test_frac": 0.1,
     "d_model": 32, "d_ff": 64, "lam_mit": 1.0, "hidden_size": 64,
-    "normalize": True, "k": 2, "kmeans_max_iters": 100, "kmeans_tol": 1e-6,
+    "k": 2, "kmeans_max_iters": 100, "kmeans_tol": 1e-6,
     "rank": 2, "ar_order": 2, "lam_w": 0.1, "lam_f": 0.1, "lam_a": 0.1,
     "iters": 20,
 }
@@ -63,8 +63,6 @@ def _emit(text: str) -> None:
 def _json_types(default) -> tuple[tuple[type, ...], str]:
     """The JSON value types a config key takes, by the type of its default
     (a JSON true is not an integer, though Python's bool is an int)."""
-    if isinstance(default, bool):
-        return (bool,), "a boolean"
     if isinstance(default, int):
         return (int,), "an integer"
     if isinstance(default, float):
@@ -199,16 +197,14 @@ def _build_model(kind: str, dataset: core.PotsDataset, cfg: dict):
     if kind == "saits_lite":
         return SaitsLiteModel(
             n_steps, n_features, d_model=int(cfg["d_model"]), d_ff=int(cfg["d_ff"]),
-            lam_mit=float(cfg["lam_mit"]), normalize=bool(cfg["normalize"]),
-            init_seed=seed)
+            lam_mit=float(cfg["lam_mit"]), init_seed=seed)
     if kind == "grud_lite":
         if dataset.n_classes is None:
             raise InvalidInputError(
                 "grud_lite needs a labeled dataset with a known class count")
         return GrudLiteModel(
             n_steps, n_features, dataset.n_classes,
-            hidden_size=int(cfg["hidden_size"]), normalize=bool(cfg["normalize"]),
-            init_seed=seed)
+            hidden_size=int(cfg["hidden_size"]), init_seed=seed)
     if kind == "twostage_kmeans":
         return TwoStageKMeansModel(
             LocfModel(n_features), int(cfg["k"]),
@@ -385,7 +381,6 @@ def _cmd_inspect(args) -> int:
         _emit(f"kind: {art.kind}")
         for key in sorted(art.hyperparams):
             _emit(f"hyperparam {key}: {art.hyperparams[key]}")
-        _emit(f"normalized: {art.norm is not None}")
         for name in sorted(art.tensors):
             shape = "x".join(str(d) for d in art.tensors[name].shape) or "scalar"
             _emit(f"tensor {name}: {shape}")

@@ -43,22 +43,22 @@ def _finite(value, name: str) -> float:
 
 
 def _scaled_diff(p: np.ndarray, t: np.ndarray):
-    """(r, s) with p - t == r * s, s half the largest |p - t| and every
-    |r| <= 2.
+    """(r, s) with p - t == r * s, s > 0 and every |r| <= 2.
 
     For a metric whose direct computation left the float64 range, or
-    underflowed. Halving before subtracting keeps the difference of any
-    two finite values, and s, finite. Where every halved difference
-    rounds to 0, the differences are a few of the smallest subnormals and
-    exact unhalved, and s is the largest of them. A non-finite p or t
-    makes r NaN.
+    underflowed. When every difference is finite, s is the largest
+    |p - t| (1 when all are 0), so subnormal differences keep every bit.
+    When one overflows, halving before subtracting keeps the difference
+    of any two finite values, and s, finite: s is then half the largest
+    |p - t|. Above the subnormals halving is exact, so both give one sum
+    of squares times s**2. A non-finite p or t makes r NaN.
     """
+    d = p - t
+    if np.isfinite(d).all():
+        s = np.abs(d).max() or 1.0
+        return d / s, s
     half = 0.5 * p - 0.5 * t
     s = np.abs(half).max()
-    if s == 0:
-        d = p - t
-        s = np.abs(d).max()
-        return d / s, s
     return (half / s) * 2.0, s
 
 

@@ -3,14 +3,13 @@
 Layout, all little-endian:
 
     magic   4 bytes  b"PMDL"
-    version u16      1
+    version u16      2
     payload
         kind          u16 length + utf-8 bytes
         hyperparams   u32 count, then per entry (sorted by key):
                       key (u16 length + utf-8), type tag u8, value
                       (tag 0 float f8, 1 int i64, 3 bool u8; tag 2, once
                       a string, is refused like any unknown tag)
-        norm stats    u8 flag; if 1: u32 D, D f8 means, D f8 stds
         tensors       u32 count, then per tensor (sorted by name):
                       name (u16 length + utf-8), rank u8, dims (u64 each),
                       row-major f8 data
@@ -21,15 +20,19 @@ Layout, all little-endian:
 Numeric state is binary64 end to end, so a load reproduces the saved
 model's outputs bitwise.
 
+Norm statistics are tensors like any other: a gradient model's are
+norm_mean and norm_std, two-stage k-means' feat_mean and feat_std, and
+norm_stats_of builds each pair into a NormStats when the model is filled.
+
 load_model reads the file once, into a buffer of its own. decode_artifact
-parses it in one pass with precompiled structs; its tensors and norm
-statistics are views of that buffer. model_from_artifact builds the
-model without drawing its initialization, checks the tensor shapes its
-hyperparameters imply before allocating any array, copies each tensor
-once into one block that the model's arrays are views of, and checks
-that block for non-finite values in one pass. A load is refused, with a
-FormatError that names the file or the entry (a CorruptionError where
-the bytes are damaged), when:
+parses it in one pass with precompiled structs; its tensors are views of
+that buffer. model_from_artifact builds the model without drawing its
+initialization, checks the tensor shapes its hyperparameters imply
+before allocating any array, copies each tensor once into one block
+that the model's arrays are views of, and checks that block for
+non-finite values in one pass. A load is refused, with a FormatError
+that names the file or the entry (a CorruptionError where the bytes are
+damaged), when:
 
 - the magic or the version is wrong, the file is truncated, or the
   checksum does not match;
@@ -42,9 +45,8 @@ the bytes are damaged), when:
 - a tensor is missing, extra or of another shape than the
   hyperparameters give, so a size the artifact's bytes do not hold is
   refused before it is allocated;
-- a tensor holds a non-finite value;
-- the norm statistics are not n_features wide, or NormStats refuses
-  them: a non-finite value, or a std below NormStats.STD_FLOOR.
+- a tensor holds a non-finite value, or a norm std tensor a value below
+  NormStats.STD_FLOOR.
 
 A value the kind's constructor refuses raises its InvalidInputError.
 """
@@ -63,7 +65,7 @@ from ..errors import CorruptionError, FormatError, InvalidInputError, StorageErr
 from ..core import NormStats
 
 MAGIC = b"PMDL"
-VERSION = 1
+VERSION = 2
 
 _TAG_FLOAT = 0
 _TAG_INT = 1
@@ -84,7 +86,6 @@ class ModelArtifact:
 
     kind: str
     hyperparams: dict = field(default_factory=dict)
-    norm: np.ndarray | None = None   # (2, D): the norm stats' means, then stds
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     inner: "ModelArtifact | None" = None
 
@@ -114,12 +115,6 @@ def _encode_payload(art: ModelArtifact) -> bytes:
         else:
             raise FormatError(
                 f"hyperparameter {key!r} has unsupported type {type(value).__name__}")
-    if art.norm is None:
-        out.append(b"\x00")
-    else:
-        norm = np.ascontiguousarray(art.norm, dtype="<f8")
-        out.append(struct.pack("<BI", 1, norm.shape[1]))
-        out.append(norm.tobytes())
     names = sorted(art.tensors)
     out.append(struct.pack("<I", len(names)))
     for name in names:
@@ -165,8 +160,8 @@ def _text(bounded: memoryview, pos: int, source: str) -> tuple[str, int]:
 
 
 def _parse(raw: bytearray, start: int, end: int, source: str) -> ModelArtifact:
-    """The artifact in raw[start:end], read in one pass; its tensors and
-    norm statistics are float64 views of raw."""
+    """The artifact in raw[start:end], read in one pass; its tensors are
+    float64 views of raw."""
     if end - start < 6 or raw[start:start + 4] != MAGIC:
         raise FormatError(f"{source}: not a PMDL artifact")
     (version,) = _U16.unpack_from(raw, start + 4)
@@ -191,16 +186,6 @@ def _parse(raw: bytearray, start: int, end: int, source: str) -> ModelArtifact:
             raise CorruptionError(f"{source}: unknown hyperparameter tag {tag}")
         (hyperparams[key],) = value.unpack_from(bounded, pos + 1)
         pos += 1 + value.size
-    (has_norm,) = _U8.unpack_from(bounded, pos)
-    pos += 1
-    norm = None
-    if has_norm:
-        (dim,) = _U32.unpack_from(bounded, pos)
-        pos += 4
-        if pos + 16 * dim > end:
-            raise _ended(source)
-        norm = np.ndarray((2, dim), _F8, raw, pos)
-        pos += 16 * dim
     (n_tensors,) = _U32.unpack_from(bounded, pos)
     pos += 4
     tensors: dict[str, np.ndarray] = {}
@@ -230,16 +215,15 @@ def _parse(raw: bytearray, start: int, end: int, source: str) -> ModelArtifact:
         pos += nbytes
     if pos != end:
         raise CorruptionError(f"{source}: {end - pos} trailing payload bytes")
-    return ModelArtifact(kind=kind, hyperparams=hyperparams, norm=norm,
-                         tensors=tensors, inner=inner)
+    return ModelArtifact(kind=kind, hyperparams=hyperparams, tensors=tensors, inner=inner)
 
 
 def decode_artifact(data, source: str = "artifact") -> ModelArtifact:
     """Parse the artifact in data, any bytes-like object, in one pass.
 
-    The tensors and norm statistics are float64 views of data when it is
-    a bytearray, and of one bytearray copy of it otherwise, so they can
-    be edited before model_from_artifact copies them.
+    The tensors are float64 views of data when it is a bytearray, and of
+    one bytearray copy of it otherwise, so they can be edited before
+    model_from_artifact copies them.
     """
     raw = data if isinstance(data, bytearray) else bytearray(data)
     try:
@@ -248,13 +232,24 @@ def decode_artifact(data, source: str = "artifact") -> ModelArtifact:
         raise _ended(source) from None
 
 
+def norm_stats_of(kind: str, tensors: dict[str, np.ndarray], prefix: str) -> NormStats:
+    """The NormStats of a loaded model's prefix_mean and prefix_std tensors.
+
+    The loader has refused wrong shapes and non-finite values by then, so
+    what NormStats refuses here is a std below its STD_FLOOR, raised as a
+    FormatError that names the std tensor.
+    """
+    try:
+        return NormStats(tensors[prefix + "_mean"], tensors[prefix + "_std"])
+    except InvalidInputError as exc:
+        raise FormatError(f"{kind} artifact tensor '{prefix}_std': {exc}") from None
+
+
 def model_to_artifact(model) -> ModelArtifact:
     inner = model_to_artifact(model.inner_model) if model.inner_model is not None else None
     return ModelArtifact(
         kind=model.kind,
         hyperparams=dict(model.hyperparams()),
-        norm=None if model.norm_stats is None else np.stack(
-            (model.norm_stats.mean, model.norm_stats.std)),
         tensors=dict(model.tensors()),
         inner=inner)
 
@@ -265,10 +260,9 @@ def model_from_artifact(art: ModelArtifact):
     An artifact can pass its checksum and still not fit its kind. Its
     hyperparameters must be exactly the kind's HYPERPARAMS, each of the
     declared type; it must hold an inner model exactly when the kind
-    takes one; its tensors must be exactly those of the model its
-    hyperparameters build, at their shapes, and finite; and its norm
-    statistics, if any, must be n_features wide and pass NormStats' own
-    check (finite, every std at least NormStats.STD_FLOOR). Otherwise this
+    takes one; and its tensors must be exactly those of the model its
+    hyperparameters build, at their shapes, and finite, with every norm
+    std at least NormStats.STD_FLOOR (norm_stats_of). Otherwise this
     raises FormatError naming the entry; values the kind's constructor
     refuses raise its InvalidInputError.
 
@@ -314,14 +308,6 @@ def model_from_artifact(art: ModelArtifact):
     if not np.isfinite(block).all():
         name = next(name for name, arr in own.items() if not np.isfinite(arr).all())
         raise FormatError(f"{art.kind} artifact tensor {name!r} holds a non-finite value")
-    if art.norm is not None:
-        if art.norm.shape[1] != model.n_features:
-            raise FormatError(f"{art.kind} artifact norm stats are {art.norm.shape[1]} "
-                              f"wide, expected {model.n_features}")
-        try:
-            model.norm_stats = NormStats(*np.array(art.norm, dtype=np.float64))
-        except InvalidInputError as exc:
-            raise FormatError(f"{art.kind} artifact {exc}") from None
     model._fill(own)
     return model
 

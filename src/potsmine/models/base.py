@@ -17,9 +17,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import InvalidInputError, TrainingDivergedError, UnsupportedTaskError
-from ..core import _EVAL_CHUNK, Batch, NormStats, _iter_batches, _rng
+from ..core import _EVAL_CHUNK, Batch, NormStats, _iter_batches, _rng, fit_norm_stats
 from .. import tensor as T
 from ..metrics import _SquareSum, _finite
+from .artifact import norm_stats_of
 
 # a workspace array holds at most this many samples; a larger batch gets
 # fresh arrays that are freed after use
@@ -142,7 +143,6 @@ class BaseModel(ABC):
     _unfilled = False
     n_steps: int | None = None
     n_features: int = 0
-    norm_stats: NormStats | None = None
     inner_model: "BaseModel | None" = None
 
     def hyperparams(self) -> dict:
@@ -205,22 +205,16 @@ def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, (fan_in, fan_out))
 
 
-class _Identity:
-    """NormStats' forward and inverse for a model without norm statistics:
-    working space is data space."""
-
-    def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        return x if mask is None else np.where(mask, x, 0.0)
-
-    def inverse(self, w: np.ndarray) -> np.ndarray:
-        return w
-
-
-_IDENTITY = _Identity()
-
-
 class GradientModel(BaseModel):
     """Models trained by minibatch gradient descent on the tape engine.
+
+    A model works on normalized values: norm_stats maps each feature
+    between data space and working space. It is the identity (mean 0,
+    std 1) until prepare_fit fits it to the training view, and the
+    artifact keeps it as the tensors norm_mean and norm_std, after the
+    parameters. A subclass lists its parameters' (name, shape) pairs in
+    _param_shapes and draws them in _init_params; its constructor sets
+    the hyperparameters and then runs this one.
 
     A model may write its forward's large intermediates into workspace
     arrays it keeps from call to call (_scratch), so a minibatch does not
@@ -232,11 +226,28 @@ class GradientModel(BaseModel):
     """
 
     parameters: dict[str, np.ndarray]
+    norm_stats: NormStats
 
     def __init__(self):
         self._workspace: dict[str, np.ndarray] = {}
         # counts the forwards that overwrote state a backward reads
         self._workspace_writes = 0
+        if not self._unfilled:
+            d = self.n_features
+            self.norm_stats = NormStats(np.zeros(d), np.ones(d))
+            self.parameters = self._init_params()
+
+    def _shapes(self):
+        d = (self.n_features,)
+        return [*self._param_shapes(), ("norm_mean", d), ("norm_std", d)]
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        return {**self.parameters, "norm_mean": self.norm_stats.mean,
+                "norm_std": self.norm_stats.std}
+
+    def _fill(self, tensors: dict[str, np.ndarray]) -> None:
+        self.norm_stats = norm_stats_of(self.kind, tensors, "norm")
+        self.parameters = {name: tensors[name] for name, _ in self._param_shapes()}
 
     def _scratch(self, name: str, shape: tuple[int, ...], dtype=np.float64,
                  batch_axis: int = 0) -> np.ndarray:
@@ -270,19 +281,9 @@ class GradientModel(BaseModel):
                 f"{self.kind}: a later forward ran on this model before the backward "
                 "of an earlier one and overwrote the workspace it reads")
 
-    @property
-    def _norm(self):
-        """The map between data space and working space: norm_stats, or
-        the identity when the model keeps none (normalize off)."""
-        return _IDENTITY if self.norm_stats is None else self.norm_stats
-
-    def _to_working(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Zero-filled working-space values; sentinels never touch math."""
-        return self._norm.forward(values, mask)
-
-    @abstractmethod
     def prepare_fit(self, train_set) -> None:
-        """Compute data-dependent state (norm stats, feature means)."""
+        """Fit norm_stats to the training view's observed cells."""
+        self.norm_stats = fit_norm_stats(train_set)
 
     @abstractmethod
     def batch_loss_sum(self, leaves: dict[str, T.Tensor], batch: Batch) -> T.Tensor:

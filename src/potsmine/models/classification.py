@@ -1,7 +1,9 @@
 """GRU-D-lite: a recurrent classifier with trainable temporal decays.
 
 Missing inputs are replaced by a decayed blend of the last observation
-and the feature's empirical mean; the hidden state is decayed by the
+and the feature's empirical mean; the model works on values normalized
+by its norm stats, in which that mean is 0, so the blend is the decayed
+last observation alone. The hidden state is decayed by the
 time gap before each update. The gate input is the repaired value
 concatenated with the step's mask (the GRU-D cell of Che et al., Sci.
 Rep. 2018).
@@ -45,8 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import (Batch, _carry_forward, _iter_batches, _rng, _time_since_observed,
-                    fit_norm_stats)
+from ..core import Batch, _carry_forward, _iter_batches, _rng, _time_since_observed
 from .. import tensor as T
 from .artifact import register_model
 from .base import _INFER_BYTES, Classifier, GradientModel, TrainConfig, xavier
@@ -127,11 +128,10 @@ class GrudLiteModel(GradientModel, Classifier):
 
     kind = "grud_lite"
     HYPERPARAMS = {"n_steps": int, "n_features": int, "n_classes": int,
-                   "hidden_size": int, "normalize": bool, "init_seed": int}
+                   "hidden_size": int, "init_seed": int}
 
     def __init__(self, n_steps: int, n_features: int, n_classes: int,
-                 hidden_size: int = 256, normalize: bool = True, init_seed: int = 0):
-        super().__init__()
+                 hidden_size: int = 256, init_seed: int = 0):
         if n_steps < 1 or n_features < 1:
             raise InvalidInputError("grud_lite series dimensions must be positive")
         if n_classes < 2:
@@ -142,48 +142,34 @@ class GrudLiteModel(GradientModel, Classifier):
         self.n_features = n_features
         self.n_classes = n_classes
         self.hidden_size = hidden_size
-        self.normalize = bool(normalize)
         self.init_seed = int(init_seed)
-        if not self._unfilled:
-            # empirical feature means in working space; set by prepare_fit
-            self.x_bar = np.zeros(n_features, dtype=np.float64)
-            self.parameters = self._init_params()
+        super().__init__()
 
-    def _shapes(self):
+    def _param_shapes(self):
         d, hid = self.n_features, self.hidden_size
         shapes = {"w_dx": (d,), "b_dx": (d,), "w_dh": (d, hid), "b_dh": (hid,)}
         for gate in ("z", "r", "c"):
             shapes.update({f"w_{gate}": (2 * d, hid), f"u_{gate}": (hid, hid),
                            f"b_{gate}": (hid,)})
-        shapes.update(w_out=(hid, self.n_classes), b_out=(self.n_classes,), x_bar=(d,))
+        shapes.update(w_out=(hid, self.n_classes), b_out=(self.n_classes,))
         return shapes.items()
 
     def _init_params(self) -> dict[str, np.ndarray]:
-        """The parameters (every tensor but x_bar), drawn from init_seed in
-        _shapes order."""
+        """The parameters, drawn from init_seed in _param_shapes order."""
         rng = _rng(self.init_seed)
         params: dict[str, np.ndarray] = {}
-        for name, shape in self._shapes():
+        for name, shape in self._param_shapes():
             if name in ("w_dx", "w_dh"):
                 # small positive decay weights: exactly zero would pin the
                 # relu at its flat region and freeze the decays
                 params[name] = rng.uniform(0.0, 0.1, shape)
             elif name in ("w_z", "u_z", "w_r", "u_r", "w_c", "u_c"):
                 params[name] = xavier(rng, *shape)
-            elif name != "x_bar":
+            else:
                 # zero biases, and a zero readout, which makes the untrained
                 # model exactly uniform
                 params[name] = np.zeros(shape)
         return params
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = dict(self.parameters)
-        out["x_bar"] = self.x_bar
-        return out
-
-    def _fill(self, tensors: dict[str, np.ndarray]) -> None:
-        self.parameters = {name: arr for name, arr in tensors.items() if name != "x_bar"}
-        self.x_bar = tensors["x_bar"]
 
     def supported_metrics(self) -> tuple[str, ...]:
         return ("val_loss", "val_accuracy")
@@ -193,15 +179,16 @@ class GrudLiteModel(GradientModel, Classifier):
         """Time-major (T, B, D) working values, float mask, deltas, and
         carried last values: compute_delta's deltas and grud_step's carry
         for every sample at once, from the helpers in core. x_last is a
-        view of rows 0..T-1 of _carry_forward's block, seeded with x_bar.
+        view of rows 0..T-1 of _carry_forward's block, seeded with the
+        working-space mean, 0.
         """
         gaps = np.diff(np.asarray(batch.timestamps, dtype=np.float64), axis=1)
         if not np.all(gaps > 0):
             raise InvalidInputError("grud_lite: timestamps must be strictly increasing")
         obs = np.ascontiguousarray(batch.mask.astype(bool, copy=False).transpose(1, 0, 2))
-        x_work = self._to_working(batch.values.transpose(1, 0, 2), obs)
+        x_work = self.norm_stats.forward(batch.values.transpose(1, 0, 2), obs)
         return (x_work, obs.astype(np.float64), _time_since_observed(gaps.T, obs),
-                _carry_forward(x_work, obs, self.x_bar)[:-1])
+                _carry_forward(x_work, obs, 0.0)[:-1])
 
     # -- forward and backward -------------------------------------------------
     def _ws(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
@@ -233,7 +220,7 @@ class GrudLiteModel(GradientModel, Classifier):
         s_x = delta * p["w_dx"] + p["b_dx"]
         gx = np.exp(-np.maximum(0.0, s_x))
         inp = self._ws("inp", n_steps, n, 2 * d + 1)
-        inp[..., :d] = maskf * x_work + (1.0 - maskf) * (gx * x_last + (1.0 - gx) * self.x_bar)
+        inp[..., :d] = maskf * x_work + (1.0 - maskf) * (gx * x_last)
         inp[..., d:-1] = maskf
         inp[..., -1] = 1.0
         delta1 = self._ws("delta1", n_steps, n, d + 1)
@@ -395,7 +382,7 @@ class GrudLiteModel(GradientModel, Classifier):
         dx_rows = self._ws("dx_rows", n_steps, n, 2 * d)
         d_s_x = dx_rows[..., d:]
         np.multiply(d_x_hat, 1.0 - s.maskf, out=d_s_x)
-        d_s_x *= s.x_last - self.x_bar
+        d_s_x *= s.x_last
         d_s_x *= -s.gx
         d_s_x *= s.s_x > 0
         np.multiply(d_s_x, s.delta1[..., :d], out=dx_rows[..., :d])
@@ -416,14 +403,14 @@ class GrudLiteModel(GradientModel, Classifier):
         """One recurrence step on plain arrays; the fused forward's oracle.
 
         Returns (h_t, x_hat, next x_last). x_t is a working-space,
-        zero-filled value row.
+        zero-filled value row, in which the feature means are 0.
         """
         p = self.parameters
         x_t = np.asarray(x_t, dtype=np.float64)
         m_t = np.asarray(m_t, dtype=np.float64)
         gx = decay(delta_t, p["w_dx"], p["b_dx"])
         gh = decay(delta_t, p["w_dh"], p["b_dh"])
-        x_hat = m_t * x_t + (1.0 - m_t) * (gx * x_last + (1.0 - gx) * self.x_bar)
+        x_hat = m_t * x_t + (1.0 - m_t) * (gx * x_last)
         h = gh * h_prev
         inp = np.concatenate([x_hat, m_t], axis=-1)
         z = T.sigmoid_array(inp @ p["w_z"] + h @ p["u_z"] + p["b_z"])
@@ -434,12 +421,6 @@ class GrudLiteModel(GradientModel, Classifier):
         return h_t, x_hat, x_last_next
 
     # -- training --------------------------------------------------------------
-    def prepare_fit(self, train_set) -> None:
-        stats = fit_norm_stats(train_set)
-        self.norm_stats = stats if self.normalize else None
-        # normalized, the observed mean lands exactly at the working-space origin
-        self.x_bar = self._norm.forward(stats.mean)
-
     def batch_loss_sum(self, leaves: dict, batch: Batch) -> T.Tensor:
         if not _all_labeled(batch):
             raise InvalidInputError("grud_lite training requires labels on every sample")

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import FormatError, InvalidInputError, ShapeError
+from ..errors import InvalidInputError, ShapeError
 from ..core import Batch, NormStats, _iter_batches, _rng
-from .artifact import register_model
+from .artifact import norm_stats_of, register_model
 from .base import (AnalyticModel, Clusterer, Imputer, TrainConfig, _check_non_negative,
                    fit as fit_model, impute)
 
@@ -41,6 +41,8 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iters: int = 100,
     n = points.shape[0]
     if k < 1:
         raise InvalidInputError(f"kmeans_fit: k must be positive, got {k}")
+    if max_iters < 1:
+        raise InvalidInputError(f"kmeans_fit: max_iters must be positive, got {max_iters}")
     if n < k:
         raise InvalidInputError(f"kmeans_fit: {n} points cannot form {k} clusters")
     rng = _rng(seed)
@@ -102,6 +104,8 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
                 "twostage_kmeans requires an inner model with the impute contract")
         if k < 1:
             raise InvalidInputError(f"k must be positive, got {k}")
+        if max_iters < 1:
+            raise InvalidInputError(f"max_iters must be positive, got {max_iters}")
         _check_non_negative("tol", tol=tol)
         if n_steps < 0:
             raise InvalidInputError(f"n_steps must be non-negative, got {n_steps}")
@@ -134,10 +138,7 @@ class TwoStageKMeansModel(AnalyticModel, Clusterer):
 
     def _fill(self, tensors: dict[str, np.ndarray]) -> None:
         self.centroids = tensors["centroids"]
-        try:
-            self.feat_stats = NormStats(tensors["feat_mean"], tensors["feat_std"])
-        except InvalidInputError as exc:  # the loader has refused non-finite tensors
-            raise FormatError(f"{self.kind} artifact tensor 'feat_std': {exc}") from None
+        self.feat_stats = norm_stats_of(self.kind, tensors, "feat")
 
     # -- fitting -----------------------------------------------------------
     def fit_analytic(self, train_set, val_set, config: TrainConfig) -> float:

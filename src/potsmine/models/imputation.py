@@ -14,8 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
-from ..core import (Batch, NormStats, _carry_forward, _chunks, _observed_moments, _rng,
-                    fit_norm_stats)
+from ..core import Batch, NormStats, _carry_forward, _chunks, _observed_moments, _rng
 from .. import tensor as T
 from .artifact import register_model
 from .base import (_INFER_BYTES, AnalyticModel, GradientModel, Imputer, TrainConfig,
@@ -206,13 +205,11 @@ class SaitsLiteModel(GradientModel, Imputer):
 
     kind = "saits_lite"
     HYPERPARAMS = {"n_steps": int, "n_features": int, "d_model": int, "d_ff": int,
-                   "lam_mit": float, "normalize": bool, "init_seed": int}
+                   "lam_mit": float, "init_seed": int}
     N_BLOCKS = 2
 
     def __init__(self, n_steps: int, n_features: int, d_model: int = 32,
-                 d_ff: int = 64, lam_mit: float = 1.0, normalize: bool = True,
-                 init_seed: int = 0):
-        super().__init__()
+                 d_ff: int = 64, lam_mit: float = 1.0, init_seed: int = 0):
         if n_steps < 2:
             raise InvalidInputError(
                 f"saits_lite needs at least 2 steps for off-diagonal attention, "
@@ -225,12 +222,10 @@ class SaitsLiteModel(GradientModel, Imputer):
         self.d_model = d_model
         self.d_ff = d_ff
         self.lam_mit = float(lam_mit)
-        self.normalize = bool(normalize)
         self.init_seed = int(init_seed)
-        if not self._unfilled:
-            self.parameters = self._init_params()
+        super().__init__()
 
-    def _shapes(self):
+    def _param_shapes(self):
         d, dm, df = self.n_features, self.d_model, self.d_ff
         block = {"w_in": (2 * d, dm), "b_in": (dm,), "pos": (self.n_steps, dm),
                  "w_q": (dm, dm), "w_k": (dm, dm), "w_v": (dm, dm), "w_f1": (dm, df),
@@ -240,17 +235,11 @@ class SaitsLiteModel(GradientModel, Imputer):
                 for b in range(1, self.N_BLOCKS + 1) for name, shape in block.items()]
 
     def _init_params(self) -> dict[str, np.ndarray]:
-        """Glorot-uniform weights (w_*), drawn from init_seed in _shapes
-        order; zero biases and step embeddings."""
+        """Glorot-uniform weights (w_*), drawn from init_seed in
+        _param_shapes order; zero biases and step embeddings."""
         rng = _rng(self.init_seed)
         return {name: xavier(rng, *shape) if name[3:5] == "w_" else np.zeros(shape)
-                for name, shape in self._shapes()}
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return dict(self.parameters)
-
-    def _fill(self, tensors: dict[str, np.ndarray]) -> None:
-        self.parameters = tensors
+                for name, shape in self._param_shapes()}
 
     # -- forward and backward ----------------------------------------------
     @property
@@ -427,10 +416,6 @@ class SaitsLiteModel(GradientModel, Imputer):
         return [grads[name] for name in self.parameters]
 
     # -- training ----------------------------------------------------------
-    def prepare_fit(self, train_set) -> None:
-        if self.normalize:
-            self.norm_stats = fit_norm_stats(train_set)
-
     def batch_loss_sum(self, leaves: dict, batch: Batch) -> T.Tensor:
         """saits_loss of the reconstruction in working space.
 
@@ -442,9 +427,9 @@ class SaitsLiteModel(GradientModel, Imputer):
         p = {name: t.data for name, t in zip(names, inputs)}
         keep = any(t.tape is not None for t in inputs)
         maskf = batch.mask.astype(bool, copy=False).astype(np.float64)
-        x0 = self._to_working(batch.values, batch.mask)
+        x0 = self.norm_stats.forward(batch.values, batch.mask)
         xhat, saved = self._forward(p, x0, maskf, keep=keep)
-        originals = self._norm.forward(
+        originals = self.norm_stats.forward(
             batch.values if batch.originals is None else batch.originals)
         held = np.zeros_like(maskf) if batch.indicating is None else batch.indicating
         loss, d_xhat = saits_loss(xhat, originals, maskf, held, self.lam_mit)
@@ -458,8 +443,8 @@ class SaitsLiteModel(GradientModel, Imputer):
     # -- inference ----------------------------------------------------------
     def _reconstruct(self, batch: Batch) -> np.ndarray:
         maskf = batch.mask.astype(bool, copy=False).astype(np.float64)
-        x0 = self._to_working(batch.values, batch.mask)
-        return self._norm.inverse(self._forward(self.parameters, x0, maskf)[0])
+        x0 = self.norm_stats.forward(batch.values, batch.mask)
+        return self.norm_stats.inverse(self._forward(self.parameters, x0, maskf)[0])
 
     def impute_batch(self, batch: Batch) -> np.ndarray:
         hit = batch.mask.astype(bool, copy=False)
@@ -484,6 +469,6 @@ def saits_forward(model: SaitsLiteModel, values: np.ndarray, mask: np.ndarray):
             f"saits_forward: batch shape {values.shape[1:]} does not match "
             f"model ({model.n_steps}, {model.n_features})")
     maskf = (mask_arr != 0).astype(np.float64)
-    x0 = model._to_working(values, mask_arr)
+    x0 = model.norm_stats.forward(values, mask_arr)
     xhat, (_, states, _) = model._forward(model.parameters, x0, maskf, keep=True)
-    return model._norm.inverse(xhat), [s.attn.copy() for s in states]
+    return model.norm_stats.inverse(xhat), [s.attn.copy() for s in states]

@@ -9,6 +9,7 @@ import pytest
 from potsmine import (
     Batch,
     GrudLiteModel,
+    NormStats,
     PotsDataset,
     TrainConfig,
     classify,
@@ -71,7 +72,6 @@ def test_decay_matrix_form():
 
 def test_step_observed_passthrough():
     model = tiny_model()
-    model.x_bar = np.array([5.0, -5.0])
     x = np.array([[1.0, 2.0]])
     _, x_hat, x_last = model.grud_step(x, np.ones((1, 2)), np.ones((1, 2)) * 9,
                                        np.zeros((1, 2)), np.zeros((1, 3)))
@@ -83,7 +83,6 @@ def test_step_full_carry_when_decay_one():
     model = tiny_model()
     model.parameters["w_dx"][:] = 0.0
     model.parameters["b_dx"][:] = 0.0
-    model.x_bar = np.array([7.0, 7.0])
     carried = np.array([[1.5, -2.5]])
     _, x_hat, x_last = model.grud_step(np.zeros((1, 2)), np.zeros((1, 2)),
                                        np.ones((1, 2)), carried, np.zeros((1, 3)))
@@ -93,14 +92,15 @@ def test_step_full_carry_when_decay_one():
 
 def test_step_regression_to_mean_when_decay_zero():
     model = tiny_model()
-    # exp(-1000) underflows to exactly zero, pinning the blend at x_bar
+    # exp(-1000) underflows to exactly zero, pinning the blend at the
+    # working-space origin, which is the feature mean in data units
     model.parameters["w_dx"][:] = 1000.0
     model.parameters["b_dx"][:] = 0.0
-    model.x_bar = np.array([3.25, -1.5])
+    model.norm_stats = NormStats(np.array([3.25, -1.5]), np.array([2.0, 0.5]))
+    carried = model.norm_stats.forward(np.full((1, 2), 99.0))
     _, x_hat, _ = model.grud_step(np.zeros((1, 2)), np.zeros((1, 2)),
-                                  np.ones((1, 2)), np.full((1, 2), 99.0),
-                                  np.zeros((1, 3)))
-    assert np.array_equal(x_hat, model.x_bar[None, :])
+                                  np.ones((1, 2)), carried, np.zeros((1, 3)))
+    assert np.array_equal(model.norm_stats.inverse(x_hat), np.array([[3.25, -1.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +124,25 @@ def test_hand_built_batch_with_repeated_timestamps_is_refused():
         perturbed_model().predict_proba_batch(batch)
 
 
-def test_unnormalized_model_repairs_toward_the_raw_feature_mean():
+def test_a_fitted_model_repairs_toward_the_observed_feature_mean():
     ds = generate_synthetic(10, 4, 2, 2, missing_rate=0.2, seed=5)
-    model = GrudLiteModel(4, 2, 2, hidden_size=3, normalize=False)
+    model = GrudLiteModel(4, 2, 2, hidden_size=3)
     model.prepare_fit(ds)
-    assert model.norm_stats is None
     obs = ds.training_batch(list(range(10)))
     hit = obs.mask != 0
     want = np.array([obs.values[..., k][hit[..., k]].mean() for k in range(2)])
-    assert np.allclose(model.x_bar, want, rtol=1e-12, atol=0)
+    assert np.allclose(model.norm_stats.mean, want, rtol=1e-12, atol=0)
+    # fully decayed (or at step 0, before any observation is carried), a
+    # missing cell repairs to that mean in data units
+    model.parameters["w_dx"][:] = 1000.0
+    x_work, maskf, delta, x_last = model._prepare_batch(obs)
+    h = np.zeros((10, 3))
+    mean = np.broadcast_to(model.norm_stats.mean, (10, 2))
+    for t in range(4):
+        h, x_hat, _ = model.grud_step(x_work[t], maskf[t], delta[t], x_last[t], h)
+        missing = maskf[t] == 0
+        assert missing.any(), t
+        assert np.array_equal(model.norm_stats.inverse(x_hat)[missing], mean[missing]), t
 
 
 def test_validation_requires_labels():
@@ -199,7 +209,7 @@ def test_unrolled_steps_match_graph_logits():
     x_work, maskf, delta, _ = model._prepare_batch(batch)
 
     h = np.zeros((4, 5))
-    x_last = np.broadcast_to(model.x_bar, (4, 3)).copy()
+    x_last = np.zeros((4, 3))
     for t in range(6):
         h, _, x_last = model.grud_step(x_work[t], maskf[t], delta[t],
                                        x_last, h)
@@ -276,12 +286,12 @@ def irregular_batch(n=3, t=7, d=2, seed=21):
 def perturbed_model(t=7, d=2, h=3, seed=22):
     # random readout and decays, so every parameter's gradient is non-zero
     model = GrudLiteModel(n_steps=t, n_features=d, n_classes=2, hidden_size=h,
-                          normalize=False, init_seed=seed)
+                          init_seed=seed)
     rng = np.random.default_rng(seed)
     for value in model.parameters.values():
         value += rng.normal(scale=0.5, size=value.shape)
     model.parameters["w_dx"][:] = np.abs(model.parameters["w_dx"])
-    model.x_bar = rng.normal(size=d)
+    model.norm_stats = NormStats(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
     return model
 
 
@@ -293,22 +303,22 @@ def test_batched_deltas_match_per_sample_with_irregular_gaps():
     assert delta[1:].min() > 0
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_prepared_x_last_is_bitwise_the_carry_of_grud_step(normalize):
+@pytest.mark.parametrize("fitted", [False, True])
+def test_prepared_x_last_is_bitwise_the_carry_of_grud_step(fitted):
     model = perturbed_model()
     batch = irregular_batch()
-    if normalize:
-        model.normalize = True
+    if fitted:
         model.prepare_fit(PotsDataset(batch))
     x_work, maskf, delta, x_last = model._prepare_batch(batch)
     assert x_last.shape == x_work.shape == (7, 3, 2)
-    carry = np.broadcast_to(model.x_bar, (3, 2)).copy()
+    carry = np.zeros((3, 2))
     h = np.zeros((3, 3))
     for t in range(7):
         assert np.array_equal(x_last[t].view(np.uint64), carry.view(np.uint64)), t
         h, _, carry = model.grud_step(x_work[t], maskf[t], delta[t], carry, h)
-    # the leading run keeps x_bar; the interior run keeps one value throughout
-    assert np.array_equal(x_last[:3, :, 0], np.broadcast_to(model.x_bar[0], (3, 3)))
+    # the leading run keeps the working-space mean, 0; the interior run
+    # keeps one value throughout
+    assert np.array_equal(x_last[:3, :, 0], np.zeros((3, 3)))
     assert np.array_equal(x_last[4:7, :, 1], np.broadcast_to(x_last[4, :, 1], (3, 3)))
 
 
@@ -317,7 +327,7 @@ def test_fused_forward_matches_steps_with_irregular_gaps():
     batch = irregular_batch()
     x_work, maskf, delta, _ = model._prepare_batch(batch)
     h = np.zeros((3, 3))
-    x_last = np.broadcast_to(model.x_bar, (3, 2)).copy()
+    x_last = np.zeros((3, 2))
     for t in range(7):
         h, _, x_last = model.grud_step(x_work[t], maskf[t], delta[t], x_last, h)
     logits = h @ model.parameters["w_out"] + model.parameters["b_out"]
@@ -343,7 +353,7 @@ def test_saturated_gates_stay_finite_and_match_the_steps():
 
     x_work, maskf, delta, _ = prepared
     h = np.zeros((300, 3))
-    x_last = np.broadcast_to(model.x_bar, (300, 2)).copy()
+    x_last = np.zeros((300, 2))
     for t in range(50):
         h, _, x_last = model.grud_step(x_work[t], maskf[t], delta[t], x_last, h)
     logits = h @ model.parameters["w_out"] + model.parameters["b_out"]

@@ -33,6 +33,7 @@ from potsmine import (
 from potsmine import cli
 from potsmine.cli import build_parser, main
 from potsmine.errors import CorruptionError, FormatError, InvalidInputError
+from potsmine.models.artifact import VERSION
 
 
 def run(capsys, *argv):
@@ -845,7 +846,6 @@ _MISTYPED_CONFIGS = {
     "epochs_text": (_TRAIN_TMF, {"epochs": "3"}, "an integer"),
     "seed_boolean": (_TRAIN_TMF, {"seed": True}, "an integer"),
     "lr_text": (_TRAIN_TMF, {"lr": "0.1"}, "a number"),
-    "normalize_integer": (_TRAIN_TMF, {"normalize": 1}, "a boolean"),
     "model_list": (_TRAIN_TMF[:3], {"model": ["tmf"]}, "a string"),
 }
 
@@ -893,6 +893,19 @@ def test_train_refuses_a_float_hyperparameter_that_is_negative_or_not_finite(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("iters", [0, -3])
+def test_train_refuses_kmeans_max_iters_below_one(capsys, tmp_path, iters):
+    data = gen(capsys, tmp_path, n=20)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"kmeans_max_iters": iters}))
+    out = tmp_path / "model.pmdl"
+    code, _, err = run(capsys, "train", "--task", "cluster", "--model", "twostage_kmeans",
+                       "--data", data, "--config", str(cfg_path), "--out", str(out))
+    assert code == 2, err
+    assert f"max_iters must be positive, got {iters}" in err
+    assert not out.exists()
+
+
 # config file text, the command's exit code and a phrase of its message
 _BAD_CONFIG_FILES = {
     "missing": (None, ["train"], 1, "config file not found"),
@@ -936,11 +949,11 @@ def test_non_positive_size_flag_exits_one(capsys, tmp_path):
     assert "--n-samples must be positive, got 0" in err
 
 
-def test_config_takes_integers_for_floats_and_booleans_for_normalize(capsys, tmp_path):
+def test_config_takes_integers_for_floats(capsys, tmp_path):
     data = gen(capsys, tmp_path, n=20)
     cfg_path = tmp_path / "typed.json"
     cfg_path.write_text(json.dumps({"task": "impute", "model": "mean", "data": data,
-                                    "lr": 1, "missing_rate": 0, "normalize": False,
+                                    "lr": 1, "missing_rate": 0,
                                     "epochs": 1, "batch_size": 8}))
     code, _, err = run(capsys, "train", "--config", str(cfg_path),
                        "--out", str(tmp_path / "m.pmdl"))
@@ -1018,7 +1031,7 @@ def test_inconsistent_artifact_exits_two(capsys, tmp_path, trained_artifacts, ki
 def _write_payload(path, payload):
     """A .pmdl file around payload, with its magic, version and a fresh CRC."""
     with open(path, "wb") as fh:
-        fh.write(b"PMDL" + struct.pack("<H", 1) + payload
+        fh.write(b"PMDL" + struct.pack("<H", VERSION) + payload
                  + struct.pack("<I", zlib.crc32(payload)))
 
 

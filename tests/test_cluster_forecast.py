@@ -223,6 +223,11 @@ def test_kmeans_and_two_stage_refusals():
         kmeans_fit(np.zeros((4, 2)), 0, seed=0)
     with pytest.raises(InvalidInputError, match="k must be positive"):
         TwoStageKMeansModel(inner=LocfModel(n_features=2), k=0)
+    # no Lloyd iteration would leave the k-means++ seeds as the centroids
+    with pytest.raises(InvalidInputError, match="max_iters must be positive, got 0"):
+        kmeans_fit(np.zeros((4, 2)), 2, seed=0, max_iters=0)
+    with pytest.raises(InvalidInputError, match="max_iters must be positive, got -3"):
+        TwoStageKMeansModel(inner=LocfModel(n_features=2), k=2, max_iters=-3)
     _, view = clustered_view()
     model = TwoStageKMeansModel(inner=LocfModel(n_features=2), k=3)
     fit_model(model, view, view, TrainConfig(seed=7))

@@ -320,7 +320,7 @@ def test_saits_respects_normalization_round_trip():
     view = inject_mcar(ds, 0.2, seed=7)
     model = make_saits(seed=1)
     fit_model(model, view, view, TrainConfig(epochs=1, batch_size=5, seed=0))
-    assert model.norm_stats is not None
+    assert not np.array_equal(model.norm_stats.std, np.ones(2))   # fitted, not the identity
     out = impute(model, view.corrupted)
     batch = view.training_batch(list(range(len(view))))
     obs = batch.mask != 0

@@ -193,6 +193,22 @@ def test_differences_of_the_smallest_subnormal_keep_their_scale(pred, target):
         assert squares.mean_square() == 0.0
 
 
+def test_subnormal_differences_of_two_sizes_keep_every_bit():
+    # halved, 5e-324 rounds to 0 while 1e-323 is kept; the RMSE,
+    # sqrt(1.25 / 2) * 1e-323, rounds to 1e-323, not to 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert masked_rmse([1e-323, 0.0], [0.0, 5e-324], [1.0, 1.0]) == 1e-323
+
+
+def test_mre_of_equal_values_whose_target_sum_overflows_is_zero():
+    # the scaled path once divided the all-zero differences by their
+    # largest, 0, and refused the NaN as out of range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert masked_mre([1e308, 1e308], [1e308, 1e308], [1.0, 1.0]) == 0.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_square_sum_is_nan_for_good_after_a_non_finite_cell(bad):
     with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """Task API: config, election, fit loop, dispatch, artifacts, sharding."""
 
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -490,7 +491,7 @@ def test_tensor_names_of_a_fitted_model_do_not_depend_on_n_features(kind):
 
 
 @pytest.mark.parametrize("name, value, stored", [
-    ("normalize", 1, "int"), ("lam_mit", 1, "int"), ("d_model", 4.0, "float"),
+    ("lam_mit", 1, "int"), ("d_model", 4.0, "float"),
     ("init_seed", False, "bool")])
 def test_load_refuses_a_hyperparameter_stored_under_another_type(name, value, stored):
     art = model_to_artifact(SaitsLiteModel(n_steps=6, n_features=2, d_model=4, d_ff=4))
@@ -513,11 +514,9 @@ def test_model_draws_refuse_a_negative_seed(draw):
 
 
 def _arrays(model):
-    """Every array a model holds: its tensors, its norm statistics, and its
-    inner model's."""
+    """Every array a model holds: its tensors, norm statistics among them,
+    and its inner model's."""
     out = list(model.tensors().values())
-    if model.norm_stats is not None:
-        out += [model.norm_stats.mean, model.norm_stats.std]
     return out + (_arrays(model.inner_model) if model.inner_model is not None else [])
 
 
@@ -555,21 +554,35 @@ def test_load_refuses_an_inflated_size_without_allocating_it(make, name):
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak < 50 * 1024
 
 
-# an artifact keeps its norm stats as one (2, D) array, means over stds,
-# which the loader checks by building a NormStats from them
-@pytest.mark.parametrize("edit, message", [
-    (lambda norm: np.array([np.zeros(3), np.ones(3)]), "are 3 wide, expected 2"),
-    (lambda norm: np.array([[np.nan, 0.0], norm[1]]), "hold a non-finite value"),
-    (lambda norm: np.array([norm[0], [1.0, 0.0]]), "hold a std below 1e-08"),
-], ids=["width", "nan_mean", "zero_std"])
-def test_load_refuses_norm_stats_that_do_not_fit_the_model(edit, message):
-    view = small_view()
-    model = SaitsLiteModel(n_steps=6, n_features=2, d_model=4, d_ff=4)
-    fit_model(model, view, view, TrainConfig(epochs=1, batch_size=4))
+# a gradient model's artifact keeps its norm stats as the tensors
+# norm_mean and norm_std, which the loader checks as it checks any tensor,
+# and then by building a NormStats from them
+@pytest.mark.parametrize("kind, name, value, message", [
+    ("saits_lite", "norm_mean", [0.0, 0.0, 0.0], ": found shape (3,), expected (2,)"),
+    ("saits_lite", "norm_mean", [np.nan, 0.0], " holds a non-finite value"),
+    ("saits_lite", "norm_std", [1.0, 0.0], ": norm stats hold a std below 1e-08 at feature 1"),
+    ("saits_lite", "norm_std", [np.nan, 1.0], " holds a non-finite value"),
+    ("grud_lite", "norm_std", [1.0, np.nan], " holds a non-finite value"),
+    ("grud_lite", "norm_std", [0.5e-8, 1.0], ": norm stats hold a std below 1e-08 at feature 0"),
+], ids=["width", "nan_mean", "zero_std", "nan_std", "grud_nan_std", "grud_sub_floor_std"])
+def test_load_refuses_norm_stats_that_do_not_fit_the_model(kind, name, value, message):
+    model = _KIND_BUILDERS[kind]()
+    model.prepare_fit(small_view())
     art = model_to_artifact(model)
-    art.norm = edit(art.norm)
-    with pytest.raises(FormatError, match=f"saits_lite artifact norm stats {message}"):
+    art.tensors[name] = np.array(value)
+    with pytest.raises(FormatError, match=re.escape(f"{kind} artifact tensor '{name}'{message}")):
         model_from_artifact(decode_artifact(encode_artifact(art)))
+
+
+def test_load_refuses_a_format_1_artifact(tmp_path):
+    # format 1 kept the norm stats in a section of their own, which a
+    # format-2 parse would misread
+    data = bytearray(encode_artifact(model_to_artifact(LocfModel(n_features=2))))
+    data[4:6] = (1).to_bytes(2, "little")
+    path = tmp_path / "v1.pmdl"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="unsupported artifact version 1"):
+        load_model(str(path))
 
 
 def test_save_refuses_a_model_that_load_would_refuse_and_writes_nothing(tmp_path):

@@ -62,7 +62,7 @@ def _forward_oracle(model, params, x0, mask):
 
 def _batch_loss_sum_oracle(model, leaves, batch):
     maskf = (batch.mask != 0).astype(np.float64)
-    x0 = model._to_working(batch.values, batch.mask)
+    x0 = model.norm_stats.forward(batch.values, batch.mask)
     xhat = _forward_oracle(model, leaves, x0, maskf)
     originals = batch.values if batch.originals is None else batch.originals
     if batch.indicating is None:
@@ -70,11 +70,7 @@ def _batch_loss_sum_oracle(model, leaves, batch):
     else:
         indf = (batch.indicating != 0).astype(np.float64)
     union = (maskf != 0) | (indf != 0)
-    if model.norm_stats is None:
-        target = np.where(union, originals, 0.0)
-    else:
-        target = np.where(
-            union, (originals - model.norm_stats.mean) / model.norm_stats.std, 0.0)
+    target = np.where(union, (originals - model.norm_stats.mean) / model.norm_stats.std, 0.0)
 
     def per_sample_mean(weight):
         diff = (xhat - T.constant(target)) * T.constant(weight)
@@ -100,11 +96,10 @@ def _loss_and_grads(loss_fn, model, batch):
 # ---------------------------------------------------------------------------
 # fixtures
 
-def perturbed_model(t=48, d=8, d_model=32, normalize=True, seed=3, d_ff=None):
+def perturbed_model(t=48, d=8, d_model=32, seed=3, d_ff=None):
     """A model off its zero-bias initialization, so every term is generic."""
     model = SaitsLiteModel(n_steps=t, n_features=d, d_model=d_model,
-                           d_ff=d_ff or 2 * d_model, lam_mit=0.7, normalize=normalize,
-                           init_seed=seed)
+                           d_ff=d_ff or 2 * d_model, lam_mit=0.7, init_seed=seed)
     rng = np.random.default_rng(seed + 100)
     for arr in model.parameters.values():
         arr += rng.normal(0.0, 0.1, arr.shape)
@@ -132,8 +127,9 @@ def test_loss_and_gradients_match_tape_oracle(case):
     view = pair_view()
     if case == "plain":   # no originals and no indicating mask at all
         view = generate_synthetic(32, 48, 8, 2, missing_rate=0.3, seed=4)
-    model = perturbed_model(normalize=case != "unnormalized")
-    model.prepare_fit(view)
+    model = perturbed_model()
+    if case != "unnormalized":   # else the norm stats stay the identity
+        model.prepare_fit(view)
     batch = view.training_batch(list(range(32)))
     if case == "no_indicating":
         assert batch.indicating.any()
@@ -149,21 +145,21 @@ def test_loss_and_gradients_match_tape_oracle(case):
         assert max_rel(grads[name], g) <= 1e-12, name
 
 
-@pytest.mark.parametrize("t, d_model, d_ff, normalize, zero_key_column", [
+@pytest.mark.parametrize("t, d_model, d_ff, fitted, zero_key_column", [
     (2, 1, 2, True, False),
     (6, 8, 12, True, False),
     (12, 8, 16, False, True),
 ])
-def test_merged_query_key_projection_matches_tape_oracle(t, d_model, d_ff, normalize,
+def test_merged_query_key_projection_matches_tape_oracle(t, d_model, d_ff, fitted,
                                                          zero_key_column):
     # the fused node projects onto w_qk = w_q w_k^T / sqrt(d_model) and
     # maps its gradient back to w_q and w_k; the oracle projects apart
     view = pair_view(n=8, t=t, d=3, seed=t)
-    model = perturbed_model(t=t, d=3, d_model=d_model, d_ff=d_ff, normalize=normalize,
-                            seed=5)
+    model = perturbed_model(t=t, d=3, d_model=d_model, d_ff=d_ff, seed=5)
     if zero_key_column:
         model.parameters["b1_w_k"][:, 2] = 0.0
-    model.prepare_fit(view)
+    if fitted:
+        model.prepare_fit(view)
     batch = view.training_batch(list(range(8)))
     loss, grads = fused_loss_and_grads(model, batch)
     want_loss, want = _loss_and_grads(
