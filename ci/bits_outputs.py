@@ -33,6 +33,10 @@ It writes into OUTDIR, which must be empty or missing:
 - `logits_grud_lite_saturated.npz`: GRU-D-lite's logits on that split
   with its z and r weights and biases scaled until their gate inputs
   pass exp's float64 range, which saturates the gates;
+- `attention_saits_lite_saturated.npz`: `saits_forward`'s reconstruction
+  and attention maps on that split from a SAITS-lite model with `w_q`
+  scaled by 1e3 in both blocks, so every score row leaves exp's float64
+  range and every sample takes the max-shifted softmax;
 - `log.json`: each CLI command with its exit code, stdout and stderr.
 
 The CLI runs in process; every path it is given is relative to OUTDIR,
@@ -51,8 +55,8 @@ import numpy as np
 
 from potsmine import (LocfModel, MeanImputerModel, TmfModel, TrainConfig,
                       TwoStageKMeansModel, classify, cluster, fetch_all, fit, forecast,
-                      generate_synthetic, impute, inject_mcar, split, tmf_fit,
-                      tmf_forecast)
+                      generate_synthetic, impute, inject_mcar, saits_forward, split,
+                      tmf_fit, tmf_forecast)
 from potsmine.cli import main as cli_main
 from potsmine.models import GrudLiteModel, SaitsLiteModel, decode_artifact
 from potsmine.store import LazyDataset, open_readonly
@@ -178,6 +182,7 @@ def _predictions() -> None:
                    if isinstance(model, TmfModel) else {})
         np.savez(f"pred_{kind}.npz", pred=serve(model, test), **history)
     _saturated_logits(train, test)
+    _saturated_attention(train, test)
     _near_singular_tmf()
 
 
@@ -199,6 +204,17 @@ def _saturated_logits(train, test) -> None:
         model.parameters[name] *= 3e3
     # the 48 held-out series take three spans of steps
     np.savez("logits_grud_lite_saturated.npz", logits=model._logits_np(fetch_all(test)))
+
+
+def _saturated_attention(train, test) -> None:
+    model = SaitsLiteModel(48, 8, d_model=16, d_ff=32, init_seed=31)
+    model.prepare_fit(train)
+    for block in (1, 2):
+        model.parameters[f"b{block}_w_q"] *= 1e3
+    batch = fetch_all(test)
+    xhat, attns = saits_forward(model, batch.values, batch.mask)
+    np.savez("attention_saits_lite_saturated.npz", xhat=xhat, attn1=attns[0],
+             attn2=attns[1])
 
 
 def main(argv: list[str]) -> int:

@@ -8,8 +8,8 @@ Layout, all little-endian:
         kind          u16 length + utf-8 bytes
         hyperparams   u32 count, then per entry (sorted by key):
                       key (u16 length + utf-8), type tag u8, value
-                      (tag 0 float f8, 1 int i64, 3 bool u8; tag 2, once
-                      a string, is refused like any unknown tag)
+                      (tag 0 float f8, 1 int i64; tags 2 and 3, once a
+                      string and a bool, are refused like any unknown tag)
         tensors       u32 count, then per tensor (sorted by name):
                       name (u16 length + utf-8), rank u8, dims (u64 each),
                       row-major f8 data
@@ -69,7 +69,6 @@ VERSION = 2
 
 _TAG_FLOAT = 0
 _TAG_INT = 1
-_TAG_BOOL = 3
 
 MODEL_REGISTRY: dict[str, type] = {}
 
@@ -106,9 +105,8 @@ def _encode_payload(art: ModelArtifact) -> bytes:
     for key in keys:
         value = art.hyperparams[key]
         _pack_str(out, key)
-        if isinstance(value, bool):
-            out.append(struct.pack("<BB", _TAG_BOOL, int(value)))
-        elif isinstance(value, (int, np.integer)):
+        # a bool is an int to isinstance; it is refused, never stored as 0 or 1
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             out.append(struct.pack("<Bq", _TAG_INT, int(value)))
         elif isinstance(value, (float, np.floating)):
             out.append(struct.pack("<Bd", _TAG_FLOAT, float(value)))
@@ -139,8 +137,7 @@ def encode_artifact(art: ModelArtifact) -> bytes:
 
 
 _U8, _U16, _U32, _U64 = (struct.Struct(fmt) for fmt in ("<B", "<H", "<I", "<Q"))
-_VALUES = {_TAG_FLOAT: struct.Struct("<d"), _TAG_INT: struct.Struct("<q"),
-           _TAG_BOOL: struct.Struct("<?")}
+_VALUES = {_TAG_FLOAT: struct.Struct("<d"), _TAG_INT: struct.Struct("<q")}
 _F8 = np.dtype("<f8")
 
 

@@ -152,6 +152,12 @@ def saits_loss(xhat: np.ndarray, originals: np.ndarray, observed_mask: np.ndarra
 
 # the attention score a step gives itself before the softmax
 _SELF_SCORE = -1e9
+# the least row sum of the unshifted exp that a sample's softmax keeps:
+# an entry that fell into the subnormals is then off by at most one
+# subnormal step, 2^-1074, under 2^-114 of its row's sum, so the normalized
+# row loses no digit its rounding keeps (at 64 keys the row's largest
+# entry is at least 2^-966)
+_MIN_ROW_SUM = 2.0 ** -960
 
 
 class _BlockState(NamedTuple):
@@ -188,6 +194,13 @@ class SaitsLiteModel(GradientModel, Imputer):
     product w_qk = w_q w_k^T / sqrt(d_model) formed on each forward, and
     the backward maps w_qk's gradient onto w_q and w_k. The parameters,
     and so the artifacts, still hold w_q and w_k.
+
+    The softmax takes no row max: it exponentiates the scores as they
+    are and divides by the row sums. A sample with a row sum that is not
+    finite or is below _MIN_ROW_SUM has left exp's float64 range; it
+    alone computes its scores again and takes the max-shifted softmax.
+    Whether a sample does so depends only on its own rows, so its bits
+    do not depend on the samples run with it.
 
     The large (B, T, .) intermediates, the (B, T, T) attention among
     them, are written into workspace arrays the model keeps and reuses
@@ -260,9 +273,15 @@ class SaitsLiteModel(GradientModel, Imputer):
         Queries and keys meet only in the scores q k^T / sqrt(d_model) =
         h0 w_qk h0^T, with w_qk = (w_q / sqrt(d_model)) w_k^T, so one
         matmul projects h0 onto [w_qk | w_v], giving a = h0 w_qk and the
-        values v, and the scores are a h0^T. The diagonal fill and the
-        softmax run in place on the score array; its row sums are a
-        matmul with a ones vector.
+        values v, and the scores are a h0^T. The step embeddings and
+        b_in are added to h0 as one (T, d_model) array.
+
+        The diagonal fill and the softmax run in place on the score
+        array: exp of the unshifted scores, row sums as a matmul with a
+        ones vector, then a division by them. A sample with a row sum
+        that is not finite (exp overflowed, or a score was NaN) or is
+        below _MIN_ROW_SUM (exp underflowed) recomputes its own scores
+        and takes the max-shifted softmax instead.
         """
         n, steps, d = cur.shape
         dm = self.d_model
@@ -272,8 +291,7 @@ class SaitsLiteModel(GradientModel, Imputer):
         inp[..., d:] = maskf
         h0 = self._scratch(ws + "h0", (n, steps, dm))
         np.matmul(inp.reshape(rows, 2 * d), p[pre + "w_in"], out=h0.reshape(rows, dm))
-        h0 += p[pre + "b_in"]
-        h0 += p[pre + "pos"]
+        h0 += p[pre + "b_in"] + p[pre + "pos"]
         w_qk = (p[pre + "w_q"] / math.sqrt(dm)) @ p[pre + "w_k"].T
         w_qkv = np.concatenate([w_qk, p[pre + "w_v"]], axis=1)
         qkv = self._scratch(ws + "qkv", (n, steps, 2 * dm))
@@ -282,9 +300,20 @@ class SaitsLiteModel(GradientModel, Imputer):
         attn = self._scratch(ws + "attn", (n, steps, steps))
         np.matmul(a, h0.swapaxes(1, 2), out=attn)
         attn.reshape(n, steps * steps)[:, ::steps + 1] = _SELF_SCORE
-        attn -= attn.max(axis=2, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= attn @ np.ones((steps, 1))
+        with np.errstate(over="ignore"):
+            np.exp(attn, out=attn)
+        ones = np.ones((steps, 1))
+        sums = attn @ ones
+        row_sums = sums.reshape(n, steps)
+        redo = np.flatnonzero(~((row_sums >= _MIN_ROW_SUM) & (row_sums < np.inf)).all(axis=1))
+        if redo.size:   # exp left the float64 range in these samples
+            shifted = np.matmul(a[redo], h0[redo].swapaxes(1, 2))
+            shifted.reshape(redo.size, steps * steps)[:, ::steps + 1] = _SELF_SCORE
+            shifted -= shifted.max(axis=2, keepdims=True)
+            np.exp(shifted, out=shifted)
+            attn[redo] = shifted
+            sums[redo] = shifted @ ones
+        attn /= sums
         h1 = self._scratch(ws + "h1", (n, steps, dm))
         np.matmul(attn, v, out=h1)
         h1 += h0

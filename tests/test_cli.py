@@ -1059,6 +1059,7 @@ _BAD_PAYLOADS = {
     "trailing_bytes": (lambda p: p + b"\x00\x00\x00", "3 trailing payload bytes"),
     "ends_early": (lambda p: p[:-5], "artifact payload ended early"),
     "retired_string_tag": (lambda p: _with_tag(p, 2), "unknown hyperparameter tag 2"),
+    "retired_bool_tag": (lambda p: _with_tag(p, 3), "unknown hyperparameter tag 3"),
     "unknown_tag": (lambda p: _with_tag(p, 9), "unknown hyperparameter tag 9"),
     # no data, but more elements than numpy can index
     "impossible_shape": (lambda p: _with_dims(p, (0, 2**62)),

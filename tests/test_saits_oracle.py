@@ -38,7 +38,8 @@ from potsmine.models.imputation import _INFER_BYTES
 # ---------------------------------------------------------------------------
 # unrolled tape oracle
 
-def _forward_oracle(model, params, x0, mask):
+def _forward_oracle(model, params, x0, mask, attns=None):
+    """The reconstruction; each block's attention is appended to attns."""
     m = T.constant(mask)
     keep = T.constant(1.0 - mask)
     diag = np.eye(model.n_steps)
@@ -52,6 +53,8 @@ def _forward_oracle(model, params, x0, mask):
         q, k, v = h @ p["w_q"], h @ p["w_k"], h @ p["w_v"]
         scores = (q @ T.transpose(k)) * scale
         attn = T.softmax(T.masked_fill(scores, diag, -1e9))
+        if attns is not None:
+            attns.append(attn.data)
         h = h + (attn @ v)
         h = h + (T.relu(h @ p["w_f1"] + p["b_f1"]) @ p["w_f2"] + p["b_f2"])
         xb = h @ p["w_out"] + p["b_out"]
@@ -177,6 +180,59 @@ def test_merged_query_key_projection_matches_tape_oracle(t, d_model, d_ff, fitte
         assert max_rel(want_k, want_q) > 1e-3 and max_rel(want_q, want_k) > 1e-3
         if d_model > 1:
             assert max_rel(want_q.T, want_q) > 1e-3 and max_rel(want_k.T, want_k) > 1e-3
+
+
+def extreme_batch(model, n=6):
+    """pair_view's first n samples, with samples 0 and 1 replaced by fully
+    observed constant series whose block-1 scores leave exp's range.
+
+    The series lie along the most negative and the most positive
+    eigenvector of block 1's score form on the values, w_in_x w_qk
+    w_in_x^T, scaled so that the form reads -1500 and +1500: every score
+    of sample 0 is then far below -745 (exp underflows to 0), and sample
+    1's are far above 709.8 (exp overflows).
+    """
+    p, d, dm = model.parameters, model.n_features, model.d_model
+    w_x = p["b1_w_in"][:d]
+    form = w_x @ p["b1_w_q"] @ p["b1_w_k"].T @ w_x.T / math.sqrt(dm)
+    lam, vec = np.linalg.eigh(form + form.T)
+    assert lam[0] < 0 < lam[-1]
+    batch = pair_view(n=n, t=model.n_steps, d=d, seed=model.n_steps).training_batch(
+        list(range(n)))
+    values, mask = batch.values.copy(), batch.mask.copy()
+    for i, k in ((0, 0), (1, -1)):
+        values[i] = math.sqrt(3000.0 / abs(lam[k])) * vec[:, k]
+        mask[i] = 1
+    return values, mask
+
+
+def test_softmax_outside_exp_range_matches_tape_oracle_sample_by_sample():
+    # the unshifted exp underflows to a zero row sum in sample 0 and
+    # overflows in sample 1; those samples alone take the shifted softmax
+    model = perturbed_model(t=12, d=3, d_model=8, seed=5)
+    values, mask = extreme_batch(model)
+    p = model.parameters
+    maskf = mask.astype(np.float64)
+    x0 = model.norm_stats.forward(values, mask)
+    lifted = np.concatenate([x0, maskf], axis=2) @ p["b1_w_in"] + p["b1_b_in"] + p["b1_pos"]
+    scores = (lifted @ p["b1_w_q"]) @ (lifted @ p["b1_w_k"]).swapaxes(1, 2)
+    scores /= math.sqrt(model.d_model)
+    off = ~np.eye(model.n_steps, dtype=bool)
+    with np.errstate(over="ignore"):
+        unshifted = np.exp(scores[:2, off])
+    assert not unshifted[0].any() and np.isinf(unshifted[1]).all()
+    xhat, attns = saits_forward(model, values, mask)
+    assert np.isfinite(xhat).all() and all(np.isfinite(a).all() for a in attns)
+    want_attns = []
+    want = _forward_oracle(model, p, x0, maskf, want_attns).data
+    for i in range(len(values)):
+        assert max_rel(xhat[i], want[i]) <= 1e-12, i
+        for have_attn, want_attn in zip(attns, want_attns):
+            assert max_rel(have_attn[i], want_attn[i]) <= 1e-12, i
+        alone, alone_attns = saits_forward(model, values[i:i + 1], mask[i:i + 1])
+        assert np.array_equal(alone[0], xhat[i]), i
+        for have_attn, alone_attn in zip(attns, alone_attns):
+            assert np.array_equal(alone_attn[0], have_attn[i]), i
 
 
 def gradient_digests() -> dict:
