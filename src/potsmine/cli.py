@@ -38,6 +38,10 @@ _MODEL_TASKS = {
     "grud_lite": "classify", "twostage_kmeans": "cluster", "tmf": "forecast",
 }
 
+# the seeds derived from --seed run up to seed + 5, and a model stores its
+# init_seed, seed + 3, as an int64
+_MAX_SEED = 2 ** 63 - 1 - 5
+
 _DEFAULTS = {
     "task": None, "model": None, "data": None, "out": None, "originals": None,
     "truth": None, "seed": 0, "workers": 1, "epochs": 10, "batch_size": 32,
@@ -101,6 +105,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = flag
     if cfg["seed"] < 0:
         raise _UsageError(f"--seed must be non-negative, got {cfg['seed']}")
+    if cfg["seed"] > _MAX_SEED:
+        raise _UsageError(f"--seed must be at most {_MAX_SEED}, so that every seed derived "
+                          f"from it fits in int64, got {cfg['seed']}")
     return cfg
 
 
@@ -117,8 +124,11 @@ def _require_file(path: str, flag: str) -> str:
 
 
 def _positive(cfg: dict, key: str, flag: str) -> None:
-    if cfg[key] is not None and cfg[key] <= 0:
-        raise _UsageError(f"{flag} must be positive, got {cfg[key]}")
+    value = cfg[key]
+    if value is not None and not value > 0:   # NaN too
+        raise _UsageError(f"{flag} must be positive, got {value}")
+    if value == float("inf"):
+        raise _UsageError(f"{flag} must be finite, got {value}")
 
 
 def _load_dataset(path: str, flag: str = "--data") -> core.PotsDataset:

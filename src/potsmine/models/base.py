@@ -59,8 +59,9 @@ class TrainConfig:
             raise InvalidInputError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
             raise InvalidInputError(f"batch_size must be positive, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise InvalidInputError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise InvalidInputError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.patience < 0:
             raise InvalidInputError(f"patience must be non-negative, got {self.patience}")
         if self.workers < 1:

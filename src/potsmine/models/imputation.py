@@ -8,6 +8,7 @@ interpolations from the rest of the series.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -17,8 +18,8 @@ from ..errors import InvalidInputError, ShapeError
 from ..core import Batch, NormStats, _carry_forward, _chunks, _observed_moments, _rng
 from .. import tensor as T
 from .artifact import register_model
-from .base import (_INFER_BYTES, AnalyticModel, GradientModel, Imputer, TrainConfig,
-                   _check_non_negative, imputer_validation_metric, xavier)
+from .base import (_INFER_BYTES, _WORKSPACE_ROWS, AnalyticModel, GradientModel, Imputer,
+                   TrainConfig, _check_non_negative, imputer_validation_metric, xavier)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,8 @@ class SaitsLiteModel(GradientModel, Imputer):
         if n_features < 1 or d_model < 1 or d_ff < 1:
             raise InvalidInputError("saits_lite sizes must be positive")
         _check_non_negative("lam_mit", lam_mit=lam_mit)
+        if init_seed >= 2 ** 63:   # an artifact stores it as an int64
+            raise InvalidInputError(f"init_seed must fit in int64, got {init_seed}")
         self.n_steps = n_steps
         self.n_features = n_features
         self.d_model = d_model
@@ -369,26 +372,36 @@ class SaitsLiteModel(GradientModel, Imputer):
         (d_h2 over h2, d_f1 over f1, d_h1 over h1, d_a and d_v over qkv,
         d_h0 over h0), so s serves one backward. Bias gradients are
         column sums, taken as matmuls with a ones vector.
+
+        Each weight gradient sums over the block's B * T rows through
+        tensor.at_b: the products of fixed 256-row blocks, from one
+        batched matmul written into the workspace, added in block order.
+        A single matmul over all rows would let BLAS split that sum by
+        its thread count; blocked, the gradients have the same bits at
+        any thread count, and the 256-row products run faster.
         """
         n, steps, dm = s.h0.shape
         rows = n * steps
         ones = np.ones(rows)
+        # at_b's block products: workspace, unless the batch is above its cap
+        prods = (functools.partial(self._scratch, "products") if n <= _WORKSPACE_ROWS
+                 else np.empty)
 
         def flat(a):
             return a.reshape(rows, a.shape[-1])
 
         d_xb = flat(d_xb)
-        grads[pre + "w_out"] = flat(s.h2).T @ d_xb
+        grads[pre + "w_out"] = T.at_b(flat(s.h2), d_xb, prods)
         grads[pre + "b_out"] = ones @ d_xb
         d_h2 = s.h2
         np.matmul(d_xb, p[pre + "w_out"].T, out=flat(d_h2))
-        grads[pre + "w_f2"] = flat(s.f1).T @ flat(d_h2)
+        grads[pre + "w_f2"] = T.at_b(flat(s.f1), flat(d_h2), prods)
         grads[pre + "b_f2"] = ones @ flat(d_h2)
         relu_on = s.f1 > 0
         d_f1 = s.f1
         np.matmul(flat(d_h2), p[pre + "w_f2"].T, out=flat(d_f1))
         d_f1 *= relu_on
-        grads[pre + "w_f1"] = flat(s.h1).T @ flat(d_f1)
+        grads[pre + "w_f1"] = T.at_b(flat(s.h1), flat(d_f1), prods)
         grads[pre + "b_f1"] = ones @ flat(d_f1)
         d_h1 = s.h1
         np.matmul(flat(d_f1), p[pre + "w_f1"].T, out=flat(d_h1))
@@ -406,7 +419,7 @@ class SaitsLiteModel(GradientModel, Imputer):
         d_keys = np.matmul(d_s.swapaxes(1, 2), a, out=self._scratch("d_keys", a.shape))
         np.matmul(d_s, s.h0, out=a)  # d_a
         d_qkv = s.qkv
-        d_w_qkv = flat(s.h0).T @ flat(d_qkv)
+        d_w_qkv = T.at_b(flat(s.h0), flat(d_qkv), prods)
         d_w_qk = d_w_qkv[:, :dm]
         grads[pre + "w_q"] = (d_w_qk @ p[pre + "w_k"]) / math.sqrt(dm)
         grads[pre + "w_k"] = (d_w_qk.T @ p[pre + "w_q"]) / math.sqrt(dm)
@@ -415,7 +428,7 @@ class SaitsLiteModel(GradientModel, Imputer):
         np.matmul(flat(d_qkv), s.w_qkv.T, out=flat(d_h0))
         d_h0 += d_keys
         d_h0 += d_h1
-        grads[pre + "w_in"] = flat(s.inp).T @ flat(d_h0)
+        grads[pre + "w_in"] = T.at_b(flat(s.inp), flat(d_h0), prods)
         grads[pre + "b_in"] = ones @ flat(d_h0)
         grads[pre + "pos"] = d_h0.sum(axis=0)
         if not want_input:

@@ -15,6 +15,7 @@ scalar onto anything). Nothing else broadcasts; mismatches raise ShapeError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -258,6 +259,40 @@ def matmul(a, b) -> Tensor:
             (b, lambda g: ad.swapaxes(-1, -2) @ g),
         ])
     raise ShapeError(f"matmul: unsupported ranks {ad.shape} and {bd.shape}")
+
+
+# rows per block of at_b's reduction
+AT_B_ROWS = 256
+
+
+def at_b(a: np.ndarray, b: np.ndarray, scratch: Callable = np.empty) -> np.ndarray:
+    """a^T b for a (K, M) and b (..., K, N), reduced over K in fixed blocks.
+
+    A matmul's sum over K is split by BLAS in ways that depend on the
+    thread count, so its bits do too; fixing how the sum is blocked fixes
+    them (Demmel and Nguyen, "Parallel Reproducible Summation", 2015).
+    One batched matmul takes the products of the full AT_B_ROWS-row
+    blocks, one more that of the tail, and the products are summed in
+    block order, the tail last. The bits depend on the values and
+    shapes alone. Leading axes of b give one product per index, as
+    matmul broadcasts.
+
+    scratch(shape) returns the array the (..., blocks, M, N) products are
+    written into, np.empty by default; a model passes its workspace. The
+    result is a fresh array.
+    """
+    k, m = a.shape
+    lead, n = b.shape[:-2], b.shape[-1]
+    n_full, tail = divmod(k, AT_B_ROWS)
+    full = k - tail
+    prods = scratch((*lead, n_full + (tail > 0), m, n))
+    if n_full:
+        np.matmul(a[:full].reshape(n_full, AT_B_ROWS, m).swapaxes(1, 2),
+                  b[..., :full, :].reshape(*lead, n_full, AT_B_ROWS, n),
+                  out=prods[..., :n_full, :, :])
+    if tail:
+        np.matmul(a[full:].T, b[..., full:, :], out=prods[..., n_full, :, :])
+    return np.add.reduce(prods, axis=-3)
 
 
 def transpose(a) -> Tensor:
@@ -536,45 +571,72 @@ def grad_check(f, x: np.ndarray, h: float = 1e-5) -> float:
 
 @dataclass
 class AdamState:
-    """First and second moment estimates keyed by parameter name."""
+    """Adam's first and second moment estimates, flat over every parameter.
+
+    layout lists the (name, shape) of each parameter, in the order of the
+    params dict the state was made for (for_params); adam_step refuses
+    params that differ from it. m and v are float64 vectors holding each
+    parameter's moments as one slice, in that order, and two more vectors
+    of their length are adam_step's buffers, so a step allocates nothing
+    of the parameters' size.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    layout: list = field(default_factory=list)
+
+    def __post_init__(self):
+        size = sum(math.prod(shape) for _, shape in self.layout)
+        self.m, self.v, self._grad, self._work = np.zeros((4, size))
 
     @classmethod
     def for_params(cls, params: dict, lr: float = 1e-3, beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        for name, p in params.items():
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        return state
+        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+                   layout=[(name, np.shape(p)) for name, p in params.items()])
 
 
 def adam_step(params: dict, grads: dict, state: AdamState):
     """One Adam update, in place on the parameter arrays.
 
     Parameters missing from grads (or mapped to None) decay their moments
-    with a zero gradient. Returns (params, state).
+    with a zero gradient. The gradients are gathered into one flat vector
+    and the update runs once over all of it; every operation is
+    elementwise, so each parameter gets the bits of an update of its own.
+    A params dict whose names or shapes differ from the state's layout is
+    refused. Returns (params, state).
     """
+    if [(name, p.shape) for name, p in params.items()] != state.layout:
+        raise InvalidInputError(
+            "adam_step: the parameters' names and shapes differ from the state's")
+    g, work, m, v = state._grad, state._work, state.m, state.v
+    slices, lo = [], 0
+    for name, p in params.items():
+        view = g[lo:lo + p.size].reshape(p.shape)
+        lo += p.size
+        grad = grads.get(name)
+        view[...] = 0.0 if grad is None else grad
+        slices.append((p, view))
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=work)
+    v *= state.beta2
+    np.multiply(g, g, out=g)
+    g *= 1.0 - state.beta2
+    v += g
+    # the step lr * (m / c1) / (sqrt(v / c2) + eps), into g
+    np.divide(v, c2, out=work)
+    np.sqrt(work, out=work)
+    work += state.eps
+    np.divide(m, c1, out=g)
+    g *= state.lr
+    g /= work
+    for p, step in slices:
+        p -= step
     return params, state

@@ -1,6 +1,7 @@
 """GRU-D-lite: decay math, step semantics, probabilities, gradients."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -293,6 +294,23 @@ def perturbed_model(t=7, d=2, h=3, seed=22):
     model.parameters["w_dx"][:] = np.abs(model.parameters["w_dx"])
     model.norm_stats = NormStats(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
     return model
+
+
+def gradient_digests() -> dict:
+    """sha256 digests of the loss and every gradient of perturbed_model()
+    at 48 steps, 8 features and hidden sizes 64 and 256, on the first 1,
+    5, 17, 24, 32 and 50 samples of one irregular batch (24 is the size of
+    impute-lazy's last minibatch)."""
+    view = PotsDataset(irregular_batch(n=50, t=48, d=8))
+    out = {}
+    for hid in (64, 256):
+        model = perturbed_model(t=48, d=8, h=hid)
+        for size in (1, 5, 17, 24, 32, 50):
+            loss, grads = model.shard_loss_and_grads(view, range(size))
+            out[f"H={hid} B={size}"] = {
+                name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                for name, a in [("loss", np.float64(loss)), *grads.items()]}
+    return out
 
 
 def test_batched_deltas_match_per_sample_with_irregular_gaps():

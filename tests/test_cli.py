@@ -664,6 +664,48 @@ def test_a_negative_seed_flag_exits_one(capsys, tmp_path, argv):
     assert not (tmp_path / "out.pots").exists()
 
 
+@pytest.mark.parametrize("kind", ["saits_lite", "grud_lite"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_seed_whose_derived_seeds_leave_int64_exits_one(capsys, tmp_path, kind, source):
+    data = gen(capsys, tmp_path, n=20)
+    task = {"saits_lite": "impute", "grud_lite": "classify"}[kind]
+    out = tmp_path / "model.pmdl"
+    argv = ["train", "--task", task, "--model", kind, "--data", data, "--out", str(out),
+            "--epochs", "1"]
+    largest = 2 ** 63 - 6   # seed + 5 is the largest int64
+    for seed, want in ((largest + 1, 1), (2 ** 63 + 7, 1), (largest, 0)):
+        if source == "flag":
+            extra = ["--seed", str(seed)]
+        else:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({"seed": seed}))
+            extra = ["--config", str(cfg_path)]
+        code, _, err = run(capsys, *argv, *extra)
+        assert code == want, (seed, err)
+        if want:
+            assert f"--seed must be at most {largest}" in err
+            assert f"got {seed}" in err and not out.exists()
+    assert out.exists()
+
+
+@pytest.mark.parametrize("lr", ["inf", "nan"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_learning_rate_that_is_not_finite_exits_one(capsys, tmp_path, lr, source):
+    data = gen(capsys, tmp_path, n=20)
+    out = tmp_path / "model.pmdl"
+    if source == "flag":
+        extra = ["--lr", lr]
+    else:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"lr": %s}' % {"inf": "Infinity", "nan": "NaN"}[lr])
+        extra = ["--config", str(cfg_path)]
+    code, _, err = run(capsys, "train", "--task", "impute", "--model", "saits_lite",
+                       "--data", data, "--out", str(out), "--epochs", "1", *extra)
+    assert code == 1, err
+    assert "--lr must be" in err and f"got {lr}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cell", ["inf", "1e400", "nan"])
 def test_pack_of_a_csv_with_a_non_finite_cell_exits_two(capsys, tmp_path, cell):
     path = tmp_path / "cells.csv"

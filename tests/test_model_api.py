@@ -1,5 +1,6 @@
 """Task API: config, election, fit loop, dispatch, artifacts, sharding."""
 
+import math
 import os
 import re
 import resource
@@ -70,6 +71,26 @@ def test_config_rejects_bad_fields():
                    {"patience": -1}, {"workers": 0}, {"selection_metric": "auc"}):
         with pytest.raises(InvalidInputError):
             TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("lr", [math.inf, math.nan, -math.inf])
+def test_config_refuses_a_learning_rate_that_is_not_finite(lr):
+    with pytest.raises(InvalidInputError, match="learning_rate must be positive and finite"):
+        TrainConfig(learning_rate=lr)
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: SaitsLiteModel(n_steps=6, n_features=2, d_model=4, d_ff=4, init_seed=seed),
+    lambda seed: GrudLiteModel(n_steps=6, n_features=2, n_classes=2, hidden_size=4,
+                               init_seed=seed),
+], ids=["saits_lite", "grud_lite"])
+def test_init_seed_must_fit_the_int64_an_artifact_stores(tmp_path, build):
+    for seed in (2 ** 63, 2 ** 64):
+        with pytest.raises(InvalidInputError, match=f"init_seed must fit in int64, got {seed}"):
+            build(seed)
+    model = build(2 ** 63 - 1)
+    save_model(model, str(tmp_path / "m.pmdl"))
+    assert load_model(str(tmp_path / "m.pmdl")).init_seed == 2 ** 63 - 1
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,118 @@ def test_cross_entropy_matches_manual_value():
 
 
 # ---------------------------------------------------------------------------
+# blocked reductions
+
+def _qkv_like(k, dm=32, seed=0):
+    """(K, M) rows and a strided (K, dm) b: the value half of a (K, 2 dm) block."""
+    rng = np.random.default_rng(seed + k)
+    a = rng.standard_normal((k, 17))
+    qkv = rng.standard_normal((k, 2 * dm))
+    return a, qkv[..., dm:]
+
+
+@pytest.mark.parametrize("k", [1, 255, 256, 257, 816, 1536])
+def test_at_b_matches_the_plain_product(k):
+    a, b = _qkv_like(k)
+    assert b.strides == (2 * b.shape[1] * 8, 8)
+    want = a.T @ b
+    err = np.abs(T.at_b(a, b) - want).max() / np.abs(want).max()
+    assert err <= 1e-13
+    # leading axes of b: one product per index
+    stack = np.stack([b, 2.0 * b, -b])
+    have = T.at_b(a, stack)
+    assert have.shape == (3, 17, b.shape[1])
+    assert np.abs(have - a.T @ stack).max() / np.abs(want).max() <= 3e-13
+
+
+@pytest.mark.parametrize("k", [1, 255, 256, 257, 816, 1536])
+def test_at_b_is_the_in_order_sum_of_its_block_products(k):
+    a, b = _qkv_like(k, seed=1)
+    rows = T.AT_B_ROWS
+    acc = None
+    for lo in range(0, k, rows):
+        part = a[lo:lo + rows].T @ b[lo:lo + rows]
+        acc = part if acc is None else acc + part
+    assert np.array_equal(T.at_b(a, b), acc)
+    # a caller's scratch gives the same bits, and the result does not alias it
+    held = []
+
+    def scratch(shape):
+        held.append(np.full(shape, np.nan))
+        return held[-1]
+
+    have = T.at_b(a, b, scratch)
+    assert np.array_equal(have, acc)
+    assert held[0].shape == (-(-k // rows), 17, b.shape[1])
+    assert not np.shares_memory(have, held[0])
+
+
+# ---------------------------------------------------------------------------
 # optimizers
+
+def _adam_per_parameter(params, grads, state, moments):
+    """The per-parameter Adam update, the flat step's oracle."""
+    t = state.step
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        m, v = moments[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+def test_flat_adam_is_bitwise_the_per_parameter_update():
+    rng = np.random.default_rng(7)
+    shapes = {"w": (5, 3), "b": (3,), "pos": (4, 2), "scalar": (), "u": (2, 2)}
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    want = {name: p.copy() for name, p in params.items()}
+    moments = {name: (np.zeros(shape), np.zeros(shape)) for name, shape in shapes.items()}
+    state = T.AdamState.for_params(params, lr=0.05)
+    oracle = T.AdamState(lr=0.05)
+    for step in range(5):
+        grads = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8)
+                 for name, shape in shapes.items()}
+        grads["u"] = None
+        if step % 2:
+            del grads["b"]
+        T.adam_step(params, grads, state)
+        oracle.step += 1
+        _adam_per_parameter(want, grads, oracle, moments)
+        for name in shapes:
+            assert np.array_equal(params[name], want[name]), (step, name)
+    assert state.step == 5
+    lo = 0
+    for name, (m, v) in moments.items():
+        size = m.size
+        assert np.array_equal(state.m[lo:lo + size], m.ravel()), name
+        assert np.array_equal(state.v[lo:lo + size], v.ravel()), name
+        lo += size
+    assert lo == state.m.size == state.v.size
+
+
+@pytest.mark.parametrize("change", ["renamed", "reshaped", "added", "dropped", "reordered"])
+def test_adam_refuses_params_that_do_not_match_its_state(change):
+    params = {"w": np.ones((2, 3)), "b": np.zeros(3)}
+    state = T.AdamState.for_params(params)
+    other = {
+        "renamed": {"v": params["w"], "b": params["b"]},
+        "reshaped": {"w": np.ones((3, 2)), "b": params["b"]},
+        "added": {**params, "c": np.zeros(1)},
+        "dropped": {"w": params["w"]},
+        "reordered": {"b": params["b"], "w": params["w"]},
+    }[change]
+    before = {name: p.copy() for name, p in other.items()}
+    with pytest.raises(InvalidInputError, match="names and shapes"):
+        T.adam_step(other, {}, state)
+    assert state.step == 0
+    assert all(np.array_equal(other[name], before[name]) for name in other)
+
 
 def test_adam_first_step_magnitude():
     # with fresh moments the first Adam step is exactly -lr * sign(g)
