@@ -4,25 +4,27 @@ From the repository root:
 
     python ci/same_bits.py --base REV [--head REV]
 
-The base side is REV, checked out with `git worktree add` into a fresh
-temporary directory (under $TMPDIR). The head side is the working tree's
-`src`, uncommitted changes included, copied beside it so both sides sit
-at paths of equal length; with --head it is that revision, checked out
-the same way. ci/bits_outputs.py, the copy in this working tree, runs
-once per side with that side's `src` on PYTHONPATH, on one BLAS thread,
-and the two output directories are compared:
+The base side is REV, written into a fresh temporary directory (under
+$TMPDIR) by `git archive` and `tar -x`, which leave `.git` untouched.
+The head side is the working tree's `src`, uncommitted changes included,
+copied beside it so both sides sit at paths of equal length; with --head
+it is that revision, written out the same way. ci/bits_outputs.py, the
+copy in this working tree, runs once per side with that side's `src` on
+PYTHONPATH, on one BLAS thread, and the two output directories are
+compared:
 
-- each output file is reported as identical, or with the count of cells
-  that differ in their bits and the largest absolute and relative
-  difference among the finite ones: `.npz` arrays (the decoded content
-  of each `.pots` and `.pmdl` file, and the loss and gradients), CSV
-  cells and the raw bytes of the rest;
+- each output is reported as identical, or with the count of cells that
+  differ in their bits and the largest absolute and relative difference
+  among the finite ones: every array of each `.npz` file (the decoded
+  content of each `.pots` and `.pmdl` file, and the loss and gradients)
+  on its own, so the count of outputs does not depend on what differs;
+  CSV cells and the raw bytes of the rest by file;
 - each CLI command's exit code, stdout and stderr, after the output
   directory is replaced by a placeholder; numbers in stdout lines that
   otherwise agree are compared as numbers.
 
 Exits 0 when every output is identical, 1 when some differ and 2 when a
-side could not be checked out or run. The worktrees and outputs are
+side could not be written out or run. The temporary directory is
 removed at the end. It is informational: CI runs it on pull requests
 against the base commit and does not gate on its exit code.
 """
@@ -46,8 +48,8 @@ _ROOT = os.path.dirname(_HERE)
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 
-def _git(*args: str) -> None:
-    subprocess.run(["git", "-C", _ROOT, *args], check=True, capture_output=True, text=True)
+def _run(*argv: str) -> None:
+    subprocess.run(argv, check=True, capture_output=True, text=True)
 
 
 def _differences(a: np.ndarray, b: np.ndarray) -> str | None:
@@ -136,10 +138,6 @@ def compare(base_dir: str, head_dir: str) -> list[tuple[str, str | None]]:
                         for fh, d in ((fa, base_dir), (fb, head_dir))]
             rows += _compare_logs(*logs)
             continue
-        with open(a, "rb") as fa, open(b, "rb") as fb:
-            if fa.read() == fb.read():
-                rows.append((name, None))
-                continue
         if name.endswith(".npz"):
             with np.load(a) as za, np.load(b) as zb:
                 for key in sorted(set(za.files) | set(zb.files)):
@@ -147,7 +145,12 @@ def compare(base_dir: str, head_dir: str) -> list[tuple[str, str | None]]:
                         rows.append((f"{name}:{key}", _differences(za[key], zb[key])))
                     else:
                         rows.append((f"{name}:{key}", "only on one side"))
-        elif name.endswith(".csv"):
+            continue
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            if fa.read() == fb.read():
+                rows.append((name, None))
+                continue
+        if name.endswith(".csv"):
             rows.append((name, _csv_differences(a, b)))
         else:
             rows.append((name, "bytes differ" + (" (decoded in its .npz)"
@@ -156,13 +159,16 @@ def compare(base_dir: str, head_dir: str) -> list[tuple[str, str | None]]:
 
 
 def _side(rev: str | None, root: str, tag: str) -> str:
-    """The src directory of one side: rev checked out, or the working tree's copied."""
+    """The src directory of one side: rev written out, or the working tree's copied."""
     path = os.path.join(root, tag)
     if rev is None:
         shutil.copytree(os.path.join(_ROOT, "src"), os.path.join(path, "src"),
                         ignore=shutil.ignore_patterns("__pycache__"))
     else:
-        _git("worktree", "add", "--detach", path, rev)
+        os.mkdir(path)
+        tar = path + ".tar"
+        _run("git", "-C", _ROOT, "archive", "--output", tar, rev)
+        _run("tar", "-x", "-f", tar, "-C", path)
     return os.path.join(path, "src")
 
 
@@ -172,18 +178,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--head", help="revision to compare (default: the working tree)")
     args = parser.parse_args(argv)
     root = tempfile.mkdtemp(prefix="same_bits-")
-    worktrees = []
     try:
         outs = {}
         for tag, rev in (("base", args.base), ("head", args.head)):
             try:
                 src = _side(rev, root, tag)
             except subprocess.CalledProcessError as exc:
-                print(f"same_bits: cannot check out {rev}: {exc.stderr.strip()}",
+                print(f"same_bits: cannot write out {rev}: {exc.stderr.strip()}",
                       file=sys.stderr)
                 return 2
-            if rev is not None:
-                worktrees.append(os.path.dirname(src))
             outs[tag] = os.path.join(root, tag + ".out")
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                        PYTHONDONTWRITEBYTECODE="1")
@@ -194,8 +197,6 @@ def main(argv: list[str]) -> int:
                 return 2
         rows = compare(outs["base"], outs["head"])
     finally:
-        for path in worktrees:
-            _git("worktree", "remove", "--force", path)
         shutil.rmtree(root, ignore_errors=True)
     head = args.head or "the working tree"
     print(f"same_bits: {args.base} (base) against {head} (head)")

@@ -44,7 +44,7 @@ _MAX_SEED = 2 ** 63 - 1 - 5
 
 _DEFAULTS = {
     "task": None, "model": None, "data": None, "out": None, "originals": None,
-    "truth": None, "seed": 0, "workers": 1, "epochs": 10, "batch_size": 32,
+    "truth": None, "seed": 0, "epochs": 10, "batch_size": 32,
     "lr": 1e-3, "patience": 0, "missing_rate": 0.0, "horizon": 1,
     "selection_metric": "val_loss",
     "n_samples": 200, "n_steps": 24, "n_features": 5, "n_classes": 2,
@@ -240,7 +240,7 @@ def _cmd_train(args) -> int:
         raise _UsageError(
             f"model kind {kind!r} does not serve task {task!r} (--model/--task)")
     for key, flag in (("epochs", "--epochs"), ("batch_size", "--batch-size"),
-                      ("lr", "--lr"), ("workers", "--workers")):
+                      ("lr", "--lr")):
         _positive(cfg, key, flag)
     if cfg["patience"] < 0:
         raise _UsageError(f"--patience must be non-negative, got {cfg['patience']}")
@@ -258,8 +258,7 @@ def _cmd_train(args) -> int:
     config = TrainConfig(
         epochs=int(cfg["epochs"]), batch_size=int(cfg["batch_size"]),
         learning_rate=float(cfg["lr"]), patience=int(cfg["patience"]),
-        seed=int(cfg["seed"]) + 4, workers=int(cfg["workers"]),
-        selection_metric=str(cfg["selection_metric"]))
+        seed=int(cfg["seed"]) + 4, selection_metric=str(cfg["selection_metric"]))
     model, checkpoint = fit(model, train_view, val_view, config)
     save_model(model, out)
     _emit(f"elected epoch: {checkpoint.epoch}")
@@ -448,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=_TASKS)
     p.add_argument("--model")
     p.add_argument("--data")
-    p.add_argument("--workers", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--lr", type=float)

@@ -40,10 +40,8 @@ class TrainConfig:
     """Knobs for one fit() run.
 
     patience counts consecutive epochs without improvement of the
-    selection metric; 0 disables early stopping. workers is the number
-    of gradient shards per minibatch; the shards run one after another
-    on the calling thread, because a model instance may keep a
-    per-model workspace and is not safe for concurrent calls.
+    selection metric; 0 disables early stopping. workers is retired:
+    each minibatch is one gradient call, and 1 is its only value.
     """
 
     epochs: int = 10
@@ -64,8 +62,9 @@ class TrainConfig:
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.patience < 0:
             raise InvalidInputError(f"patience must be non-negative, got {self.patience}")
-        if self.workers < 1:
-            raise InvalidInputError(f"workers must be at least 1, got {self.workers}")
+        if self.workers != 1:
+            raise InvalidInputError(
+                f"workers is retired: a minibatch is one gradient call, got {self.workers}")
         if self.selection_metric not in ("val_loss", "val_accuracy"):
             raise InvalidInputError(
                 f"selection_metric must be val_loss or val_accuracy, got {self.selection_metric!r}")
@@ -124,7 +123,7 @@ class BaseModel(ABC):
     series length; n_features is always fixed at construction.
 
     HYPERPARAMS maps the name of each constructor keyword argument that
-    an artifact stores to its type (int, float or bool); the model keeps
+    an artifact stores to its type (int or float); the model keeps
     each one as an attribute of that name. A kind that wraps another
     model sets takes_inner and takes that model as its inner argument.
 
@@ -354,15 +353,6 @@ def forecast(model: BaseModel, dataset, horizon: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # training loop
 
-def _merge_shard_grads(results: Sequence[tuple[float, dict]], scale: float) -> dict:
-    merged: dict[str, np.ndarray] = {}
-    for _, grads in results:
-        for name, g in grads.items():
-            cur = merged.get(name)
-            merged[name] = g if cur is None else cur + g
-    return {name: g * scale for name, g in merged.items()}
-
-
 def _finite_metric(metric: float, epoch: int) -> float:
     if not np.isfinite(metric):
         raise TrainingDivergedError(epoch, None, metric)
@@ -374,12 +364,9 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
 
     Per epoch: a seeded shuffle (seed = config.seed + 0-based epoch
     index), minibatch Adam steps, then the model's selection metric on
-    val_set. Each minibatch is split into config.workers near-equal
-    shards whose gradient sums are divided by the batch size before the
-    optimizer step, so workers=1 and workers=N agree up to float
-    summation order. The shards run in order on the calling thread: a
-    model instance is not safe for concurrent calls, since it may keep
-    a per-model workspace between them.
+    val_set. Each minibatch is one shard_loss_and_grads call, whose
+    gradient sums are divided by the batch size before the optimizer
+    step.
 
     After each epoch, run_election over the metrics logged so far elects
     the checkpoint: the parameters are copied when the newest epoch is
@@ -388,7 +375,9 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
     A non-finite training loss or validation metric raises
     TrainingDivergedError: NaN compares false against everything, so
     letting it into the election would either never elect it or pin it
-    forever, depending on the epoch it appeared in.
+    forever, depending on the epoch it appeared in. The epochs run with
+    numpy's floating-point warnings off, so that error is the one report
+    of a divergence.
     """
     if len(train_set) == 0:
         raise InvalidInputError("fit: training set is empty")
@@ -415,23 +404,23 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
     log: list[float] = []
     best: dict[str, np.ndarray] = {}
     n = len(train_set)
-    for epoch_idx in range(config.epochs):
-        order = _rng(config.seed + epoch_idx).permutation(n)
-        for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
-            idx = order[start:start + config.batch_size]
-            shards = [s for s in np.array_split(idx, config.workers) if s.size]
-            results = [model.shard_loss_and_grads(train_set, s) for s in shards]
-            loss_total = sum(r[0] for r in results)
-            if not np.isfinite(loss_total):
-                raise TrainingDivergedError(epoch_idx + 1, batch_no, loss_total)
-            grads = _merge_shard_grads(results, 1.0 / idx.size)
-            T.adam_step(params, grads, state)
-        log.append(_finite_metric(model.validation_metric(val_set, config), epoch_idx + 1))
-        election = run_election(log, maximize, config.patience)
-        if election.best_epoch == len(log):
-            best = {k: v.copy() for k, v in params.items()}
-        if _out_of_patience(config.patience, len(log), election.best_epoch):
-            break
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch_idx in range(config.epochs):
+            order = _rng(config.seed + epoch_idx).permutation(n)
+            for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
+                idx = order[start:start + config.batch_size]
+                loss, grads = model.shard_loss_and_grads(train_set, idx)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch_idx + 1, batch_no, loss)
+                scale = 1.0 / idx.size
+                T.adam_step(params, {k: g * scale for k, g in grads.items()}, state)
+            log.append(_finite_metric(model.validation_metric(val_set, config),
+                                      epoch_idx + 1))
+            election = run_election(log, maximize, config.patience)
+            if election.best_epoch == len(log):
+                best = {k: v.copy() for k, v in params.items()}
+            if _out_of_patience(config.patience, len(log), election.best_epoch):
+                break
     for name, snap in best.items():
         params[name][...] = snap
     return model, Checkpoint(epoch=election.best_epoch, metric=election.best_metric,

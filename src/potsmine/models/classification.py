@@ -41,7 +41,6 @@ either. Only the readout's bias is still added to, and summed over, the
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import NamedTuple
 
@@ -51,8 +50,7 @@ from ..errors import InvalidInputError, ShapeError
 from ..core import Batch, _carry_forward, _iter_batches, _rng, _time_since_observed
 from .. import tensor as T
 from .artifact import register_model
-from .base import (_INFER_BYTES, _WORKSPACE_ROWS, Classifier, GradientModel, TrainConfig,
-                   xavier)
+from .base import _INFER_BYTES, Classifier, GradientModel, TrainConfig, xavier
 
 # the parameters in the order the fused node takes them and
 # _forward_grads returns their gradients
@@ -331,10 +329,9 @@ class GrudLiteModel(GradientModel, Classifier):
         state, so it runs once per forward.
 
         Those matmuls sum over T * B rows, so they go through
-        tensor.at_b: the products of fixed 256-row blocks, from one
-        batched matmul written into the workspace, added in block order.
-        BLAS would otherwise split the sum by its thread count; blocked,
-        the gradients have the same bits at any thread count.
+        tensor.at_b: the products of fixed 256-row blocks, added in block
+        order. BLAS would otherwise split the sum by its thread count;
+        blocked, the gradients have the same bits at any thread count.
         """
         self._check_workspace(s.token)
         self._claim_workspace()
@@ -381,13 +378,10 @@ class GrudLiteModel(GradientModel, Classifier):
             np.multiply(d_hd, s.gh[t], out=dh)
 
         d_pre = s.pre.reshape(3, rows, hid)
-        # at_b's block products: workspace, unless the batch is above its cap
-        prods = (functools.partial(self._scratch, "products") if n <= _WORKSPACE_ROWS
-                 else np.empty)
         # (3, 2D + 1, H): each gate's input weight gradient over its bias's
-        d_w_in = T.at_b(s.inp.reshape(rows, 2 * d + 1), d_pre, prods)
-        d_u_zr = T.at_b(s.hd.reshape(rows, hid), d_pre[:2], prods)
-        d_u_c = T.at_b(s.rhd.reshape(rows, hid), d_pre[2], prods)
+        d_w_in = T.at_b(s.inp.reshape(rows, 2 * d + 1), d_pre)
+        d_u_zr = T.at_b(s.hd.reshape(rows, hid), d_pre[:2])
+        d_u_c = T.at_b(s.rhd.reshape(rows, hid), d_pre[2])
         # only the repaired values' rows of w_in reach a parameter
         w_x = np.stack([p["w_z"][:d].T, p["w_r"][:d].T, p["w_c"][:d].T])
         d_x_hat = np.matmul(d_pre, w_x).sum(axis=0).reshape(n_steps, n, d)
@@ -405,7 +399,7 @@ class GrudLiteModel(GradientModel, Classifier):
         d_gh *= s.gh
         d_gh *= s.gh_on
         # (D + 1, H): w_dh's gradient over b_dh's
-        d_dh = T.at_b(s.delta1.reshape(rows, d + 1), d_gh.reshape(rows, hid), prods)
+        d_dh = T.at_b(s.delta1.reshape(rows, d + 1), d_gh.reshape(rows, hid))
         np.negative(d_dh, out=d_dh)
         grads = [d_dx[:d], d_dx[d:], d_dh[:d], d_dh[d]]
         for k in range(3):

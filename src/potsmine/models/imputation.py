@@ -8,7 +8,6 @@ interpolations from the rest of the series.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -18,8 +17,8 @@ from ..errors import InvalidInputError, ShapeError
 from ..core import Batch, NormStats, _carry_forward, _chunks, _observed_moments, _rng
 from .. import tensor as T
 from .artifact import register_model
-from .base import (_INFER_BYTES, _WORKSPACE_ROWS, AnalyticModel, GradientModel, Imputer,
-                   TrainConfig, _check_non_negative, imputer_validation_metric, xavier)
+from .base import (_INFER_BYTES, AnalyticModel, GradientModel, Imputer, TrainConfig,
+                   _check_non_negative, imputer_validation_metric, xavier)
 
 
 # ---------------------------------------------------------------------------
@@ -374,34 +373,30 @@ class SaitsLiteModel(GradientModel, Imputer):
         column sums, taken as matmuls with a ones vector.
 
         Each weight gradient sums over the block's B * T rows through
-        tensor.at_b: the products of fixed 256-row blocks, from one
-        batched matmul written into the workspace, added in block order.
-        A single matmul over all rows would let BLAS split that sum by
-        its thread count; blocked, the gradients have the same bits at
+        tensor.at_b: the products of fixed 256-row blocks, added in block
+        order. A single matmul over all rows would let BLAS split that sum
+        by its thread count; blocked, the gradients have the same bits at
         any thread count, and the 256-row products run faster.
         """
         n, steps, dm = s.h0.shape
         rows = n * steps
         ones = np.ones(rows)
-        # at_b's block products: workspace, unless the batch is above its cap
-        prods = (functools.partial(self._scratch, "products") if n <= _WORKSPACE_ROWS
-                 else np.empty)
 
         def flat(a):
             return a.reshape(rows, a.shape[-1])
 
         d_xb = flat(d_xb)
-        grads[pre + "w_out"] = T.at_b(flat(s.h2), d_xb, prods)
+        grads[pre + "w_out"] = T.at_b(flat(s.h2), d_xb)
         grads[pre + "b_out"] = ones @ d_xb
         d_h2 = s.h2
         np.matmul(d_xb, p[pre + "w_out"].T, out=flat(d_h2))
-        grads[pre + "w_f2"] = T.at_b(flat(s.f1), flat(d_h2), prods)
+        grads[pre + "w_f2"] = T.at_b(flat(s.f1), flat(d_h2))
         grads[pre + "b_f2"] = ones @ flat(d_h2)
         relu_on = s.f1 > 0
         d_f1 = s.f1
         np.matmul(flat(d_h2), p[pre + "w_f2"].T, out=flat(d_f1))
         d_f1 *= relu_on
-        grads[pre + "w_f1"] = T.at_b(flat(s.h1), flat(d_f1), prods)
+        grads[pre + "w_f1"] = T.at_b(flat(s.h1), flat(d_f1))
         grads[pre + "b_f1"] = ones @ flat(d_f1)
         d_h1 = s.h1
         np.matmul(flat(d_f1), p[pre + "w_f1"].T, out=flat(d_h1))
@@ -419,7 +414,7 @@ class SaitsLiteModel(GradientModel, Imputer):
         d_keys = np.matmul(d_s.swapaxes(1, 2), a, out=self._scratch("d_keys", a.shape))
         np.matmul(d_s, s.h0, out=a)  # d_a
         d_qkv = s.qkv
-        d_w_qkv = T.at_b(flat(s.h0), flat(d_qkv), prods)
+        d_w_qkv = T.at_b(flat(s.h0), flat(d_qkv))
         d_w_qk = d_w_qkv[:, :dm]
         grads[pre + "w_q"] = (d_w_qk @ p[pre + "w_k"]) / math.sqrt(dm)
         grads[pre + "w_k"] = (d_w_qk.T @ p[pre + "w_q"]) / math.sqrt(dm)
@@ -428,7 +423,7 @@ class SaitsLiteModel(GradientModel, Imputer):
         np.matmul(flat(d_qkv), s.w_qkv.T, out=flat(d_h0))
         d_h0 += d_keys
         d_h0 += d_h1
-        grads[pre + "w_in"] = T.at_b(flat(s.inp), flat(d_h0), prods)
+        grads[pre + "w_in"] = T.at_b(flat(s.inp), flat(d_h0))
         grads[pre + "b_in"] = ones @ flat(d_h0)
         grads[pre + "pos"] = d_h0.sum(axis=0)
         if not want_input:

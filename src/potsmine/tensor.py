@@ -265,34 +265,22 @@ def matmul(a, b) -> Tensor:
 AT_B_ROWS = 256
 
 
-def at_b(a: np.ndarray, b: np.ndarray, scratch: Callable = np.empty) -> np.ndarray:
+def at_b(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^T b for a (K, M) and b (..., K, N), reduced over K in fixed blocks.
 
     A matmul's sum over K is split by BLAS in ways that depend on the
     thread count, so its bits do too; fixing how the sum is blocked fixes
     them (Demmel and Nguyen, "Parallel Reproducible Summation", 2015).
-    One batched matmul takes the products of the full AT_B_ROWS-row
-    blocks, one more that of the tail, and the products are summed in
-    block order, the tail last. The bits depend on the values and
-    shapes alone. Leading axes of b give one product per index, as
+    Each AT_B_ROWS-row block, the tail last, takes one matmul, and its
+    product is added into the running sum in block order; the first
+    block's product is the sum's array. The bits depend on the values
+    and shapes alone. Leading axes of b give one product per index, as
     matmul broadcasts.
-
-    scratch(shape) returns the array the (..., blocks, M, N) products are
-    written into, np.empty by default; a model passes its workspace. The
-    result is a fresh array.
     """
-    k, m = a.shape
-    lead, n = b.shape[:-2], b.shape[-1]
-    n_full, tail = divmod(k, AT_B_ROWS)
-    full = k - tail
-    prods = scratch((*lead, n_full + (tail > 0), m, n))
-    if n_full:
-        np.matmul(a[:full].reshape(n_full, AT_B_ROWS, m).swapaxes(1, 2),
-                  b[..., :full, :].reshape(*lead, n_full, AT_B_ROWS, n),
-                  out=prods[..., :n_full, :, :])
-    if tail:
-        np.matmul(a[full:].T, b[..., full:, :], out=prods[..., n_full, :, :])
-    return np.add.reduce(prods, axis=-3)
+    acc = a[:AT_B_ROWS].T @ b[..., :AT_B_ROWS, :]
+    for lo in range(AT_B_ROWS, a.shape[0], AT_B_ROWS):
+        acc += a[lo:lo + AT_B_ROWS].T @ b[..., lo:lo + AT_B_ROWS, :]
+    return acc
 
 
 def transpose(a) -> Tensor:

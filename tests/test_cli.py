@@ -7,6 +7,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
 from pathlib import Path
@@ -585,6 +587,12 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     assert code == 1
     assert "--data" in err
 
+    # train has no --workers option
+    code, _, err = run(capsys, "train", "--task", "impute", "--model", "saits_lite",
+                       "--data", "x.pots", "--out", "y.pmdl", "--workers", "2")
+    assert code == 1
+    assert "unrecognized arguments: --workers 2" in err
+
 
 def test_cached_parser_behaves_as_fresh_ones(capsys, tmp_path):
     assert build_parser() is build_parser()
@@ -829,7 +837,6 @@ def test_evaluate_rejects_originals_with_other_values(capsys, tmp_path):
     assert "masked_mae" not in out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_three(capsys, tmp_path):
     data = gen(capsys, tmp_path, n=12, rate=0.0)
     code, _, err = run(capsys, "train", "--task", "impute", "--model", "saits_lite",
@@ -839,6 +846,26 @@ def test_divergence_exits_three(capsys, tmp_path):
     assert code == 3
     assert "diverged" in err
     assert "epoch" in err and "batch" in err
+
+
+@pytest.mark.parametrize("task,kind", [("impute", "saits_lite"), ("classify", "grud_lite")])
+def test_divergence_is_reported_by_its_message_alone(capsys, tmp_path, task, kind):
+    # a learning rate near the float64 limit overflows Adam's step; the
+    # child prints Python's default warnings, so any RuntimeWarning shows
+    data = str(tmp_path / "d.pots")
+    code, _, err = run(capsys, "gen-data", "--out", data, "--n-samples", "60",
+                       "--n-steps", "12", "--n-features", "3", "--seed", "1")
+    assert code == 0, err
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "potsmine.cli", "train", "--task", task, "--model", kind,
+         "--data", data, "--out", str(tmp_path / "m.pmdl"), "--epochs", "1",
+         "--lr", "1e308"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert "training diverged" in done.stderr
+    assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -960,6 +987,8 @@ _BAD_CONFIG_FILES = {
                  "--patience must be non-negative"),
     "seed": ('{"seed": -5}', ["train", "--task", "forecast", "--model", "tmf"], 1,
              "--seed must be non-negative, got -5"),
+    "workers": ('{"workers": 2}', ["train", "--task", "forecast", "--model", "tmf"], 1,
+                "unknown config key 'workers'"),
     "val_frac_nan": ('{"val_frac": NaN}', ["train", "--task", "forecast", "--model", "tmf"], 2,
                      "split: fractions must be positive"),
     "evaluate_task": ('{"task": "bogus"}', ["evaluate", "--model", "models"], 1,

@@ -68,7 +68,8 @@ def test_config_defaults():
 
 def test_config_rejects_bad_fields():
     for kwargs in ({"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0},
-                   {"patience": -1}, {"workers": 0}, {"selection_metric": "auc"}):
+                   {"patience": -1}, {"workers": 0}, {"workers": 2},
+                   {"selection_metric": "auc"}):
         with pytest.raises(InvalidInputError):
             TrainConfig(**kwargs)
 
@@ -316,16 +317,26 @@ def test_analytic_fit_reports_epoch_one():
     assert ckpt.epoch == 1
 
 
-def test_fit_workers_two_equals_a_sequential_shard_loop():
-    # the shards of a minibatch run in order on the calling thread and
-    # their gradient sums are added in that order
+def test_fit_is_one_gradient_call_per_minibatch():
+    # each minibatch is one shard_loss_and_grads call, its gradient sums
+    # divided by the batch size
     view = small_view(n=12, seed=5)
-    cfg = TrainConfig(epochs=3, batch_size=5, seed=3, workers=2)
+    cfg = TrainConfig(epochs=3, batch_size=5, seed=3)
 
     def build():
         return SaitsLiteModel(n_steps=6, n_features=2, d_model=8, d_ff=12, init_seed=4)
 
-    fitted, ckpt = fit_model(build(), view, view, cfg)
+    fitted, calls = build(), []
+    shard = fitted.shard_loss_and_grads
+
+    def counted(v, idx):
+        calls.append(idx.size)
+        return shard(v, idx)
+
+    fitted.shard_loss_and_grads = counted
+    fitted, ckpt = fit_model(fitted, view, view, cfg)
+    # one call per minibatch: epochs * ceil(12 / 5), with the batches' sizes
+    assert calls == [5, 5, 2] * cfg.epochs
 
     model = build()
     model.prepare_fit(view)
@@ -335,13 +346,9 @@ def test_fit_workers_two_equals_a_sequential_shard_loop():
         order = np.random.Generator(np.random.PCG64(cfg.seed + epoch)).permutation(12)
         for start in range(0, 12, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            summed = None
-            for shard in np.array_split(idx, 2):
-                _, grads = model.shard_loss_and_grads(view, shard)
-                summed = grads if summed is None else {
-                    k: summed[k] + g for k, g in grads.items()}
+            _, grads = model.shard_loss_and_grads(view, idx)
             T.adam_step(model.parameters,
-                        {k: g * (1.0 / idx.size) for k, g in summed.items()}, state)
+                        {k: g * (1.0 / idx.size) for k, g in grads.items()}, state)
         snapshots.append({k: v.copy() for k, v in model.parameters.items()})
         metrics.append(model.validation_metric(view, cfg))
     assert ckpt.metric == metrics[ckpt.epoch - 1]
@@ -363,7 +370,6 @@ def test_shard_gradients_sum_to_batch_gradient():
         assert rel < 1e-9, name
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_raises_diverged_with_location():
     from potsmine.errors import TrainingDivergedError
     view = small_view(n=12, rate=0.2)
@@ -373,14 +379,6 @@ def test_non_finite_loss_raises_diverged_with_location():
                   TrainConfig(epochs=3, batch_size=8, learning_rate=1e200, seed=0))
     message = str(info.value)
     assert "epoch" in message and "batch" in message
-
-
-def test_workers_above_batch_size_still_valid():
-    view = small_view(n=3)
-    model = SaitsLiteModel(n_steps=6, n_features=2, d_model=8, d_ff=12)
-    _, ckpt = fit_model(model, view, view,
-                        TrainConfig(epochs=1, batch_size=3, workers=8))
-    assert np.isfinite(ckpt.metric)
 
 
 # ---------------------------------------------------------------------------

@@ -411,17 +411,6 @@ def test_at_b_is_the_in_order_sum_of_its_block_products(k):
         part = a[lo:lo + rows].T @ b[lo:lo + rows]
         acc = part if acc is None else acc + part
     assert np.array_equal(T.at_b(a, b), acc)
-    # a caller's scratch gives the same bits, and the result does not alias it
-    held = []
-
-    def scratch(shape):
-        held.append(np.full(shape, np.nan))
-        return held[-1]
-
-    have = T.at_b(a, b, scratch)
-    assert np.array_equal(have, acc)
-    assert held[0].shape == (-(-k // rows), 17, b.shape[1])
-    assert not np.shares_memory(have, held[0])
 
 
 # ---------------------------------------------------------------------------
