@@ -37,6 +37,12 @@ It writes into OUTDIR, which must be empty or missing:
   and attention maps on that split from a SAITS-lite model with `w_q`
   scaled by 1e3 in both blocks, so every score row leaves exp's float64
   range and every sample takes the max-shifted softmax;
+- `impute_saits_lite_one_shifted.npz`: `impute` over that split's 48
+  series, three row blocks of 16, by a SAITS-lite model at its default
+  sizes, with series 24 replaced by one along the most positive
+  eigenvector of block 1's score form on the values, with every sixth
+  step missing; its unshifted exp overflows, so that series alone takes
+  the max-shifted softmax, in the middle row block;
 - `log.json`: each CLI command with its exit code, stdout and stderr.
 
 The CLI runs in process; every path it is given is relative to OUTDIR,
@@ -53,10 +59,10 @@ import sys
 
 import numpy as np
 
-from potsmine import (LocfModel, MeanImputerModel, TmfModel, TrainConfig,
-                      TwoStageKMeansModel, classify, cluster, fetch_all, fit, forecast,
-                      generate_synthetic, impute, inject_mcar, saits_forward, split,
-                      tmf_fit, tmf_forecast)
+from potsmine import (Batch, LocfModel, MeanImputerModel, PotsDataset, TmfModel,
+                      TrainConfig, TwoStageKMeansModel, classify, cluster, fetch_all, fit,
+                      forecast, generate_synthetic, impute, inject_mcar, saits_forward,
+                      split, tmf_fit, tmf_forecast)
 from potsmine.cli import main as cli_main
 from potsmine.models import GrudLiteModel, SaitsLiteModel, decode_artifact
 from potsmine.store import LazyDataset, open_readonly
@@ -183,6 +189,7 @@ def _predictions() -> None:
         np.savez(f"pred_{kind}.npz", pred=serve(model, test), **history)
     _saturated_logits(train, test)
     _saturated_attention(train, test)
+    _one_shifted_series(test)
     _near_singular_tmf()
 
 
@@ -215,6 +222,23 @@ def _saturated_attention(train, test) -> None:
     xhat, attns = saits_forward(model, batch.values, batch.mask)
     np.savez("attention_saits_lite_saturated.npz", xhat=xhat, attn1=attns[0],
              attn2=attns[1])
+
+
+def _one_shifted_series(test) -> None:
+    model = SaitsLiteModel(48, 8, init_seed=32)
+    p = model.parameters
+    w_x = p["b1_w_in"][:8]
+    form = w_x @ p["b1_w_q"] @ p["b1_w_k"].T @ w_x.T / np.sqrt(model.d_model)
+    lam, vec = np.linalg.eigh(form + form.T)
+    batch = fetch_all(test)
+    values, mask = batch.values.copy(), batch.mask.copy()
+    # the form reads +1500 on the observed steps
+    values[24] = np.sqrt(3000.0 / lam[-1]) * vec[:, -1]
+    mask[24] = True
+    values[24, ::6], mask[24, ::6] = np.nan, False
+    shifted = PotsDataset(Batch(values, mask, batch.timestamps, batch.labels,
+                                sample_ids=batch.sample_ids))
+    np.savez("impute_saits_lite_one_shifted.npz", pred=impute(model, shifted))
 
 
 def main(argv: list[str]) -> int:

@@ -152,11 +152,13 @@ def saits_loss(xhat: np.ndarray, originals: np.ndarray, observed_mask: np.ndarra
 
 # the attention score a step gives itself before the softmax
 _SELF_SCORE = -1e9
-# the least row sum of the unshifted exp that a sample's softmax keeps:
-# an entry that fell into the subnormals is then off by at most one
-# subnormal step, 2^-1074, under 2^-114 of its row's sum, so the normalized
-# row loses no digit its rounding keeps (at 64 keys the row's largest
-# entry is at least 2^-966)
+# the least row sum of the unshifted exp that a sample's softmax keeps.
+# An entry of the exp, or its product with a value, that fell into the
+# subnormals is off by at most one subnormal step, 2^-1074; divided by
+# the row sum, that is under 2^-114. So the normalized map loses no digit
+# its rounding keeps, and (exp @ v) / sums, a sum of T such products, is
+# off by at most T 2^-114 beyond its rounding: below the rounding of a
+# value column whose largest |v| is T 2^-61 or more
 _MIN_ROW_SUM = 2.0 ** -960
 
 
@@ -196,11 +198,16 @@ class SaitsLiteModel(GradientModel, Imputer):
     and so the artifacts, still hold w_q and w_k.
 
     The softmax takes no row max: it exponentiates the scores as they
-    are and divides by the row sums. A sample with a row sum that is not
-    finite or is below _MIN_ROW_SUM has left exp's float64 range; it
-    alone computes its scores again and takes the max-shifted softmax.
-    Whether a sample does so depends only on its own rows, so its bits
-    do not depend on the samples run with it.
+    are, multiplies the result by the values, and divides that
+    (B, T, d_model) product by the row sums, so the (B, T, T) map is
+    divided only when the backward or saits_forward reads it. A sample
+    with a row sum that is not finite or is below _MIN_ROW_SUM, or whose
+    product of the exp with the values is not finite, has left exp's
+    float64 range; it alone computes its scores again and takes the
+    max-shifted softmax. Whether a sample does so depends only on
+    its own rows, so its bits do not depend on the samples run with it.
+    The weights each block derives from the parameters are built once
+    per forward, not once per row block.
 
     The large (B, T, .) intermediates, the (B, T, T) attention among
     them, are written into workspace arrays the model keeps and reuses
@@ -267,24 +274,36 @@ class SaitsLiteModel(GradientModel, Imputer):
         per_sample = 8 * self.n_steps * (3 * d + 6 * dm + self.n_steps + self.d_ff)
         return max(1, _INFER_BYTES // per_sample)
 
-    def _block(self, p: dict, pre: str, cur: np.ndarray, maskf: np.ndarray,
-               ws: str) -> tuple[np.ndarray, _BlockState]:
+    def _block(self, p: dict, pre: str, fixed: tuple, cur: np.ndarray, maskf: np.ndarray,
+               keep: bool) -> tuple[np.ndarray, _BlockState]:
         """One attention block over (B, T, D) input; returns (x_b, its state).
 
-        pre selects the block's parameters and ws its workspace arrays.
-        Queries and keys meet only in the scores q k^T / sqrt(d_model) =
-        h0 w_qk h0^T, with w_qk = (w_q / sqrt(d_model)) w_k^T, so one
-        matmul projects h0 onto [w_qk | w_v], giving a = h0 w_qk and the
-        values v, and the scores are a h0^T. The step embeddings and
-        b_in are added to h0 as one (T, d_model) array.
+        pre selects the block's parameters, and with keep its own
+        workspace arrays. fixed holds what _forward derives from the
+        parameters once per forward: b_in + pos, one (T, d_model) array
+        added to h0; [w_qk | w_v]; and a (T, 1) ones column. Queries and
+        keys meet only in the scores q k^T / sqrt(d_model) = h0 w_qk h0^T,
+        with w_qk = (w_q / sqrt(d_model)) w_k^T, so one matmul projects h0
+        onto [w_qk | w_v], giving a = h0 w_qk and the values v, and the
+        scores are a h0^T.
 
-        The diagonal fill and the softmax run in place on the score
-        array: exp of the unshifted scores, row sums as a matmul with a
-        ones vector, then a division by them. A sample with a row sum
-        that is not finite (exp overflowed, or a score was NaN) or is
-        below _MIN_ROW_SUM (exp underflowed) recomputes its own scores
-        and takes the max-shifted softmax instead.
+        The diagonal fill and the exp of the unshifted scores run in place
+        on the score array, the row sums are a matmul with the ones
+        column, and h1 starts as exp @ v; the division by the row sums
+        comes after that product, on the (B, T, d_model) output:
+        h1 = (exp @ v) / sums + h0. One check passes the row block: the
+        least and largest row sum, and the sum of squares of exp @ v,
+        which is finite only if every entry is. Only if it fails are the samples
+        found that have a row sum that is not finite (exp overflowed, or
+        a score was NaN) or is below _MIN_ROW_SUM (exp underflowed), or
+        an entry of exp @ v that is not finite (an exp within range, but
+        its product with v overflowed); they alone recompute their scores
+        and take the max-shifted softmax. With keep the map itself is
+        divided too, since the backward and saits_forward read it; h1 has
+        the same bits either way.
         """
+        lift, w_qkv, ones = fixed
+        ws = pre if keep else ""
         n, steps, d = cur.shape
         dm = self.d_model
         rows = n * steps
@@ -293,32 +312,42 @@ class SaitsLiteModel(GradientModel, Imputer):
         inp[..., d:] = maskf
         h0 = self._scratch(ws + "h0", (n, steps, dm))
         np.matmul(inp.reshape(rows, 2 * d), p[pre + "w_in"], out=h0.reshape(rows, dm))
-        h0 += p[pre + "b_in"] + p[pre + "pos"]
-        w_qk = (p[pre + "w_q"] / math.sqrt(dm)) @ p[pre + "w_k"].T
-        w_qkv = np.concatenate([w_qk, p[pre + "w_v"]], axis=1)
+        h0 += lift
         qkv = self._scratch(ws + "qkv", (n, steps, 2 * dm))
         np.matmul(h0.reshape(rows, dm), w_qkv, out=qkv.reshape(rows, 2 * dm))
         a, v = qkv[..., :dm], qkv[..., dm:]
         attn = self._scratch(ws + "attn", (n, steps, steps))
         np.matmul(a, h0.swapaxes(1, 2), out=attn)
         attn.reshape(n, steps * steps)[:, ::steps + 1] = _SELF_SCORE
-        with np.errstate(over="ignore"):
+        h1 = self._scratch(ws + "h1", (n, steps, dm))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the exp, its row sums and its product with v may overflow,
+            # to inf or to NaN where infinities meet; a sample where one
+            # did takes the shifted softmax below
             np.exp(attn, out=attn)
-        ones = np.ones((steps, 1))
-        sums = attn @ ones
-        row_sums = sums.reshape(n, steps)
-        redo = np.flatnonzero(~((row_sums >= _MIN_ROW_SUM) & (row_sums < np.inf)).all(axis=1))
-        if redo.size:   # exp left the float64 range in these samples
+            sums = attn @ ones
+            np.matmul(attn, v, out=h1)
+            flat = h1.reshape(-1)   # its sum of squares is finite only if every entry is
+            in_range = n == 0 or (sums.min() >= _MIN_ROW_SUM and sums.max() < np.inf
+                                  and math.isfinite(np.dot(flat, flat)))
+        if not in_range:
+            # exp, or its product with v, left the float64 range in
+            # some samples: find them
+            row_sums = sums.reshape(n, steps)
+            redo = np.flatnonzero(
+                ~(((row_sums >= _MIN_ROW_SUM) & (row_sums < np.inf)).all(axis=1)
+                  & np.isfinite(h1).all(axis=(1, 2))))
             shifted = np.matmul(a[redo], h0[redo].swapaxes(1, 2))
             shifted.reshape(redo.size, steps * steps)[:, ::steps + 1] = _SELF_SCORE
             shifted -= shifted.max(axis=2, keepdims=True)
             np.exp(shifted, out=shifted)
             attn[redo] = shifted
             sums[redo] = shifted @ ones
-        attn /= sums
-        h1 = self._scratch(ws + "h1", (n, steps, dm))
-        np.matmul(attn, v, out=h1)
+            h1[redo] = shifted @ v[redo]
+        h1 /= sums
         h1 += h0
+        if keep:   # the backward and saits_forward read the normalized map
+            attn /= sums
         f1 = self._scratch(ws + "f1", (n, steps, self.d_ff))
         np.matmul(h1.reshape(rows, dm), p[pre + "w_f1"], out=f1.reshape(rows, self.d_ff))
         f1 += p[pre + "b_f1"]
@@ -331,6 +360,20 @@ class SaitsLiteModel(GradientModel, Imputer):
         xb += p[pre + "b_out"]
         return xb.reshape(n, steps, d), _BlockState(inp, h0, qkv, w_qkv, attn, h1, f1, h2)
 
+    def _blocks(self, p: dict, fixed: dict, x0: np.ndarray, maskf: np.ndarray, keep: bool):
+        """Both blocks over one batch: (x_b of the last block, keepm, states)."""
+        keepm = 1.0 - maskf
+        cur = x0
+        states = []
+        for pre, weights in fixed.items():
+            xb, state = self._block(p, pre, weights, cur, maskf, keep)
+            states.append(state)
+            if len(states) < self.N_BLOCKS:
+                # re-substitute observed cells before the next block
+                cur = keepm * xb
+                cur += x0
+        return xb, keepm, states
+
     def _forward(self, p: dict, x0: np.ndarray, maskf: np.ndarray, keep: bool = False):
         """Reconstruction (B, T, D) in working space from both blocks.
 
@@ -338,27 +381,25 @@ class SaitsLiteModel(GradientModel, Imputer):
         With keep, also returns what _forward_grads needs, each block's
         intermediates in its own workspace arrays; without it, the blocks
         share one set, and run over row blocks of _infer_rows samples.
+        Each block's derived weights (b_in + pos and [w_qk | w_v]) and
+        the ones column are built once here and serve every row block.
         Samples are independent, so a row's bits do not depend on the
         rows run with it. The reconstruction is a fresh array.
         """
-        if not keep and len(x0) > self._infer_rows:
-            xhat = np.empty(x0.shape)
-            for part in _chunks(len(x0), self._infer_rows):
-                xhat[part] = self._forward(p, x0[part], maskf[part])[0]
-            return xhat, None
-        keepm = 1.0 - maskf
-        cur = x0
-        states = []
+        ones = np.ones((self.n_steps, 1))
+        fixed = {}
         for b in range(1, self.N_BLOCKS + 1):
-            xb, state = self._block(p, f"b{b}_", cur, maskf, f"b{b}_" if keep else "")
-            states.append(state)
-            if b < self.N_BLOCKS:
-                # re-substitute observed cells before the next block
-                cur = keepm * xb
-                cur += x0
-        if not keep:
-            return xb, None
-        return xb, (keepm, states, self._claim_workspace())
+            pre = f"b{b}_"
+            w_qk = (p[pre + "w_q"] / math.sqrt(self.d_model)) @ p[pre + "w_k"].T
+            fixed[pre] = (p[pre + "b_in"] + p[pre + "pos"],
+                          np.concatenate([w_qk, p[pre + "w_v"]], axis=1), ones)
+        if keep:
+            xb, keepm, states = self._blocks(p, fixed, x0, maskf, keep=True)
+            return xb, (keepm, states, self._claim_workspace())
+        xhat = np.empty(x0.shape)
+        for part in _chunks(len(x0), self._infer_rows):
+            xhat[part] = self._blocks(p, fixed, x0[part], maskf[part], keep=False)[0]
+        return xhat, None
 
     def _block_grads(self, p: dict, pre: str, s: _BlockState, d_xb: np.ndarray,
                      grads: dict, want_input: bool) -> np.ndarray | None:

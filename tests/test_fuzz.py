@@ -1,13 +1,20 @@
 """Damaged files: truncations and single-bit flips of a .pots and a .pmdl,
 and byte rewrites, insertions and truncations of a .pmdl's payload under a
-recomputed checksum.
+recomputed checksum. Config values at their edges: `train` with one
+config key set to a value at or past its range.
 
 Each damaged copy either reads back or is refused with a PotsError
-subclass; a bare exception of any other type is a bug. The cases are
-drawn by a seeded numpy generator, so a failure reproduces.
+subclass; a bare exception of any other type is a bug. Each config case
+ends in a documented exit code, with no traceback and no RuntimeWarning.
+The cases are drawn by a seeded numpy generator, so a failure reproduces.
 """
 
+import contextlib
+import io
+import json
+import math
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -17,6 +24,7 @@ from potsmine import (CorruptionError, GrudLiteModel, LocfModel, MeanImputerMode
                       PotsError, SaitsLiteModel, TmfModel, TrainConfig, TwoStageKMeansModel,
                       cluster, fetch_all, fit, generate_synthetic, impute, inject_mcar,
                       lazy_dataset, open_readonly, save_model, write_container)
+from potsmine import cli
 from potsmine.models import (MODEL_REGISTRY, decode_artifact, encode_artifact,
                              model_from_artifact, model_to_artifact)
 
@@ -24,7 +32,14 @@ N_TRUNCATIONS = 40
 N_FLIPS = 200
 N_REWRITES = 200
 N_INSERTIONS = 40
+N_CONFIG_CASES = 120
 
+# a config key's edge values go by the type of its CLI default, so that
+# each reaches the model past the config file's type check; the integers
+# stay small, since a key may size an array or count iterations (13 is
+# one past the sweep container's 12 steps)
+INT_EDGES = [-2 ** 64, -1, 0, 1, 13]
+FLOAT_EDGES = [-math.inf, -1.0, 0.0, 1e-320, 1e308, math.inf, math.nan]
 
 def damaged_copies(data: bytes, seed: int):
     """(label, bytes) for seeded truncations and single-bit flips of data."""
@@ -46,9 +61,8 @@ def hyperparameter_values(payload: bytes) -> tuple[set[int], int]:
     values: set[int] = set()
     for _ in range(count):
         pos += 2 + int.from_bytes(payload[pos:pos + 2], "little")
-        width = 1 if payload[pos] == 3 else 8    # a bool, or an int or a float
-        values.update(range(pos + 1, pos + 1 + width))
-        pos += 1 + width
+        values.update(range(pos + 1, pos + 9))   # a tag, then an int or a float
+        pos += 9
     return values, pos
 
 
@@ -165,3 +179,80 @@ def test_every_truncated_payload_under_a_valid_checksum_ends_early(kind):
     for cut in range(len(payload)):
         with pytest.raises(CorruptionError, match="artifact payload ended early"):
             decode_artifact(framed(data, payload[:cut]))
+
+
+class _Reads(dict):
+    """A resolved config that records the keys read from it."""
+
+    def __init__(self, cfg: dict):
+        super().__init__(cfg)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def run_train(kind: str, config: dict) -> tuple[int, str, list]:
+    """`train` of kind on data.pots with config as its config file, in
+    process: (exit code, stderr, RuntimeWarnings)."""
+    with open("config.json", "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(["train", "--task", cli._MODEL_TASKS[kind], "--model", kind,
+                         "--data", "data.pots", "--out", "model.pmdl",
+                         "--config", "config.json"])
+    return code, err.getvalue(), [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def train_keys(kind: str, monkeypatch) -> list[str]:
+    """The numeric keys of cli._DEFAULTS that `train` reads for kind, seen
+    by one run at the defaults."""
+    resolve, reads = cli._resolve, []
+
+    def recording(args):
+        reads.append(_Reads(resolve(args)))
+        return reads[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_resolve", recording)
+        assert run_train(kind, {"epochs": 1})[0] == 0, kind
+    return sorted(key for key in reads[0].read
+                  if type(cli._DEFAULTS[key]) in (int, float))
+
+
+def config_cases(keys: dict, seed: int) -> list[tuple[str, str, object]]:
+    """At most N_CONFIG_CASES seeded (kind, key, value) draws: each kind's
+    keys at the edge values of their type."""
+    cases = [(kind, key, value) for kind, own in keys.items() for key in own
+             for value in (INT_EDGES if type(cli._DEFAULTS[key]) is int else FLOAT_EDGES)]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    picked = rng.choice(len(cases), size=min(N_CONFIG_CASES, len(cases)), replace=False)
+    return [cases[i] for i in sorted(picked)]
+
+
+def test_config_values_at_their_edges_end_in_an_exit_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_container(generate_synthetic(60, 12, 3, 2, missing_rate=0.1, seed=5), "data.pots")
+    keys = {kind: train_keys(kind, monkeypatch) for kind in cli._MODEL_TASKS}
+    assert {"epochs", "lr", "d_model", "lam_mit"} <= set(keys["saits_lite"])
+    assert {"rank", "iters", "lam_a"} <= set(keys["tmf"])
+    codes = set()
+    for kind, key, value in config_cases(keys, 14):
+        label = f"{kind} {key}={value!r}"
+        try:
+            code, err, warned = run_train(kind, {"epochs": 1, key: value})
+        except Exception as exc:
+            pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+        assert code in (0, 1, 2, 3), label
+        assert "Traceback" not in err, label
+        assert not warned, label
+        codes.add(code)
+    assert {0, 1, 2} <= codes

@@ -20,6 +20,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -233,6 +234,71 @@ def test_softmax_outside_exp_range_matches_tape_oracle_sample_by_sample():
         assert np.array_equal(alone[0], xhat[i]), i
         for have_attn, alone_attn in zip(attns, alone_attns):
             assert np.array_equal(alone_attn[0], have_attn[i]), i
+
+
+def block1_scores(model, values, mask):
+    """Block 1's scores, its diagonal at -1e9, and its values v, as the
+    oracle computes them; both (B, T, .)."""
+    p = model.parameters
+    x0 = model.norm_stats.forward(values, mask)
+    lifted = np.concatenate([x0, mask.astype(np.float64)], axis=2) @ p["b1_w_in"] \
+        + p["b1_b_in"] + p["b1_pos"]
+    scores = (lifted @ p["b1_w_q"]) @ (lifted @ p["b1_w_k"]).swapaxes(1, 2)
+    scores /= math.sqrt(model.d_model)
+    scores[:, np.eye(model.n_steps, dtype=bool)] = -1e9
+    return scores, lifted @ p["b1_w_v"]
+
+
+@pytest.mark.parametrize("reads", [723.0, 725.5])
+def test_exp_in_range_whose_row_sums_or_product_overflow_matches_tape_oracle(reads):
+    # sample 1's form reads about +724, not +1500, so every entry of its
+    # unshifted exp is finite. At 723 (largest score 707.2) its row sums
+    # are finite too, but their product with the values overflows; at
+    # 725.5 (709.6) the row sums overflow as well. Either way the sample
+    # takes the shifted softmax, with no RuntimeWarning
+    model = perturbed_model(t=12, d=3, d_model=8, seed=5)
+    values, mask = extreme_batch(model)
+    values[1] *= math.sqrt(reads / 1500.0)
+    scores, v = block1_scores(model, values, mask)
+    assert 706.0 < scores[1].max() < 709.78 and np.abs(v[1]).max() > 10.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        unshifted = np.exp(scores[1])
+        assert np.isfinite(unshifted).all()
+        assert np.isfinite(unshifted.sum(axis=1)).all() == (reads < 724.0)
+        assert not np.isfinite(unshifted @ v[1]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        xhat, attns = saits_forward(model, values, mask)
+        blocked = model._reconstruct(Batch(values, mask, np.zeros(values.shape[:2]), None))
+        alone = saits_forward(model, values[1:2], mask[1:2])[0]
+    x0 = model.norm_stats.forward(values, mask)
+    want = _forward_oracle(model, model.parameters, x0, mask.astype(np.float64)).data
+    assert np.isfinite(xhat).all()
+    for i in range(len(values)):
+        assert max_rel(xhat[i], want[i]) <= 1e-12, i
+    assert np.array_equal(blocked, xhat)
+    assert np.array_equal(alone[0], xhat[1])
+
+
+def test_softmax_outside_exp_range_in_a_middle_row_block_of_inference():
+    # inference checks the row sums once per row block of _infer_rows
+    # samples; the one sample whose exp overflows sits in the second of
+    # four row blocks and must take the shifted softmax there
+    model = perturbed_model()
+    rows = model._infer_rows
+    values, mask = extreme_batch(model, n=3 * rows + 2)
+    at = rows + rows // 2
+    values = np.insert(values[2:], at, values[1], axis=0)
+    mask = np.insert(mask[2:], at, mask[1], axis=0)
+    scores = block1_scores(model, values[at:at + 1], mask[at:at + 1])[0]
+    assert scores[0, ~np.eye(model.n_steps, dtype=bool)].min() > 710.0
+    batch = Batch(values, mask, np.zeros(values.shape[:2]), None)
+    blocked = model._reconstruct(batch)
+    assert len(values) > 3 * rows and np.isfinite(blocked).all()
+    assert np.array_equal(blocked, saits_forward(model, values, mask)[0])
+    alone = model._reconstruct(Batch(values[at:at + 1], mask[at:at + 1],
+                                     np.zeros((1, model.n_steps)), None))
+    assert np.array_equal(alone[0], blocked[at])
 
 
 def gradient_digests() -> dict:
