@@ -16,7 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import InvalidInputError, TrainingDivergedError, UnsupportedTaskError
+from ..errors import (InvalidInputError, ShapeError, TrainingDivergedError,
+                      UnsupportedTaskError)
 from ..core import _EVAL_CHUNK, Batch, NormStats, _iter_batches, _rng, fit_norm_stats
 from .. import tensor as T
 from ..metrics import _SquareSum, _finite
@@ -214,15 +215,26 @@ class GradientModel(BaseModel):
     artifact keeps it as the tensors norm_mean and norm_std, after the
     parameters. A subclass lists its parameters' (name, shape) pairs in
     _param_shapes and draws them in _init_params; its constructor sets
-    the hyperparameters and then runs this one.
+    the hyperparameters, init_seed among them, and then runs this one.
+
+    batch_loss_sum is the one training step. A subclass writes only its
+    math: _prepare_batch turns a batch into the arrays _forward takes;
+    _forward(p, *prepared, keep) gives the output and, with keep, the
+    state its backward reads; _loss(out, prepared, batch) gives the loss
+    sum and its gradient with respect to out; and _forward_grads(p,
+    saved, d_out) gives every parameter's gradient, in the order of
+    self.parameters. The forward and the loss are one tape node.
 
     A model may write its forward's large intermediates into workspace
     arrays it keeps from call to call (_scratch), so a minibatch does not
     allocate, free and re-fault them. A backward reads the state its
-    forward left there; _claim_workspace and _check_workspace refuse a
-    backward whose state a later forward has overwritten. Because of the
-    workspace, one model instance must not be called from two threads at
-    once.
+    forward left there, and writes its gradients over it. So a forward
+    that writes state a backward reads claims the workspace
+    (_claim_workspace), and batch_loss_sum's backward runs only while
+    the claim its forward made is the latest, and makes a claim of its
+    own: a backward after a later forward, or a second backward of one
+    forward, is refused. Because of the workspace, one model instance
+    must not be called from two threads at once.
     """
 
     parameters: dict[str, np.ndarray]
@@ -232,6 +244,8 @@ class GradientModel(BaseModel):
         self._workspace: dict[str, np.ndarray] = {}
         # counts the forwards that overwrote state a backward reads
         self._workspace_writes = 0
+        if self.init_seed >= 2 ** 63:   # an artifact stores it as an int64
+            raise InvalidInputError(f"init_seed must fit in int64, got {self.init_seed}")
         if not self._unfilled:
             d = self.n_features
             self.norm_stats = NormStats(np.zeros(d), np.ones(d))
@@ -266,32 +280,48 @@ class GradientModel(BaseModel):
             buf = self._workspace[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
-    def _claim_workspace(self) -> int:
-        """Record that the workspace now holds a new forward's state.
-
-        Returns the token a backward passes to _check_workspace.
-        """
+    def _claim_workspace(self) -> None:
+        """Record that the workspace now holds a new forward's state, or
+        that a backward has overwritten it: a backward of an earlier
+        forward is refused from here on."""
         self._workspace_writes += 1
-        return self._workspace_writes
-
-    def _check_workspace(self, token: int) -> None:
-        """Refuse a backward whose forward state was overwritten since."""
-        if token != self._workspace_writes:
-            raise InvalidInputError(
-                f"{self.kind}: a later forward ran on this model before the backward "
-                "of an earlier one and overwrote the workspace it reads")
 
     def prepare_fit(self, train_set) -> None:
         """Fit norm_stats to the training view's observed cells."""
         self.norm_stats = fit_norm_stats(train_set)
 
     @abstractmethod
-    def batch_loss_sum(self, leaves: dict[str, T.Tensor], batch: Batch) -> T.Tensor:
-        """Scalar tensor: SUM over the batch of per-sample losses."""
+    def _loss(self, out: np.ndarray, prepared: tuple, batch: Batch) -> tuple[float, np.ndarray]:
+        """(loss sum over the batch, its gradient with respect to out)."""
 
     @abstractmethod
     def validation_metric(self, val_set, config: TrainConfig) -> float:
         """Selection metric over the whole validation view."""
+
+    def batch_loss_sum(self, leaves: dict[str, T.Tensor], batch: Batch) -> T.Tensor:
+        """Scalar tensor: SUM over the batch of per-sample losses.
+
+        Leaves that are all constants record nothing, and the forward
+        keeps no state for a backward.
+        """
+        _check_shape(self, *batch.values.shape[1:], "train")
+        inputs = [leaves[name] for name in self.parameters]
+        p = {name: t.data for name, t in zip(self.parameters, inputs)}
+        keep = any(t.tape is not None for t in inputs)
+        prepared = self._prepare_batch(batch)
+        out, saved = self._forward(p, *prepared, keep=keep)
+        claim = self._workspace_writes
+        loss, d_out = self._loss(out, prepared, batch)
+
+        def backward(g):
+            if claim != self._workspace_writes:
+                raise InvalidInputError(
+                    f"{self.kind}: a later forward ran on this model before the backward "
+                    "of an earlier one and overwrote the workspace it reads")
+            self._claim_workspace()
+            return self._forward_grads(p, saved, g * d_out)
+
+        return T.record_fused(np.asarray(loss, dtype=np.float64), inputs, backward)
 
     def shard_loss_and_grads(self, view, indices) -> tuple[float, dict]:
         """Loss sum and parameter gradients for one index shard."""
@@ -306,14 +336,15 @@ class GradientModel(BaseModel):
 # ---------------------------------------------------------------------------
 # task dispatch
 
-def _check_view_shape(model: BaseModel, dataset, task: str) -> None:
-    if model.n_steps is not None and dataset.n_steps != model.n_steps:
-        raise InvalidInputError(
-            f"{task}: dataset has {dataset.n_steps} steps, model expects {model.n_steps}")
-    if dataset.n_features != model.n_features:
-        raise InvalidInputError(
-            f"{task}: dataset has {dataset.n_features} features, "
-            f"model expects {model.n_features}")
+def _check_shape(model: BaseModel, n_steps: int, n_features: int, task: str) -> None:
+    """Refuse data, a view or a batch, whose series length or feature
+    count differs from the model's."""
+    if model.n_steps is not None and n_steps != model.n_steps:
+        raise ShapeError(
+            f"{task}: dataset has {n_steps} steps, model expects {model.n_steps}")
+    if n_features != model.n_features:
+        raise ShapeError(
+            f"{task}: dataset has {n_features} features, model expects {model.n_features}")
 
 
 def _serve(model: BaseModel, dataset, contract: type, task: str, fn) -> np.ndarray:
@@ -321,7 +352,7 @@ def _serve(model: BaseModel, dataset, contract: type, task: str, fn) -> np.ndarr
     fulfil the task's contract and to fit the dataset's shape."""
     if not isinstance(model, contract):
         raise UnsupportedTaskError(model.kind, task)
-    _check_view_shape(model, dataset, task)
+    _check_shape(model, dataset.n_steps, dataset.n_features, task)
     # map drops each batch once fn returns, before the next one is read
     return np.concatenate(list(map(fn, _iter_batches(dataset))), axis=0)
 
@@ -383,8 +414,8 @@ def fit(model: BaseModel, train_set, val_set, config: TrainConfig):
         raise InvalidInputError("fit: training set is empty")
     if len(val_set) == 0:
         raise InvalidInputError("fit: validation set is empty")
-    _check_view_shape(model, train_set, "fit")
-    _check_view_shape(model, val_set, "fit")
+    for view in (train_set, val_set):
+        _check_shape(model, view.n_steps, view.n_features, "fit")
     if config.selection_metric not in model.supported_metrics():
         raise InvalidInputError(
             f"fit: model kind {model.kind!r} does not support "

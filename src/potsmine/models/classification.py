@@ -9,12 +9,13 @@ concatenated with the step's mask (the GRU-D cell of Che et al., Sci.
 Rep. 2018).
 
 One plain-numpy forward, _forward, serves training, inference and
-validation. Training records it on the tape as a single node whose
-backward, _forward_grads, is hand-written backpropagation through time
-over the gates the forward saved, so a minibatch adds the same few tape
-nodes whatever the series length. grud_step computes one step
-independently, with the unfused per-gate formulas, and is kept as the
-oracle the tests compare the fused forward against.
+validation. Training records it and its cross-entropy loss on the tape
+as a single node (GradientModel.batch_loss_sum) whose backward,
+_forward_grads, is hand-written backpropagation through time over the
+gates the forward saved, so a minibatch adds one tape node whatever the
+series length. grud_step computes one step independently, with the
+unfused per-gate formulas, and is kept as the oracle the tests compare
+the fused forward against.
 
 The forward writes its (T, B, .) blocks, and with a backward to come
 each step's gates, into workspace arrays the model keeps from call to
@@ -46,22 +47,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import InvalidInputError, ShapeError
+from ..errors import InvalidInputError
 from ..core import Batch, _carry_forward, _iter_batches, _rng, _time_since_observed
 from .. import tensor as T
 from .artifact import register_model
-from .base import _INFER_BYTES, Classifier, GradientModel, TrainConfig, xavier
-
-# the parameters in the order the fused node takes them and
-# _forward_grads returns their gradients
-_PARAMS = ("w_dx", "b_dx", "w_dh", "b_dh", "w_z", "u_z", "b_z",
-           "w_r", "u_r", "b_r", "w_c", "u_c", "b_c", "w_out", "b_out")
+from .base import _INFER_BYTES, Classifier, GradientModel, TrainConfig, _check_shape, xavier
 
 
 class _Recurrence(NamedTuple):
     """A training forward's state, as _forward_grads reads it back.
 
-    The step axis comes first, except in pre, whose gate axis does. All
+    It holds arrays only: the claim the forward made on the workspace is
+    kept, and checked before the backward, by GradientModel. The step
+    axis comes first, except in pre, whose gate axis does. All
     but the (T, B, D) arrays are workspace arrays, which the backward
     overwrites. inp and delta1 end in a ones column, the bias's input:
     with it, inp^T times a gate's gradient has that gate's bias gradient
@@ -84,7 +82,6 @@ class _Recurrence(NamedTuple):
                          # which the backward inverts in place into the gates
     rhd: np.ndarray      # (T, B, H) reset gate times hd
     c: np.ndarray        # (T, B, H) candidate state
-    token: int           # the workspace claim of the forward
 
 
 def decay(delta_t: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,8 +135,6 @@ class GrudLiteModel(GradientModel, Classifier):
             raise InvalidInputError(f"n_classes must be at least 2, got {n_classes}")
         if hidden_size < 1:
             raise InvalidInputError(f"hidden_size must be positive, got {hidden_size}")
-        if init_seed >= 2 ** 63:   # an artifact stores it as an int64
-            raise InvalidInputError(f"init_seed must fit in int64, got {init_seed}")
         self.n_steps = n_steps
         self.n_features = n_features
         self.n_classes = n_classes
@@ -269,7 +264,7 @@ class GrudLiteModel(GradientModel, Classifier):
         and, with keep, its own rows of the history; without it, one row
         block repeated.
         """
-        token = self._claim_workspace()
+        self._claim_workspace()
         hid = self.hidden_size
         n_steps, n = delta.shape[:2]
         # each gate's input weights over its bias: (3, 2D + 1, H)
@@ -316,10 +311,11 @@ class GrudLiteModel(GradientModel, Classifier):
         if not keep:
             return logits, None
         return logits, _Recurrence(delta1, maskf, x_last, s_x, gx, gh, gh_on, inp, pre,
-                                   h, hd, zr, rhd, c, token)
+                                   h, hd, zr, rhd, c)
 
     def _forward_grads(self, p: dict, s: _Recurrence, d_logits: np.ndarray) -> list[np.ndarray]:
-        """Hand-written BPTT: gradients of every _PARAMS entry, in order.
+        """Hand-written BPTT: every parameter's gradient, in the order of
+        self.parameters.
 
         One reverse sweep over T carries the hidden-state gradient back
         through the gates and writes each step's gate pre-activation
@@ -333,8 +329,6 @@ class GrudLiteModel(GradientModel, Classifier):
         order. BLAS would otherwise split the sum by its thread count;
         blocked, the gradients have the same bits at any thread count.
         """
-        self._check_workspace(s.token)
-        self._claim_workspace()
         hid, d = self.hidden_size, self.n_features
         n_steps, n = s.gh.shape[:2]
         rows = n_steps * n
@@ -428,15 +422,10 @@ class GrudLiteModel(GradientModel, Classifier):
         return h_t, x_hat, x_last_next
 
     # -- training --------------------------------------------------------------
-    def batch_loss_sum(self, leaves: dict, batch: Batch) -> T.Tensor:
+    def _loss(self, logits: np.ndarray, prepared: tuple, batch: Batch):
         if not _all_labeled(batch):
             raise InvalidInputError("grud_lite training requires labels on every sample")
-        inputs = [leaves[name] for name in _PARAMS]
-        p = {name: t.data for name, t in zip(_PARAMS, inputs)}
-        keep = any(t.tape is not None for t in inputs)
-        logits, saved = self._forward(p, *self._prepare_batch(batch), keep=keep)
-        logits = T.record_fused(logits, inputs, lambda g: self._forward_grads(p, saved, g))
-        return T.cross_entropy_with_logits(logits, batch.labels)
+        return T.cross_entropy_array(logits, batch.labels)
 
     def validation_metric(self, val_set, config: TrainConfig) -> float:
         want_acc = config.selection_metric == "val_accuracy"
@@ -449,8 +438,7 @@ class GrudLiteModel(GradientModel, Classifier):
             if want_acc:
                 total += float((logits.argmax(axis=1) == batch.labels).sum())
             else:
-                total += float(T.cross_entropy_with_logits(
-                    T.constant(logits), batch.labels).data)
+                total += float(T.cross_entropy_array(logits, batch.labels)[0])
             n += logits.shape[0]
         return total / n
 
@@ -459,8 +447,5 @@ class GrudLiteModel(GradientModel, Classifier):
         return self._forward(self.parameters, *self._prepare_batch(batch))[0]
 
     def predict_proba_batch(self, batch: Batch) -> np.ndarray:
-        if batch.values.shape[1:] != (self.n_steps, self.n_features):
-            raise ShapeError(
-                f"classify: batch shape {batch.values.shape[1:]} does not match "
-                f"model ({self.n_steps}, {self.n_features})")
+        _check_shape(self, *batch.values.shape[1:], "classify")
         return T.softmax_array(self._logits_np(batch))

@@ -26,7 +26,7 @@ from ..errors import InvalidInputError, ShapeError
 from ..core import Batch, _rng, fetch_all
 from .artifact import register_model
 from .base import (AnalyticModel, Forecaster, TrainConfig, _check_non_negative,
-                   imputer_validation_metric)
+                   _check_shape, imputer_validation_metric)
 
 # keeps every block subproblem strictly positive definite
 _RIDGE_FLOOR = 1e-10
@@ -383,6 +383,7 @@ class TmfModel(AnalyticModel, Forecaster):
     def forecast_batch(self, batch: Batch, horizon: int) -> np.ndarray:
         if not self.n_series:
             raise InvalidInputError("forecast: model has not been fit")
+        _check_shape(self, *batch.values.shape[1:], "forecast")
         return _forecast(self._refit_w(batch), self.f_list, self.a_list, horizon)
 
 

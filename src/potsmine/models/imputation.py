@@ -18,7 +18,7 @@ from ..core import Batch, NormStats, _carry_forward, _chunks, _observed_moments,
 from .. import tensor as T
 from .artifact import register_model
 from .base import (_INFER_BYTES, AnalyticModel, GradientModel, Imputer, TrainConfig,
-                   _check_non_negative, imputer_validation_metric, xavier)
+                   _check_non_negative, _check_shape, imputer_validation_metric, xavier)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,7 @@ class LocfModel(_AnalyticImputer):
     values_name = "fallback_values"
 
     def impute_batch(self, batch: Batch) -> np.ndarray:
+        _check_shape(self, *batch.values.shape[1:], "impute")
         return _locf_fill(batch.values, batch.mask, self.feature_values)
 
 
@@ -109,6 +110,7 @@ class MeanImputerModel(_AnalyticImputer):
     values_name = "means"
 
     def impute_batch(self, batch: Batch) -> np.ndarray:
+        _check_shape(self, *batch.values.shape[1:], "impute")
         fill = np.broadcast_to(self.feature_values, batch.values.shape)
         return np.where(batch.mask.astype(bool, copy=False), batch.values, fill)
 
@@ -237,8 +239,6 @@ class SaitsLiteModel(GradientModel, Imputer):
         if n_features < 1 or d_model < 1 or d_ff < 1:
             raise InvalidInputError("saits_lite sizes must be positive")
         _check_non_negative("lam_mit", lam_mit=lam_mit)
-        if init_seed >= 2 ** 63:   # an artifact stores it as an int64
-            raise InvalidInputError(f"init_seed must fit in int64, got {init_seed}")
         self.n_steps = n_steps
         self.n_features = n_features
         self.d_model = d_model
@@ -264,6 +264,11 @@ class SaitsLiteModel(GradientModel, Imputer):
                 for name, shape in self._param_shapes()}
 
     # -- forward and backward ----------------------------------------------
+    def _prepare_batch(self, batch: Batch):
+        """The zero-filled working-space values and the 0/1 float mask."""
+        maskf = batch.mask.astype(bool, copy=False).astype(np.float64)
+        return self.norm_stats.forward(batch.values, batch.mask), maskf
+
     @property
     def _infer_rows(self) -> int:
         """Samples per row block of inference: as many as keep one
@@ -394,8 +399,9 @@ class SaitsLiteModel(GradientModel, Imputer):
             fixed[pre] = (p[pre + "b_in"] + p[pre + "pos"],
                           np.concatenate([w_qk, p[pre + "w_v"]], axis=1), ones)
         if keep:
+            self._claim_workspace()
             xb, keepm, states = self._blocks(p, fixed, x0, maskf, keep=True)
-            return xb, (keepm, states, self._claim_workspace())
+            return xb, (keepm, states)
         xhat = np.empty(x0.shape)
         for part in _chunks(len(x0), self._infer_rows):
             xhat[part] = self._blocks(p, fixed, x0[part], maskf[part], keep=False)[0]
@@ -481,9 +487,7 @@ class SaitsLiteModel(GradientModel, Imputer):
         backward overwrites the forward's state, so it runs once per
         forward.
         """
-        keepm, states, token = saved
-        self._check_workspace(token)
-        self._claim_workspace()
+        keepm, states = saved
         grads: dict[str, np.ndarray] = {}
         d_x = d_xhat
         for b in range(self.N_BLOCKS, 0, -1):
@@ -494,25 +498,14 @@ class SaitsLiteModel(GradientModel, Imputer):
         return [grads[name] for name in self.parameters]
 
     # -- training ----------------------------------------------------------
-    def batch_loss_sum(self, leaves: dict, batch: Batch) -> T.Tensor:
-        """saits_loss of the reconstruction in working space.
-
-        Plain batches score the observed cells against their own
-        values. The forward and this loss are one tape node.
-        """
-        names = list(self.parameters)
-        inputs = [leaves[name] for name in names]
-        p = {name: t.data for name, t in zip(names, inputs)}
-        keep = any(t.tape is not None for t in inputs)
-        maskf = batch.mask.astype(bool, copy=False).astype(np.float64)
-        x0 = self.norm_stats.forward(batch.values, batch.mask)
-        xhat, saved = self._forward(p, x0, maskf, keep=keep)
+    def _loss(self, xhat: np.ndarray, prepared: tuple, batch: Batch):
+        """saits_loss of the reconstruction in working space. Plain
+        batches score the observed cells against their own values."""
+        maskf = prepared[1]
         originals = self.norm_stats.forward(
             batch.values if batch.originals is None else batch.originals)
         held = np.zeros_like(maskf) if batch.indicating is None else batch.indicating
-        loss, d_xhat = saits_loss(xhat, originals, maskf, held, self.lam_mit)
-        return T.record_fused(np.asarray(loss, dtype=np.float64), inputs,
-                              lambda g: self._forward_grads(p, saved, g * d_xhat))
+        return saits_loss(xhat, originals, maskf, held, self.lam_mit)
 
     def validation_metric(self, val_set, config: TrainConfig) -> float:
         """imputer_validation_metric of the raw reconstruction."""
@@ -520,11 +513,11 @@ class SaitsLiteModel(GradientModel, Imputer):
 
     # -- inference ----------------------------------------------------------
     def _reconstruct(self, batch: Batch) -> np.ndarray:
-        maskf = batch.mask.astype(bool, copy=False).astype(np.float64)
-        x0 = self.norm_stats.forward(batch.values, batch.mask)
-        return self.norm_stats.inverse(self._forward(self.parameters, x0, maskf)[0])
+        xhat = self._forward(self.parameters, *self._prepare_batch(batch))[0]
+        return self.norm_stats.inverse(xhat)
 
     def impute_batch(self, batch: Batch) -> np.ndarray:
+        _check_shape(self, *batch.values.shape[1:], "impute")
         hit = batch.mask.astype(bool, copy=False)
         return np.where(hit, batch.values, self._reconstruct(batch))
 
@@ -542,11 +535,7 @@ def saits_forward(model: SaitsLiteModel, values: np.ndarray, mask: np.ndarray):
         raise ShapeError(
             f"saits_forward: values {values.shape} and mask {mask_arr.shape} "
             "must be matching rank-3 arrays")
-    if values.shape[1:] != (model.n_steps, model.n_features):
-        raise ShapeError(
-            f"saits_forward: batch shape {values.shape[1:]} does not match "
-            f"model ({model.n_steps}, {model.n_features})")
-    maskf = (mask_arr != 0).astype(np.float64)
-    x0 = model.norm_stats.forward(values, mask_arr)
-    xhat, (_, states, _) = model._forward(model.parameters, x0, maskf, keep=True)
+    _check_shape(model, *values.shape[1:], "saits_forward")
+    prepared = model._prepare_batch(Batch(values, mask_arr, None, None))
+    xhat, (_, states) = model._forward(model.parameters, *prepared, keep=True)
     return model.norm_stats.inverse(xhat), [s.attn.copy() for s in states]

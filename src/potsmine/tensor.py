@@ -496,12 +496,30 @@ def masked_mse(pred, target, mask) -> Tensor:
     ])
 
 
-def cross_entropy_with_logits(logits, labels) -> Tensor:
-    """Sum over rows of -log softmax(logits)[label], computed stably.
+def cross_entropy_array(z: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Sum over the rows of (N, C) logits of -log softmax(z)[label],
+    computed stably, and its gradient with respect to z: softmax(z) minus
+    the one-hot labels. Labels outside [0, C) are refused.
+    """
+    n, c = z.shape
+    lab = np.asarray(labels).astype(np.int64)
+    if lab.size and (lab.min() < 0 or lab.max() >= c):
+        raise InvalidInputError(f"cross_entropy: labels outside [0, {c})")
+    rows = np.arange(n)
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    sums = e.sum(axis=1, keepdims=True)
+    log_probs = (z - m) - np.log(sums)
+    loss = np.asarray(-log_probs[rows, lab].sum())
+    d_z = e / sums
+    d_z[rows, lab] -= 1.0
+    return loss, d_z
 
-    Returns the batch total (callers divide by the batch size); the
-    gradient is softmax(logits) minus the one-hot labels, scaled by the
-    upstream gradient.
+
+def cross_entropy_with_logits(logits, labels) -> Tensor:
+    """cross_entropy_array recorded on the tape: the batch total (callers
+    divide by the batch size), whose gradient is softmax(logits) minus the
+    one-hot labels, scaled by the upstream gradient.
     """
     logits = _coerce(logits)
     if logits.data.ndim != 2:
@@ -510,20 +528,8 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
     if lab.ndim != 1 or lab.shape[0] != logits.shape[0]:
         raise ShapeError(
             f"cross_entropy: labels shape {lab.shape} does not match logits {logits.shape}")
-    n, c = logits.shape
-    lab = lab.astype(np.int64)
-    if lab.size and (lab.min() < 0 or lab.max() >= c):
-        raise InvalidInputError(f"cross_entropy: labels outside [0, {c})")
-    z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    sums = e.sum(axis=1, keepdims=True)
-    log_probs = (z - m) - np.log(sums)
-    out = np.asarray(-log_probs[np.arange(n), lab].sum())
-    soft = e / sums
-    onehot = np.zeros_like(z)
-    onehot[np.arange(n), lab] = 1.0
-    return _record(out, [(logits, lambda g: g * (soft - onehot))])
+    out, d_z = cross_entropy_array(logits.data, lab)
+    return _record(out, [(logits, lambda g: g * d_z)])
 
 
 def grad_check(f, x: np.ndarray, h: float = 1e-5) -> float:

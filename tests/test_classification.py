@@ -408,6 +408,14 @@ def test_tape_size_does_not_grow_with_series_length():
     assert sizes[0] == sizes[1]
 
 
+def test_minibatch_records_forward_and_loss_as_one_node():
+    model = perturbed_model()
+    tape = T.Tape()
+    leaves = {k: tape.leaf(v) for k, v in model.parameters.items()}
+    loss = model.batch_loss_sum(leaves, irregular_batch())
+    assert len(loss.tape) == len(leaves) + 1
+
+
 def test_minibatch_tape_is_freed_without_the_cycle_collector():
     # the fused node saves every step's gates; a reference cycle through
     # the tape would keep them alive until the cyclic collector runs

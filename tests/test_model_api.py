@@ -47,6 +47,7 @@ from potsmine.errors import (
     CorruptionError,
     FormatError,
     InvalidInputError,
+    ShapeError,
     StorageError,
     UnsupportedTaskError,
 )
@@ -454,6 +455,42 @@ def test_unsupported_task_names_kind_and_task():
         impute(grud, ds)
     with pytest.raises(UnsupportedTaskError, match="cluster"):
         cluster(grud, ds)
+
+
+def _loss_sum(model, batch):
+    return model.batch_loss_sum({k: T.constant(v) for k, v in model.parameters.items()},
+                                batch)
+
+
+def _fitted_tmf():
+    model = TmfModel(n_steps=6, n_features=2, rank=1, iters=2)
+    view = small_view(n=4)
+    fit_model(model, view, view, TrainConfig())
+    return model
+
+
+@pytest.mark.parametrize("t, d", [(5, 2), (6, 1), (6, 3)],
+                         ids=["5_steps", "1_feature", "3_features"])
+@pytest.mark.parametrize("make, call", [
+    (lambda: SaitsLiteModel(6, 2, d_model=4, d_ff=4), lambda m, b: m.impute_batch(b)),
+    (lambda: SaitsLiteModel(6, 2, d_model=4, d_ff=4), _loss_sum),
+    (lambda: GrudLiteModel(6, 2, 2, hidden_size=3), lambda m, b: m.predict_proba_batch(b)),
+    (lambda: GrudLiteModel(6, 2, 2, hidden_size=3), _loss_sum),
+    (lambda: LocfModel(n_features=2), lambda m, b: m.impute_batch(b)),
+    (lambda: MeanImputerModel(n_features=2), lambda m, b: m.impute_batch(b)),
+    (_fitted_tmf, lambda m, b: m.forecast_batch(b, 2)),
+], ids=["saits_impute", "saits_loss", "grud_classify", "grud_loss", "locf_impute",
+        "mean_impute", "tmf_forecast"])
+def test_batch_methods_refuse_a_batch_of_another_shape(make, call, t, d):
+    # the shape rule of views, applied to a batch: a model without a
+    # fixed series length takes any, but never another feature count
+    model = make()
+    batch = small_view(n=4, t=t, d=d).training_batch([0, 1, 2, 3])
+    if model.n_steps is None and d == 2:
+        assert call(model, batch).shape == (4, t, 2)
+    else:
+        with pytest.raises(ShapeError, match="model expects"):
+            call(model, batch)
 
 
 # ---------------------------------------------------------------------------
